@@ -234,8 +234,11 @@ func splitName(name string) (family, labels string) {
 	return family, labels
 }
 
-// register installs (or finds) a series, enforcing name/kind uniqueness.
-func (r *Registry) register(name, help string, k kind) *entry {
+// register installs (or finds) a series, enforcing name/kind uniqueness. A
+// new series gets its metric here, under the lock, so concurrent
+// registrations of one name all receive the same pointer. bounds applies to
+// a new histogram only (nil selects DefBuckets).
+func (r *Registry) register(name, help string, k kind, bounds []float64) *entry {
 	family, labels := splitName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -249,6 +252,22 @@ func (r *Registry) register(name, help string, k kind) *entry {
 		panic(fmt.Sprintf("metrics: family %q re-registered as %s (was %s)", family, k, fk))
 	}
 	e := &entry{name: name, family: family, labels: labels, help: help, kind: k}
+	switch k {
+	case counterKind:
+		e.c = &Counter{}
+	case gaugeKind:
+		e.g = &Gauge{}
+	case histKind:
+		if bounds == nil {
+			bounds = DefBuckets
+		}
+		for i := 1; i < len(bounds); i++ {
+			if bounds[i] <= bounds[i-1] {
+				panic(fmt.Sprintf("metrics: histogram %q bounds not strictly ascending", name))
+			}
+		}
+		e.h = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	}
 	r.byName[name] = e
 	r.famKind[family] = k
 	r.entries = append(r.entries, e)
@@ -261,11 +280,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.register(name, help, counterKind)
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
+	return r.register(name, help, counterKind, nil).c
 }
 
 // Gauge registers (or returns the existing) gauge series.
@@ -273,11 +288,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.register(name, help, gaugeKind)
-	if e.g == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
+	return r.register(name, help, gaugeKind, nil).g
 }
 
 // GaugeFunc registers a computed gauge: fn is evaluated at every exposition
@@ -291,7 +302,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if fn == nil {
 		panic(fmt.Sprintf("metrics: nil GaugeFunc for %q", name))
 	}
-	e := r.register(name, help, funcKind)
+	e := r.register(name, help, funcKind, nil)
 	r.mu.Lock()
 	e.f = fn
 	r.mu.Unlock()
@@ -304,21 +315,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	e := r.register(name, help, histKind)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e.h == nil {
-		if bounds == nil {
-			bounds = DefBuckets
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("metrics: histogram %q bounds not strictly ascending", name))
-			}
-		}
-		e.h = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-	}
-	return e.h
+	return r.register(name, help, histKind, bounds).h
 }
 
 // sorted returns the entries ordered by (family, series name) — the stable

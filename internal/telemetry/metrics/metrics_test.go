@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -266,5 +267,59 @@ func TestHistogramConcurrency(t *testing.T) {
 	}
 	if want := float64(goroutines*per) * 0.25; h.Sum() != want {
 		t.Fatalf("sum = %v, want %v", h.Sum(), want)
+	}
+}
+
+// TestRegistryConcurrentRegistration registers the same counter, gauge and
+// histogram from several goroutines at once, as dse workers wiring their
+// platforms to one registry do: every goroutine must get the same metric
+// and every update must land in it. Each goroutine makes a single registry
+// call per kind, so nothing but the registry's own lock orders the
+// goroutines' first registrations.
+func TestRegistryConcurrentRegistration(t *testing.T) {
+	const goroutines, per = 8, 100
+	concurrently := func(fn func(g int)) {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				fn(g)
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+	}
+	r := NewRegistry()
+	var (
+		counters [goroutines]*Counter
+		gauges   [goroutines]*Gauge
+		hists    [goroutines]*Histogram
+	)
+	concurrently(func(g int) {
+		counters[g] = r.Counter("reg_total", "")
+		counters[g].Add(per)
+	})
+	concurrently(func(g int) {
+		gauges[g] = r.Gauge("reg_gauge", "")
+		gauges[g].Add(per)
+	})
+	concurrently(func(g int) {
+		hists[g] = r.Histogram("reg_seconds", "", []float64{1})
+		for i := 0; i < per; i++ {
+			hists[g].Observe(0.5)
+		}
+	})
+	for g := 1; g < goroutines; g++ {
+		if counters[g] != counters[0] || gauges[g] != gauges[0] || hists[g] != hists[0] {
+			t.Fatalf("goroutine %d got a different metric instance", g)
+		}
+	}
+	const total = goroutines * per
+	if counters[0].Value() != total || gauges[0].Value() != total || hists[0].Count() != total {
+		t.Fatalf("counter %d, gauge %d, histogram %d; want %d each",
+			counters[0].Value(), gauges[0].Value(), hists[0].Count(), total)
 	}
 }
