@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,6 +132,22 @@ func Default() Platform {
 
 // Validate checks the configuration for consistency.
 func (p Platform) Validate() error {
+	// NaN slips through every range check below, so reject non-finite
+	// values first.
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"compress_ratio", p.CompressRatio},
+		{"compress_mbps", p.CompressMBps},
+		{"spare_factor", p.SpareFactor},
+		{"waf_override", p.WAFOverride},
+		{"wear", p.Wear},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("config: %s = %v is not a finite number", f.key, f.v)
+		}
+	}
 	if p.Channels < 1 || p.Ways < 1 || p.DiesPerWay < 1 || p.DDRBuffers < 1 {
 		return fmt.Errorf("config: invalid topology %d-ch/%d-way/%d-die/%d-buf",
 			p.Channels, p.Ways, p.DiesPerWay, p.DDRBuffers)

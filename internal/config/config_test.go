@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// floatKeys lists every float-valued config key.
+var floatKeys = []string{"compress_ratio", "compress_mbps", "spare_factor", "waf_override", "wear"}
+
 func TestDefaultValidates(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
@@ -132,6 +135,11 @@ func TestParseErrors(t *testing.T) {
 		"wear = 9",       // out of range (validation)
 		"cache_policy = maybe",
 	}
+	for _, key := range floatKeys {
+		for _, v := range []string{"NaN", "Inf", "-Inf"} {
+			bad = append(bad, "preset = vertex\n"+key+" = "+v)
+		}
+	}
 	for _, src := range bad {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("config %q accepted", src)
@@ -184,4 +192,37 @@ func TestValidationCatches(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+}
+
+// FuzzConfig: Parse never panics, and every config it accepts renders back
+// to a file that parses to the same Platform.
+func FuzzConfig(f *testing.F) {
+	presets := append([]Platform{Default(), Vertex()}, TableII()...)
+	for _, p := range append(presets, TableIII()...) {
+		var buf bytes.Buffer
+		if err := p.Render(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	for _, key := range []string{"spare_factor", "wear", "waf_override"} {
+		f.Add("preset = vertex\n" + key + " = NaN\n")
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := p.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(&buf)
+		if err != nil {
+			t.Fatalf("rendered config does not parse: %v\n%s", err, buf.String())
+		}
+		if back != p {
+			t.Fatalf("round trip mismatch:\n%+v\n%+v", back, p)
+		}
+	})
 }
