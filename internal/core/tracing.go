@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/amba"
+	"repro/internal/dram"
 	"repro/internal/sim"
 	evtrace "repro/internal/telemetry/trace"
 )
@@ -25,47 +27,18 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 	// Host links and submission queues.
 	p.Host.SetTracer(tr)
 
-	// CPU cores.
-	for _, core := range p.CPU.Cores() {
-		res := tr.Register(evtrace.KindCPU, core.Name())
-		core.OnServe = func(start, end sim.Time) {
-			tr.Interval(res, evtrace.OpBusy, start, end)
-		}
-	}
-
-	// AHB interconnect layers.
-	ahbRes := make([]int32, p.Bus.Config().Layers)
-	for i := range ahbRes {
-		ahbRes[i] = tr.Register(evtrace.KindAHB, fmt.Sprintf("ahb%d", i))
-	}
-	p.Bus.OnGrant = func(layer int, start, end sim.Time) {
-		tr.Interval(ahbRes[layer], evtrace.OpXfer, start, end)
-	}
-
-	// DRAM buffers.
+	traceServers(tr, evtrace.KindCPU, p.CPU.Cores())
+	traceBus(tr, p.Bus, func(layer int) string { return fmt.Sprintf("ahb%d", layer) })
 	for _, b := range p.DRAM.Buffers {
-		res := tr.Register(evtrace.KindDRAM, fmt.Sprintf("ddr%d", b.ID))
-		b.OnServe = func(write bool, start, end sim.Time) {
-			op := evtrace.OpRead
-			if write {
-				op = evtrace.OpWrite
-			}
-			tr.Interval(res, op, start, end)
-		}
+		traceDRAM(tr, b)
 	}
-
-	// ECC engines.
-	for _, e := range p.ecc.engines {
-		res := tr.Register(evtrace.KindECC, e.Name())
-		e.OnServe = func(start, end sim.Time) {
-			tr.Interval(res, evtrace.OpBusy, start, end)
-		}
-	}
+	traceServers(tr, evtrace.KindECC, p.ecc.engines)
 
 	// Channels: dies (per-op-kind intervals, GC split, flow steps) and ONFI
 	// buses. In parallel mode every channel domain logs into a private sink
 	// (shared resource table, own event buffer — each resource has exactly
-	// one writing domain); runKernel folds the sinks back into the main
+	// one writing domain), and so do the shard's private interconnect, DRAM
+	// buffer and ECC engines; runKernel folds the sinks back into the main
 	// tracer after each run.
 	for c, ch := range p.Channels {
 		if p.ds == nil {
@@ -75,28 +48,47 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 		sink := tr.Sink()
 		p.traceSinks = append(p.traceSinks, sink)
 		ch.SetTracer(sink)
-		// The shard's private interconnect, DRAM buffer and ECC engines.
-		bres := tr.Register(evtrace.KindAHB, fmt.Sprintf("ch%d-ahb", c))
-		p.shardBuses[c].OnGrant = func(_ int, start, end sim.Time) {
-			sink.Interval(bres, evtrace.OpXfer, start, end)
-		}
-		b := p.shardDRAM[c]
-		dres := tr.Register(evtrace.KindDRAM, fmt.Sprintf("ddr%d", b.ID))
-		b.OnServe = func(write bool, start, end sim.Time) {
-			op := evtrace.OpRead
-			if write {
-				op = evtrace.OpWrite
-			}
-			sink.Interval(dres, op, start, end)
-		}
-		for _, e := range p.shardECC[c].engines {
-			eres := tr.Register(evtrace.KindECC, e.Name())
-			e.OnServe = func(start, end sim.Time) {
-				sink.Interval(eres, evtrace.OpBusy, start, end)
-			}
-		}
+		traceBus(sink, p.shardBuses[c], func(int) string { return fmt.Sprintf("ch%d-ahb", c) })
+		traceDRAM(sink, p.shardDRAM[c])
+		traceServers(sink, evtrace.KindECC, p.shardECC[c].engines)
 	}
 	return tr
+}
+
+// traceServers registers one track per server (CPU cores, ECC engines) and
+// records each service window into rec.
+func traceServers(rec *evtrace.Tracer, kind evtrace.Kind, servers []*sim.Server) {
+	for _, srv := range servers {
+		res := rec.Register(kind, srv.Name())
+		srv.OnServe = func(start, end sim.Time) {
+			rec.Interval(res, evtrace.OpBusy, start, end)
+		}
+	}
+}
+
+// traceBus registers one AHB track per bus layer, named by name, and
+// records each grant into rec.
+func traceBus(rec *evtrace.Tracer, bus *amba.Bus, name func(layer int) string) {
+	res := make([]int32, bus.Config().Layers)
+	for i := range res {
+		res[i] = rec.Register(evtrace.KindAHB, name(i))
+	}
+	bus.OnGrant = func(layer int, start, end sim.Time) {
+		rec.Interval(res[layer], evtrace.OpXfer, start, end)
+	}
+}
+
+// traceDRAM registers a DRAM buffer's track and records each access
+// window into rec.
+func traceDRAM(rec *evtrace.Tracer, b *dram.Buffer) {
+	res := rec.Register(evtrace.KindDRAM, fmt.Sprintf("ddr%d", b.ID))
+	b.OnServe = func(write bool, start, end sim.Time) {
+		op := evtrace.OpRead
+		if write {
+			op = evtrace.OpWrite
+		}
+		rec.Interval(res, op, start, end)
+	}
 }
 
 // Tracer returns the attached event tracer (nil when tracing is off).
