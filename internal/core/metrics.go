@@ -12,15 +12,16 @@ import (
 // tracer records what each modeled resource did over simulated time, the
 // registry exports what the simulation process is doing in wall-clock time —
 // event throughput, window-barrier cadence and per-worker busy/idle on the
-// parallel core, plus per-tenant SQ depth once RunTenants compiles its queue
-// set. A nil registry is a no-op and leaves every hook nil, so the hot paths
-// keep their single pointer test. Metrics never feed back into simulated
-// time: a fixed seed produces byte-identical Results with metrics on or off.
+// parallel core, plus per-tenant SQ depth, which the host interface
+// registers when RunTenants starts its queues. A nil registry is a no-op and
+// leaves every hook nil, so the hot paths keep their single pointer test.
+// Metrics never feed back into simulated time: a fixed seed produces
+// byte-identical Results with metrics on or off.
 func (p *Platform) EnableMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	p.metricsReg = reg
+	p.Host.SetMetrics(reg)
 	events := reg.Counter("ssdx_sim_events_total", "simulation events executed across all kernels")
 	if p.ds == nil {
 		p.K.Events = events

@@ -24,7 +24,6 @@ import (
 	"repro/internal/nand"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/metrics"
 	evtrace "repro/internal/telemetry/trace"
 	"repro/internal/workload"
 )
@@ -124,10 +123,6 @@ type Platform struct {
 	// tracer is the device-wide event tracer (nil unless EnableTracing ran
 	// before the run); Run folds its report into Result.Utilization.
 	tracer *evtrace.Tracer
-
-	// metricsReg is the live metrics registry (nil unless EnableMetrics ran
-	// before the run); RunTenants instruments the compiled queue set with it.
-	metricsReg *metrics.Registry
 
 	// Replay classification state: liveClass is the streaming generator's
 	// windowed classifier (nil outside adaptive replay), wafRandom the

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/nvme"
+	"repro/internal/telemetry/metrics"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -190,5 +195,40 @@ func TestJainFairness(t *testing.T) {
 func TestRunTenantsRejectsDrainMode(t *testing.T) {
 	if _, err := RunTenantWorkload(config.Default(), noisyNeighborSet(nvme.PolicyRR, 1), ModeDDRFlash); err == nil {
 		t.Error("ddr+flash mode must reject multi-queue scenarios")
+	}
+}
+
+// TestTenantSQDepthGauges: with metrics enabled, a tenant run exposes
+// exactly one live submission-queue depth series per tenant, and every
+// queue reads empty once the run has drained.
+func TestTenantSQDepthGauges(t *testing.T) {
+	cfg := config.Default()
+	cfg.QueueDepth = 8
+	p, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	p.EnableMetrics(reg)
+	set := noisyNeighborSet(nvme.PolicyWRR, 1)
+	if _, err := p.RunTenants(set, ModeFull); err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, tn := range set.Tenants {
+		want = append(want, fmt.Sprintf("ssdx_sq_depth{tenant=%q}", tn.Name))
+	}
+	for name, v := range reg.Snapshot() {
+		if strings.HasPrefix(name, "ssdx_sq_depth") {
+			got = append(got, name)
+			if v != 0 {
+				t.Errorf("%s = %v after the drain, want 0", name, v)
+			}
+		}
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SQ depth series %v, want one per tenant %v", got, want)
 	}
 }

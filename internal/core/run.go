@@ -274,7 +274,7 @@ func (p *Platform) runHosted(w workload.Spec, mode Mode) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Phases = labeledPhases(p.Host.PhaseProfiles(), w.Phases)
+	res.Phases = labeledPhases(p.Host.QueuePhaseProfiles(0), w.Phases)
 	return res, nil
 }
 

@@ -92,7 +92,6 @@ func (p *Platform) RunTenants(set nvme.TenantSet, mode Mode) (Result, error) {
 		return Result{}, err
 	}
 	defer q.Close()
-	q.InstrumentMetrics(p.metricsReg)
 	q.SetClock(func() float64 { return p.K.Now().Microseconds() })
 	// Live WAF re-resolution (WAF-abstraction mode only; an explicit
 	// override pins the value, the mapper FTL measures its own

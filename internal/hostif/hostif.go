@@ -7,6 +7,10 @@
 // modelled on full-duplex rx/tx links with protocol framing overheads, and
 // completion is signalled by the platform when the device finishes.
 //
+// There is one player over a MultiSource of submission queues; a single
+// stream (Run) is a one-queue source, so all window, latency, phase and
+// depth bookkeeping is per queue. Only the pull chains differ (see pull).
+//
 // The SATA command-window limit is the microarchitectural mechanism behind
 // the paper's Fig. 3 finding: with a no-cache buffer policy the 32-command
 // window caps how much internal parallelism the drive can expose, flattening
@@ -20,6 +24,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/metrics"
 	evtrace "repro/internal/telemetry/trace"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -134,7 +139,7 @@ func (c Config) IdealMBps(blockBytes int64, write bool) float64 {
 // Command is one in-flight host command.
 type Command struct {
 	ID         int64
-	Queue      int // submission-queue (tenant) index; -1 on the single-stream path
+	Queue      int // submission-queue (tenant) index; 0 for a single stream
 	Phase      int // workload phase the command was pulled in (0 outside phase chains)
 	Req        trace.Request
 	Record     bool           // pulled inside the measured window
@@ -169,33 +174,19 @@ type Interface struct {
 	tx     *sim.Server    // device -> host (completions, read data)
 	window *sim.TokenGate // command queue depth
 
-	stream      trace.Stream
-	phaseSrc    workload.PhaseAware // non-nil when the stream is phase-aware
 	handler     func(*Command)
 	onDrained   func()
 	nextID      int64
 	outstanding int
-	exhausted   bool
-	started     bool
 
-	// Multi-queue player state (nil/empty on the single-stream path): the
-	// source behind the N submission queues, their per-queue states, and
-	// the armed-dispatcher flag that serialises window acquisition so the
-	// arbitration decision is taken at grant time.
+	// The source behind the submission queues, their per-queue states
+	// (latency, stage breakdown, phase profiles and measured window each),
+	// and the armed-dispatcher flag that serialises window acquisition so
+	// the arbitration decision is taken at grant time.
 	mq            MultiSource
 	qs            []*queueState
 	dispatchArmed bool
 	readyBuf      []int
-
-	// Measured-window state. Commands pulled from record-flagged phases
-	// carry Record=true; all measurement (latency, stage breakdown,
-	// throughput log) covers only recorded commands, and crossing from an
-	// unrecorded into a recorded phase resets the window — so a
-	// precondition phase never pollutes the measured figures. Streams
-	// without phase structure record everything, exactly as before.
-	recording bool   // record flag of the most recently pulled request
-	recInit   bool   // a request has been pulled (transition detection armed)
-	winGen    uint32 // measurement-window generation (bumped by every reset)
 
 	// completion log for steady-state (tail) throughput measurement
 	// (recorded commands only)
@@ -208,14 +199,6 @@ type Interface struct {
 	mBytes        uint64
 	mHasSubmit    bool
 
-	// lat collects per-op-class command latency (queued-to-completion, so
-	// open-loop runs see window-queueing delay) in fixed memory; stageRec
-	// aggregates the per-stage breakdown of the same commands; phaseWins
-	// keeps the per-phase profiles that survive window resets.
-	lat       workload.Collector
-	stageRec  telemetry.Recorder
-	phaseWins []phaseWindow
-
 	// backlog watches open-loop arrival lag across the whole run (never
 	// reset at phase boundaries: saturation is a property of the scenario).
 	backlog telemetry.Backlog
@@ -227,6 +210,10 @@ type Interface struct {
 	rxRes int32
 	txRes int32
 
+	// reg (nil when metrics are off) receives one live depth gauge per
+	// submission queue of a multi-queue run.
+	reg *metrics.Registry
+
 	Stats Stats
 }
 
@@ -236,12 +223,11 @@ func New(k *sim.Kernel, cfg Config) (*Interface, error) {
 		return nil, err
 	}
 	return &Interface{
-		cfg:       cfg,
-		k:         k,
-		rx:        sim.NewServer(k, nil, cfg.Name+"-rx"),
-		tx:        sim.NewServer(k, nil, cfg.Name+"-tx"),
-		window:    sim.NewTokenGate(k, cfg.QueueDepth),
-		recording: true,
+		cfg:    cfg,
+		k:      k,
+		rx:     sim.NewServer(k, nil, cfg.Name+"-rx"),
+		tx:     sim.NewServer(k, nil, cfg.Name+"-tx"),
+		window: sim.NewTokenGate(k, cfg.QueueDepth),
 	}, nil
 }
 
@@ -259,6 +245,11 @@ func (i *Interface) SetTracer(tr *evtrace.Tracer) {
 	i.rx.OnServe = func(start, end sim.Time) { tr.Interval(rxRes, evtrace.OpBusy, start, end) }
 	i.tx.OnServe = func(start, end sim.Time) { tr.Interval(txRes, evtrace.OpBusy, start, end) }
 }
+
+// SetMetrics attaches a live metrics registry: RunMulti registers one
+// ssdx_sq_depth gauge per submission queue in it. Call once, before
+// RunMulti; nil leaves metrics off.
+func (i *Interface) SetMetrics(reg *metrics.Registry) { i.reg = reg }
 
 // cmdOp maps a request's op class onto a trace op kind for the command
 // track.
@@ -278,101 +269,147 @@ func (i *Interface) Config() Config { return i.cfg }
 // Outstanding reports commands inside the window.
 func (i *Interface) Outstanding() int { return i.outstanding }
 
-// Run starts the trace player: every request is pulled through the command
-// window, transferred over the wire and handed to handler. onDrained fires
-// when the stream is exhausted and every command has completed.
+// Run starts the trace player on a single stream: every request is pulled
+// through the command window, transferred over the wire and handed to
+// handler. onDrained fires when the stream is exhausted and every command
+// has completed. The stream is queue 0 of a one-queue source.
 func (i *Interface) Run(stream trace.Stream, handler func(*Command), onDrained func()) error {
-	if i.started {
-		return errors.New("hostif: already running")
+	var src MultiSource
+	if stream != nil {
+		src = &streamSource{stream: stream, marks: workload.MarksOf(stream)}
 	}
-	if stream == nil || handler == nil {
-		return errors.New("hostif: nil stream or handler")
+	if err := i.start(src, handler, onDrained); err != nil {
+		return err
 	}
-	i.started = true
-	i.stream = stream
-	if pa, ok := stream.(workload.PhaseAware); ok {
-		i.phaseSrc = pa
-	}
-	i.handler = handler
-	i.onDrained = onDrained
 	i.pull()
 	return nil
 }
 
-// pull admits the next trace request into the command window.
-func (i *Interface) pull() {
-	if i.exhausted {
-		return
+// start binds the player to src: one queue state per submission queue.
+func (i *Interface) start(src MultiSource, handler func(*Command), onDrained func()) error {
+	if i.qs != nil {
+		return errors.New("hostif: already running")
 	}
-	req, ok := i.stream.Next()
-	if !ok {
-		i.exhausted = true
-		i.maybeDrained()
-		return
+	if src == nil || handler == nil {
+		return errors.New("hostif: nil source or handler")
 	}
-	// Measured-window bookkeeping: pulls happen in phase order, so the
-	// generator's record flag transitions exactly at phase boundaries. An
-	// unrecorded -> recorded crossing starts a fresh measurement window.
-	rec := true
-	if ra, ok := i.stream.(workload.RecordAware); ok {
-		rec = ra.Recording()
+	n := src.NumQueues()
+	if n < 1 {
+		return errors.New("hostif: multi-queue source has no queues")
 	}
-	phase := 0
-	if i.phaseSrc != nil {
-		phase = i.phaseSrc.PhaseIndex()
-	}
-	if rec && !i.recording && i.recInit {
-		i.ResetMeasurement()
-	}
-	i.recording, i.recInit = rec, true
-	at := sim.FromMicroseconds(req.ArrivalUS)
-	issue := func() {
-		// Latency clock: an open-loop request is "queued" at its declared
-		// arrival time even when the player pulls it late (the pull chain
-		// is gated on window admission, so a backed-up device accumulates
-		// past-due arrivals whose backlog wait must count as latency).
-		// Closed-loop requests (arrival 0) queue when pulled.
-		queued := i.k.Now()
-		if at > 0 {
-			lag := sim.Time(0)
-			if at < queued {
-				queued = at
-				lag = i.k.Now() - at
-			}
-			i.backlog.Observe(at.Microseconds(), lag.Microseconds())
+	i.mq = src
+	i.handler = handler
+	i.onDrained = onDrained
+	i.qs = make([]*queueState, n)
+	for q := range i.qs {
+		depth := src.QueueDepth(q)
+		if depth <= 0 || depth > i.cfg.QueueDepth {
+			depth = i.cfg.QueueDepth
 		}
+		i.qs[q] = &queueState{depth: depth, recording: true, phased: src.Phased(q), res: -1}
+	}
+	return nil
+}
+
+// pull admits the single stream's next request straight into the command
+// window. It and pullQueue are the only code the two players do not share:
+// pull recurses inside AcquireWhenFree while pullQueue continues through
+// Schedule(0), so merging them changes event order and simulated results.
+// That merge belongs in a benchmark change that regenerates the ssdxbench
+// result digests.
+func (i *Interface) pull() {
+	e, reset, ok := i.next(0)
+	if !ok {
+		return
+	}
+	if reset {
+		// A single stream's measured window is the drive's: its throughput
+		// anchors and completion log restart too.
+		i.resetDriveWindow()
+	}
+	i.atArrival(e.req, func() {
+		in := i.arrive(e)
 		i.window.AcquireWhenFree(func() {
-			i.outstanding++
-			if i.outstanding > i.Stats.QueuePeak {
-				i.Stats.QueuePeak = i.outstanding
-			}
-			i.submit(req, queued, rec, -1, i.winGen, phase)
+			i.submit(0, in)
 			// Keep the window full: pull the next request immediately.
 			i.pull()
 		})
+	})
+}
+
+// next pulls queue q's next request and runs the measured-window
+// bookkeeping. Pulls happen in phase order, so the generator's record flag
+// transitions exactly at phase boundaries: an unrecorded -> recorded
+// crossing starts a fresh measurement window for the queue (reset=true).
+// ok=false once the queue's stream has ended.
+func (i *Interface) next(q int) (e sqEntry, reset, ok bool) {
+	qs := i.qs[q]
+	if qs.exhausted {
+		return e, false, false
 	}
-	if at > i.k.Now() {
+	req, ok := i.mq.Next(q)
+	if !ok {
+		qs.exhausted = true
+		i.maybeDrained()
+		return e, false, false
+	}
+	rec := i.mq.Recording(q)
+	reset = rec && !qs.recording && qs.recInit
+	if reset {
+		i.resetQueueMeasurement(q)
+	}
+	qs.recording, qs.recInit = rec, true
+	return sqEntry{req: req, record: rec, winGen: qs.winGen, phase: i.mq.Phase(q)}, reset, true
+}
+
+// atArrival runs issue at req's arrival time, or at once when that time
+// has passed (or the request is closed-loop).
+func (i *Interface) atArrival(req trace.Request, issue func()) {
+	if at := sim.FromMicroseconds(req.ArrivalUS); at > i.k.Now() {
 		i.k.At(at, issue)
 	} else {
 		issue()
 	}
 }
 
-// submit models the command (and write-data) wire transfer, then hands the
-// command to the platform. queue is the submission-queue index (-1 on the
-// single-stream path), winGen the measured-window generation of that queue
-// (or of the interface) at pull time, and phase the workload phase the
-// request was pulled in.
-func (i *Interface) submit(req trace.Request, queued sim.Time, record bool, queue int, winGen uint32, phase int) {
-	cmd := &Command{ID: i.nextID, Queue: queue, Phase: phase, Req: req, QueuedAt: queued, Record: record, winGen: winGen}
-	cmd.Span.Start(queued)
+// arrive stamps the latency clock's start on an entry the player is issuing
+// now. An open-loop request is "queued" at its declared arrival time even
+// when the player pulls it late (the pull chain is gated on window
+// admission, so a backed-up device accumulates past-due arrivals whose
+// backlog wait must count as latency), and its lag feeds the saturation
+// detector. Closed-loop requests (arrival 0) queue when pulled.
+func (i *Interface) arrive(e sqEntry) sqEntry {
+	e.queued = i.k.Now()
+	if at := sim.FromMicroseconds(e.req.ArrivalUS); at > 0 {
+		lag := sim.Time(0)
+		if at < e.queued {
+			e.queued, lag = at, i.k.Now()-at
+		}
+		i.backlog.Observe(at.Microseconds(), lag.Microseconds())
+	}
+	return e
+}
+
+// submit takes a granted command-window slot for queue q's entry e, models
+// the command (and write-data) wire transfer, then hands the command to the
+// platform.
+func (i *Interface) submit(q int, e sqEntry) {
+	qs := i.qs[q]
+	qs.outstanding++
+	i.outstanding++
+	if i.outstanding > i.Stats.QueuePeak {
+		i.Stats.QueuePeak = i.outstanding
+	}
+	req := e.req
+	cmd := &Command{ID: i.nextID, Queue: q, Phase: e.phase, Req: req, QueuedAt: e.queued, Record: e.record, winGen: e.winGen}
+	cmd.Span.Start(e.queued)
 	// The window slot is granted: everything since the queue time was
 	// host-side queueing (window admission plus arrival backlog).
 	cmd.Span.Advance(telemetry.StageQueued, i.k.Now())
 	if i.tr != nil {
 		// ID 0 is a valid command; flow 0 means "untraced", so shift by one.
 		cmd.Span.Flow = cmd.ID + 1
-		i.tr.CommandStart(cmd.Span.Flow, cmdOp(req.Op), queued)
+		i.tr.CommandStart(cmd.Span.Flow, cmdOp(req.Op), e.queued)
 		i.tr.FlowStep(i.rxRes, cmd.Span.Flow, i.k.Now())
 	}
 	i.nextID++
@@ -383,12 +420,12 @@ func (i *Interface) submit(req trace.Request, queued sim.Time, record bool, queu
 			if i.Stats.FirstSubmit == 0 && i.Stats.Completed == 0 {
 				i.Stats.FirstSubmit = end
 			}
-			if record && i.cmdInWindow(cmd) {
+			if cmd.Record && i.cmdInWindow(cmd) {
 				if !i.mHasSubmit {
 					i.mFirstSubmit, i.mHasSubmit = end, true
 				}
-				if queue >= 0 && !i.qs[queue].hasSubmit {
-					i.qs[queue].firstSubmit, i.qs[queue].hasSubmit = end, true
+				if !qs.hasSubmit {
+					qs.firstSubmit, qs.hasSubmit = end, true
 				}
 			}
 			if req.Op == trace.OpWrite && req.Bytes > 0 {
@@ -428,52 +465,38 @@ func (i *Interface) Complete(cmd *Command) {
 				case trace.OpRead:
 					i.Stats.BytesRead += uint64(cmd.Req.Bytes)
 				}
+				qs := i.qs[cmd.Queue]
 				if cmd.Record && i.cmdInWindow(cmd) {
 					i.complTimes = append(i.complTimes, end)
 					i.complBytes = append(i.complBytes, cmd.Req.Bytes)
 					i.mLastComplete = end
+					qs.lastComplete = end
 					if cmd.Req.Op == trace.OpWrite || cmd.Req.Op == trace.OpRead {
 						i.mBytes += uint64(cmd.Req.Bytes)
+						qs.bytes += uint64(cmd.Req.Bytes)
 					}
-					if cmd.Queue >= 0 {
-						// Multi-queue: distributions live per tenant; the
-						// drive-level view merges them on demand, so a
-						// tenant's window reset never smears another's.
-						qs := i.qs[cmd.Queue]
-						qs.lat.Record(cmd.Req.Op, end-cmd.QueuedAt)
-						qs.stageRec.Observe(&cmd.Span)
-						qs.lastComplete = end
-						if cmd.Req.Op == trace.OpWrite || cmd.Req.Op == trace.OpRead {
-							qs.bytes += uint64(cmd.Req.Bytes)
-						}
-					} else {
-						i.lat.Record(cmd.Req.Op, end-cmd.QueuedAt)
-						i.stageRec.Observe(&cmd.Span)
-					}
+					// Distributions live per queue; the drive-level view
+					// merges them on demand, so a tenant's window reset
+					// never smears another's.
+					qs.lat.Record(cmd.Req.Op, end-cmd.QueuedAt)
+					qs.stageRec.Observe(&cmd.Span)
 				}
 				// Phase profiles cover every command of a phased stream —
 				// unrecorded (precondition) phases and stale-window
 				// stragglers too. Phase-less streams skip the accounting:
 				// their lone profile would only be discarded.
-				if cmd.Queue >= 0 {
-					if qs := i.qs[cmd.Queue]; qs.phased {
-						qs.phaseWins = observePhase(qs.phaseWins, cmd, end)
-					}
-				} else if i.phaseSrc != nil {
-					i.phaseWins = observePhase(i.phaseWins, cmd, end)
+				if qs.phased {
+					qs.phaseWins = observePhase(qs.phaseWins, cmd, end)
 				}
 				i.outstanding--
-				if cmd.Queue >= 0 {
-					qs := i.qs[cmd.Queue]
-					qs.outstanding--
-					qs.completed++
-					i.sampleQueueDepth(qs)
-					if qs.stalled && qs.ready()+qs.outstanding < qs.depth {
-						// The depth bound has slack again: resume the
-						// tenant's pull chain.
-						qs.stalled = false
-						i.pullQueue(cmd.Queue)
-					}
+				qs.outstanding--
+				qs.completed++
+				i.sampleQueueDepth(qs)
+				if qs.stalled && qs.ready()+qs.outstanding < qs.depth {
+					// The depth bound has slack again: resume the
+					// tenant's pull chain.
+					qs.stalled = false
+					i.pullQueue(cmd.Queue)
 				}
 				i.window.Release()
 				i.maybeDrained()
@@ -494,14 +517,10 @@ func (i *Interface) maybeDrained() {
 	if i.outstanding != 0 || i.onDrained == nil {
 		return
 	}
-	if i.mq != nil {
-		for _, qs := range i.qs {
-			if !qs.exhausted || qs.ready() > 0 {
-				return
-			}
+	for _, qs := range i.qs {
+		if !qs.exhausted || qs.ready() > 0 {
+			return
 		}
-	} else if !i.exhausted {
-		return
 	}
 	done := i.onDrained
 	i.onDrained = nil
@@ -518,15 +537,11 @@ func (i *Interface) ThroughputMBps() float64 {
 	return float64(i.mBytes) / dur.Seconds() / 1e6
 }
 
-// ResetMeasurement starts a fresh measured window: latency distributions,
-// the stage breakdown and the throughput log all restart from zero.
-// Commands still in flight from earlier phases belong to an older window
-// generation, so their completions never leak into the new window. The raw
-// Stats counters and the saturation detector keep covering the whole run.
-func (i *Interface) ResetMeasurement() {
-	i.winGen++
-	i.lat = workload.Collector{}
-	i.stageRec.Reset()
+// resetDriveWindow restarts the drive-level throughput log and anchors
+// (the single-stream half of a measured-window reset; resetQueueMeasurement
+// restarts the queue's own figures). The raw Stats counters and the
+// saturation detector keep covering the whole run.
+func (i *Interface) resetDriveWindow() {
 	i.complTimes = i.complTimes[:0]
 	i.complBytes = i.complBytes[:0]
 	i.mFirstSubmit, i.mLastComplete = 0, 0
@@ -535,17 +550,13 @@ func (i *Interface) ResetMeasurement() {
 }
 
 // StageBreakdown summarises the per-stage latency attribution of the
-// measured window's commands. On the multi-queue path it merges the
-// per-tenant recorders into the drive-level breakdown.
+// measured window's commands, merged across the submission queues.
 func (i *Interface) StageBreakdown() telemetry.Breakdown {
-	if i.mq != nil {
-		var r telemetry.Recorder
-		for _, qs := range i.qs {
-			r.Merge(&qs.stageRec)
-		}
-		return r.Breakdown()
+	var r telemetry.Recorder
+	for _, qs := range i.qs {
+		r.Merge(&qs.stageRec)
 	}
-	return i.stageRec.Breakdown()
+	return r.Breakdown()
 }
 
 // Saturation reports the open-loop saturation verdict: whether the arrival
@@ -559,17 +570,15 @@ func (i *Interface) Saturation() (saturated bool, growth float64) {
 // window slot (whole run) — a cross-check for the queued-stage attribution.
 func (i *Interface) WindowWait() sim.Time { return i.window.WaitTime }
 
-// Latency exposes the per-op-class latency collector (queued-to-completion
-// command latency, read vs write vs all). On the multi-queue path the
-// drive-level collector is rebuilt by merging the per-tenant ones.
+// Latency returns the per-op-class latency collector (queued-to-completion
+// command latency, read vs write vs all) of the measured window, merged
+// across the submission queues.
 func (i *Interface) Latency() *workload.Collector {
-	if i.mq != nil {
-		i.lat = workload.Collector{}
-		for _, qs := range i.qs {
-			i.lat.Merge(&qs.lat)
-		}
+	c := new(workload.Collector)
+	for _, qs := range i.qs {
+		c.Merge(&qs.lat)
 	}
-	return &i.lat
+	return c
 }
 
 // LatencyPercentiles returns the mean and the given percentiles (0-100) of

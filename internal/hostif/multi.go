@@ -1,7 +1,6 @@
 package hostif
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -43,13 +42,20 @@ type MultiSource interface {
 	Pick(ready []int) int
 }
 
-// DepthGauged is the optional metrics hook a MultiSource may implement: a
-// live gauge per queue that the player updates whenever the queue's inflight
-// depth changes. The nvme package's compiled tenant set implements it after
-// InstrumentMetrics; sources without gauges simply don't.
-type DepthGauged interface {
-	QueueDepthGauge(q int) *metrics.Gauge
+// streamSource is a single trace stream as a one-queue MultiSource.
+type streamSource struct {
+	stream trace.Stream
+	marks  workload.Marks
 }
+
+func (s *streamSource) NumQueues() int                 { return 1 }
+func (s *streamSource) QueueName(int) string           { return "" }
+func (s *streamSource) QueueDepth(int) int             { return 0 }
+func (s *streamSource) Next(int) (trace.Request, bool) { return s.stream.Next() }
+func (s *streamSource) Recording(int) bool             { return s.marks.Recording() }
+func (s *streamSource) Phase(int) int                  { return s.marks.Phase() }
+func (s *streamSource) Phased(int) bool                { return s.marks.Phased() }
+func (s *streamSource) Pick(ready []int) int           { return ready[0] }
 
 // sqEntry is one command sitting in a submission queue: pulled from the
 // tenant's stream (so its latency clock is running) but not yet granted a
@@ -62,12 +68,11 @@ type sqEntry struct {
 	phase  int
 }
 
-// queueState is the per-submission-queue half of the multi-queue player:
-// the bounded SQ itself, ingress bookkeeping, and the tenant's private
-// measurement state (latency, stage breakdown, throughput anchors) that the
-// platform reads back per tenant after the run.
+// queueState is the per-submission-queue half of the player: the bounded SQ
+// itself (multi-queue runs only), ingress bookkeeping, and the queue's
+// private measurement state (latency, stage breakdown, throughput anchors)
+// that the platform reads back per tenant after the run.
 type queueState struct {
-	name   string
 	depth  int
 	phased bool // stream has phase structure (gates per-phase accounting)
 
@@ -76,15 +81,22 @@ type queueState struct {
 	exhausted bool
 	stalled   bool // ingress paused at the depth bound; completion resumes it
 
-	// Per-queue measured-window state (mirrors the single-stream fields on
-	// Interface; each tenant's phase structure resets independently).
-	recording bool
-	recInit   bool
-	winGen    uint32
+	// Measured-window state. Commands pulled from record-flagged phases
+	// carry Record=true; all measurement (latency, stage breakdown,
+	// throughput) covers only recorded commands, and crossing from an
+	// unrecorded into a recorded phase resets the queue's window, so a
+	// precondition phase never pollutes the measured figures. Streams
+	// without phase structure record everything.
+	recording bool   // record flag of the most recently pulled request
+	recInit   bool   // a request has been pulled (transition detection armed)
+	winGen    uint32 // measurement-window generation (bumped by every reset)
 
 	outstanding  int // dispatched, not yet completed
 	inflightPeak int // peak SQ + outstanding
 
+	// lat collects per-op-class command latency (queued-to-completion, so
+	// open-loop runs see window-queueing delay) in fixed memory; stageRec
+	// aggregates the per-stage breakdown of the same commands.
 	lat       workload.Collector
 	stageRec  telemetry.Recorder
 	phaseWins []phaseWindow // per-phase profiles (survive window resets)
@@ -95,8 +107,9 @@ type queueState struct {
 	bytes        uint64
 	completed    uint64
 
-	// res is the queue's trace resource id (-1 when tracing is off): its
-	// inflight depth (SQ entries + dispatched) is sampled on every change.
+	// res is the queue's trace resource id (-1 when tracing is off or for a
+	// single stream): its inflight depth (SQ entries + dispatched) is
+	// sampled on every change.
 	res int32
 
 	// depthGauge, when non-nil, is the queue's live metrics gauge, updated
@@ -131,41 +144,22 @@ func (qs *queueState) pop() sqEntry {
 // pulled through its bounded submission queue on its own arrival clock, and
 // whenever the shared command window has a free slot the source's
 // arbitration picks which queue's head enters the device. onDrained fires
-// when every stream is exhausted and every command has completed.
-//
-// The single-stream Run is the degenerate one-queue case kept on its own
-// (byte-identical) path; RunMulti is the NVMe-style front end the nvme
-// package compiles tenant scenarios onto.
+// when every stream is exhausted and every command has completed. This is
+// the NVMe-style front end the nvme package compiles tenant scenarios onto;
+// each queue gets an SQ depth track when tracing is on and a live
+// ssdx_sq_depth{tenant="<name>"} gauge when metrics are on.
 func (i *Interface) RunMulti(src MultiSource, handler func(*Command), onDrained func()) error {
-	if i.started {
-		return errors.New("hostif: already running")
+	if err := i.start(src, handler, onDrained); err != nil {
+		return err
 	}
-	if src == nil || handler == nil {
-		return errors.New("hostif: nil source or handler")
-	}
-	n := src.NumQueues()
-	if n < 1 {
-		return errors.New("hostif: multi-queue source has no queues")
-	}
-	i.started = true
-	i.mq = src
-	i.handler = handler
-	i.onDrained = onDrained
-	i.qs = make([]*queueState, n)
-	for q := 0; q < n; q++ {
-		depth := src.QueueDepth(q)
-		if depth <= 0 || depth > i.cfg.QueueDepth {
-			depth = i.cfg.QueueDepth
-		}
-		i.qs[q] = &queueState{name: src.QueueName(q), depth: depth, recording: true, phased: src.Phased(q), res: -1}
+	for q, qs := range i.qs {
 		if i.tr != nil {
-			i.qs[q].res = i.tr.Register(evtrace.KindSQ, src.QueueName(q))
+			qs.res = i.tr.Register(evtrace.KindSQ, src.QueueName(q))
 		}
-		if dg, ok := src.(DepthGauged); ok {
-			i.qs[q].depthGauge = dg.QueueDepthGauge(q)
-		}
+		qs.depthGauge = i.reg.Gauge(fmt.Sprintf("ssdx_sq_depth{tenant=%q}", src.QueueName(q)),
+			"live submission-queue depth (ready + outstanding commands) per tenant")
 	}
-	for q := 0; q < n; q++ {
+	for q := range i.qs {
 		i.pullQueue(q)
 	}
 	return nil
@@ -176,34 +170,13 @@ func (i *Interface) RunMulti(src MultiSource, handler func(*Command), onDrained 
 // so a closed-loop tenant is paced by its own depth while open-loop tenants
 // accumulate past-due arrivals exactly like the single-stream player.
 func (i *Interface) pullQueue(q int) {
-	qs := i.qs[q]
-	if qs.exhausted {
-		return
-	}
-	req, ok := i.mq.Next(q)
+	e, _, ok := i.next(q)
 	if !ok {
-		qs.exhausted = true
-		i.maybeDrained()
 		return
 	}
-	rec := i.mq.Recording(q)
-	phase := i.mq.Phase(q)
-	if rec && !qs.recording && qs.recInit {
-		i.resetQueueMeasurement(q)
-	}
-	qs.recording, qs.recInit = rec, true
-	at := sim.FromMicroseconds(req.ArrivalUS)
-	issue := func() {
-		queued := i.k.Now()
-		if at > 0 {
-			lag := sim.Time(0)
-			if at < queued {
-				queued = at
-				lag = i.k.Now() - at
-			}
-			i.backlog.Observe(at.Microseconds(), lag.Microseconds())
-		}
-		qs.push(sqEntry{req: req, queued: queued, record: rec, winGen: qs.winGen, phase: phase})
+	qs := i.qs[q]
+	i.atArrival(e.req, func() {
+		qs.push(i.arrive(e))
 		i.sampleQueueDepth(qs)
 		i.dispatch()
 		if qs.ready()+qs.outstanding < qs.depth {
@@ -213,12 +186,7 @@ func (i *Interface) pullQueue(q int) {
 		} else {
 			qs.stalled = true
 		}
-	}
-	if at > i.k.Now() {
-		i.k.At(at, issue)
-	} else {
-		issue()
-	}
+	})
 }
 
 // dispatch arms the arbitrated dispatcher: one pending command-window
@@ -263,21 +231,15 @@ func (i *Interface) dispatchGrant() {
 	if q < 0 || q >= len(i.qs) || i.qs[q].ready() == 0 {
 		panic(fmt.Sprintf("hostif: arbiter picked invalid queue %d from %v", q, i.readyBuf))
 	}
-	qs := i.qs[q]
-	e := qs.pop()
-	qs.outstanding++
-	i.outstanding++
-	if i.outstanding > i.Stats.QueuePeak {
-		i.Stats.QueuePeak = i.outstanding
-	}
-	i.submit(e.req, e.queued, e.record, q, e.winGen, e.phase)
+	i.submit(q, i.qs[q].pop())
 	i.dispatch()
 }
 
 // sampleQueueDepth records a queue's inflight depth (SQ + dispatched) onto
-// its trace resource and live metrics gauge. No-op when both are off.
+// its trace resource and live metrics gauge. No-op when both are off, as
+// for a single stream, which has neither.
 func (i *Interface) sampleQueueDepth(qs *queueState) {
-	if i.tr != nil {
+	if qs.res >= 0 {
 		i.tr.Depth(qs.res, qs.ready()+qs.outstanding, i.k.Now())
 	}
 	if qs.depthGauge != nil {
@@ -286,21 +248,20 @@ func (i *Interface) sampleQueueDepth(qs *queueState) {
 }
 
 // QueueDepthStats reports queue q's time-weighted mean and peak inflight
-// depth from the trace timeline; without a tracer the mean is 0 and the
-// peak falls back to the always-on inflight counter.
+// depth from the trace timeline; without a depth track the mean is 0 and
+// the peak falls back to the always-on inflight counter.
 func (i *Interface) QueueDepthStats(q int) (mean float64, peak int) {
 	qs := i.qs[q]
-	if i.tr == nil {
+	if qs.res < 0 {
 		return 0, qs.inflightPeak
 	}
 	return i.tr.DepthStats(qs.res, i.k.Now())
 }
 
-// resetQueueMeasurement starts a fresh measured window for one queue (the
-// per-tenant analogue of ResetMeasurement): its latency distributions,
-// stage breakdown and throughput anchors restart, and commands still in
-// flight from the queue's earlier phases are fenced off by the generation
-// bump. Other tenants' windows are untouched.
+// resetQueueMeasurement starts a fresh measured window for one queue: its
+// latency distributions, stage breakdown and throughput anchors restart,
+// and commands still in flight from the queue's earlier phases are fenced
+// off by the generation bump. Other tenants' windows are untouched.
 func (i *Interface) resetQueueMeasurement(q int) {
 	qs := i.qs[q]
 	qs.winGen++
@@ -311,18 +272,14 @@ func (i *Interface) resetQueueMeasurement(q int) {
 	qs.bytes = 0
 }
 
-// cmdInWindow reports whether a completing command still belongs to the
-// current measured window of its queue (multi-queue) or of the interface
-// (single-stream).
+// cmdInWindow reports whether a command still belongs to the current
+// measured window of its queue.
 func (i *Interface) cmdInWindow(cmd *Command) bool {
-	if cmd.Queue >= 0 {
-		return cmd.winGen == i.qs[cmd.Queue].winGen
-	}
-	return cmd.winGen == i.winGen
+	return cmd.winGen == i.qs[cmd.Queue].winGen
 }
 
-// NumQueues reports the number of submission queues (0 for the
-// single-stream player).
+// NumQueues reports the number of submission queues (1 for a single
+// stream, 0 before Run or RunMulti).
 func (i *Interface) NumQueues() int { return len(i.qs) }
 
 // QueueLatency exposes queue q's per-op-class latency collector.

@@ -85,16 +85,11 @@ func phaseProfiles(wins []phaseWindow) []telemetry.PhaseProfile {
 	return out
 }
 
-// PhaseProfiles reports the per-phase latency/stage profiles of the
-// single-stream player (one entry per workload phase seen, oldest first;
-// empty until a command completes). Unlike StageBreakdown, the profiles
-// cover unrecorded phases too and survive measured-window resets.
-func (i *Interface) PhaseProfiles() []telemetry.PhaseProfile {
-	return phaseProfiles(i.phaseWins)
-}
-
-// QueuePhaseProfiles reports queue q's per-phase profiles on the multi-queue
-// player.
+// QueuePhaseProfiles reports queue q's per-phase latency/stage profiles
+// (one entry per workload phase seen, oldest first; empty until a command
+// completes or when the queue's stream has no phase structure). Unlike
+// StageBreakdown, the profiles cover unrecorded phases too and survive
+// measured-window resets. A single stream's profiles are queue 0's.
 func (i *Interface) QueuePhaseProfiles(q int) []telemetry.PhaseProfile {
 	return phaseProfiles(i.qs[q].phaseWins)
 }

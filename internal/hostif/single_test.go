@@ -91,7 +91,7 @@ func TestSingleStreamPhasedWindow(t *testing.T) {
 		ThroughputMBps: i.ThroughputMBps(),
 		TailMBps:       i.TailThroughputMBps(0.5),
 		Stages:         i.StageBreakdown(),
-		Phases:         i.PhaseProfiles(),
+		Phases:         i.QueuePhaseProfiles(0),
 	}
 	if got.Completed != 80 || got.WindowOps != 30 || got.ReadOps != 30 {
 		t.Errorf("completed %d, window ops %d (%d reads); want 80 and a 30-read window",

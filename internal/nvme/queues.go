@@ -3,7 +3,6 @@ package nvme
 import (
 	"fmt"
 
-	"repro/internal/telemetry/metrics"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -17,36 +16,10 @@ type Queues struct {
 	set    TenantSet
 	arb    Arbiter
 	gens   []workload.Generator
-	recs   []workload.RecordAware // non-nil where the generator is record-aware
-	phases []workload.PhaseAware  // non-nil where the generator is phase-aware
-	bases  []int64                // namespace base offsets, sectors
-	limits []int64                // namespace sizes in sectors; 0 = unchecked
-	errs   []error                // per-queue namespace violations
-	depths []*metrics.Gauge       // live SQ-depth gauges; nil until instrumented
-}
-
-// InstrumentMetrics registers one live submission-queue depth gauge per
-// tenant (`ssdx_sq_depth{tenant="..."}`) in reg. The host interface samples
-// the gauges as commands are issued and completed. Nil registry is a no-op;
-// the gauges stay nil and every hook stays a single pointer test.
-func (q *Queues) InstrumentMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	q.depths = make([]*metrics.Gauge, len(q.gens))
-	for i, t := range q.set.Tenants {
-		q.depths[i] = reg.Gauge(fmt.Sprintf("ssdx_sq_depth{tenant=%q}", t.Name),
-			"live submission-queue depth (ready + outstanding commands) per tenant")
-	}
-}
-
-// QueueDepthGauge returns the live depth gauge for queue i (nil when not
-// instrumented). Satisfies the host interface's optional DepthGauged hook.
-func (q *Queues) QueueDepthGauge(i int) *metrics.Gauge {
-	if q.depths == nil {
-		return nil
-	}
-	return q.depths[i]
+	marks  []workload.Marks // per-queue record and phase structure
+	bases  []int64          // namespace base offsets, sectors
+	limits []int64          // namespace sizes in sectors; 0 = unchecked
+	errs   []error          // per-queue namespace violations
 }
 
 // Compile builds the live queue set: validates, lays out namespaces, and
@@ -59,8 +32,7 @@ func (s TenantSet) Compile() (*Queues, error) {
 		set:    s,
 		arb:    NewArbiter(s.Policy, s.Tenants),
 		gens:   make([]workload.Generator, len(s.Tenants)),
-		recs:   make([]workload.RecordAware, len(s.Tenants)),
-		phases: make([]workload.PhaseAware, len(s.Tenants)),
+		marks:  make([]workload.Marks, len(s.Tenants)),
 		bases:  s.Layout(),
 		limits: make([]int64, len(s.Tenants)),
 		errs:   make([]error, len(s.Tenants)),
@@ -79,12 +51,7 @@ func (s TenantSet) Compile() (*Queues, error) {
 			return nil, fmt.Errorf("nvme: tenant %q: %w", t.Name, err)
 		}
 		q.gens[i] = g
-		if ra, ok := g.(workload.RecordAware); ok {
-			q.recs[i] = ra
-		}
-		if pa, ok := g.(workload.PhaseAware); ok {
-			q.phases[i] = pa
-		}
+		q.marks[i] = workload.MarksOf(g)
 	}
 	return q, nil
 }
@@ -125,25 +92,15 @@ func (q *Queues) Next(i int) (trace.Request, bool) {
 
 // Recording implements hostif.MultiSource: whether queue i's most recently
 // pulled request belongs to a measured phase.
-func (q *Queues) Recording(i int) bool {
-	if q.recs[i] == nil {
-		return true
-	}
-	return q.recs[i].Recording()
-}
+func (q *Queues) Recording(i int) bool { return q.marks[i].Recording() }
 
 // Phase implements hostif.MultiSource: which workload phase queue i's most
 // recently pulled request belongs to.
-func (q *Queues) Phase(i int) int {
-	if q.phases[i] == nil {
-		return 0
-	}
-	return q.phases[i].PhaseIndex()
-}
+func (q *Queues) Phase(i int) int { return q.marks[i].Phase() }
 
 // Phased implements hostif.MultiSource: whether queue i's generator has
 // phase structure.
-func (q *Queues) Phased(i int) bool { return q.phases[i] != nil }
+func (q *Queues) Phased(i int) bool { return q.marks[i].Phased() }
 
 // Pick implements hostif.MultiSource by delegating to the arbiter.
 func (q *Queues) Pick(ready []int) int { return q.arb.Pick(ready) }

@@ -277,6 +277,35 @@ type PhaseAware interface {
 	PhaseIndex() int
 }
 
+// Marks is a stream's optional record and phase structure, probed once so a
+// player asks it after every pull without repeating the type assertions.
+type Marks struct {
+	rec    RecordAware // nil: every request is recorded
+	phases PhaseAware  // nil: the whole stream is phase 0
+}
+
+// MarksOf probes a stream (or generator) for RecordAware and PhaseAware.
+func MarksOf(stream any) Marks {
+	var m Marks
+	m.rec, _ = stream.(RecordAware)
+	m.phases, _ = stream.(PhaseAware)
+	return m
+}
+
+// Recording reports whether the most recently pulled request is recorded.
+func (m Marks) Recording() bool { return m.rec == nil || m.rec.Recording() }
+
+// Phased reports whether the stream has phase structure at all.
+func (m Marks) Phased() bool { return m.phases != nil }
+
+// Phase reports the phase of the most recently pulled request.
+func (m Marks) Phase() int {
+	if m.phases == nil {
+		return 0
+	}
+	return m.phases.PhaseIndex()
+}
+
 // DefaultBlockSize is the 4 KB payload used throughout the paper.
 const DefaultBlockSize = trace.DefaultBlockSize
 
