@@ -165,6 +165,32 @@ func (i *Interface) RunMulti(src MultiSource, handler func(*Command), onDrained 
 	return nil
 }
 
+// pull admits the single stream's next request straight into the command
+// window. It and pullQueue are the only code the two players do not share:
+// pull recurses inside AcquireWhenFree while pullQueue continues through
+// Schedule(0), so merging them changes event order and simulated results.
+// That merge belongs in a benchmark change that regenerates the ssdxbench
+// result digests.
+func (i *Interface) pull() {
+	e, reset, ok := i.next(0)
+	if !ok {
+		return
+	}
+	if reset {
+		// A single stream's measured window is the drive's: its throughput
+		// anchors and completion log restart too.
+		i.resetDriveWindow()
+	}
+	i.atArrival(e.req, func() {
+		in := i.arrive(e)
+		i.window.AcquireWhenFree(func() {
+			i.submit(0, in)
+			// Keep the window full: pull the next request immediately.
+			i.pull()
+		})
+	})
+}
+
 // pullQueue admits queue q's next request into its submission queue. The
 // pull chain pauses at the queue's depth bound and resumes on completion,
 // so a closed-loop tenant is paced by its own depth while open-loop tenants
