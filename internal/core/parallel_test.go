@@ -87,7 +87,7 @@ func readDigests(t *testing.T, path string) map[string]string {
 		if *updateGolden {
 			return map[string]string{}
 		}
-		t.Fatalf("missing golden file (run `go test -run TestParallelDeterminism -update`): %v", err)
+		t.Fatalf("missing golden file (re-run the test with -update): %v", err)
 	}
 	out := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
