@@ -340,7 +340,7 @@ func TestTrimFlushHandled(t *testing.T) {
 		{Op: trace.OpFlush},
 	}
 	done := false
-	if err := p.Host.Run(trace.NewSliceStream(reqs), func(c *hostif.Command) {
+	if err := p.Host.Run(workload.FromRequests(reqs), func(c *hostif.Command) {
 		p.handleCommand(c, ModeFull)
 	}, func() { done = true }); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/compress"
@@ -209,8 +208,7 @@ func (p *Platform) run(mode Mode, label string, requests int, measure func() (Re
 // playHost plays a command stream through the host interface and reads back
 // the host-side figures. start launches one of the host's players with the
 // platform's command handler and drain callback; the event core then runs to
-// completion, and a stream error (streamErr, nil for an infallible stream)
-// or a stall fails the run.
+// completion, and a stream error (streamErr) or a stall fails the run.
 func (p *Platform) playHost(mode Mode, start func(handler func(*hostif.Command), onDrained func()) error, streamErr func() error) (Result, error) {
 	drained := false
 	handler := func(cmd *hostif.Command) { p.handleCommand(cmd, mode) }
@@ -218,10 +216,8 @@ func (p *Platform) playHost(mode Mode, start func(handler func(*hostif.Command),
 		return Result{}, err
 	}
 	p.runKernel()
-	if streamErr != nil {
-		if err := streamErr(); err != nil {
-			return Result{}, err
-		}
+	if err := streamErr(); err != nil {
+		return Result{}, err
 	}
 	h := p.Host
 	if !drained {
@@ -245,37 +241,37 @@ func (p *Platform) playHost(mode Mode, start func(handler func(*hostif.Command),
 
 // runHosted streams the workload through the host interface.
 func (p *Platform) runHosted(w workload.Spec, mode Mode) (Result, error) {
-	gen, err := w.Generator()
+	st, err := w.Stream()
 	if err != nil {
 		return Result{}, err
 	}
-	if c, ok := gen.(io.Closer); ok {
-		defer c.Close()
-	}
-	if c, ok := gen.(workload.Clocked); ok {
-		c.SetClock(func() float64 { return p.K.Now().Microseconds() })
-	}
-	// Live WAF re-resolution while a trace replays (WAF-abstraction mode
-	// only; an explicit override pins the value and the mapper FTL measures
-	// its own amplification).
-	if cg, ok := gen.(workload.Classifying); ok && p.mapper == nil && p.Cfg.WAFOverride == 0 {
-		p.liveClass = cg.Classification()
-	}
-	res, err := p.playHost(mode, func(handler func(*hostif.Command), onDrained func()) error {
-		return p.Host.Run(gen, handler, onDrained)
-	}, func() error {
-		if e, ok := gen.(interface{ Err() error }); ok {
-			if serr := e.Err(); serr != nil {
-				return fmt.Errorf("core: workload stream: %w", serr)
-			}
-		}
-		return nil
-	})
+	defer st.Close()
+	res, err := p.playStream(st, mode)
 	if err != nil {
 		return res, err
 	}
 	res.Phases = labeledPhases(p.Host.QueuePhaseProfiles(0), w.Phases)
 	return res, nil
+}
+
+// playStream plays one compiled workload stream through the single-stream
+// host player.
+func (p *Platform) playStream(st *workload.Stream, mode Mode) (Result, error) {
+	st.SetClock(func() float64 { return p.K.Now().Microseconds() })
+	// Live WAF re-resolution while a self-classifying stream plays
+	// (WAF-abstraction mode only; an explicit override pins the value and
+	// the mapper FTL measures its own amplification).
+	if p.mapper == nil && p.Cfg.WAFOverride == 0 {
+		p.liveClass = st.Classification()
+	}
+	return p.playHost(mode, func(handler func(*hostif.Command), onDrained func()) error {
+		return p.Host.Run(st, handler, onDrained)
+	}, func() error {
+		if err := st.Err(); err != nil {
+			return fmt.Errorf("core: workload stream: %w", err)
+		}
+		return nil
+	})
 }
 
 // labeledPhases attaches workload labels to host-interface phase profiles.
@@ -688,9 +684,7 @@ func (p *Platform) RunRequests(reqs []trace.Request) (Result, error) {
 		return Result{}, err
 	}
 	return p.run(ModeFull, fmt.Sprintf("trace[%d]", len(reqs)), len(reqs), func() (Result, error) {
-		return p.playHost(ModeFull, func(handler func(*hostif.Command), onDrained func()) error {
-			return p.Host.Run(trace.NewSliceStream(reqs), handler, onDrained)
-		}, nil)
+		return p.playStream(workload.FromRequests(reqs), ModeFull)
 	})
 }
 

@@ -273,10 +273,10 @@ func (i *Interface) Outstanding() int { return i.outstanding }
 // through the command window, transferred over the wire and handed to
 // handler. onDrained fires when the stream is exhausted and every command
 // has completed. The stream is queue 0 of a one-queue source.
-func (i *Interface) Run(stream trace.Stream, handler func(*Command), onDrained func()) error {
+func (i *Interface) Run(stream *workload.Stream, handler func(*Command), onDrained func()) error {
 	var src MultiSource
 	if stream != nil {
-		src = &streamSource{stream: stream, marks: workload.MarksOf(stream)}
+		src = &streamSource{st: stream}
 	}
 	if err := i.start(src, handler, onDrained); err != nil {
 		return err
@@ -306,7 +306,7 @@ func (i *Interface) start(src MultiSource, handler func(*Command), onDrained fun
 		if depth <= 0 || depth > i.cfg.QueueDepth {
 			depth = i.cfg.QueueDepth
 		}
-		i.qs[q] = &queueState{depth: depth, recording: true, phased: src.Phased(q), res: -1}
+		i.qs[q] = &queueState{depth: depth, st: src.Stream(q), recording: true, res: -1}
 	}
 	return nil
 }
@@ -327,13 +327,13 @@ func (i *Interface) next(q int) (e sqEntry, reset, ok bool) {
 		i.maybeDrained()
 		return e, false, false
 	}
-	rec := i.mq.Recording(q)
+	rec := qs.st.Recording()
 	reset = rec && !qs.recording && qs.recInit
 	if reset {
 		i.resetQueueMeasurement(q)
 	}
 	qs.recording, qs.recInit = rec, true
-	return sqEntry{req: req, record: rec, winGen: qs.winGen, phase: i.mq.Phase(q)}, reset, true
+	return sqEntry{req: req, record: rec, winGen: qs.winGen, phase: qs.st.Phase()}, reset, true
 }
 
 // atArrival runs issue at req's arrival time, or at once when that time
@@ -459,7 +459,7 @@ func (i *Interface) Complete(cmd *Command) {
 				// unrecorded (precondition) phases and stale-window
 				// stragglers too. Phase-less streams skip the accounting:
 				// their lone profile would only be discarded.
-				if qs.phased {
+				if qs.st.Phased() {
 					qs.phaseWins = observePhase(qs.phaseWins, cmd, end)
 				}
 				i.outstanding--

@@ -84,8 +84,7 @@ func TestTracePlayerRunsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := trace.WorkloadSpec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 100}
-	st, err := w.Stream()
+	st, err := workload.Patterned(trace.SeqWrite, 4096, 1<<20, 100, 0).Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +107,7 @@ func TestTracePlayerRunsAll(t *testing.T) {
 func TestHostIdealThroughputMatchesAnalytic(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	w := trace.WorkloadSpec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 2000}
-	st, _ := w.Stream()
+	st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<24, 2000, 0).Stream()
 	i.Run(st, instantDevice(k, i), nil)
 	k.RunAll()
 	got := i.ThroughputMBps()
@@ -122,8 +120,7 @@ func TestHostIdealThroughputMatchesAnalytic(t *testing.T) {
 func TestReadsUseTxWire(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	w := trace.WorkloadSpec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 500}
-	st, _ := w.Stream()
+	st, _ := workload.Patterned(trace.SeqRead, 4096, 1<<24, 500, 0).Stream()
 	i.Run(st, instantDevice(k, i), nil)
 	k.RunAll()
 	if i.Stats.BytesRead != 500*4096 {
@@ -139,8 +136,7 @@ func TestReadsUseTxWire(t *testing.T) {
 func TestQueueWindowLimitsOutstanding(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	w := trace.WorkloadSpec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 200}
-	st, _ := w.Stream()
+	st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<24, 200, 0).Stream()
 	// Slow device: commands pile up at the window.
 	live, livePeak := 0, 0
 	i.Run(st, func(c *Command) {
@@ -172,8 +168,7 @@ func TestQueueDepthThroughputWall(t *testing.T) {
 	run := func(cfg Config) float64 {
 		k := sim.NewKernel()
 		i, _ := New(k, cfg)
-		w := trace.WorkloadSpec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 3000}
-		st, _ := w.Stream()
+		st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<26, 3000, 0).Stream()
 		i.Run(st, func(c *Command) {
 			// 3 ms device latency, unlimited concurrency (512 dies).
 			k.Schedule(3*sim.Millisecond, func() { i.Complete(c) })
@@ -202,7 +197,7 @@ func TestArrivalTimesRespected(t *testing.T) {
 		{ArrivalUS: 1000, Op: trace.OpWrite, LBA: 8, Bytes: 4096},
 	}
 	var submits []sim.Time
-	i.Run(trace.NewSliceStream(reqs), func(c *Command) {
+	i.Run(workload.FromRequests(reqs), func(c *Command) {
 		submits = append(submits, c.SubmitAt)
 		i.Complete(c)
 	}, nil)
@@ -223,7 +218,7 @@ func TestTrimAndFlushPassThrough(t *testing.T) {
 		{Op: trace.OpFlush},
 	}
 	var seen []trace.Op
-	i.Run(trace.NewSliceStream(reqs), func(c *Command) {
+	i.Run(workload.FromRequests(reqs), func(c *Command) {
 		seen = append(seen, c.Req.Op)
 		i.Complete(c)
 	}, nil)
@@ -242,7 +237,7 @@ func TestRunValidation(t *testing.T) {
 	if err := i.Run(nil, nil, nil); err == nil {
 		t.Fatal("nil stream accepted")
 	}
-	st := trace.NewSliceStream(nil)
+	st := workload.FromRequests(nil)
 	if err := i.Run(st, func(*Command) {}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +254,7 @@ func TestRunValidation(t *testing.T) {
 func TestLatencyPercentiles(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	w := trace.WorkloadSpec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 200}
-	st, _ := w.Stream()
+	st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<24, 200, 0).Stream()
 	i.Run(st, func(c *Command) {
 		k.Schedule(100*sim.Microsecond, func() { i.Complete(c) })
 	}, nil)
@@ -281,20 +275,20 @@ func TestLatencyPercentiles(t *testing.T) {
 }
 
 func TestInterfaceConsumesWorkloadGenerator(t *testing.T) {
-	// A workload.Generator is structurally a trace.Stream: the trace player
-	// pulls a mixed stream straight from the generator and the latency
-	// collector splits completions by op class.
+	// The trace player pulls a mixed stream straight from the compiled
+	// workload stream and the latency collector splits completions by op
+	// class.
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
 	spec := workload.Spec{
 		Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 22,
 		Requests: 400, Seed: 3, WriteFrac: 0.5,
 	}
-	gen, err := spec.Generator()
+	st, err := spec.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := i.Run(gen, instantDevice(k, i), nil); err != nil {
+	if err := i.Run(st, instantDevice(k, i), nil); err != nil {
 		t.Fatal(err)
 	}
 	k.RunAll()
@@ -322,7 +316,7 @@ func TestOpenLoopLatencyIncludesQueueWait(t *testing.T) {
 		{ArrivalUS: 10, Op: trace.OpWrite, LBA: 0, Bytes: 4096},
 		{ArrivalUS: 10, Op: trace.OpWrite, LBA: 8, Bytes: 4096},
 	}
-	i.Run(trace.NewSliceStream(reqs), func(c *Command) {
+	i.Run(workload.FromRequests(reqs), func(c *Command) {
 		k.Schedule(sim.Millisecond, func() { i.Complete(c) })
 	}, nil)
 	k.RunAll()
@@ -350,7 +344,7 @@ func TestOpenLoopLatencyIncludesArrivalBacklog(t *testing.T) {
 		{ArrivalUS: 10, Op: trace.OpWrite, LBA: 8, Bytes: 4096},
 		{ArrivalUS: 10, Op: trace.OpWrite, LBA: 16, Bytes: 4096},
 	}
-	i.Run(trace.NewSliceStream(reqs), func(c *Command) {
+	i.Run(workload.FromRequests(reqs), func(c *Command) {
 		k.Schedule(sim.Millisecond, func() { i.Complete(c) })
 	}, nil)
 	k.RunAll()

@@ -25,36 +25,26 @@ type MultiSource interface {
 	// entries plus dispatched-but-incomplete). 0 defers to the host
 	// interface's command window depth.
 	QueueDepth(q int) int
-	// Next pulls queue q's next request (ok=false ends that queue's stream).
+	// Stream is the workload stream behind queue q. The player reads the
+	// record flag and phase of every request it pulls from it.
+	Stream(q int) *workload.Stream
+	// Next pulls queue q's next request from Stream(q) (ok=false ends that
+	// queue's stream).
 	Next(q int) (req trace.Request, ok bool)
-	// Recording reports whether queue q's most recently pulled request
-	// belongs to a measured phase.
-	Recording(q int) bool
-	// Phase reports which workload phase queue q's most recently pulled
-	// request belongs to (0 for phase-less streams).
-	Phase(q int) int
-	// Phased reports whether queue q's stream has phase structure at all;
-	// false lets the player skip per-phase accounting entirely.
-	Phased(q int) bool
 	// Pick chooses which queue to service among those with a pending head
 	// command. ready holds queue indices in ascending order and is never
 	// empty; the return value must be one of them.
 	Pick(ready []int) int
 }
 
-// streamSource is a single trace stream as a one-queue MultiSource.
-type streamSource struct {
-	stream trace.Stream
-	marks  workload.Marks
-}
+// streamSource is a single workload stream as a one-queue MultiSource.
+type streamSource struct{ st *workload.Stream }
 
 func (s *streamSource) NumQueues() int                 { return 1 }
 func (s *streamSource) QueueName(int) string           { return "" }
 func (s *streamSource) QueueDepth(int) int             { return 0 }
-func (s *streamSource) Next(int) (trace.Request, bool) { return s.stream.Next() }
-func (s *streamSource) Recording(int) bool             { return s.marks.Recording() }
-func (s *streamSource) Phase(int) int                  { return s.marks.Phase() }
-func (s *streamSource) Phased(int) bool                { return s.marks.Phased() }
+func (s *streamSource) Stream(int) *workload.Stream    { return s.st }
+func (s *streamSource) Next(int) (trace.Request, bool) { return s.st.Next() }
 func (s *streamSource) Pick(ready []int) int           { return ready[0] }
 
 // sqEntry is one command sitting in a submission queue: pulled from the
@@ -73,8 +63,8 @@ type sqEntry struct {
 // private measurement state (latency, stage breakdown, throughput anchors)
 // that the platform reads back per tenant after the run.
 type queueState struct {
-	depth  int
-	phased bool // stream has phase structure (gates per-phase accounting)
+	depth int
+	st    *workload.Stream // the queue's workload stream (record flags, phases)
 
 	sq        []sqEntry
 	head      int // index of the SQ head (pop is O(1); slice resets when drained)

@@ -5,45 +5,44 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// stubSource is a MultiSource over in-memory request slices with a
-// scripted (or default last-ready) arbiter and a log of every Pick call.
+// stubSource is a MultiSource over workload streams with a scripted (or
+// default first-ready) arbiter and a log of every Pick call.
 type stubSource struct {
-	names  []string
-	depths []int
-	queues [][]trace.Request
-	pos    []int
+	names   []string
+	depths  []int
+	streams []*workload.Stream
 
 	pick  func(ready []int) int
 	picks [][]int
 }
 
+// newStubSource is a stub with one request-list stream per queue.
 func newStubSource(queues ...[]trace.Request) *stubSource {
-	s := &stubSource{queues: queues}
-	for i := range queues {
+	streams := make([]*workload.Stream, len(queues))
+	for i, q := range queues {
+		streams[i] = workload.FromRequests(q)
+	}
+	return stubOf(streams...)
+}
+
+// stubOf is a stub over the given streams, one queue each.
+func stubOf(streams ...*workload.Stream) *stubSource {
+	s := &stubSource{streams: streams}
+	for i := range streams {
 		s.names = append(s.names, string(rune('a'+i)))
 		s.depths = append(s.depths, 0)
-		s.pos = append(s.pos, 0)
 	}
 	return s
 }
 
-func (s *stubSource) NumQueues() int         { return len(s.queues) }
-func (s *stubSource) QueueName(q int) string { return s.names[q] }
-func (s *stubSource) QueueDepth(q int) int   { return s.depths[q] }
-func (s *stubSource) Recording(q int) bool   { return true }
-func (s *stubSource) Phase(q int) int        { return 0 }
-func (s *stubSource) Phased(q int) bool      { return false }
-
-func (s *stubSource) Next(q int) (trace.Request, bool) {
-	if s.pos[q] >= len(s.queues[q]) {
-		return trace.Request{}, false
-	}
-	req := s.queues[q][s.pos[q]]
-	s.pos[q]++
-	return req, true
-}
+func (s *stubSource) NumQueues() int                   { return len(s.streams) }
+func (s *stubSource) QueueName(q int) string           { return s.names[q] }
+func (s *stubSource) QueueDepth(q int) int             { return s.depths[q] }
+func (s *stubSource) Stream(q int) *workload.Stream    { return s.streams[q] }
+func (s *stubSource) Next(q int) (trace.Request, bool) { return s.streams[q].Next() }
 
 func (s *stubSource) Pick(ready []int) int {
 	cp := append([]int(nil), ready...)

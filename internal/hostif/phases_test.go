@@ -72,48 +72,15 @@ func TestObservePhaseOutOfOrderCompletions(t *testing.T) {
 	}
 }
 
-// phasedStub wraps stubSource with scripted per-request phase/record flags
-// per queue.
-type phasedStub struct {
-	*stubSource
-	phases  [][]int  // per queue, per request index
-	records [][]bool // per queue, per request index
-}
-
-func (s *phasedStub) Phased(q int) bool { return s.phases != nil }
-
-func (s *phasedStub) Phase(q int) int {
-	idx := s.pos[q] - 1
-	if s.phases == nil || idx < 0 || idx >= len(s.phases[q]) {
-		return 0
-	}
-	return s.phases[q][idx]
-}
-
-func (s *phasedStub) Recording(q int) bool {
-	idx := s.pos[q] - 1
-	if s.records == nil || idx < 0 || idx >= len(s.records[q]) {
-		return true
-	}
-	return s.records[q][idx]
-}
-
 // TestMultiQueuePhaseProfiles: each queue keeps its own per-phase profile
 // ring, covering unrecorded phases and surviving the per-queue window reset.
 func TestMultiQueuePhaseProfiles(t *testing.T) {
 	// Queue 0: 6 requests in an unrecorded phase 0 then 4 in a recorded
 	// phase 1 (a precondition -> measure tenant). Queue 1: flat.
-	src := &phasedStub{
-		stubSource: newStubSource(reqs(trace.OpWrite, 10), reqs(trace.OpRead, 5)),
-		phases: [][]int{
-			{0, 0, 0, 0, 0, 0, 1, 1, 1, 1},
-			{0, 0, 0, 0, 0},
-		},
-		records: [][]bool{
-			{false, false, false, false, false, false, true, true, true, true},
-			{true, true, true, true, true},
-		},
-	}
+	src := stubOf(
+		chain(t, []bool{false, true}, seqReqs(0, 6, trace.OpWrite, 0), seqReqs(6, 4, trace.OpWrite, 0)),
+		chain(t, nil, reqs(trace.OpRead, 5)),
+	)
 	i, _ := runMulti(t, SATA2(), src)
 
 	p0 := i.QueuePhaseProfiles(0)
@@ -143,16 +110,11 @@ func TestMultiQueuePhaseProfiles(t *testing.T) {
 func TestPhaseRingEviction(t *testing.T) {
 	const perPhase = 2
 	n := phaseRingSize + 4
-	rs := reqs(trace.OpWrite, n*perPhase)
-	phases := make([]int, len(rs))
-	for i := range phases {
-		phases[i] = i / perPhase
+	phases := make([][]trace.Request, n)
+	for p := range phases {
+		phases[p] = seqReqs(p*perPhase, perPhase, trace.OpWrite, 0)
 	}
-	src := &phasedStub{
-		stubSource: newStubSource(rs),
-		phases:     [][]int{phases},
-	}
-	i, _ := runMulti(t, SATA2(), src)
+	i, _ := runMulti(t, SATA2(), stubOf(chain(t, nil, phases...)))
 	wins := i.QueuePhaseProfiles(0)
 	if len(wins) != phaseRingSize {
 		t.Fatalf("ring holds %d phases, want %d", len(wins), phaseRingSize)

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the committed golden files")
@@ -18,34 +21,42 @@ var updateGolden = flag.Bool("update", false, "rewrite the committed golden file
 // one phased run.
 const singleStreamGolden = "testdata/single_stream.golden"
 
-// phasedStream is a single request stream with scripted per-request phase
-// and record flags (workload.PhaseAware and workload.RecordAware).
-type phasedStream struct {
-	reqs   []trace.Request
-	phases []int
-	recs   []bool
-	pos    int
+// chain compiles request lists into a declared phase chain, one replayed
+// trace file per phase; record flags the measured phases (nil: none is
+// flagged, so the whole chain is measured).
+func chain(t *testing.T, record []bool, phases ...[]trace.Request) *workload.Stream {
+	t.Helper()
+	spec := workload.Spec{}
+	for p, reqs := range phases {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("phase%d.trace", p))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.Write(f, reqs); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		spec.Phases = append(spec.Phases, workload.Spec{TracePath: path, Record: record != nil && record[p]})
+	}
+	st, err := spec.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
-func (s *phasedStream) Next() (trace.Request, bool) {
-	if s.pos >= len(s.reqs) {
-		return trace.Request{}, false
+// seqReqs builds n requests of one op, numbered on from first, all arriving at
+// arrivalUS.
+func seqReqs(first, n int, op trace.Op, arrivalUS float64) []trace.Request {
+	out := make([]trace.Request, n)
+	for j := range out {
+		out[j] = trace.Request{ArrivalUS: arrivalUS, Op: op, LBA: int64((first + j) * 8), Bytes: 4096}
 	}
-	s.pos++
-	return s.reqs[s.pos-1], true
-}
-
-func (s *phasedStream) Reset()          { s.pos = 0 }
-func (s *phasedStream) Recording() bool { return s.recs[s.pos-1] }
-func (s *phasedStream) PhaseIndex() int { return s.phases[s.pos-1] }
-
-// add appends n requests of one phase.
-func (s *phasedStream) add(phase int, record bool, n int, op trace.Op, arrivalUS float64) {
-	for j := 0; j < n; j++ {
-		s.reqs = append(s.reqs, trace.Request{ArrivalUS: arrivalUS, Op: op, LBA: int64(len(s.reqs) * 8), Bytes: 4096})
-		s.phases = append(s.phases, phase)
-		s.recs = append(s.recs, record)
-	}
+	return out
 }
 
 // singleStreamFigures is everything the single-stream player reports after
@@ -67,10 +78,8 @@ type singleStreamFigures struct {
 // still in flight when the second one resets the window; those stragglers
 // must stay out of the new window but land in their own phase profile.
 func TestSingleStreamPhasedWindow(t *testing.T) {
-	s := &phasedStream{}
-	s.add(0, true, 40, trace.OpWrite, 0)
-	s.add(1, false, 10, trace.OpWrite, 0)
-	s.add(2, true, 30, trace.OpRead, 1)
+	s := chain(t, []bool{true, false, true},
+		seqReqs(0, 40, trace.OpWrite, 0), seqReqs(40, 10, trace.OpWrite, 0), seqReqs(50, 30, trace.OpRead, 1))
 	k := sim.NewKernel()
 	i, err := New(k, SATA2())
 	if err != nil {

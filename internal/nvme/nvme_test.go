@@ -98,14 +98,15 @@ func TestQueuesContract(t *testing.T) {
 		t.Errorf("depths = %d %d", q.QueueDepth(0), q.QueueDepth(1))
 	}
 	// Queue a has no phase structure: always recording. Queue b records
-	// only its second phase; Recording reflects the last pulled request.
-	if !q.Recording(0) {
-		t.Error("plain queue must record")
+	// only its second phase; its stream's Recording reflects the last
+	// request Next pulled.
+	if !q.Stream(0).Recording() || q.Stream(0).Phased() || !q.Stream(1).Phased() {
+		t.Error("plain queue must record, and only queue b declares phases")
 	}
 	if _, ok := q.Next(1); !ok {
 		t.Fatal("queue b empty")
 	}
-	if q.Recording(1) {
+	if q.Stream(1).Recording() {
 		t.Error("queue b's first phase is unrecorded")
 	}
 	for i := 0; i < 10; i++ { // drain phase one, enter the recorded phase
@@ -113,14 +114,14 @@ func TestQueuesContract(t *testing.T) {
 			t.Fatal("queue b ended early")
 		}
 	}
-	if !q.Recording(1) {
+	if !q.Stream(1).Recording() {
 		t.Error("queue b's second phase must record")
 	}
 	// Pick delegates to the arbiter: the urgent queue always wins.
 	if got := q.Pick([]int{0, 1}); got != 0 {
 		t.Errorf("Pick = %d, want the urgent queue", got)
 	}
-	q.SetClock(func() float64 { return 0 }) // phased generators accept the clock
+	q.SetClock(func() float64 { return 0 }) // every tenant stream accepts the clock
 	if err := q.Err(); err != nil {
 		t.Errorf("Err = %v", err)
 	}

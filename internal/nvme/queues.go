@@ -7,7 +7,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Queues is a compiled TenantSet: one live generator per submission queue,
+// Queues is a compiled TenantSet: one workload stream per submission queue,
 // namespace offsets applied, plus the arbitration state. It implements the
 // host interface's MultiSource contract (per-queue streams, per-queue
 // depths, a Pick decision at every dispatch), so the multi-queue trace
@@ -15,15 +15,14 @@ import (
 type Queues struct {
 	set    TenantSet
 	arb    Arbiter
-	gens   []workload.Generator
-	marks  []workload.Marks // per-queue record and phase structure
-	bases  []int64          // namespace base offsets, sectors
-	limits []int64          // namespace sizes in sectors; 0 = unchecked
-	errs   []error          // per-queue namespace violations
+	gens   []*workload.Stream
+	bases  []int64 // namespace base offsets, sectors
+	limits []int64 // namespace sizes in sectors; 0 = unchecked
+	errs   []error // per-queue namespace violations
 }
 
 // Compile builds the live queue set: validates, lays out namespaces, and
-// instantiates one generator per tenant.
+// compiles one workload stream per tenant.
 func (s TenantSet) Compile() (*Queues, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -31,8 +30,7 @@ func (s TenantSet) Compile() (*Queues, error) {
 	q := &Queues{
 		set:    s,
 		arb:    NewArbiter(s.Policy, s.Tenants),
-		gens:   make([]workload.Generator, len(s.Tenants)),
-		marks:  make([]workload.Marks, len(s.Tenants)),
+		gens:   make([]*workload.Stream, len(s.Tenants)),
 		bases:  s.Layout(),
 		limits: make([]int64, len(s.Tenants)),
 		errs:   make([]error, len(s.Tenants)),
@@ -45,13 +43,12 @@ func (s TenantSet) Compile() (*Queues, error) {
 			// must error, never silently alias a neighbour's partition).
 			q.limits[i] = t.NSBytes() / trace.SectorSize
 		}
-		g, err := t.Workload.Generator()
+		st, err := t.Workload.Stream()
 		if err != nil {
 			q.Close()
 			return nil, fmt.Errorf("nvme: tenant %q: %w", t.Name, err)
 		}
-		q.gens[i] = g
-		q.marks[i] = workload.MarksOf(g)
+		q.gens[i] = st
 	}
 	return q, nil
 }
@@ -90,34 +87,23 @@ func (q *Queues) Next(i int) (trace.Request, bool) {
 	return req, true
 }
 
-// Recording implements hostif.MultiSource: whether queue i's most recently
-// pulled request belongs to a measured phase.
-func (q *Queues) Recording(i int) bool { return q.marks[i].Recording() }
-
-// Phase implements hostif.MultiSource: which workload phase queue i's most
-// recently pulled request belongs to.
-func (q *Queues) Phase(i int) int { return q.marks[i].Phase() }
-
-// Phased implements hostif.MultiSource: whether queue i's generator has
-// phase structure.
-func (q *Queues) Phased(i int) bool { return q.marks[i].Phased() }
+// Stream implements hostif.MultiSource: tenant i's workload stream.
+func (q *Queues) Stream(i int) *workload.Stream { return q.gens[i] }
 
 // Pick implements hostif.MultiSource by delegating to the arbiter.
 func (q *Queues) Pick(ready []int) int { return q.arb.Pick(ready) }
 
-// SetClock forwards the simulation clock to phase-aware generators (open-
+// SetClock forwards the simulation clock to every tenant's stream (open-
 // loop arrival rebasing across closed-loop phase boundaries).
 func (q *Queues) SetClock(now func() float64) {
-	for _, g := range q.gens {
-		if c, ok := g.(workload.Clocked); ok {
-			c.SetClock(now)
-		}
+	for _, st := range q.gens {
+		st.SetClock(now)
 	}
 }
 
 // SoleWriterClassification returns the live stream classifier of the set's
-// single writing tenant, when that tenant's generator classifies its own
-// stream (trace replay or a synthetic phase chain); nil otherwise. With two
+// single writing tenant, when that tenant's stream classifies itself (trace
+// replay or a declared phase chain); nil otherwise. With two
 // or more writing tenants the drive-level write mix is pinned random by
 // queue interleaving regardless of each stream's own shape, so no single
 // live estimate applies.
@@ -131,9 +117,7 @@ func (q *Queues) SoleWriterClassification() *workload.Classifier {
 		if writers++; writers > 1 {
 			return nil
 		}
-		if cg, ok := q.gens[i].(workload.Classifying); ok {
-			cls = cg.Classification()
-		}
+		cls = q.gens[i].Classification()
 	}
 	return cls
 }
@@ -146,27 +130,23 @@ func (q *Queues) Err() error {
 			return err
 		}
 	}
-	for i, g := range q.gens {
-		if e, ok := g.(interface{ Err() error }); ok {
-			if err := e.Err(); err != nil {
-				return fmt.Errorf("nvme: tenant %q: %w", q.set.Tenants[i].Name, err)
-			}
+	for i, st := range q.gens {
+		if err := st.Err(); err != nil {
+			return fmt.Errorf("nvme: tenant %q: %w", q.set.Tenants[i].Name, err)
 		}
 	}
 	return nil
 }
 
-// Close releases any generator-held resources.
+// Close releases any replayed trace files.
 func (q *Queues) Close() error {
 	var first error
-	for _, g := range q.gens {
-		if g == nil {
+	for _, st := range q.gens {
+		if st == nil {
 			continue
 		}
-		if c, ok := g.(interface{ Close() error }); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := st.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

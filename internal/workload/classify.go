@@ -105,10 +105,3 @@ func (c *Classifier) Info() TraceInfo {
 		TotalBytes:    c.totalBytes,
 	}
 }
-
-// Classifying generators expose a live stream classification (the trace
-// replay generator does); the platform uses it to adapt the WAF abstraction
-// while the stream plays, instead of pre-scanning the file.
-type Classifying interface {
-	Classification() *Classifier
-}

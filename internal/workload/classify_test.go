@@ -25,20 +25,20 @@ func TestClassifierParityOnGoldenTraces(t *testing.T) {
 			if want.Requests == 0 {
 				t.Fatal("empty golden trace")
 			}
-			r, err := OpenReplay(path)
+			st, err := Spec{TracePath: path}.Stream()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
+			defer st.Close()
 			for {
-				if _, ok := r.Next(); !ok {
+				if _, ok := st.Next(); !ok {
 					break
 				}
 			}
-			if err := r.Err(); err != nil {
+			if err := st.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if got := r.Classification().Info(); got != want {
+			if got := st.Classification().Info(); got != want {
 				t.Errorf("replay classification %+v != pre-scan %+v", got, want)
 			}
 		})

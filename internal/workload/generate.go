@@ -13,44 +13,76 @@ import (
 // patterns stream byte-identical requests for the same seed.
 const seedSalt = 0x55de10725eed0001
 
-// Generator builds the composed request stream the spec declares. Replay
-// generators hold an open file: callers that care should type-assert
-// io.Closer and Err() error (core does).
+// Generator is Stream for callers that only pull: the same compiled phase
+// chain, typed as the Generator interface.
 func (s Spec) Generator() (Generator, error) {
+	st, err := s.Stream()
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// Stream compiles the spec into its phase chain. Every spec compiles to one:
+// a phased spec chains its phases, any other spec is a chain of one phase, so
+// a player reads record flags, phase indices, the live classification and
+// stream errors from the Stream alone. Close releases any replayed files.
+func (s Spec) Stream() (*Stream, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if len(s.Phases) > 0 {
-		gens := make([]Generator, len(s.Phases))
-		recs := make([]bool, len(s.Phases))
-		anyRec := false
-		for i, ph := range s.Phases {
-			g, err := ph.Generator()
-			if err != nil {
-				for _, built := range gens[:i] {
-					closeGenerator(built)
-				}
-				return nil, fmt.Errorf("phase %d: %w", i, err)
-			}
-			gens[i] = g
-			recs[i] = ph.Record
-			anyRec = anyRec || ph.Record
-		}
-		if !anyRec {
-			// No phase flagged: the whole scenario is the measured window.
-			for i := range recs {
-				recs[i] = true
-			}
-		}
-		// Phase chains classify their own stream: the platform re-resolves
-		// the WAF abstraction from the trailing write window exactly as it
-		// does for trace replay, so a seq-fill -> random-overwrite scenario
-		// sees its amplification shift mid-run instead of being pinned at
-		// scenario level.
-		return &phased{gens: gens, recs: recs, curRec: true, cls: NewClassifier(0)}, nil
+	phases := s.Phases
+	if len(phases) == 0 {
+		phases = []Spec{s}
 	}
+	st := &Stream{curRec: true, phased: len(s.Phases) > 0}
+	anyRec := false
+	for i, ph := range phases {
+		src, err := ph.source()
+		if err != nil {
+			st.Close()
+			if st.phased {
+				err = fmt.Errorf("phase %d: %w", i, err)
+			}
+			return nil, err
+		}
+		st.srcs = append(st.srcs, src)
+		st.recs = append(st.recs, ph.Record)
+		anyRec = anyRec || ph.Record
+	}
+	if !anyRec {
+		// No phase flagged: the whole scenario is the measured window.
+		for i := range st.recs {
+			st.recs[i] = true
+		}
+	}
+	if st.phased || s.TracePath != "" {
+		// Declared phase chains and trace replay classify their own stream:
+		// the platform re-resolves the WAF abstraction from the trailing
+		// write window, so a replayed trace or a seq-fill -> random-overwrite
+		// scenario sees its amplification shift mid-run instead of being
+		// pinned at scenario level. A plain synthetic spec keeps the model
+		// its declared shape resolves.
+		st.cls = NewClassifier(0)
+	}
+	return st, nil
+}
+
+// FromRequests compiles an explicit request list into a one-phase stream
+// that records every request and classifies nothing.
+func FromRequests(reqs []trace.Request) *Stream {
+	return &Stream{srcs: []source{sliceSource{SliceStream: trace.NewSliceStream(reqs)}}, recs: []bool{true}, curRec: true}
+}
+
+// source opens one phase's leaf stream: a trace file or a synthetic
+// generator.
+func (s Spec) source() (source, error) {
 	if s.TracePath != "" {
-		return OpenReplay(s.TracePath)
+		r, err := OpenReplay(s.TracePath)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
 	}
 	g := &synth{spec: s}
 	if s.Skew.Kind == SkewZipf {
@@ -63,42 +95,46 @@ func (s Spec) Generator() (Generator, error) {
 // Generate materialises the whole stream as a slice — a convenience for
 // trace-file writing and tests; the platform itself always streams.
 func (s Spec) Generate() ([]trace.Request, error) {
-	g, err := s.Generator()
+	st, err := s.Stream()
 	if err != nil {
 		return nil, err
 	}
-	defer closeGenerator(g)
-	n := s.TotalRequests()
-	if n < 0 {
-		n = 0
-	}
-	reqs := make([]trace.Request, 0, n)
-	for {
-		req, ok := g.Next()
-		if !ok {
-			break
-		}
+	defer st.Close()
+	reqs := make([]trace.Request, 0, max(s.TotalRequests(), 0))
+	for req, ok := st.Next(); ok; req, ok = st.Next() {
 		reqs = append(reqs, req)
 	}
-	if e, ok := g.(interface{ Err() error }); ok {
-		if err := e.Err(); err != nil {
-			return nil, err
-		}
+	if err := st.Err(); err != nil {
+		return nil, err
 	}
 	return reqs, nil
 }
 
-// closeGenerator releases a generator's external resources, if any.
-func closeGenerator(g Generator) {
-	if c, ok := g.(interface{ Close() error }); ok {
-		c.Close()
-	}
+// source is one phase of a Stream: a Generator that may hold an external
+// resource (Close) and may end early on a read or parse error (Err).
+type source interface {
+	Generator
+	Err() error
+	Close() error
+}
+
+// infallible is the Err and Close of in-memory sources.
+type infallible struct{}
+
+func (infallible) Err() error   { return nil }
+func (infallible) Close() error { return nil }
+
+// sliceSource is an in-memory request list as a phase source.
+type sliceSource struct {
+	*trace.SliceStream
+	infallible
 }
 
 // synth streams one synthetic workload: base pattern, optional direction
 // mix, address skew and arrival process. State is O(1); Reset replays the
 // identical stream.
 type synth struct {
+	infallible
 	spec Spec
 	rng  *sim.RNG
 	zipf *zipf
@@ -268,50 +304,51 @@ func scramble(v uint64) uint64 {
 	return v ^ (v >> 31)
 }
 
-// Clocked generators accept the simulation clock (in microseconds). The
-// platform wires it in so the phased generator can rebase open-loop arrival
-// clocks at phase boundaries that follow device-paced (closed-loop) phases,
-// whose end time is unknowable at generation time.
-type Clocked interface {
-	SetClock(now func() float64)
-}
-
-// phased concatenates sub-generators. Non-zero arrival times are offset so
-// each phase's open-loop clock continues where the previous one stopped:
-// after an open-loop phase the offset is that phase's last arrival, and
-// after a closed-loop phase (arrivals all 0, paced by the device) it is the
+// Stream is the one compiled form of every workload: a chain of phase
+// sources played in order. Non-zero arrival times are offset so each phase's
+// open-loop clock continues where the previous one stopped: after an
+// open-loop phase the offset is that phase's last arrival, and after a
+// closed-loop phase (arrivals all 0, paced by the device) it is the
 // simulation clock at the boundary, when one was wired via SetClock.
-type phased struct {
-	gens     []Generator
+type Stream struct {
+	srcs     []source
 	recs     []bool // per-phase record flag (all true when none was set)
+	phased   bool   // the spec declared phases
 	curRec   bool   // record flag of the phase of the last returned request
 	curIdx   int    // phase index of the last returned request
 	idx      int
 	baseUS   float64        // accumulated arrival offset from completed phases
 	phaseMax float64        // max raw arrival seen in the current phase
 	nowUS    func() float64 // simulation clock; nil outside a platform run
-	cls      *Classifier    // live windowed classification of the whole chain
+	cls      *Classifier    // live windowed classification; nil when not classifying
 }
 
-// SetClock implements Clocked.
-func (p *phased) SetClock(now func() float64) { p.nowUS = now }
+// SetClock wires the simulation clock (in microseconds), so open-loop
+// arrival clocks rebase at phase boundaries that follow device-paced
+// (closed-loop) phases, whose end time is unknowable at generation time.
+func (p *Stream) SetClock(now func() float64) { p.nowUS = now }
 
-// Recording implements RecordAware: whether the last request returned by
-// Next belongs to a measured phase.
-func (p *phased) Recording() bool { return p.curRec }
+// Recording reports whether the last request returned by Next belongs to a
+// measured phase.
+func (p *Stream) Recording() bool { return p.curRec }
 
-// PhaseIndex implements PhaseAware: the phase of the last returned request.
-func (p *phased) PhaseIndex() int { return p.curIdx }
+// Phase reports the phase of the last request returned by Next (0-based,
+// monotonic).
+func (p *Stream) Phase() int { return p.curIdx }
 
-// Classification implements Classifying: the live windowed classification of
-// the portion of the phase chain generated so far, so the platform can adapt
-// the WAF abstraction across phase boundaries exactly as it does for replay.
-func (p *phased) Classification() *Classifier { return p.cls }
+// Phased reports whether the spec declared phases. A plain spec's one-phase
+// chain reports false, so players skip per-phase accounting for it.
+func (p *Stream) Phased() bool { return p.phased }
+
+// Classification is the live windowed classification of the portion of the
+// stream generated so far (nil for plain synthetic specs and request lists),
+// so the platform can adapt the WAF abstraction while the stream plays.
+func (p *Stream) Classification() *Classifier { return p.cls }
 
 // Next implements Generator.
-func (p *phased) Next() (trace.Request, bool) {
-	for p.idx < len(p.gens) {
-		req, ok := p.gens[p.idx].Next()
+func (p *Stream) Next() (trace.Request, bool) {
+	for p.idx < len(p.srcs) {
+		req, ok := p.srcs[p.idx].Next()
 		if ok {
 			p.curRec = p.recs[p.idx]
 			p.curIdx = p.idx
@@ -347,9 +384,9 @@ func (p *phased) Next() (trace.Request, bool) {
 }
 
 // Reset implements Generator.
-func (p *phased) Reset() {
-	for _, g := range p.gens {
-		g.Reset()
+func (p *Stream) Reset() {
+	for _, src := range p.srcs {
+		src.Reset()
 	}
 	p.idx = 0
 	p.curIdx = 0
@@ -361,43 +398,36 @@ func (p *phased) Reset() {
 	}
 }
 
-// Close releases any replay phases.
-func (p *phased) Close() error {
+// Close releases any replayed files.
+func (p *Stream) Close() error {
 	var first error
-	for _, g := range p.gens {
-		if c, ok := g.(interface{ Close() error }); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, src := range p.srcs {
+		if err := src.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
 }
 
 // Err surfaces the first error any replay phase hit.
-func (p *phased) Err() error {
-	for _, g := range p.gens {
-		if e, ok := g.(interface{ Err() error }); ok {
-			if err := e.Err(); err != nil {
-				return err
-			}
+func (p *Stream) Err() error {
+	for _, src := range p.srcs {
+		if err := src.Err(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Replay streams a trace file through the Generator interface — file replay
-// is just another workload. Parse errors stop the stream and are reported
-// by Err (the platform checks after draining). A windowed Classifier rides
-// the stream, so the platform can adapt the WAF abstraction and read
-// preloading while the file plays — no pre-scan pass required. The file's
-// dialect (canonical, blktrace text, MSR Cambridge CSV) is sniffed from its
-// first lines, so foreign traces replay with no conversion step.
+// Replay streams a trace file — file replay is just another phase source.
+// Parse errors stop the stream and are reported by Err (the platform checks
+// after draining). The file's dialect (canonical, blktrace text, MSR
+// Cambridge CSV) is sniffed from its first lines, so foreign traces replay
+// with no conversion step.
 type Replay struct {
 	f      *os.File
 	r      *trace.Reader
 	format trace.Format
-	cls    *Classifier
 	err    error
 }
 
@@ -409,15 +439,11 @@ func OpenReplay(path string) (*Replay, error) {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 	r, format := trace.ParseReaderAuto(f)
-	return &Replay{f: f, r: r, format: format, cls: NewClassifier(0)}, nil
+	return &Replay{f: f, r: r, format: format}, nil
 }
 
 // Format reports the detected trace dialect.
 func (r *Replay) Format() trace.Format { return r.format }
-
-// Classification implements Classifying: the live windowed classification
-// of the portion of the trace streamed so far.
-func (r *Replay) Classification() *Classifier { return r.cls }
 
 // Next implements Generator.
 func (r *Replay) Next() (trace.Request, bool) {
@@ -427,9 +453,7 @@ func (r *Replay) Next() (trace.Request, bool) {
 	req, ok := r.r.Next()
 	if !ok {
 		r.err = r.r.Err()
-		return req, ok
 	}
-	r.cls.Observe(req)
 	return req, ok
 }
 
@@ -441,7 +465,6 @@ func (r *Replay) Reset() {
 		return
 	}
 	r.err = nil
-	r.cls.Reset()
 	r.r = trace.ParseReaderFormat(r.f, r.format)
 }
 

@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// TestReplayAutoDetectsForeignFormats proves the replay generator streams
+// TestReplayAutoDetectsForeignFormats proves a replay stream plays
 // committed blktrace and MSR fixtures without a conversion step, and that
 // Reset keeps the detected dialect.
 func TestReplayAutoDetectsForeignFormats(t *testing.T) {
@@ -27,13 +27,18 @@ func TestReplayAutoDetectsForeignFormats(t *testing.T) {
 		if r.Format() != c.format {
 			t.Errorf("%s detected as %v, want %v", c.path, r.Format(), c.format)
 		}
+		r.Close()
+		st, err := Spec{TracePath: c.path}.Stream()
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
 		for pass := 0; pass < 2; pass++ { // second pass exercises Reset
 			if pass > 0 {
-				r.Reset()
+				st.Reset()
 			}
 			n, writes := 0, 0
 			for {
-				req, ok := r.Next()
+				req, ok := st.Next()
 				if !ok {
 					break
 				}
@@ -42,7 +47,7 @@ func TestReplayAutoDetectsForeignFormats(t *testing.T) {
 					writes++
 				}
 			}
-			if err := r.Err(); err != nil {
+			if err := st.Err(); err != nil {
 				t.Fatalf("%s pass %d: %v", c.path, pass, err)
 			}
 			if n != c.reqs || writes != c.writes {
@@ -51,10 +56,9 @@ func TestReplayAutoDetectsForeignFormats(t *testing.T) {
 			}
 		}
 		// The classifier rode the stream: replay needs no pre-scan.
-		if r.Classification().Info().Writes != c.writes {
-			t.Errorf("%s: classifier saw %d writes, want %d",
-				c.path, r.Classification().Info().Writes, c.writes)
+		if got := st.Classification().Info().Writes; got != c.writes {
+			t.Errorf("%s: classifier saw %d writes, want %d", c.path, got, c.writes)
 		}
-		r.Close()
+		st.Close()
 	}
 }

@@ -6,27 +6,26 @@ import (
 	"repro/internal/trace"
 )
 
-// TestPhasedPhaseIndex: the phased generator reports the phase of the last
+// TestPhasedPhaseIndex: a phase chain reports the phase of the last
 // returned request, and rewinds on Reset.
 func TestPhasedPhaseIndex(t *testing.T) {
 	spec := Spec{Phases: []Spec{
 		{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 3, Seed: 1},
 		{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 2, Seed: 1},
 	}}
-	g, err := spec.Generator()
+	g, err := spec.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, ok := g.(PhaseAware)
-	if !ok {
-		t.Fatal("phased generator is not PhaseAware")
+	if !g.Phased() {
+		t.Fatal("declared phase chain reports no phases")
 	}
 	want := []int{0, 0, 0, 1, 1}
 	for i, w := range want {
 		if _, ok := g.Next(); !ok {
 			t.Fatalf("stream ended at %d", i)
 		}
-		if got := pa.PhaseIndex(); got != w {
+		if got := g.Phase(); got != w {
 			t.Errorf("request %d phase = %d, want %d", i, got, w)
 		}
 	}
@@ -34,21 +33,21 @@ func TestPhasedPhaseIndex(t *testing.T) {
 		t.Fatal("stream too long")
 	}
 	g.Reset()
-	if _, ok := g.Next(); !ok || pa.PhaseIndex() != 0 {
-		t.Errorf("after Reset, phase = %d, want 0", pa.PhaseIndex())
+	if _, ok := g.Next(); !ok || g.Phase() != 0 {
+		t.Errorf("after Reset, phase = %d, want 0", g.Phase())
 	}
-	// Non-phased generators do not claim phase awareness.
-	plain, err := Spec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 2, Seed: 1}.Generator()
+	// A plain spec compiles to a one-phase chain that declares no phases.
+	plain, err := Spec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 2, Seed: 1}.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plain.(PhaseAware); ok {
-		t.Error("plain synthetic generator claims PhaseAware")
+	if plain.Phased() {
+		t.Error("plain synthetic stream claims declared phases")
 	}
 }
 
-// TestPhasedLiveClassification: a phase chain exposes a live windowed
-// classifier, and a seq-fill -> random-overwrite chain flips the windowed
+// TestPhasedLiveClassification: a declared phase chain exposes a live
+// windowed classifier (a plain synthetic stream exposes none), and a seq-fill -> random-overwrite chain flips the windowed
 // regime mid-stream — the hook the platform uses to adapt the WAF model.
 func TestPhasedLiveClassification(t *testing.T) {
 	const fill, overwrite = 2048, 2048
@@ -56,15 +55,17 @@ func TestPhasedLiveClassification(t *testing.T) {
 		{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: fill, Seed: 1},
 		{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: overwrite, Seed: 1},
 	}}
-	g, err := spec.Generator()
+	g, err := spec.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, ok := g.(Classifying)
-	if !ok {
-		t.Fatal("phased generator is not Classifying")
+	cls := g.Classification()
+	if cls == nil {
+		t.Fatal("phase chain does not classify itself")
 	}
-	cls := cg.Classification()
+	if plain, _ := spec.Phases[0].Stream(); plain.Classification() != nil {
+		t.Fatal("plain synthetic stream classifies itself")
+	}
 	// Drain the fill phase: the trailing window must classify sequential.
 	for i := 0; i < fill; i++ {
 		if _, ok := g.Next(); !ok {
@@ -85,7 +86,7 @@ func TestPhasedLiveClassification(t *testing.T) {
 	}
 	// Reset rewinds the classification with the stream.
 	g.Reset()
-	if cls := cg.Classification(); cls.Info().Writes != 0 {
+	if cls := g.Classification(); cls.Info().Writes != 0 {
 		t.Errorf("classifier not reset: %+v", cls.Info())
 	}
 }

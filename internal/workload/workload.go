@@ -1,13 +1,14 @@
 // Package workload is the streaming workload subsystem of the platform: it
-// turns a declarative Spec into a pull-based stream of host requests that
+// compiles a declarative Spec into a pull-based Stream of host requests that
 // the host interface's trace player consumes one at a time, with no
 // O(requests) materialisation. The four IOZone patterns the paper validates
 // against (§III-G) are reproduced byte-identically; beyond them the package
 // composes mixed read/write ratios, zipfian and hotspot address skew,
 // open-loop arrival processes (Poisson and bursty ON/OFF), multi-phase
-// scenarios (precondition then measure), and trace-file replay — all behind
-// the same Generator interface, so every shape is sweepable by the DSE
-// engine and replayable through every measurement mode.
+// scenarios (precondition then measure), and trace-file replay. Every shape
+// compiles to the same phase chain (a plain spec is a chain of one phase),
+// so every shape is sweepable by the DSE engine and replayable through every
+// measurement mode, and no player needs to know which shape it plays.
 package workload
 
 import (
@@ -20,9 +21,8 @@ import (
 )
 
 // Generator supplies host requests one at a time. It is structurally a
-// trace.Stream, so any Generator plugs straight into the host interface's
-// trace player. Generators that wrap external resources additionally
-// implement io.Closer and Err() error.
+// trace.Stream; a Spec's Generator is its compiled Stream, which also
+// implements io.Closer and Err() error.
 type Generator interface {
 	// Next returns the next request, or ok=false when the stream ends.
 	Next() (req trace.Request, ok bool)
@@ -258,52 +258,6 @@ type Spec struct {
 	// Phases, when non-empty, concatenates sub-workloads in order. Open-loop
 	// arrival clocks continue across phase boundaries. Phases must not nest.
 	Phases []Spec `json:"phases,omitempty"`
-}
-
-// RecordAware generators expose whether the most recently generated request
-// belongs to a recorded (measured) phase. The host interface's trace player
-// checks for it after every pull; generators without phase structure simply
-// do not implement it and the whole stream is recorded.
-type RecordAware interface {
-	Recording() bool
-}
-
-// PhaseAware generators expose which phase the most recently generated
-// request belongs to (0-based, monotonic). The host interface's trace player
-// uses it to keep a per-phase latency/stage profile alongside the measured
-// window; generators without phase structure do not implement it and the
-// whole stream counts as phase 0.
-type PhaseAware interface {
-	PhaseIndex() int
-}
-
-// Marks is a stream's optional record and phase structure, probed once so a
-// player asks it after every pull without repeating the type assertions.
-type Marks struct {
-	rec    RecordAware // nil: every request is recorded
-	phases PhaseAware  // nil: the whole stream is phase 0
-}
-
-// MarksOf probes a stream (or generator) for RecordAware and PhaseAware.
-func MarksOf(stream any) Marks {
-	var m Marks
-	m.rec, _ = stream.(RecordAware)
-	m.phases, _ = stream.(PhaseAware)
-	return m
-}
-
-// Recording reports whether the most recently pulled request is recorded.
-func (m Marks) Recording() bool { return m.rec == nil || m.rec.Recording() }
-
-// Phased reports whether the stream has phase structure at all.
-func (m Marks) Phased() bool { return m.phases != nil }
-
-// Phase reports the phase of the most recently pulled request.
-func (m Marks) Phase() int {
-	if m.phases == nil {
-		return 0
-	}
-	return m.phases.PhaseIndex()
 }
 
 // DefaultBlockSize is the 4 KB payload used throughout the paper.

@@ -19,8 +19,8 @@ func drain(t *testing.T, g Generator) []trace.Request {
 		}
 		out = append(out, req)
 	}
-	if e, ok := g.(interface{ Err() error }); ok && e.Err() != nil {
-		t.Fatalf("generator error: %v", e.Err())
+	if err := g.(*Stream).Err(); err != nil {
+		t.Fatalf("stream error: %v", err)
 	}
 	return out
 }
@@ -291,11 +291,11 @@ func TestReplayStreamsTraceFile(t *testing.T) {
 	f.Close()
 
 	spec := Spec{TracePath: path, SpanBytes: 1 << 20}
-	g, err := spec.Generator()
+	g, err := spec.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeGenerator(g)
+	defer g.Close()
 	got := drain(t, g)
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d requests, want %d", len(got), len(want))
@@ -458,14 +458,14 @@ func TestPhasedRebasesOpenClockAfterClosedPhase(t *testing.T) {
 	pre := Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 22, Requests: 5, Seed: 1}
 	meas := Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 22, Requests: 5, Seed: 2,
 		Arrival: Arrival{Kind: ArrivalPoisson, RateIOPS: 100000}}
-	g, err := Spec{Phases: []Spec{pre, meas}}.Generator()
+	g, err := Spec{Phases: []Spec{pre, meas}}.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fake simulation clock: the closed-loop phase is device-paced and ends
 	// at 50 ms of simulated time.
 	now := 0.0
-	g.(Clocked).SetClock(func() float64 { return now })
+	g.SetClock(func() float64 { return now })
 	for i := 0; i < 5; i++ {
 		if _, ok := g.Next(); !ok {
 			t.Fatal("precondition phase ended early")
@@ -564,11 +564,11 @@ func TestPhasedKeepsBacklogAcrossOpenPhases(t *testing.T) {
 		Arrival: Arrival{Kind: ArrivalPoisson, RateIOPS: 100000}} // ~100us span
 	p2 := Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 22, Requests: 10, Seed: 2,
 		Arrival: Arrival{Kind: ArrivalPoisson, RateIOPS: 100000}}
-	g, err := Spec{Phases: []Spec{p1, p2}}.Generator()
+	g, err := Spec{Phases: []Spec{p1, p2}}.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.(Clocked).SetClock(func() float64 { return 50000 }) // device 50ms behind
+	g.SetClock(func() float64 { return 50000 }) // device 50ms behind
 	var last float64
 	for i := 0; i < 10; i++ {
 		req, _ := g.Next()
