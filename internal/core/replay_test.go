@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -131,5 +132,29 @@ func TestReplayLazyPreload(t *testing.T) {
 	}
 	if res.Stages.NAND.Ops == 0 || res.Stages.NAND.MeanUS <= 0 {
 		t.Errorf("replay reads attributed no NAND time: %+v", res.Stages.NAND)
+	}
+}
+
+// TestBrokenReplayPhaseFailsRun: a replay phase that hits a parse error ends
+// the run's stream there — the synthetic phase after it never reaches the
+// device — and the run reports the error.
+func TestBrokenReplayPhaseFailsRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.trace")
+	if err := os.WriteFile(path, []byte("0 W 0 4096\nnot a line\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Build(config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workload.Spec{Phases: []workload.Spec{
+		{TracePath: path, SpanBytes: 1 << 22},
+		workload.Patterned(trace.SeqWrite, 4096, 1<<22, 200, 1),
+	}}
+	if _, err := p.Run(w, ModeFull); err == nil || !strings.Contains(err.Error(), "workload stream") {
+		t.Fatalf("Run error = %v, want the replay phase's parse error", err)
+	}
+	if got := p.Host.Stats.Completed; got != 1 {
+		t.Errorf("%d commands completed, want only the 1 before the parse error", got)
 	}
 }

@@ -363,6 +363,11 @@ func (p *Stream) Next() (trace.Request, bool) {
 			}
 			return req, true
 		}
+		if p.srcs[p.idx].Err() != nil {
+			// A failed phase ends the chain: Err reports why, and the
+			// phases after it never play.
+			return trace.Request{}, false
+		}
 		p.idx++
 		closed := p.phaseMax == 0
 		p.baseUS += p.phaseMax

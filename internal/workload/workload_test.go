@@ -585,3 +585,30 @@ func TestPhasedKeepsBacklogAcrossOpenPhases(t *testing.T) {
 		t.Fatalf("phase 2 arrival %v does not continue after phase 1 end %v", req.ArrivalUS, last)
 	}
 }
+
+// TestFailedPhaseEndsChain: a replay phase that stops on a parse error ends
+// the whole chain, so the phases after it never play and Err reports why.
+func TestFailedPhaseEndsChain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.trace")
+	if err := os.WriteFile(path, []byte("0 W 0 4096\nnot a line\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Spec{Phases: []Spec{{TracePath: path}, Patterned(trace.SeqRead, 4096, 1<<20, 5, 1)}}.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	n := 0
+	for _, ok := st.Next(); ok; _, ok = st.Next() {
+		n++
+	}
+	if n != 1 {
+		t.Errorf("chain played %d requests past a failed phase, want only the 1 before the error", n)
+	}
+	if st.Err() == nil {
+		t.Error("parse error not surfaced")
+	}
+	if _, ok := st.Next(); ok {
+		t.Error("a failed chain resumed")
+	}
+}
