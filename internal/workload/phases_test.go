@@ -191,3 +191,94 @@ func FuzzParsePhases(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStream checks the compiled phase chain against the spec it came from,
+// for any synthetic scenario the phase syntax accepts: the chain plays every
+// phase's requests in order, each inside its phase's span and block size,
+// reports the phase and record flag of every request it returns, keeps
+// open-loop arrivals monotonic across phase boundaries, classifies what it
+// played, and replays identically after Reset. Each phase compiled on its
+// own is a plain one-phase stream that records everything and classifies
+// nothing.
+func FuzzStream(f *testing.F) {
+	f.Add("40xSW")
+	f.Add("40xSW;80xRR,skew=zipf:0.9,record")
+	f.Add("10xRW,arrival=onoff:5000:2:8,seed=9;5xSR,record;7xRW,mix=0.5,arrival=poisson:9000")
+	f.Add("1xsw,block=8k,span=1m,mix=0.5")
+	f.Add("20xRR,skew=hotspot:0.1:0.9,arrival=poisson:100000;3xSW;4xRW,record")
+	f.Fuzz(func(t *testing.T, in string) {
+		w, err := ParsePhases(in, phaseBase)
+		if err != nil || w.HasReplay() || w.TotalRequests() > 2000 {
+			return // only bounded synthetic scenarios: no files, no huge runs
+		}
+		for _, ph := range w.Phases {
+			if ph.Skew.Kind == SkewZipf && ph.SpanBytes/ph.BlockSize > 1<<16 {
+				return // zipf set-up is linear in the block count
+			}
+		}
+		st, err := w.Stream()
+		if err != nil {
+			t.Fatalf("accepted spec does not compile: %v\ninput: %q", err, in)
+		}
+		if !st.Phased() || st.Classification() == nil {
+			t.Fatalf("a declared chain must report phases and classify itself\ninput: %q", in)
+		}
+		anyRec := false
+		for _, ph := range w.Phases {
+			anyRec = anyRec || ph.Record
+		}
+		var reqs []trace.Request
+		counts := make([]int, len(w.Phases))
+		lastPhase, lastArrival := 0, 0.0
+		for req, ok := st.Next(); ok; req, ok = st.Next() {
+			p := st.Phase()
+			if p < lastPhase || p >= len(w.Phases) {
+				t.Fatalf("request %d in phase %d after phase %d of %d\ninput: %q", len(reqs), p, lastPhase, len(w.Phases), in)
+			}
+			ph := w.Phases[p]
+			if st.Recording() != (ph.Record || !anyRec) {
+				t.Fatalf("request %d (phase %d) recording=%v\ninput: %q", len(reqs), p, st.Recording(), in)
+			}
+			if req.Bytes != ph.BlockSize || req.EndLBA()*trace.SectorSize > ph.SpanBytes {
+				t.Fatalf("request %+v outside phase %d's block %d / span %d\ninput: %q", req, p, ph.BlockSize, ph.SpanBytes, in)
+			}
+			if req.ArrivalUS > 0 {
+				if req.ArrivalUS < lastArrival {
+					t.Fatalf("arrival %v before %v at request %d\ninput: %q", req.ArrivalUS, lastArrival, len(reqs), in)
+				}
+				lastArrival = req.ArrivalUS
+			}
+			lastPhase = p
+			counts[p]++
+			reqs = append(reqs, req)
+		}
+		for p, ph := range w.Phases {
+			if counts[p] != ph.Requests {
+				t.Fatalf("phase %d played %d requests, want %d\ninput: %q", p, counts[p], ph.Requests, in)
+			}
+		}
+		if got := st.Classification().Info().Requests; got != len(reqs) {
+			t.Fatalf("classifier saw %d of %d requests\ninput: %q", got, len(reqs), in)
+		}
+		st.Reset()
+		for i, want := range reqs {
+			if got, ok := st.Next(); !ok || got != want {
+				t.Fatalf("after Reset request %d = %+v (ok=%v), want %+v\ninput: %q", i, got, ok, want, in)
+			}
+		}
+		for p, ph := range w.Phases {
+			plain, err := ph.Stream()
+			if err != nil {
+				t.Fatalf("phase %d does not compile alone: %v\ninput: %q", p, err, in)
+			}
+			if plain.Phased() || plain.Classification() != nil {
+				t.Fatalf("phase %d alone declares phases or classifies itself\ninput: %q", p, in)
+			}
+			for _, ok := plain.Next(); ok; _, ok = plain.Next() {
+				if !plain.Recording() || plain.Phase() != 0 {
+					t.Fatalf("phase %d alone: recording=%v phase=%d\ninput: %q", p, plain.Recording(), plain.Phase(), in)
+				}
+			}
+		}
+	})
+}
