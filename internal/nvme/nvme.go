@@ -315,20 +315,7 @@ func (s TenantSet) HasReplay() bool {
 // Open reports whether any tenant declares an open-loop arrival process.
 func (s TenantSet) Open() bool {
 	for _, t := range s.Tenants {
-		if specOpen(t.Workload) {
-			return true
-		}
-	}
-	return false
-}
-
-// specOpen reports whether a spec (or any phase) has open-loop arrivals.
-func specOpen(s workload.Spec) bool {
-	if s.Arrival.Open() {
-		return true
-	}
-	for _, ph := range s.Phases {
-		if specOpen(ph) {
+		if t.Workload.OpenLoop() {
 			return true
 		}
 	}

@@ -31,13 +31,9 @@ func (s Spec) Stream() (*Stream, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	phases := s.Phases
-	if len(phases) == 0 {
-		phases = []Spec{s}
-	}
 	st := &Stream{curRec: true, phased: len(s.Phases) > 0}
 	anyRec := false
-	for i, ph := range phases {
+	for i, ph := range s.chain() {
 		src, err := ph.source()
 		if err != nil {
 			st.Close()

@@ -197,7 +197,8 @@ func FuzzParsePhases(f *testing.F) {
 // phase's requests in order, each inside its phase's span and block size,
 // reports the phase and record flag of every request it returns, keeps
 // open-loop arrivals monotonic across phase boundaries, classifies what it
-// played, and replays identically after Reset. Each phase compiled on its
+// played, matches the spec's request and byte totals, and replays
+// identically after Reset. Each phase compiled on its
 // own is a plain one-phase stream that records everything and classifies
 // nothing.
 func FuzzStream(f *testing.F) {
@@ -257,8 +258,10 @@ func FuzzStream(f *testing.F) {
 				t.Fatalf("phase %d played %d requests, want %d\ninput: %q", p, counts[p], ph.Requests, in)
 			}
 		}
-		if got := st.Classification().Info().Requests; got != len(reqs) {
-			t.Fatalf("classifier saw %d of %d requests\ninput: %q", got, len(reqs), in)
+		info := st.Classification().Info()
+		if info.Requests != len(reqs) || len(reqs) != w.TotalRequests() || info.TotalBytes != w.TotalBytes() {
+			t.Fatalf("played %d requests (%d classified, %d bytes); spec totals %d requests, %d bytes\ninput: %q",
+				len(reqs), info.Requests, info.TotalBytes, w.TotalRequests(), w.TotalBytes(), in)
 		}
 		st.Reset()
 		for i, want := range reqs {

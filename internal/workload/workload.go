@@ -318,125 +318,99 @@ func (s Spec) mixed() bool { return s.WriteFrac > 0 && s.WriteFrac < 1 }
 // skew-forced).
 func (s Spec) randomAddr() bool { return s.Pattern.IsRandom() || s.Skew.Kind != SkewNone }
 
-// HasWrites reports whether the workload can issue writes.
-func (s Spec) HasWrites() bool {
+// chain is the spec's phase list: its declared phases, or the spec itself as
+// the one phase of a plain spec — the chain Stream compiles. The shape
+// queries below each fold one per-phase rule over it.
+func (s Spec) chain() []Spec {
 	if len(s.Phases) > 0 {
-		for _, ph := range s.Phases {
-			if ph.HasWrites() {
-				return true
-			}
-		}
-		return false
+		return s.Phases
 	}
-	if s.TracePath != "" {
-		return true // unknown until streamed; assume the expensive case
-	}
-	return s.Pattern.IsWrite() || s.WriteFrac > 0
+	return []Spec{s}
 }
+
+// anyPhase reports whether rule holds for any phase of the chain.
+func (s Spec) anyPhase(rule func(ph Spec) bool) bool {
+	for _, ph := range s.chain() {
+		if rule(ph) {
+			return true
+		}
+	}
+	return false
+}
+
+// writes reports whether one phase can issue writes. A replayed trace is
+// unknown until streamed, so it is assumed to (the expensive case).
+func (s Spec) writes() bool { return s.TracePath != "" || s.Pattern.IsWrite() || s.WriteFrac > 0 }
+
+// HasWrites reports whether the workload can issue writes.
+func (s Spec) HasWrites() bool { return s.anyPhase(Spec.writes) }
 
 // MayRead reports whether the workload can issue reads (which the platform
 // must preload for when no mapping FTL is built).
 func (s Spec) MayRead() bool {
-	if len(s.Phases) > 0 {
-		for _, ph := range s.Phases {
-			if ph.MayRead() {
-				return true
-			}
+	return s.anyPhase(func(ph Spec) bool {
+		if ph.TracePath != "" {
+			return !ph.ReplayNoReads
 		}
-		return false
-	}
-	if s.TracePath != "" {
-		return !s.ReplayNoReads
-	}
-	return !s.Pattern.IsWrite() || s.mixed()
+		return !ph.Pattern.IsWrite() || ph.mixed()
+	})
 }
 
 // RandomWrites reports whether write traffic addresses randomly — the input
 // to the WAF abstraction's steady-state model. Trace replay is classified
 // as random (the conservative default; WAFOverride pins it exactly).
 func (s Spec) RandomWrites() bool {
-	if len(s.Phases) > 0 {
-		for _, ph := range s.Phases {
-			if ph.RandomWrites() {
-				return true
-			}
+	return s.anyPhase(func(ph Spec) bool {
+		if ph.TracePath != "" {
+			return !ph.ReplaySeqWrites
 		}
-		return false
-	}
-	if s.TracePath != "" {
-		return !s.ReplaySeqWrites
-	}
-	return s.HasWrites() && s.randomAddr()
+		return ph.writes() && ph.randomAddr()
+	})
 }
 
 // HasReplay reports whether the spec (or any phase) replays a trace file —
 // the shape whose reads preload lazily and whose WAF model adapts to the
 // stream's windowed classification.
-func (s Spec) HasReplay() bool {
-	for _, ph := range s.Phases {
-		if ph.HasReplay() {
-			return true
+func (s Spec) HasReplay() bool { return s.anyPhase(func(ph Spec) bool { return ph.TracePath != "" }) }
+
+// OpenLoop reports whether any phase declares an open-loop arrival process.
+func (s Spec) OpenLoop() bool { return s.anyPhase(func(ph Spec) bool { return ph.Arrival.Open() }) }
+
+// sumPhases totals one per-phase count over the chain; -1 when any phase
+// replays a trace file (unknown until streamed).
+func (s Spec) sumPhases(count func(ph Spec) int64) int64 {
+	var total int64
+	for _, ph := range s.chain() {
+		if ph.TracePath != "" {
+			return -1
 		}
+		total += count(ph)
 	}
-	return s.TracePath != ""
+	return total
 }
 
 // TotalRequests returns the request count, summed over phases; -1 when the
-// spec replays a trace file (unknown until streamed).
+// spec replays a trace file.
 func (s Spec) TotalRequests() int {
-	if len(s.Phases) > 0 {
-		total := 0
-		for _, ph := range s.Phases {
-			n := ph.TotalRequests()
-			if n < 0 {
-				return -1
-			}
-			total += n
-		}
-		return total
-	}
-	if s.TracePath != "" {
-		return -1
-	}
-	return s.Requests
+	return int(s.sumPhases(func(ph Spec) int64 { return int64(ph.Requests) }))
 }
 
 // TotalBytes returns the volume of data moved, summed over phases; -1 for
 // trace replay.
 func (s Spec) TotalBytes() int64 {
-	if len(s.Phases) > 0 {
-		var total int64
-		for _, ph := range s.Phases {
-			n := ph.TotalBytes()
-			if n < 0 {
-				return -1
-			}
-			total += n
-		}
-		return total
-	}
-	if s.TracePath != "" {
-		return -1
-	}
-	return int64(s.Requests) * s.BlockSize
+	return s.sumPhases(func(ph Spec) int64 { return int64(ph.Requests) * ph.BlockSize })
 }
 
 // ReadSpan returns the widest span any reading phase touches — the extent
 // the platform preloads.
 func (s Spec) ReadSpan() int64 {
-	if len(s.Phases) > 0 {
-		var max int64
-		for _, ph := range s.Phases {
-			if sp := ph.ReadSpan(); sp > max {
-				max = sp
-			}
+	var span int64
+	for _, ph := range s.chain() {
+		if ph.MayRead() {
+			span = max(span, ph.SpanBytes)
 		}
-		return max
 	}
-	if !s.MayRead() {
-		return 0
-	}
-	return s.SpanBytes
+	return span
 }
 
 // Simple reports whether the spec is a plain closed-loop synthetic pattern

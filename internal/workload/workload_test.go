@@ -452,6 +452,16 @@ func TestSpecClassification(t *testing.T) {
 	if replay.Simple() || !replay.MayRead() || !replay.RandomWrites() || replay.TotalRequests() != -1 {
 		t.Fatalf("replay misclassified")
 	}
+	open := r
+	open.Arrival = Arrival{Kind: ArrivalPoisson, RateIOPS: 1000}
+	chain := Spec{Phases: []Spec{w, open}}
+	if w.OpenLoop() || !open.OpenLoop() || !chain.OpenLoop() || !chain.HasWrites() || !chain.MayRead() ||
+		chain.RandomWrites() || chain.TotalRequests() != 2 || chain.TotalBytes() != 8192 || chain.ReadSpan() != 1<<20 {
+		t.Fatalf("SW -> open RR chain misclassified")
+	}
+	if withReplay := (Spec{Phases: []Spec{w, replay}}); withReplay.TotalRequests() != -1 || withReplay.TotalBytes() != -1 {
+		t.Fatalf("a chain with a replay phase has unknown totals")
+	}
 }
 
 func TestPhasedRebasesOpenClockAfterClosedPhase(t *testing.T) {
