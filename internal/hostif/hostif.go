@@ -9,7 +9,9 @@
 //
 // There is one player over a MultiSource of submission queues; a single
 // stream (Run) is a one-queue source, so all window, latency, phase and
-// depth bookkeeping is per queue. Only the pull chains differ (see pull).
+// depth bookkeeping is per queue. Each queue plays a compiled
+// workload.Stream, whose record flag and phase the player reads after every
+// pull. Only the pull chains differ (see pull).
 //
 // The SATA command-window limit is the microarchitectural mechanism behind
 // the paper's Fig. 3 finding: with a no-cache buffer policy the 32-command
@@ -140,7 +142,7 @@ func (c Config) IdealMBps(blockBytes int64, write bool) float64 {
 type Command struct {
 	ID         int64
 	Queue      int // submission-queue (tenant) index; 0 for a single stream
-	Phase      int // workload phase the command was pulled in (0 outside phase chains)
+	Phase      int // workload phase the command was pulled in (0 for a plain spec's one-phase chain)
 	Req        trace.Request
 	Record     bool           // pulled inside the measured window
 	Span       telemetry.Span // per-stage latency timeline (watermark attribution)

@@ -13,12 +13,12 @@ import (
 // depths, a Pick decision at every dispatch), so the multi-queue trace
 // player can drive it without knowing about tenants.
 type Queues struct {
-	set    TenantSet
-	arb    Arbiter
-	gens   []*workload.Stream
-	bases  []int64 // namespace base offsets, sectors
-	limits []int64 // namespace sizes in sectors; 0 = unchecked
-	errs   []error // per-queue namespace violations
+	set     TenantSet
+	arb     Arbiter
+	streams []*workload.Stream
+	bases   []int64 // namespace base offsets, sectors
+	limits  []int64 // namespace sizes in sectors; 0 = unchecked
+	errs    []error // per-queue namespace violations
 }
 
 // Compile builds the live queue set: validates, lays out namespaces, and
@@ -28,12 +28,12 @@ func (s TenantSet) Compile() (*Queues, error) {
 		return nil, err
 	}
 	q := &Queues{
-		set:    s,
-		arb:    NewArbiter(s.Policy, s.Tenants),
-		gens:   make([]*workload.Stream, len(s.Tenants)),
-		bases:  s.Layout(),
-		limits: make([]int64, len(s.Tenants)),
-		errs:   make([]error, len(s.Tenants)),
+		set:     s,
+		arb:     NewArbiter(s.Policy, s.Tenants),
+		streams: make([]*workload.Stream, len(s.Tenants)),
+		bases:   s.Layout(),
+		limits:  make([]int64, len(s.Tenants)),
+		errs:    make([]error, len(s.Tenants)),
 	}
 	for i, t := range s.Tenants {
 		if t.Workload.HasReplay() {
@@ -48,7 +48,7 @@ func (s TenantSet) Compile() (*Queues, error) {
 			q.Close()
 			return nil, fmt.Errorf("nvme: tenant %q: %w", t.Name, err)
 		}
-		q.gens[i] = st
+		q.streams[i] = st
 	}
 	return q, nil
 }
@@ -57,7 +57,7 @@ func (s TenantSet) Compile() (*Queues, error) {
 func (q *Queues) Set() TenantSet { return q.set }
 
 // NumQueues implements hostif.MultiSource.
-func (q *Queues) NumQueues() int { return len(q.gens) }
+func (q *Queues) NumQueues() int { return len(q.streams) }
 
 // QueueName implements hostif.MultiSource.
 func (q *Queues) QueueName(i int) string { return q.set.Tenants[i].Name }
@@ -74,7 +74,7 @@ func (q *Queues) Next(i int) (trace.Request, bool) {
 	if q.errs[i] != nil {
 		return trace.Request{}, false
 	}
-	req, ok := q.gens[i].Next()
+	req, ok := q.streams[i].Next()
 	if !ok {
 		return req, false
 	}
@@ -88,7 +88,7 @@ func (q *Queues) Next(i int) (trace.Request, bool) {
 }
 
 // Stream implements hostif.MultiSource: tenant i's workload stream.
-func (q *Queues) Stream(i int) *workload.Stream { return q.gens[i] }
+func (q *Queues) Stream(i int) *workload.Stream { return q.streams[i] }
 
 // Pick implements hostif.MultiSource by delegating to the arbiter.
 func (q *Queues) Pick(ready []int) int { return q.arb.Pick(ready) }
@@ -96,17 +96,16 @@ func (q *Queues) Pick(ready []int) int { return q.arb.Pick(ready) }
 // SetClock forwards the simulation clock to every tenant's stream (open-
 // loop arrival rebasing across closed-loop phase boundaries).
 func (q *Queues) SetClock(now func() float64) {
-	for _, st := range q.gens {
+	for _, st := range q.streams {
 		st.SetClock(now)
 	}
 }
 
 // SoleWriterClassification returns the live stream classifier of the set's
 // single writing tenant, when that tenant's stream classifies itself (trace
-// replay or a declared phase chain); nil otherwise. With two
-// or more writing tenants the drive-level write mix is pinned random by
-// queue interleaving regardless of each stream's own shape, so no single
-// live estimate applies.
+// replay or a declared phase chain); nil otherwise. With two or more writing
+// tenants the drive-level write mix is pinned random by queue interleaving
+// regardless of each stream's own shape, so no single live estimate applies.
 func (q *Queues) SoleWriterClassification() *workload.Classifier {
 	var cls *workload.Classifier
 	writers := 0
@@ -117,20 +116,20 @@ func (q *Queues) SoleWriterClassification() *workload.Classifier {
 		if writers++; writers > 1 {
 			return nil
 		}
-		cls = q.gens[i].Classification()
+		cls = q.streams[i].Classification()
 	}
 	return cls
 }
 
 // Err surfaces the first stream error any queue hit: a namespace violation
-// first, then any generator (trace decode / IO) error.
+// first, then any stream (trace decode / IO) error.
 func (q *Queues) Err() error {
 	for _, err := range q.errs {
 		if err != nil {
 			return err
 		}
 	}
-	for i, st := range q.gens {
+	for i, st := range q.streams {
 		if err := st.Err(); err != nil {
 			return fmt.Errorf("nvme: tenant %q: %w", q.set.Tenants[i].Name, err)
 		}
@@ -141,7 +140,7 @@ func (q *Queues) Err() error {
 // Close releases any replayed trace files.
 func (q *Queues) Close() error {
 	var first error
-	for _, st := range q.gens {
+	for _, st := range q.streams {
 		if st == nil {
 			continue
 		}

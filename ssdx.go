@@ -162,8 +162,9 @@ func ParsePhases(s string, base Workload) (Workload, error) { return workload.Pa
 // FormatPhases renders a phased workload back into the ParsePhases syntax.
 func FormatPhases(w Workload) string { return workload.FormatPhases(w) }
 
-// NewGenerator compiles a workload into its pull-based request stream, for
-// callers that drive the host interface (or a trace file) directly.
+// NewGenerator compiles a workload into its pull-based request stream (the
+// same phase chain Run plays), for callers that write a trace file or drive
+// their own player.
 func NewGenerator(w Workload) (Generator, error) { return w.Generator() }
 
 // Run builds a fresh platform from cfg and executes the workload in the
