@@ -9,52 +9,30 @@ import (
 
 // Errors reported by the die state machine. A correct channel controller
 // never triggers these; they exist to catch protocol violations in tests.
+// Erasing an already-erased block is not an error: it costs tBERS and a P/E
+// cycle like any other erase.
 var (
-	ErrBusy           = errors.New("nand: die busy (RB# low)")
-	ErrNotErased      = errors.New("nand: programming a page that is not erased")
-	ErrOutOfOrder     = errors.New("nand: pages within a block must be programmed in order")
-	ErrNotProgrammed  = errors.New("nand: reading an unwritten page")
-	ErrPlaneMismatch  = errors.New("nand: multi-plane operation needs distinct planes, same block/page offsets")
-	ErrBadAddress     = errors.New("nand: address outside geometry")
-	ErrNothingToErase = errors.New("nand: erase of already-erased block")
+	ErrBusy          = errors.New("nand: die busy (RB# low)")
+	ErrNotErased     = errors.New("nand: programming a page that is not erased")
+	ErrOutOfOrder    = errors.New("nand: pages within a block must be programmed in order")
+	ErrNotProgrammed = errors.New("nand: reading an unwritten page")
+	ErrPlaneMismatch = errors.New("nand: multi-plane operation needs distinct planes, same block/page offsets")
+	ErrBadAddress    = errors.New("nand: address outside geometry")
 )
 
-// pageState tracks the programmed/erased condition of one page.
-type pageState uint8
+// chunkBlocks is the number of consecutive blocks whose state is
+// materialised together. A run touches few blocks per plane (a sequential
+// write fills one block at a time), so a small chunk keeps the state of
+// each write frontier to a few hundred bytes.
+const chunkBlocks = 16
 
-const (
-	pageErased pageState = iota
-	pageProgrammed
-)
-
-// block holds per-block wear and page-state bookkeeping. The pages slice is
-// allocated lazily on first program: large platforms (Table III C8 has 8192
-// dies) would otherwise spend gigabytes on state for blocks a benchmark
-// never touches.
-type block struct {
-	pages    []pageState // nil = fully erased, never-touched block
-	nextPage int         // enforced sequential programming (MLC constraint)
-	peCycles int64       // program/erase count
-}
-
-// state returns the page state, treating untouched blocks as erased.
-func (b *block) state(page int) pageState {
-	if b.pages == nil {
-		return pageErased
-	}
-	return b.pages[page]
-}
-
-// ensure materialises the page array.
-func (b *block) ensure(n int) {
-	if b.pages == nil {
-		b.pages = make([]pageState, n)
-	}
-}
-
-// plane is a set of blocks sharing a page register.
+// plane is a set of blocks sharing a page register. Its blocks live in a
+// two-level table: chunks[b/chunkBlocks] names the die chunk that holds
+// block b, 0 while no block in that chunk has been programmed, preloaded
+// or erased. The table itself stays nil until the plane's first touch. An
+// untouched block reads as erased at the die's base P/E count.
 type plane struct {
-	blocks []block
+	chunks []int32 // die chunk number + 1, 0 = untouched
 }
 
 // Stats aggregates operation counters for one die.
@@ -86,14 +64,26 @@ type Die struct {
 	k   *sim.Kernel
 	rng *sim.RNG
 
-	planes    []plane
+	planes []plane
+	basePE int64 // P/E count of every block, before per-block deltas
+
+	// State of the blocks in touched chunks, chunkBlocks per chunk, chunks
+	// in the order they were first touched. Block handle h (see block)
+	// indexes next and peDelta and owns pages[h*words : (h+1)*words]. The
+	// arrays hold no pointers, so the garbage collector never scans them.
+	next    []int32  // next programmable page (MLC in-order constraint)
+	peDelta []int64  // P/E cycles above basePE
+	pages   []uint64 // programmed-page bitmap
+	words   int
+
 	busyUntil sim.Time
 
 	Stats Stats
 }
 
 // NewDie builds a die. rng drives timing jitter; pass a forked stream so
-// dies vary independently (die-to-die variation).
+// dies vary independently (die-to-die variation). Block state is built on
+// first touch, so a die costs the same to build whatever its capacity.
 func NewDie(k *sim.Kernel, id int, geo Geometry, tim Timing, rng *sim.RNG) (*Die, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -101,12 +91,70 @@ func NewDie(k *sim.Kernel, id int, geo Geometry, tim Timing, rng *sim.RNG) (*Die
 	if err := tim.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Die{ID: id, geo: geo, tim: tim, k: k, rng: rng}
-	d.planes = make([]plane, geo.PlanesPerDie)
-	for p := range d.planes {
-		d.planes[p].blocks = make([]block, geo.BlocksPerPlane)
+	return &Die{
+		ID: id, geo: geo, tim: tim, k: k, rng: rng,
+		planes: make([]plane, geo.PlanesPerDie),
+		words:  (geo.PagesPerBlock + 63) / 64,
+	}, nil
+}
+
+// block returns the handle of block b of plane p, or -1 while its chunk
+// is untouched. It never allocates.
+func (d *Die) block(p, b int) int {
+	t := d.planes[p].chunks
+	if ci := b / chunkBlocks; ci < len(t) && t[ci] != 0 {
+		return int(t[ci]-1)*chunkBlocks + b%chunkBlocks
 	}
-	return d, nil
+	return -1
+}
+
+// touch is block that materialises the plane's table and the block's
+// chunk on first use. Erase keeps a chunk, so reprogramming a block never
+// allocates again.
+func (d *Die) touch(p, b int) int {
+	pl := &d.planes[p]
+	if pl.chunks == nil {
+		pl.chunks = make([]int32, (d.geo.BlocksPerPlane+chunkBlocks-1)/chunkBlocks)
+	}
+	ci := b / chunkBlocks
+	if pl.chunks[ci] == 0 {
+		d.next = append(d.next, make([]int32, chunkBlocks)...)
+		d.peDelta = append(d.peDelta, make([]int64, chunkBlocks)...)
+		d.pages = append(d.pages, make([]uint64, chunkBlocks*d.words)...)
+		pl.chunks[ci] = int32(len(d.next) / chunkBlocks)
+	}
+	return int(pl.chunks[ci]-1)*chunkBlocks + b%chunkBlocks
+}
+
+// programmed reports whether page of block handle h holds data.
+func (d *Die) programmed(h, page int) bool {
+	return h >= 0 && d.pages[h*d.words+page/64]&(1<<(uint(page)%64)) != 0
+}
+
+// nextPage returns the next programmable page of block handle h.
+func (d *Die) nextPage(h int) int {
+	if h < 0 {
+		return 0
+	}
+	return int(d.next[h])
+}
+
+// markProgrammed sets page in block b of plane p and moves the block's
+// write frontier past it.
+func (d *Die) markProgrammed(p, b, page int) {
+	h := d.touch(p, b)
+	d.pages[h*d.words+page/64] |= 1 << (uint(page) % 64)
+	if page >= int(d.next[h]) {
+		d.next[h] = int32(page + 1)
+	}
+}
+
+// peOf returns the P/E count of block handle h.
+func (d *Die) peOf(h int) int64 {
+	if h < 0 {
+		return d.basePE
+	}
+	return d.basePE + d.peDelta[h]
 }
 
 // Geometry returns the die geometry.
@@ -131,47 +179,39 @@ func (d *Die) jitter(t sim.Time) sim.Time {
 	return t + sim.Time((d.rng.Float64()*2-1)*span)
 }
 
-// wearOf returns the normalised wear of a block.
-func (d *Die) wearOf(p, b int) float64 {
-	return float64(d.planes[p].blocks[b].peCycles) / float64(d.tim.RatedPE)
+// wear returns the normalised wear of block handle h.
+func (d *Die) wear(h int) float64 {
+	return float64(d.peOf(h)) / float64(d.tim.RatedPE)
 }
 
 // BlockPE returns the program/erase cycle count of a block.
 func (d *Die) BlockPE(planeIdx, blockIdx int) int64 {
-	return d.planes[planeIdx].blocks[blockIdx].peCycles
+	return d.peOf(d.block(planeIdx, blockIdx))
 }
 
 // AvgWear returns the mean normalised wear across all blocks.
 func (d *Die) AvgWear() float64 {
-	var total int64
-	var n int64
-	for p := range d.planes {
-		for b := range d.planes[p].blocks {
-			total += d.planes[p].blocks[b].peCycles
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
+	n := int64(d.geo.PlanesPerDie) * int64(d.geo.BlocksPerPlane)
+	total := d.basePE * n
+	for _, pe := range d.peDelta {
+		total += pe
 	}
 	return float64(total) / float64(n) / float64(d.tim.RatedPE)
 }
 
 // SetWear forces every block's P/E count to w*RatedPE. The wear-out
 // experiment (Fig. 5) uses this to sample the endurance axis directly
-// instead of replaying thousands of full-drive writes.
+// instead of replaying thousands of full-drive writes. It moves the base
+// count and clears the touched blocks' deltas; untouched blocks cost
+// nothing.
 func (d *Die) SetWear(w float64) {
-	pe := int64(w * float64(d.tim.RatedPE))
-	for p := range d.planes {
-		for b := range d.planes[p].blocks {
-			d.planes[p].blocks[b].peCycles = pe
-		}
-	}
+	d.basePE = int64(w * float64(d.tim.RatedPE))
+	clear(d.peDelta)
 }
 
 // RBERAt returns the raw bit error rate of a block at its current wear.
 func (d *Die) RBERAt(planeIdx, blockIdx int) float64 {
-	return d.tim.RBER(d.wearOf(planeIdx, blockIdx))
+	return d.tim.RBER(d.wear(d.block(planeIdx, blockIdx)))
 }
 
 // begin marks the die busy for dur and schedules done at completion. A
@@ -196,8 +236,7 @@ func (d *Die) Read(a Addr, done func()) (sim.Time, error) {
 	if !d.Ready() {
 		return 0, ErrBusy
 	}
-	blk := &d.planes[a.Plane].blocks[a.Block]
-	if blk.state(a.Page) != pageProgrammed {
+	if !d.programmed(d.block(a.Plane, a.Block), a.Page) {
 		return 0, ErrNotProgrammed
 	}
 	dur := d.jitter(d.tim.TReadArray)
@@ -217,18 +256,15 @@ func (d *Die) Program(a Addr, done func()) (sim.Time, error) {
 	if !d.Ready() {
 		return 0, ErrBusy
 	}
-	blk := &d.planes[a.Plane].blocks[a.Block]
-	if blk.state(a.Page) == pageProgrammed {
+	h := d.block(a.Plane, a.Block)
+	if d.programmed(h, a.Page) {
 		return 0, ErrNotErased
 	}
-	if a.Page != blk.nextPage {
+	if a.Page != d.nextPage(h) {
 		return 0, ErrOutOfOrder
 	}
-	wear := d.wearOf(a.Plane, a.Block)
-	dur := d.jitter(d.tim.ProgTimeAt(a.Page, wear))
-	blk.ensure(d.geo.PagesPerBlock)
-	blk.pages[a.Page] = pageProgrammed
-	blk.nextPage++
+	dur := d.jitter(d.tim.ProgTimeAt(a.Page, d.wear(h)))
+	d.markProgrammed(a.Plane, a.Block, a.Page)
 	d.Stats.Programs++
 	d.Stats.ProgramTime += dur
 	d.begin(dur, done)
@@ -264,22 +300,18 @@ func (d *Die) MultiPlaneProgram(addrs []Addr, done func()) (sim.Time, error) {
 		if a.Block != addrs[0].Block || a.Page != addrs[0].Page {
 			return 0, ErrPlaneMismatch
 		}
-		blk := &d.planes[a.Plane].blocks[a.Block]
-		if blk.state(a.Page) == pageProgrammed {
+		h := d.block(a.Plane, a.Block)
+		if d.programmed(h, a.Page) {
 			return 0, ErrNotErased
 		}
-		if a.Page != blk.nextPage {
+		if a.Page != d.nextPage(h) {
 			return 0, ErrOutOfOrder
 		}
 	}
 	var dur sim.Time
 	for _, a := range addrs {
-		blk := &d.planes[a.Plane].blocks[a.Block]
-		blk.ensure(d.geo.PagesPerBlock)
-		blk.pages[a.Page] = pageProgrammed
-		blk.nextPage++
-		wear := d.wearOf(a.Plane, a.Block)
-		t := d.jitter(d.tim.ProgTimeAt(a.Page, wear))
+		d.markProgrammed(a.Plane, a.Block, a.Page)
+		t := d.jitter(d.tim.ProgTimeAt(a.Page, d.wear(d.block(a.Plane, a.Block))))
 		if t > dur {
 			dur = t
 		}
@@ -292,6 +324,7 @@ func (d *Die) MultiPlaneProgram(addrs []Addr, done func()) (sim.Time, error) {
 }
 
 // EraseBlock erases a whole block (tBERS) and increments its P/E count.
+// The block need not hold data: erasing an erased block still costs a cycle.
 func (d *Die) EraseBlock(planeIdx, blockIdx int, done func()) (sim.Time, error) {
 	if planeIdx < 0 || planeIdx >= d.geo.PlanesPerDie ||
 		blockIdx < 0 || blockIdx >= d.geo.BlocksPerPlane {
@@ -300,14 +333,11 @@ func (d *Die) EraseBlock(planeIdx, blockIdx int, done func()) (sim.Time, error) 
 	if !d.Ready() {
 		return 0, ErrBusy
 	}
-	blk := &d.planes[planeIdx].blocks[blockIdx]
-	wear := d.wearOf(planeIdx, blockIdx)
-	dur := d.jitter(d.tim.EraseTimeAt(wear))
-	for p := range blk.pages { // nil for never-touched blocks
-		blk.pages[p] = pageErased
-	}
-	blk.nextPage = 0
-	blk.peCycles++
+	h := d.touch(planeIdx, blockIdx)
+	dur := d.jitter(d.tim.EraseTimeAt(d.wear(h)))
+	clear(d.pages[h*d.words : (h+1)*d.words])
+	d.next[h] = 0
+	d.peDelta[h]++
 	d.Stats.Erases++
 	d.Stats.EraseTime += dur
 	d.begin(dur, done)
@@ -322,12 +352,7 @@ func (d *Die) Preload(a Addr) error {
 	if err := a.Check(d.geo); err != nil {
 		return ErrBadAddress
 	}
-	blk := &d.planes[a.Plane].blocks[a.Block]
-	blk.ensure(d.geo.PagesPerBlock)
-	blk.pages[a.Page] = pageProgrammed
-	if a.Page >= blk.nextPage {
-		blk.nextPage = a.Page + 1
-	}
+	d.markProgrammed(a.Plane, a.Block, a.Page)
 	return nil
 }
 
@@ -336,7 +361,7 @@ func (d *Die) PageProgrammed(a Addr) (bool, error) {
 	if err := a.Check(d.geo); err != nil {
 		return false, ErrBadAddress
 	}
-	return d.planes[a.Plane].blocks[a.Block].state(a.Page) == pageProgrammed, nil
+	return d.programmed(d.block(a.Plane, a.Block), a.Page), nil
 }
 
 // String summarises the die for diagnostics.

@@ -425,27 +425,83 @@ func TestPreloadAdvancesWriteFrontier(t *testing.T) {
 	}
 }
 
+// chunksIn counts the materialised chunks of every plane of d, checking
+// that the die's block arrays hold exactly those chunks.
+func chunksIn(t *testing.T, d *Die) int {
+	t.Helper()
+	n := 0
+	for p := range d.planes {
+		for _, c := range d.planes[p].chunks {
+			if c != 0 {
+				n++
+			}
+		}
+	}
+	if len(d.next) != n*chunkBlocks || len(d.peDelta) != n*chunkBlocks || len(d.pages) != n*chunkBlocks*d.words {
+		t.Fatalf("block arrays hold %d blocks for %d chunks", len(d.next), n)
+	}
+	return n
+}
+
 func TestLazyStateMemory(t *testing.T) {
-	// Building a die must not materialise page arrays for untouched blocks;
-	// touching one block materialises only that block.
+	// Building a die must not materialise any block state; touching one
+	// block materialises only the chunk that holds it, and reads or queries
+	// of untouched blocks allocate nothing.
 	k := sim.NewKernel()
-	d, err := NewDie(k, 0, DefaultGeometry(), ProfileExplore(), sim.NewRNG(1))
+	geo := DefaultGeometry()
+	d, err := NewDie(k, 0, geo, ProfileExplore(), sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.planes[0].blocks[100].pages != nil {
-		t.Fatal("untouched block materialised")
+	for p := range d.planes {
+		if d.planes[p].chunks != nil {
+			t.Fatalf("fresh die materialised plane %d's chunk table", p)
+		}
 	}
-	d.Program(Addr{0, 100, 0}, nil)
+	if _, err := d.Program(Addr{0, 100, 0}, nil); err != nil {
+		t.Fatal(err)
+	}
 	k.RunAll()
-	if d.planes[0].blocks[100].pages == nil {
-		t.Fatal("programmed block not materialised")
+	if n := chunksIn(t, d); n != 1 || d.planes[0].chunks[100/chunkBlocks] == 0 {
+		t.Fatalf("programming block 100 materialised %d chunks, want only its own", n)
 	}
-	if d.planes[0].blocks[101].pages != nil {
-		t.Fatal("neighbour block materialised")
+	if d.planes[1].chunks != nil {
+		t.Fatal("programming plane 0 materialised plane 1's chunk table")
 	}
-	// Reading an untouched block reports erased, not a crash.
-	if ok, _ := d.PageProgrammed(Addr{0, 500, 0}); ok {
-		t.Fatal("untouched block reads programmed")
+
+	last := geo.BlocksPerPlane - 1
+	untouched := []Addr{
+		{0, 101, 0},  // same chunk as block 100
+		{0, 500, 0},  // untouched chunk, materialised plane
+		{0, last, 0}, // last block of a materialised plane
+		{1, 100, 0},  // plane with no chunk table
+		{1, last, geo.PagesPerBlock - 1},
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, a := range untouched {
+			if ok, _ := d.PageProgrammed(a); ok {
+				t.Fatalf("untouched %+v reads programmed", a)
+			}
+			if _, err := d.Read(a, nil); err != ErrNotProgrammed {
+				t.Fatalf("read of untouched %+v: %v", a, err)
+			}
+			if pe := d.BlockPE(a.Plane, a.Block); pe != 0 {
+				t.Fatalf("untouched %+v has %d P/E cycles", a, pe)
+			}
+			if r := d.RBERAt(a.Plane, a.Block); r != d.Timing().RBER0 {
+				t.Fatalf("untouched %+v RBER %v", a, r)
+			}
+			// A rejected program looks its block up without touching it.
+			if _, err := d.Program(Addr{a.Plane, a.Block, 1}, nil); err != ErrOutOfOrder {
+				t.Fatalf("out-of-order program of untouched %+v: %v", a, err)
+			}
+		}
+		_ = d.AvgWear()
+	})
+	if allocs != 0 {
+		t.Fatalf("queries of untouched blocks allocated %.1f times per run", allocs)
+	}
+	if n := chunksIn(t, d); n != 1 {
+		t.Fatalf("queries materialised chunks: %d, want 1", n)
 	}
 }
