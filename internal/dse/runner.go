@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -133,7 +134,8 @@ const DefaultWarmupRequests = 512
 
 // Run evaluates every point and returns the evaluations in input order —
 // the same slice a sequential loop would produce, whatever the pool size.
-// Per-point failures are recorded in Eval.Err; Run itself returns an error
+// Per-point failures, including a panic in Evaluate on the worker
+// goroutine, are recorded in Eval.Err; Run itself returns an error
 // only for cancellation or to summarise how many points failed.
 func (r *Runner) Run(ctx context.Context, pts []Point) ([]Eval, error) {
 	if ctx == nil {
@@ -197,7 +199,13 @@ func (r *Runner) Run(ctx context.Context, pts []Point) ([]Eval, error) {
 			}
 			if !ev.Cached && r.PruneSaturated {
 				if probe, ok := r.pruneProbe(pts[i]); ok {
-					if res, err := evaluate(probe); err == nil && res.Saturated {
+					res, err := recoverEval(evaluate, probe)
+					var perr evalPanic
+					switch {
+					case errors.As(err, &perr):
+						// A faulty point: the full run would fault too.
+						ev.Err = err.Error()
+					case err == nil && res.Saturated:
 						// Divergence is already established: report the
 						// probe's verdict and skip the full simulation.
 						// Never cached — the probe is not the point.
@@ -206,8 +214,8 @@ func (r *Runner) Run(ctx context.Context, pts []Point) ([]Eval, error) {
 					}
 				}
 			}
-			if !ev.Cached && !ev.Pruned {
-				res, err := evaluate(pts[i])
+			if !ev.Cached && !ev.Pruned && !ev.Failed() {
+				res, err := recoverEval(evaluate, pts[i])
 				if err != nil {
 					ev.Err = err.Error()
 				} else {
@@ -286,6 +294,24 @@ feed:
 		return evals, fmt.Errorf("dse: %d of %d evaluations failed (first: %s)", failed, len(pts), first)
 	}
 	return evals, nil
+}
+
+// evalPanic is a panic recovered from one evaluation.
+type evalPanic struct{ v any }
+
+func (e evalPanic) Error() string { return fmt.Sprintf("panic: %v", e.v) }
+
+// recoverEval calls evaluate, turning a panic on the calling worker into an
+// evalPanic error: one faulty design point fails alone, in Eval.Err and the
+// journal, instead of killing the sweep. Panics on goroutines the
+// evaluation starts itself are not recovered here.
+func recoverEval(evaluate func(Point) (core.Result, error), pt Point) (res core.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = evalPanic{v}
+		}
+	}()
+	return evaluate(pt)
 }
 
 // pruneProbe derives the warm-up probe for a point: the same design with

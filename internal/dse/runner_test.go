@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/telemetry/metrics"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // smallSpace is a real-simulation space small enough for unit tests: eight
@@ -135,6 +139,93 @@ func TestRunnerRecordsPerPointErrors(t *testing.T) {
 	}
 	if !evals[1].Failed() || evals[0].Failed() || evals[2].Failed() {
 		t.Errorf("failure not attributed to the right point: %+v", evals)
+	}
+}
+
+// TestRunnerRecoversPanickingPoint pins that a panic in one evaluation on
+// the worker goroutine fails that point alone: it reads as Eval.Err, counts
+// as failed and lands in the journal, and the other points still succeed.
+// The probe variant panics in the saturation probe, which must not be
+// retried as a full run.
+func TestRunnerRecoversPanickingPoint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		prune bool
+	}{{"full", false}, {"probe", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts, err := Space{Channels: []int{1, 2, 4}}.Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const quota = 100
+			for i := range pts {
+				pts[i].Workload.Requests = 5000
+				pts[i].Workload.Arrival = workload.Arrival{Kind: workload.ArrivalPoisson, RateIOPS: 1000}
+			}
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			j, err := CreateJournal(path, NewManifest(Space{}, pts, "test", nil), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			var faultyCalls atomic.Int64
+			r := &Runner{
+				Workers:        2,
+				Metrics:        reg,
+				PruneSaturated: tc.prune,
+				WarmupRequests: quota,
+				Evaluate: func(pt Point) (core.Result, error) {
+					if pt.Config.Channels == 2 {
+						faultyCalls.Add(1)
+						var nilMap map[string]int
+						nilMap["boom"]++ // a real runtime fault, not a panic(string)
+					}
+					return core.Result{MBps: 1}, nil
+				},
+				OnProgress: func(done, total int, ev Eval) {
+					if err := j.Record(ev); err != nil {
+						t.Errorf("record: %v", err)
+					}
+				},
+			}
+			evals, err := r.Run(context.Background(), pts)
+			if err == nil || !strings.Contains(err.Error(), "1 of 3 evaluations failed") {
+				t.Fatalf("aggregate error %v, want one failed point", err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range evals {
+				if faulty := i == 1; faulty != ev.Failed() || (!faulty && ev.Result.MBps != 1) {
+					t.Errorf("eval %d (channels %d): %+v", i, ev.Point.Config.Channels, ev)
+				}
+			}
+			if !strings.HasPrefix(evals[1].Err, "panic: ") || !strings.Contains(evals[1].Err, "nil map") {
+				t.Errorf("panicking point's error %q", evals[1].Err)
+			}
+			if n := faultyCalls.Load(); n != 1 {
+				t.Errorf("panicking point evaluated %d times, want 1", n)
+			}
+			if got := reg.Snapshot()["ssdx_dse_evals_failed_total"]; got != 1 {
+				t.Errorf("failed counter %v, want 1", got)
+			}
+			_, entries, err := ReadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := 0
+			for _, e := range entries {
+				if e.Err != "" {
+					failed++
+					if e.Key != pts[1].Key() || e.Err != evals[1].Err {
+						t.Errorf("journal failure entry %+v, want point 1 with %q", e, evals[1].Err)
+					}
+				}
+			}
+			if len(entries) != 3 || failed != 1 {
+				t.Fatalf("journal holds %d entries with %d failures, want 3 with 1", len(entries), failed)
+			}
+		})
 	}
 }
 
