@@ -110,7 +110,7 @@ type Master struct {
 	bus   *Bus
 	layer *layer
 
-	pending []*xfer
+	pending sim.FIFO[*xfer]
 
 	Bytes  uint64
 	Grants uint64
@@ -210,7 +210,7 @@ func (m *Master) Transfer(bytes int64, chunk func(end sim.Time, n int64), done f
 	x.m = m
 	x.remaining = bytes
 	x.chunk, x.done = chunk, done
-	m.pending = append(m.pending, x)
+	m.pending.Push(x)
 	m.layer.kick()
 	return nil
 }
@@ -285,7 +285,7 @@ func (l *layer) kick() {
 	var chosen *Master
 	for i := 0; i < n; i++ {
 		cand := ms[(l.rrNext+i)%n]
-		if cand.layer == l && len(cand.pending) > 0 {
+		if cand.layer == l && cand.pending.Len() > 0 {
 			chosen = cand
 			l.rrNext = (cand.ID + 1) % n
 			break
@@ -294,7 +294,7 @@ func (l *layer) kick() {
 	if chosen == nil {
 		return
 	}
-	x := chosen.pending[0]
+	x := chosen.pending.Front()
 	nb := x.remaining
 	if nb > l.bus.cfg.MaxGrantBytes {
 		nb = l.bus.cfg.MaxGrantBytes
@@ -303,9 +303,7 @@ func (l *layer) kick() {
 	if x.remaining == 0 {
 		// Final chunk granted: the next grant serves the master's next
 		// transfer; this one completes via its in-flight fire event.
-		copy(chosen.pending, chosen.pending[1:])
-		chosen.pending[len(chosen.pending)-1] = nil
-		chosen.pending = chosen.pending[:len(chosen.pending)-1]
+		chosen.pending.Pop()
 	}
 
 	start := l.bus.clk.NextEdge(now)

@@ -104,7 +104,7 @@ type Buffer struct {
 	openRow     []int64 // per bank; -1 = closed
 	busyUntil   sim.Time
 	nextRefresh sim.Time
-	queue       []*req
+	queue       sim.FIFO[*req]
 	free        sim.FreeList[req] // recycled requests (hot-path allocation control)
 
 	Stats Stats
@@ -161,7 +161,7 @@ func (b *Buffer) Access(write bool, addr int64, bytes int64, done func(start, en
 	addr %= b.cfg.CapacityBytes
 	r := b.allocReq()
 	r.write, r.addr, r.bytes, r.done = write, addr, bytes, done
-	b.queue = append(b.queue, r)
+	b.queue.Push(r)
 	b.kick()
 	return nil
 }
@@ -185,17 +185,14 @@ func (b *Buffer) allocReq() *req {
 }
 
 func (b *Buffer) kick() {
-	if len(b.queue) == 0 {
+	if b.queue.Len() == 0 {
 		return
 	}
 	now := b.k.Now()
 	if b.busyUntil > now {
 		return // completion event will re-kick
 	}
-	r := b.queue[0]
-	copy(b.queue, b.queue[1:])
-	b.queue[len(b.queue)-1] = nil
-	b.queue = b.queue[:len(b.queue)-1]
+	r := b.queue.Pop()
 
 	start := b.clk.NextEdge(now)
 	end := b.serve(start, r)
@@ -284,7 +281,7 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 }
 
 // QueueLen reports waiting requests.
-func (b *Buffer) QueueLen() int { return len(b.queue) }
+func (b *Buffer) QueueLen() int { return b.queue.Len() }
 
 // Busy reports whether the device is serving a request now.
 func (b *Buffer) Busy() bool { return b.busyUntil > b.k.Now() }

@@ -66,8 +66,7 @@ type queueState struct {
 	depth int
 	st    *workload.Stream // the queue's workload stream (record flags, phases)
 
-	sq        []sqEntry
-	head      int // index of the SQ head (pop is O(1); slice resets when drained)
+	sq        sim.FIFO[sqEntry]
 	exhausted bool
 	stalled   bool // ingress paused at the depth bound; completion resumes it
 
@@ -108,26 +107,14 @@ type queueState struct {
 }
 
 // ready returns the number of commands waiting in the SQ.
-func (qs *queueState) ready() int { return len(qs.sq) - qs.head }
+func (qs *queueState) ready() int { return qs.sq.Len() }
 
 // push appends one entry to the SQ.
 func (qs *queueState) push(e sqEntry) {
-	qs.sq = append(qs.sq, e)
+	qs.sq.Push(e)
 	if n := qs.ready() + qs.outstanding; n > qs.inflightPeak {
 		qs.inflightPeak = n
 	}
-}
-
-// pop removes and returns the SQ head.
-func (qs *queueState) pop() sqEntry {
-	e := qs.sq[qs.head]
-	qs.sq[qs.head] = sqEntry{}
-	qs.head++
-	if qs.head == len(qs.sq) {
-		qs.sq = qs.sq[:0]
-		qs.head = 0
-	}
-	return e
 }
 
 // RunMulti starts the multi-queue trace player: every queue's stream is
@@ -247,7 +234,7 @@ func (i *Interface) dispatchGrant() {
 	if q < 0 || q >= len(i.qs) || i.qs[q].ready() == 0 {
 		panic(fmt.Sprintf("hostif: arbiter picked invalid queue %d from %v", q, i.readyBuf))
 	}
-	i.submit(q, i.qs[q].pop())
+	i.submit(q, i.qs[q].sq.Pop())
 	i.dispatch()
 }
 

@@ -1,9 +1,9 @@
 package sim
 
 // FreeList is the typed free list behind the platform's hot-path object
-// pools: fired events, server grants, DMA transfers, DRAM requests and
-// channel-controller die ops all recycle through one so steady-state
-// simulation paths stay allocation-free. The zero value is ready to use.
+// pools: fired events, DMA transfers, DRAM requests and channel-controller
+// die ops all recycle through one so steady-state simulation paths stay
+// allocation-free. The zero value is ready to use.
 type FreeList[T any] struct{ items []*T }
 
 // Take pops a recycled object, or returns nil when the list is empty — the

@@ -11,13 +11,13 @@ type Server struct {
 	name  string
 
 	busyUntil Time
-	queue     []*serverReq
-
-	// free pools served requests (with their pre-bound fire callbacks) for
-	// reuse, and kickFn is the shared completion callback — together they
-	// keep the steady-state acquire path allocation-free.
-	free   FreeList[serverReq]
-	kickFn func()
+	queue     FIFO[serverReq] // waiting requests
+	// granted holds the service windows whose start event has not fired
+	// yet. Start events fire in grant order, so one pre-bound fireFn pops
+	// them, and with kickFn (the shared completion callback) it keeps the
+	// acquire path allocation-free.
+	granted        FIFO[serverGrant]
+	fireFn, kickFn func()
 
 	// Stats
 	Served    uint64
@@ -31,22 +31,23 @@ type Server struct {
 	OnServe func(start, end Time)
 }
 
-// serverReq is one queued acquisition. start/end hold the granted service
-// window and fire is the request's pre-bound delivery callback, both filled
-// at grant time so a pooled request never needs a fresh closure.
+// serverReq is one waiting acquisition.
 type serverReq struct {
-	dur        Time
+	dur Time
+	fn  func(start, end Time)
+}
+
+// serverGrant is one granted acquisition with its service window.
+type serverGrant struct {
 	fn         func(start, end Time)
-	prio       int
 	start, end Time
-	fire       func()
 }
 
 // NewServer builds a server bound to kernel k. clock may be nil for an
 // unclocked (purely latency-based) resource.
 func NewServer(k *Kernel, clock *Clock, name string) *Server {
 	s := &Server{k: k, clock: clock, name: name}
-	s.kickFn = s.kick
+	s.fireFn, s.kickFn = s.fire, s.kick
 	return s
 }
 
@@ -55,36 +56,16 @@ func (s *Server) Name() string { return s.name }
 
 // Acquire requests exclusive use of the resource for dur. fn is invoked when
 // service *starts*, with the service window [start, end); the resource is
-// released automatically at end. FIFO order among equal priorities; lower
-// prio value is served first.
+// released automatically at end. Requests are served in arrival order.
 //
 //ssdx:hotpath
 func (s *Server) Acquire(dur Time, fn func(start, end Time)) {
-	s.AcquirePrio(0, dur, fn)
-}
-
-// AcquirePrio is Acquire with an explicit priority class.
-//
-//ssdx:hotpath
-func (s *Server) AcquirePrio(prio int, dur Time, fn func(start, end Time)) {
 	if dur < 0 {
 		dur = 0
 	}
-	req := s.allocReq()
-	req.dur, req.fn, req.prio = dur, fn, prio
-	// Insert keeping FIFO within priority class.
-	idx := len(s.queue)
-	for i, q := range s.queue {
-		if q.prio > prio {
-			idx = i
-			break
-		}
-	}
-	s.queue = append(s.queue, nil)
-	copy(s.queue[idx+1:], s.queue[idx:])
-	s.queue[idx] = req
-	if len(s.queue) > s.QueuePeak {
-		s.QueuePeak = len(s.queue)
+	s.queue.Push(serverReq{dur: dur, fn: fn})
+	if s.queue.Len() > s.QueuePeak {
+		s.QueuePeak = s.queue.Len()
 	}
 	s.kick()
 }
@@ -93,7 +74,7 @@ func (s *Server) AcquirePrio(prio int, dur Time, fn func(start, end Time)) {
 //
 //ssdx:hotpath
 func (s *Server) kick() {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		return
 	}
 	now := s.k.Now()
@@ -101,10 +82,7 @@ func (s *Server) kick() {
 		// Busy: completion event will re-kick.
 		return
 	}
-	req := s.queue[0]
-	copy(s.queue, s.queue[1:])
-	s.queue[len(s.queue)-1] = nil
-	s.queue = s.queue[:len(s.queue)-1]
+	req := s.queue.Pop()
 
 	start := now
 	if s.clock != nil {
@@ -117,31 +95,24 @@ func (s *Server) kick() {
 	if s.OnServe != nil {
 		s.OnServe(start, end)
 	}
-	req.start, req.end = start, end
-	s.k.At(start, req.fire)
+	s.granted.Push(serverGrant{fn: req.fn, start: start, end: end})
+	s.k.At(start, s.fireFn)
 	s.k.At(end, s.kickFn)
 }
 
-// allocReq takes a pooled request (or builds one with its fire callback).
-func (s *Server) allocReq() *serverReq {
-	if req := s.free.Take(); req != nil {
-		return req
-	}
-	req := &serverReq{}
-	req.fire = func() {
-		fn, start, end := req.fn, req.start, req.end
-		req.fn = nil
-		s.free.Give(req)
-		fn(start, end)
-	}
-	return req
+// fire delivers the oldest granted request's service window.
+//
+//ssdx:hotpath
+func (s *Server) fire() {
+	g := s.granted.Pop()
+	g.fn(g.start, g.end)
 }
 
 // Busy reports whether the server is occupied at the current time.
 func (s *Server) Busy() bool { return s.busyUntil > s.k.Now() }
 
 // QueueLen reports the number of waiting requests (not counting in-service).
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return s.queue.Len() }
 
 // Utilization returns busy-time divided by total elapsed time at `now`.
 func (s *Server) Utilization(now Time) float64 {
@@ -159,7 +130,7 @@ type TokenGate struct {
 	k       *Kernel
 	cap     int
 	held    int
-	waiters []gateWaiter
+	waiters FIFO[gateWaiter]
 
 	Acquired uint64
 	WaitPeak int
@@ -203,9 +174,9 @@ func (g *TokenGate) AcquireWhenFree(fn func()) {
 		g.k.Schedule(0, fn)
 		return
 	}
-	g.waiters = append(g.waiters, gateWaiter{since: g.k.Now(), fn: fn})
-	if len(g.waiters) > g.WaitPeak {
-		g.WaitPeak = len(g.waiters)
+	g.waiters.Push(gateWaiter{since: g.k.Now(), fn: fn})
+	if g.waiters.Len() > g.WaitPeak {
+		g.WaitPeak = g.waiters.Len()
 	}
 }
 
@@ -216,11 +187,8 @@ func (g *TokenGate) Release() {
 	if g.held <= 0 {
 		panic("sim: TokenGate release without acquire")
 	}
-	if len(g.waiters) > 0 {
-		w := g.waiters[0]
-		copy(g.waiters, g.waiters[1:])
-		g.waiters[len(g.waiters)-1] = gateWaiter{}
-		g.waiters = g.waiters[:len(g.waiters)-1]
+	if g.waiters.Len() > 0 {
+		w := g.waiters.Pop()
 		g.Acquired++
 		g.WaitTime += g.k.Now() - w.since
 		g.k.Schedule(0, w.fn)
@@ -236,4 +204,4 @@ func (g *TokenGate) Held() int { return g.held }
 func (g *TokenGate) Capacity() int { return g.cap }
 
 // Waiting reports queued waiters.
-func (g *TokenGate) Waiting() int { return len(g.waiters) }
+func (g *TokenGate) Waiting() int { return g.waiters.Len() }
