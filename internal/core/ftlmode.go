@@ -61,104 +61,48 @@ func (f *mapperFTL) place(pp ftl.PPN) (gdie int, a nand.Addr) {
 	return gdie, a
 }
 
-// lpnOf maps a request LBA to a logical page, wrapping at the exposed space.
-func (f *mapperFTL) lpnOf(lba int64, pageBytes int) int64 {
-	lpn := lba * trace.SectorSize / int64(pageBytes)
-	return lpn % f.logical
-}
-
-// mapperWrite runs the real FTL for one user page and executes the emitted
-// physical operations in order. sp, when non-nil, is the host command's
-// span, threaded through the user program's batch so FTL-mode writes get the
-// same stage split as the WAF abstraction's. done fires when the user
-// program completes.
-func (p *Platform) mapperWrite(lba int64, pageOffset int, sp *telemetry.Span, done func()) {
-	f := p.mapper
-	lpn := f.lpnOf(lba, p.pageBytes) + int64(pageOffset)
+// lpnOf maps page pageOffset of a request at lba to a logical page,
+// wrapping at the exposed space.
+func (f *mapperFTL) lpnOf(lba int64, pageBytes, pageOffset int) int64 {
+	lpn := lba*trace.SectorSize/int64(pageBytes)%f.logical + int64(pageOffset)
 	if lpn >= f.logical {
 		lpn -= f.logical
 	}
-	ops, err := f.m.Write(lpn)
+	return lpn
+}
+
+// mapperWrite runs the real FTL for one user page and executes the emitted
+// physical operations in order: erases, GC relocations (programs whose prep
+// stage reads the source page) and the user program. sp, when non-nil, is
+// the host command's span, threaded through the user program's batch so
+// FTL-mode writes get the same stage split as the WAF abstraction's. done
+// fires when the user program completes.
+func (p *Platform) mapperWrite(lba int64, pageOffset int, sp *telemetry.Span, done func()) {
+	f := p.mapper
+	ops, err := f.m.Write(f.lpnOf(lba, p.pageBytes, pageOffset))
 	if err != nil {
 		panic(fmt.Sprintf("core: mapper write failed: %v", err))
 	}
 	p.stats.userPages++
 	for _, op := range ops {
+		gdie, a := f.place(op.Target)
 		switch op.Kind {
 		case ftl.OpErase:
-			gdie, a := f.place(op.Target)
-			ch, die := p.chanDie(gdie)
-			p.stats.eraseOps++
-			p.toShard(ch, func() {
-				if err := p.Channels[ch].Erase(die, a.Plane, a.Block, nil); err != nil {
-					panic(err)
-				}
-			})
+			p.erase(gdie, a)
 		case ftl.OpCopy:
-			p.mapperCopy(op)
+			// The whole single-page batch is a relocation: its busy time
+			// lands in the gc_read/gc_program op kinds of the timeline.
+			p.stats.gcCopies++
+			srcDie, srcAddr := f.place(op.Source)
+			p.program(gdie, []nand.Addr{a}, nil, 1, &flashPage{srcDie, srcAddr}, nil)
 		case ftl.OpProgram:
-			gdie, a := f.place(op.Target)
-			p.mapperProgram(gdie, a, sp, done)
-		}
-	}
-}
-
-// mapperProgram issues one page program in allocation order: encode on the
-// channel's ECC pool, program on the channel, completion back on the hub.
-func (p *Platform) mapperProgram(gdie int, a nand.Addr, sp *telemetry.Span, done func()) {
-	ch, die := p.chanDie(gdie)
-	p.stats.flashWrites++
-	var spans []*telemetry.Span
-	if sp != nil {
-		spans = []*telemetry.Span{sp}
-	}
-	prep := func(ready func()) { p.eccEncode(ch, 1, ready) }
-	fin := p.hubFn(ch, func() {
-		p.lastWritten[gdie] = a
-		p.hasWritten[gdie] = true
-		if done != nil {
-			done()
-		}
-	})
-	p.toShard(ch, func() {
-		if err := p.Channels[ch].WriteMultiPrep(die, []nand.Addr{a}, p.pageBytes, spans, prep, fin); err != nil {
-			panic(fmt.Sprintf("core: mapper program failed: %v", err))
-		}
-	})
-}
-
-// mapperCopy executes a GC relocation: the program is enqueued immediately
-// on the destination channel (preserving allocation order on the die); its
-// prep stage hops to the source channel for the read of the source page
-// plus decode and re-encode on that channel's ECC pool, then hops back with
-// ready. The data dependency costs real time without reordering programs;
-// when source and destination share a channel the hops are direct calls.
-// The whole single-page batch is a relocation: its busy time lands in the
-// gc_read/gc_program op kinds of the utilization timeline.
-func (p *Platform) mapperCopy(op ftl.Op) {
-	f := p.mapper
-	srcDie, srcAddr := f.place(op.Source)
-	dstDie, dstAddr := f.place(op.Target)
-	srcCh, srcD := p.chanDie(srcDie)
-	dstCh, dstD := p.chanDie(dstDie)
-	p.stats.gcCopies++
-	p.stats.flashReads++
-	p.stats.flashWrites++
-	prep := func(ready func()) {
-		fin := p.crossFn(srcCh, dstCh, ready)
-		p.cross(dstCh, srcCh, func() {
-			if err := p.Channels[srcCh].ReadGC(srcD, srcAddr, p.pageBytes, func() {
-				p.eccDecode(srcCh, 1, func() { p.eccEncode(srcCh, 1, fin) })
-			}); err != nil {
-				panic(fmt.Sprintf("core: gc source read failed: %v", err))
+			var spans []*telemetry.Span
+			if sp != nil {
+				spans = []*telemetry.Span{sp}
 			}
-		})
-	}
-	p.toShard(dstCh, func() {
-		if err := p.Channels[dstCh].WriteMultiPrepGC(dstD, []nand.Addr{dstAddr}, p.pageBytes, nil, 1, prep, nil); err != nil {
-			panic(fmt.Sprintf("core: gc program failed: %v", err))
+			p.program(gdie, []nand.Addr{a}, spans, 0, nil, done)
 		}
-	})
+	}
 }
 
 // mapperRead resolves a logical page through the real map; ok=false means
@@ -166,11 +110,7 @@ func (p *Platform) mapperCopy(op ftl.Op) {
 // region so pure-read benchmarks still work).
 func (p *Platform) mapperRead(lba int64, pageOffset int) (gdie int, a nand.Addr, ok bool) {
 	f := p.mapper
-	lpn := f.lpnOf(lba, p.pageBytes) + int64(pageOffset)
-	if lpn >= f.logical {
-		lpn -= f.logical
-	}
-	pp, ok := f.m.Read(lpn)
+	pp, ok := f.m.Read(f.lpnOf(lba, p.pageBytes, pageOffset))
 	if !ok {
 		return 0, nand.Addr{}, false
 	}
@@ -181,13 +121,7 @@ func (p *Platform) mapperRead(lba int64, pageOffset int) (gdie int, a nand.Addr,
 // mapperTrim unmaps the pages of a trim command.
 func (p *Platform) mapperTrim(req trace.Request) {
 	f := p.mapper
-	pages := p.pagesOf(req.Bytes)
-	base := f.lpnOf(req.LBA, p.pageBytes)
-	for i := 0; i < pages; i++ {
-		lpn := base + int64(i)
-		if lpn >= f.logical {
-			lpn -= f.logical
-		}
-		_ = f.m.Trim(lpn)
+	for i := 0; i < p.pagesOf(req.Bytes); i++ {
+		_ = f.m.Trim(f.lpnOf(req.LBA, p.pageBytes, i))
 	}
 }

@@ -24,7 +24,9 @@ import (
 //
 // The one-path rule: data-path code is written once. Every hub↔channel hop
 // goes through cross/toShard/hubFn and every ECC charge through eccFor; no
-// data-path code outside this file branches on p.ds. The sharded core has not
+// data-path code outside this file branches on p.ds. Flash ops leave the hub
+// only through the dispatch helpers erase, program and readPage (platform.go),
+// which both FTL modes share. The sharded core has not
 // earned a second copy of any operation: measured with ssdxbench on a
 // 2-CPU host it runs 0.53–0.78× as fast at 2 workers as at 1 on every
 // workload, so it has no crossover on current configurations.

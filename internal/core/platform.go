@@ -346,6 +346,97 @@ func (p *Platform) eccDecode(ch, pages int, done func()) {
 	p.eccFor(ch).run(lat, done)
 }
 
+// The flash dispatch helpers: erase, program and readPage are the only
+// hub code that hands work to a ctrl.Channel, one per op kind, and both the
+// WAF abstraction and the mapper FTL issue their flash traffic through
+// them. Each owns four things: the hop from the hub to the die's channel
+// (and back for a completion), the op's runStats counter, the ECC stage
+// that goes with the op and the panic on a dispatch error.
+
+// erase erases block (a.Plane, a.Block) of global die gdie.
+func (p *Platform) erase(gdie int, a nand.Addr) {
+	ch, die := p.chanDie(gdie)
+	p.stats.eraseOps++
+	p.toShard(ch, func() {
+		if err := p.Channels[ch].Erase(die, a.Plane, a.Block, nil); err != nil {
+			panic(fmt.Sprintf("core: erase dispatch failed: %v", err))
+		}
+	})
+}
+
+// flashPage names one physical page: a global die and an address on it.
+type flashPage struct {
+	gdie int
+	addr nand.Addr
+}
+
+// program enqueues addrs, a multi-plane batch in allocation order, on global
+// die gdie's channel; spans and gcPages go to ctrl.Channel.Program. The
+// batch's prep stage is the ECC encode on the channel's pool. A relocation
+// names its source page in src: its prep stage instead hops to the source
+// channel, reads the page there, decodes and re-encodes it on that
+// channel's pool and hops back. The program is enqueued at once either
+// way, so the data dependency costs real time without reordering programs
+// on the die; within one channel the hops are direct calls. done, if
+// non-nil, runs on the hub when the program completes.
+func (p *Platform) program(gdie int, addrs []nand.Addr, spans []*telemetry.Span, gcPages int, src *flashPage, done func()) {
+	ch, die := p.chanDie(gdie)
+	p.stats.flashWrites += uint64(len(addrs))
+	if src != nil {
+		p.stats.flashReads++
+	}
+	prep := p.prepFor(ch, len(addrs), src)
+	fin := p.hubFn(ch, done)
+	p.toShard(ch, func() {
+		if err := p.Channels[ch].Program(die, addrs, p.pageBytes, spans, gcPages, prep, fin); err != nil {
+			panic(fmt.Sprintf("core: program dispatch failed: %v", err))
+		}
+	})
+}
+
+// prepFor returns the prep stage of an n-page program batch on channel ch,
+// as program describes it.
+func (p *Platform) prepFor(ch, n int, src *flashPage) func(ready func()) {
+	if src == nil {
+		return func(ready func()) { p.eccEncode(ch, n, ready) }
+	}
+	srcCh, srcDie := p.chanDie(src.gdie)
+	srcAddr := src.addr // captured by value, so src stays on the caller's stack
+	return func(ready func()) {
+		fin := p.crossFn(srcCh, ch, ready)
+		p.cross(ch, srcCh, func() {
+			p.sense(srcCh, srcDie, srcAddr, nil, true, func() { p.eccEncode(srcCh, n, fin) })
+		})
+	}
+}
+
+// readPage reads one flash page of global die gdie and decodes it, then
+// continues with done on the hub. The array read and its decode run on the
+// die's channel, and a host read's first-touch preload rides the same hop,
+// so die state is only ever inspected by its owning domain. sp, when
+// non-nil, receives the read's stage attribution; lba names the request in
+// a preload failure. gc marks a GC relocation source read, which never
+// preloads.
+func (p *Platform) readPage(gdie int, addr nand.Addr, lba int64, sp *telemetry.Span, gc bool, done func()) {
+	ch, die := p.chanDie(gdie)
+	p.stats.flashReads++
+	fin := p.hubFn(ch, done)
+	p.toShard(ch, func() {
+		if !gc {
+			p.lazyPreloadPage(ch, die, addr, lba)
+		}
+		p.sense(ch, die, addr, sp, gc, fin)
+	})
+}
+
+// sense reads one page of channel ch and decodes it on ch's ECC pool, then
+// continues with done. It runs on ch's domain.
+func (p *Platform) sense(ch, die int, addr nand.Addr, sp *telemetry.Span, gc bool, done func()) {
+	if err := p.Channels[ch].Read(die, addr, p.pageBytes, sp, gc, func() { p.eccDecode(ch, 1, done) }); err != nil {
+		panic(fmt.Sprintf("core: read dispatch failed: %v", err))
+	}
+}
+
 // readAddr maps a logical page index to a deterministic physical location in
 // the preloaded read region (the top half of each plane's block range, so
 // the write frontier growing from block 0 does not collide with it).
@@ -409,14 +500,11 @@ func (p *Platform) flashWrite(sp *telemetry.Span, done func()) {
 	}
 }
 
-// issueWrite allocates physical pages on the hub and enqueues the program on
-// the die's channel in allocation order, so per-die program order always
-// equals allocation order. The ECC encode runs as the controller's prep
-// stage on the channel's pool; the completion hops back to the hub. The
-// captured slices are safe to defer: Batch returns fresh slices and
-// issueBatch hands over the die's pending list.
+// issueWrite allocates physical pages on the hub and issues the programs in
+// allocation order, so per-die program order always equals allocation
+// order. The captured slices are safe to defer: Batch returns fresh slices
+// and issueBatch hands over the die's pending list.
 func (p *Platform) issueWrite(gdie int, pages []writePage) {
-	ch, die := p.chanDie(gdie)
 	addrs, erases := p.alloc.Batch(gdie, len(pages))
 	for len(addrs) < len(pages) {
 		extra, more := p.alloc.Batch(gdie, len(pages)-len(addrs))
@@ -424,14 +512,8 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 		erases = append(erases, more...)
 	}
 	for _, e := range erases {
-		p.stats.eraseOps++
-		p.toShard(ch, func() {
-			if err := p.Channels[ch].Erase(die, e.Plane, e.Block, nil); err != nil {
-				panic(fmt.Sprintf("core: erase dispatch failed: %v", err))
-			}
-		})
+		p.erase(gdie, e)
 	}
-	p.stats.flashWrites += uint64(len(addrs))
 	// Issue plane-group sub-batches in allocation order.
 	now := p.K.Now()
 	start := 0
@@ -463,20 +545,13 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 		if !haveSpan {
 			spans = nil
 		}
-		n := len(batch)
-		prep := func(ready func()) { p.eccEncode(ch, n, ready) }
-		done := p.hubFn(ch, func() {
-			p.lastWritten[gdie] = batch[n-1]
+		p.program(gdie, batch, spans, gcPages, nil, func() {
+			p.lastWritten[gdie] = batch[len(batch)-1]
 			p.hasWritten[gdie] = true
 			for _, pg := range batchPages {
 				if pg.done != nil {
 					pg.done()
 				}
-			}
-		})
-		p.toShard(ch, func() {
-			if err := p.Channels[ch].WriteMultiPrepGC(die, batch, p.pageBytes, spans, gcPages, prep, done); err != nil {
-				panic(fmt.Sprintf("core: write dispatch failed: %v", err))
 			}
 		})
 		start = end
@@ -493,10 +568,10 @@ func (p *Platform) issueBatch(gdie int) {
 	p.issueWrite(gdie, pages)
 }
 
-// gcCopy models one greedy-GC page relocation: read a programmed page,
-// decode, re-encode (as the program's prep stage), program a fresh page.
-// The traffic rides the same channels, buses and ECC engines as user
-// traffic, which is exactly how the WAF abstraction injects FTL cost
+// gcCopy models one greedy-GC page relocation: read a programmed page and
+// decode it, then re-encode (as the program's prep stage) and program a
+// fresh page. The traffic rides the same channels, buses and ECC engines as
+// user traffic, which is exactly how the WAF abstraction injects FTL cost
 // without an FTL implementation. The read and its decode run on the source
 // channel; the relocated page rejoins the hub's per-die batch.
 func (p *Platform) gcCopy() {
@@ -504,24 +579,14 @@ func (p *Platform) gcCopy() {
 	if !p.hasWritten[gdie] {
 		return // nothing to relocate yet on this die
 	}
-	src := p.lastWritten[gdie]
-	ch, die := p.chanDie(gdie)
 	p.stats.gcCopies++
-	p.stats.flashReads++
-	done := p.hubFn(ch, func() {
+	p.readPage(gdie, p.lastWritten[gdie], 0, nil, true, func() {
 		// GC programs join the same per-die multi-plane batches as user
 		// pages (real collectors relocate pages in bulk); they carry no
 		// span — no host command is waiting on them.
 		p.pending[gdie] = append(p.pending[gdie], writePage{gc: true})
 		if len(p.pending[gdie]) >= p.planeBatch {
 			p.issueBatch(gdie)
-		}
-	})
-	p.toShard(ch, func() {
-		if err := p.Channels[ch].ReadGC(die, src, p.pageBytes, func() {
-			p.eccDecode(ch, 1, done)
-		}); err != nil {
-			panic(fmt.Sprintf("core: gc read dispatch failed: %v", err))
 		}
 	})
 }

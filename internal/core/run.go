@@ -560,7 +560,7 @@ func (p *Platform) handleRead(cmd *hostif.Command, mode Mode) {
 			if !mapped {
 				gdie, addr = p.readAddr(basePage + int64(i))
 			}
-			p.readPage(gdie, addr, req.LBA, &cmd.Span, func() {
+			p.readPage(gdie, addr, req.LBA, &cmd.Span, false, func() {
 				cmd.Span.Advance(telemetry.StageECC, p.K.Now())
 				if err := p.hostDMA.Transfer(int64(p.pageBytes), nil, func(_, _ sim.Time) {
 					cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
@@ -579,25 +579,6 @@ func (p *Platform) handleRead(cmd *hostif.Command, mode Mode) {
 		return
 	}
 	p.cpuCost(req, pages, afterCPU)
-}
-
-// readPage reads one flash page and decodes it, then continues with done on
-// the hub. The array read and its decode run on the die's channel; the
-// first-touch preload rides the same hop so die state is only ever inspected
-// by its owning domain. sp, when non-nil, receives the read's stage
-// attribution; lba names the request in a preload failure.
-func (p *Platform) readPage(gdie int, addr nand.Addr, lba int64, sp *telemetry.Span, done func()) {
-	ch, die := p.chanDie(gdie)
-	p.stats.flashReads++
-	done = p.hubFn(ch, done)
-	p.toShard(ch, func() {
-		p.lazyPreloadPage(ch, die, addr, lba)
-		if err := p.Channels[ch].ReadTraced(die, addr, p.pageBytes, sp, func() {
-			p.eccDecode(ch, 1, done)
-		}); err != nil {
-			panic(fmt.Sprintf("core: read dispatch failed: %v", err))
-		}
-	})
 }
 
 // lazyPreloadPage marks a replayed read's target page as pre-existing data
@@ -649,7 +630,7 @@ func (p *Platform) runDrain(w workload.Spec) (Result, error) {
 			} else {
 				page := int64(issued - 1)
 				gdie, addr := p.readAddr(page)
-				p.readPage(gdie, addr, page*int64(p.pageBytes)/trace.SectorSize, nil, onDone)
+				p.readPage(gdie, addr, page*int64(p.pageBytes)/trace.SectorSize, nil, false, onDone)
 			}
 		}
 		if issued == totalPages {

@@ -8,6 +8,12 @@
 // et al. [15]: shared-bus (one data bus serialises all transfers on the
 // channel) and shared-control (per-way data paths, shared command/address
 // issue).
+//
+// A Channel takes one call per flash op kind: Program (a multi-plane page
+// batch with optional prep stage, per-page spans and GC share), Read (one
+// page, with an optional span and a GC flag) and Erase. Each call queues a
+// die command on the die's sim.FIFO, and the die issues its queue strictly
+// in order.
 package ctrl
 
 import (
@@ -87,8 +93,8 @@ type Channel struct {
 	k   *sim.Kernel
 
 	dies    []*nand.Die
-	dieQ    []opQueue // per-die FIFO command queue (the command translator)
-	dieBusy []bool    // die interface occupied (RB# low or data cycles active)
+	dieQ    []sim.FIFO[*dieOp] // per-die command queue (the command translator)
+	dieBusy []bool             // die interface occupied (RB# low or data cycles active)
 
 	// opPool recycles dieOps (with their owned address/span slices and
 	// pre-bound callbacks), keeping the steady-state program path
@@ -165,7 +171,7 @@ func New(k *sim.Kernel, id int, cfg Config, geo nand.Geometry, tim nand.Timing,
 		}
 		ch.dies = append(ch.dies, die)
 	}
-	ch.dieQ = make([]opQueue, cfg.Dies())
+	ch.dieQ = make([]sim.FIFO[*dieOp], cfg.Dies())
 	ch.dieBusy = make([]bool, cfg.Dies())
 	ch.cmdBus = sim.NewServer(k, nil, fmt.Sprintf("ch%d-onfi", id))
 	if cfg.Gang == SharedControl {
@@ -257,15 +263,6 @@ func (ch *Channel) checkDie(die int) error {
 		return fmt.Errorf("ctrl: die %d out of range (channel has %d)", die, len(ch.dies))
 	}
 	return nil
-}
-
-// Write moves pageBytes from the DRAM buffer through the controller into
-// die/addr and programs it. done fires when the die completes the program.
-// The stages pipeline across dies: PP-DMA fetch (AHB + DRAM), ONFI data-in,
-// array program.
-func (ch *Channel) Write(die int, addr nand.Addr, pageBytes int, done func()) error {
-	a := [1]nand.Addr{addr}
-	return ch.WriteMulti(die, a[:], pageBytes, done)
 }
 
 // dieOpKind labels per-die queued operations.
@@ -448,42 +445,6 @@ func (ch *Channel) putOp(op *dieOp) {
 	ch.opPool.Give(op)
 }
 
-// opQueue is a head-indexed FIFO of die commands: pop is O(1) and the slice
-// rewinds when drained, so a steady-state queue never reallocates.
-type opQueue struct {
-	q    []*dieOp
-	head int
-}
-
-// len reports queued ops.
-//
-//ssdx:hotpath
-func (oq *opQueue) len() int { return len(oq.q) - oq.head }
-
-// push appends an op in command order.
-//
-//ssdx:hotpath
-func (oq *opQueue) push(op *dieOp) { oq.q = append(oq.q, op) }
-
-// peek returns the head without removing it.
-//
-//ssdx:hotpath
-func (oq *opQueue) peek() *dieOp { return oq.q[oq.head] }
-
-// pop removes and returns the head.
-//
-//ssdx:hotpath
-func (oq *opQueue) pop() *dieOp {
-	op := oq.q[oq.head]
-	oq.q[oq.head] = nil
-	oq.head++
-	if oq.head == len(oq.q) {
-		oq.q = oq.q[:0]
-		oq.head = 0
-	}
-	return op
-}
-
 // writeReady reports whether a write op can issue to the die.
 func (op *dieOp) writeReady() bool { return op.fetched && op.prepped }
 
@@ -491,9 +452,9 @@ func (op *dieOp) writeReady() bool { return op.fetched && op.prepped }
 //
 //ssdx:hotpath
 func (ch *Channel) enqueue(die int, op *dieOp) {
-	ch.dieQ[die].push(op)
+	ch.dieQ[die].Push(op)
 	if ch.tr != nil {
-		ch.tr.Depth(ch.dieRes[die], ch.dieQ[die].len(), ch.k.Now())
+		ch.tr.Depth(ch.dieRes[die], ch.dieQ[die].Len(), ch.k.Now())
 	}
 	ch.pump(die)
 }
@@ -503,19 +464,19 @@ func (ch *Channel) enqueue(die int, op *dieOp) {
 //
 //ssdx:hotpath
 func (ch *Channel) pump(die int) {
-	if ch.dieBusy[die] || ch.dieQ[die].len() == 0 {
+	if ch.dieBusy[die] || ch.dieQ[die].Len() == 0 {
 		return
 	}
-	op := ch.dieQ[die].peek()
+	op := ch.dieQ[die].Front()
 	if op.kind == opWrite && !op.writeReady() {
 		return // prefetch/prep completion will re-pump
 	}
 	if op.kind == opRead && !op.slotReady {
 		return // SRAM slot grant will re-pump
 	}
-	ch.dieQ[die].pop()
+	ch.dieQ[die].Pop()
 	if ch.tr != nil {
-		ch.tr.Depth(ch.dieRes[die], ch.dieQ[die].len(), ch.k.Now())
+		ch.tr.Depth(ch.dieRes[die], ch.dieQ[die].Len(), ch.k.Now())
 	}
 	ch.dieBusy[die] = true
 	switch op.kind {
@@ -621,43 +582,34 @@ func (ch *Channel) startErase(die int, op *dieOp) {
 	})
 }
 
-// WriteMulti programs several pages of one die as a multi-plane operation
-// (all addresses must target distinct planes at the same block/page offset;
-// a single address degenerates to a plain program). pageBytes is the size of
-// each page. done fires when the array operation completes. Data prefetch
-// (DRAM read + AHB DMA into the SRAM cache) begins immediately and overlaps
-// earlier operations of the same die; the program itself issues in strict
-// command order.
-func (ch *Channel) WriteMulti(die int, addrs []nand.Addr, pageBytes int, done func()) error {
-	return ch.WriteMultiPrep(die, addrs, pageBytes, nil, nil, done)
-}
-
-// WriteMultiPrep is WriteMulti with per-page stage attribution and an
-// additional preparation stage (for example an ECC encode on a shared
-// engine): prep is started at enqueue time and runs concurrently with the
-// data prefetch; the program issues — in strict command order — once both
-// complete. Callers that need allocation order to equal program order
-// enqueue synchronously and push their variable-latency stages into prep.
+// Program moves a batch of pages from the DRAM buffer through the
+// controller into one die and programs them as a multi-plane operation (all
+// addresses must target distinct planes at the same block/page offset; a
+// single address is a plain program). pageBytes is the size of each page.
+// done, if non-nil, fires when the array operation completes.
 //
-// spans carries one Span per page of the batch (nil entries, or a nil list,
-// skip attribution). A multi-plane batch may mix pages of several host
-// commands; each page keeps its own span, so the controller can split the
-// write interval per command: prep time goes to the ECC stage (prep is the
-// write path's encode), die-queue wait to the channel stage, the granted
-// ONFI window to the bus stage, and tPROG to the NAND stage. addrs and
-// spans are copied at call time — the caller may reuse its backing arrays.
-func (ch *Channel) WriteMultiPrep(die int, addrs []nand.Addr, pageBytes int, spans []*telemetry.Span, prep func(ready func()), done func()) error {
-	return ch.WriteMultiPrepGC(die, addrs, pageBytes, spans, 0, prep, done)
-}
-
-// WriteMultiPrepGC is WriteMultiPrep with an explicit count of GC relocation
-// pages riding the batch: the utilization timeline splits the program
-// interval so gcPages' share is attributed to the gc_program op kind instead
-// of user program time (relocations are typically spanless, so this is the
-// only place their array time becomes visible).
+// Data prefetch (SRAM slot, DRAM read, AHB DMA into the SRAM cache) begins
+// at once and overlaps earlier operations of the same die, so the stages
+// (PP-DMA fetch, ONFI data-in, array program) pipeline across dies. prep, if
+// non-nil, is an extra preparation stage (for example an ECC encode on a
+// shared engine) started at enqueue time, concurrent with the prefetch. The
+// program itself issues in strict command order once both complete, so
+// callers that need allocation order to equal program order enqueue
+// synchronously and push their variable-latency stages into prep.
+//
+// spans carries one Span per page (nil entries, or a nil list, skip
+// attribution). A batch may mix pages of several host commands; each page
+// keeps its own span, so the controller splits the write interval per
+// command: prep time goes to the ECC stage, die-queue wait to the channel
+// stage, the granted ONFI window to the bus stage and tPROG to the NAND
+// stage. gcPages counts the GC relocation pages riding the batch: the
+// utilization timeline attributes their share of the program interval to
+// the gc_program op kind (relocations are typically spanless, so this is
+// the only place their array time becomes visible). addrs and spans are
+// copied at call time; the caller may reuse their backing arrays.
 //
 //ssdx:hotpath
-func (ch *Channel) WriteMultiPrepGC(die int, addrs []nand.Addr, pageBytes int, spans []*telemetry.Span, gcPages int, prep func(ready func()), done func()) error {
+func (ch *Channel) Program(die int, addrs []nand.Addr, pageBytes int, spans []*telemetry.Span, gcPages int, prep func(ready func()), done func()) error {
 	if err := ch.checkProgram(die, addrs, pageBytes, spans, gcPages); err != nil {
 		return err
 	}
@@ -683,7 +635,7 @@ func (ch *Channel) WriteMultiPrepGC(die int, addrs []nand.Addr, pageBytes int, s
 }
 
 // checkProgram validates a multi-page program request. Split out of
-// WriteMultiPrepGC so the error formatting stays off the annotated hot path.
+// Program so the error formatting stays off the annotated hot path.
 func (ch *Channel) checkProgram(die int, addrs []nand.Addr, pageBytes int, spans []*telemetry.Span, gcPages int) error {
 	if err := ch.checkDie(die); err != nil {
 		return err
@@ -703,30 +655,15 @@ func (ch *Channel) checkProgram(die int, addrs []nand.Addr, pageBytes int, spans
 	return nil
 }
 
-// Read senses die/addr and moves the page back into the DRAM buffer. done
-// fires when the data lands in DRAM.
-func (ch *Channel) Read(die int, addr nand.Addr, pageBytes int, done func()) error {
-	return ch.ReadTraced(die, addr, pageBytes, nil, done)
-}
-
-// ReadTraced is Read with per-stage latency attribution onto sp (nil skips
-// attribution). The controller knows the stage boundaries the caller cannot
-// see: die-queue wait and ONFI command/address cycles go to the channel
-// stage, the array sense to the NAND stage, data-out cycles to the bus
-// stage, and the PP-DMA push into the buffer to the DRAM stage.
-func (ch *Channel) ReadTraced(die int, addr nand.Addr, pageBytes int, sp *telemetry.Span, done func()) error {
-	return ch.readOp(die, addr, pageBytes, sp, false, done)
-}
-
-// ReadGC is Read for a garbage-collection relocation source page: timing is
-// identical, but the utilization timeline attributes the array sense to the
-// gc_read op kind.
-func (ch *Channel) ReadGC(die int, addr nand.Addr, pageBytes int, done func()) error {
-	return ch.readOp(die, addr, pageBytes, nil, true, done)
-}
-
-// readOp queues a page read with its attribution targets.
-func (ch *Channel) readOp(die int, addr nand.Addr, pageBytes int, sp *telemetry.Span, gc bool, done func()) error {
+// Read senses die/addr and moves the page back into the DRAM buffer. done,
+// if non-nil, fires when the data lands in DRAM. sp, if non-nil, receives
+// the read's stage attribution: die-queue wait and ONFI command/address
+// cycles go to the channel stage, the array sense to the NAND stage,
+// data-out cycles to the bus stage and the PP-DMA push into the buffer to
+// the DRAM stage. gc marks a garbage-collection relocation source: timing
+// is identical, but the utilization timeline attributes the array sense to
+// the gc_read op kind.
+func (ch *Channel) Read(die int, addr nand.Addr, pageBytes int, sp *telemetry.Span, gc bool, done func()) error {
 	if err := ch.checkDie(die); err != nil {
 		return err
 	}

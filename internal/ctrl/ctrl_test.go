@@ -64,7 +64,7 @@ func TestConfigValidate(t *testing.T) {
 func TestSingleWriteCompletes(t *testing.T) {
 	r := newRig(t, Config{Ways: 2, DiesPerWay: 2}, nand.ProfileExplore())
 	done := false
-	err := r.ch.Write(0, nand.Addr{Plane: 0, Block: 0, Page: 0}, 4096, func() { done = true })
+	err := r.ch.Program(0, []nand.Addr{{Plane: 0, Block: 0, Page: 0}}, 4096, nil, 0, nil, func() { done = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	r := newRig(t, Config{Ways: 1, DiesPerWay: 1}, nand.ProfileExplore())
 	a := nand.Addr{Plane: 0, Block: 1, Page: 0}
 	var readDone bool
-	r.ch.Write(0, a, 4096, func() {
-		r.ch.Read(0, a, 4096, func() { readDone = true })
+	r.ch.Program(0, []nand.Addr{a}, 4096, nil, 0, nil, func() {
+		r.ch.Read(0, a, 4096, nil, false, func() { readDone = true })
 	})
 	r.k.RunAll()
 	if !readDone {
@@ -103,7 +103,7 @@ func TestDieParallelismHidesProgramTime(t *testing.T) {
 	r := newRig(t, Config{Ways: 4, DiesPerWay: 1}, nand.ProfileExplore())
 	remaining := 4
 	for d := 0; d < 4; d++ {
-		r.ch.Write(d, nand.Addr{Block: 0, Page: 0}, 4096, func() { remaining-- })
+		r.ch.Program(d, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, 0, nil, func() { remaining-- })
 	}
 	r.k.RunAll()
 	if remaining != 0 {
@@ -126,7 +126,7 @@ func TestSharedBusSerializesTransfers(t *testing.T) {
 		r := newRig(t, Config{Ways: 4, DiesPerWay: 1, Gang: g}, tim)
 		n := 8
 		for i := 0; i < 8; i++ {
-			r.ch.Write(i%4, nand.Addr{Block: 0, Page: i / 4}, 4096, func() { n-- })
+			r.ch.Program(i%4, []nand.Addr{{Block: 0, Page: i / 4}}, 4096, nil, 0, nil, func() { n-- })
 		}
 		r.k.RunAll()
 		if n != 0 {
@@ -150,7 +150,7 @@ func TestMultiPlaneWrite(t *testing.T) {
 	r := newRig(t, Config{Ways: 1, DiesPerWay: 1}, nand.ProfileVertex())
 	addrs := []nand.Addr{{Plane: 0, Block: 0, Page: 0}, {Plane: 1, Block: 0, Page: 0}}
 	done := false
-	if err := r.ch.WriteMulti(0, addrs, 4096, func() { done = true }); err != nil {
+	if err := r.ch.Program(0, addrs, 4096, nil, 0, nil, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	r.k.RunAll()
@@ -169,9 +169,9 @@ func TestEraseThenReuse(t *testing.T) {
 	r := newRig(t, Config{Ways: 1, DiesPerWay: 1}, nand.ProfileExplore())
 	a := nand.Addr{Plane: 0, Block: 2, Page: 0}
 	sequence := []string{}
-	r.ch.Write(0, a, 4096, func() { sequence = append(sequence, "w1") })
+	r.ch.Program(0, []nand.Addr{a}, 4096, nil, 0, nil, func() { sequence = append(sequence, "w1") })
 	r.ch.Erase(0, 0, 2, func() { sequence = append(sequence, "e") })
-	r.ch.Write(0, a, 4096, func() { sequence = append(sequence, "w2") })
+	r.ch.Program(0, []nand.Addr{a}, 4096, nil, 0, nil, func() { sequence = append(sequence, "w2") })
 	r.k.RunAll()
 	if len(sequence) != 3 || sequence[0] != "w1" || sequence[1] != "e" || sequence[2] != "w2" {
 		t.Fatalf("sequence %v", sequence)
@@ -183,19 +183,19 @@ func TestEraseThenReuse(t *testing.T) {
 
 func TestBadArguments(t *testing.T) {
 	r := newRig(t, Config{Ways: 1, DiesPerWay: 1}, nand.ProfileExplore())
-	if err := r.ch.Write(5, nand.Addr{}, 4096, nil); err == nil {
+	if err := r.ch.Program(5, []nand.Addr{{}}, 4096, nil, 0, nil, nil); err == nil {
 		t.Fatal("bad die accepted")
 	}
-	if err := r.ch.Write(0, nand.Addr{}, 0, nil); err == nil {
+	if err := r.ch.Program(0, []nand.Addr{{}}, 0, nil, 0, nil, nil); err == nil {
 		t.Fatal("zero size accepted")
 	}
-	if err := r.ch.Read(-1, nand.Addr{}, 4096, nil); err == nil {
+	if err := r.ch.Read(-1, nand.Addr{}, 4096, nil, false, nil); err == nil {
 		t.Fatal("negative die accepted")
 	}
 	if err := r.ch.Erase(9, 0, 0, nil); err == nil {
 		t.Fatal("bad erase die accepted")
 	}
-	if err := r.ch.WriteMulti(0, nil, 4096, nil); err == nil {
+	if err := r.ch.Program(0, nil, 4096, nil, 0, nil, nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 }
@@ -212,7 +212,7 @@ func TestThroughputBoundedByONFI(t *testing.T) {
 	left := pages
 	for i := 0; i < pages; i++ {
 		addr, _ := alloc.Next(0)
-		r.ch.Write(0, addr, 4096, func() { left-- })
+		r.ch.Program(0, []nand.Addr{addr}, 4096, nil, 0, nil, func() { left-- })
 	}
 	r.k.RunAll()
 	if left != 0 {
@@ -286,7 +286,7 @@ func TestCacheSlotsThrottleInFlight(t *testing.T) {
 	// pre-program stages; die programs cannot overlap their transfers.
 	n := 4
 	for d := 0; d < 4; d++ {
-		r.ch.Write(d, nand.Addr{Block: 0, Page: 0}, 4096, func() { n-- })
+		r.ch.Program(d, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, 0, nil, func() { n-- })
 	}
 	r.k.RunAll()
 	serialized := r.k.Now()
@@ -294,7 +294,7 @@ func TestCacheSlotsThrottleInFlight(t *testing.T) {
 	r2 := newRig(t, Config{Ways: 4, DiesPerWay: 1}, nand.ProfileExplore())
 	n2 := 4
 	for d := 0; d < 4; d++ {
-		r2.ch.Write(d, nand.Addr{Block: 0, Page: 0}, 4096, func() { n2-- })
+		r2.ch.Program(d, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, 0, nil, func() { n2-- })
 	}
 	r2.k.RunAll()
 	if serialized <= r2.k.Now() {

@@ -19,13 +19,13 @@ func TestPrepStageDelaysProgram(t *testing.T) {
 		})
 	}
 	var die0End sim.Time
-	if err := r.ch.WriteMultiPrep(0, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, prep, func() {
+	if err := r.ch.Program(0, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, 0, prep, func() {
 		die0End = r.k.Now()
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Die 1 write with no prep proceeds immediately.
-	if err := r.ch.Write(1, nand.Addr{Block: 0, Page: 0}, 4096, func() {
+	if err := r.ch.Program(1, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, 0, nil, func() {
 		otherDone = r.k.Now()
 	}); err != nil {
 		t.Fatal(err)
@@ -46,16 +46,16 @@ func TestPrepMayEnqueueSameDieRead(t *testing.T) {
 	r := newRig(t, Config{Ways: 1, DiesPerWay: 1}, nand.ProfileExplore())
 	src := nand.Addr{Plane: 0, Block: 0, Page: 0}
 	done := make(map[string]sim.Time)
-	r.ch.Write(0, src, 4096, func() {
+	r.ch.Program(0, []nand.Addr{src}, 4096, nil, 0, nil, func() {
 		// GC-style relocation: prep reads src, then the program lands on a
 		// different block of the same die.
 		prep := func(ready func()) {
-			if err := r.ch.Read(0, src, 4096, func() { ready() }); err != nil {
+			if err := r.ch.Read(0, src, 4096, nil, false, func() { ready() }); err != nil {
 				t.Errorf("prep read: %v", err)
 			}
 		}
 		dst := nand.Addr{Plane: 0, Block: 1, Page: 0}
-		if err := r.ch.WriteMultiPrep(0, []nand.Addr{dst}, 4096, nil, prep, func() {
+		if err := r.ch.Program(0, []nand.Addr{dst}, 4096, nil, 0, prep, func() {
 			done["copy"] = r.k.Now()
 		}); err != nil {
 			t.Error(err)
@@ -75,10 +75,10 @@ func TestPrepMayEnqueueSameDieRead(t *testing.T) {
 func TestMixedOpFIFOPerDie(t *testing.T) {
 	r := newRig(t, Config{Ways: 1, DiesPerWay: 1}, nand.ProfileExplore())
 	var order []string
-	r.ch.Write(0, nand.Addr{Block: 0, Page: 0}, 4096, func() { order = append(order, "w1") })
+	r.ch.Program(0, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, 0, nil, func() { order = append(order, "w1") })
 	r.ch.Erase(0, 0, 0, func() { order = append(order, "e") })
-	r.ch.Write(0, nand.Addr{Block: 0, Page: 0}, 4096, func() { order = append(order, "w2") })
-	r.ch.Read(0, nand.Addr{Block: 0, Page: 0}, 4096, func() { order = append(order, "r") })
+	r.ch.Program(0, []nand.Addr{{Block: 0, Page: 0}}, 4096, nil, 0, nil, func() { order = append(order, "w2") })
+	r.ch.Read(0, nand.Addr{Block: 0, Page: 0}, 4096, nil, false, func() { order = append(order, "r") })
 	r.k.RunAll()
 	want := []string{"w1", "e", "w2", "r"}
 	if len(order) != 4 {
@@ -105,7 +105,7 @@ func TestReadsOverlapAcrossDies(t *testing.T) {
 	}
 	n := 0
 	for d := 0; d < 2; d++ {
-		r.ch.Read(d, nand.Addr{Block: 0, Page: 0}, 4096, func() { n++ })
+		r.ch.Read(d, nand.Addr{Block: 0, Page: 0}, 4096, nil, false, func() { n++ })
 	}
 	r.k.RunAll()
 	if n != 2 {

@@ -27,7 +27,7 @@ func TestWriteSpanStageSplit(t *testing.T) {
 	var end sim.Time
 	addrs := []nand.Addr{{Block: 0, Page: 0}}
 	spans := []*telemetry.Span{&sp}
-	if err := r.ch.WriteMultiPrep(0, addrs, 4096, spans, prep, func() { end = r.k.Now() }); err != nil {
+	if err := r.ch.Program(0, addrs, 4096, spans, 0, prep, func() { end = r.k.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	r.k.RunAll()
@@ -61,7 +61,7 @@ func TestWriteSpanBatchMixedCommands(t *testing.T) {
 	addrs := []nand.Addr{{Plane: 0, Block: 0, Page: 0}, {Plane: 1, Block: 0, Page: 0}}
 	spans := []*telemetry.Span{&spA, &spB}
 	var end sim.Time
-	if err := r.ch.WriteMultiPrep(0, addrs, 4096, spans, nil, func() { end = r.k.Now() }); err != nil {
+	if err := r.ch.Program(0, addrs, 4096, spans, 0, nil, func() { end = r.k.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	r.k.RunAll()
@@ -81,7 +81,7 @@ func TestWriteSpanBatchMixedCommands(t *testing.T) {
 	var spC telemetry.Span
 	spC.Start(r.k.Now())
 	addrs2 := []nand.Addr{{Plane: 0, Block: 1, Page: 0}, {Plane: 1, Block: 1, Page: 0}}
-	if err := r.ch.WriteMultiPrep(0, addrs2, 4096, []*telemetry.Span{&spC, nil}, nil, nil); err != nil {
+	if err := r.ch.Program(0, addrs2, 4096, []*telemetry.Span{&spC, nil}, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.k.RunAll()
@@ -95,7 +95,7 @@ func TestWriteMultiPrepSpanValidation(t *testing.T) {
 	r := newRig(t, Config{Ways: 1, DiesPerWay: 1}, nand.ProfileExplore())
 	var sp telemetry.Span
 	addrs := []nand.Addr{{Block: 0, Page: 0}, {Plane: 1, Block: 0, Page: 0}}
-	if err := r.ch.WriteMultiPrep(0, addrs, 4096, []*telemetry.Span{&sp}, nil, nil); err == nil {
+	if err := r.ch.Program(0, addrs, 4096, []*telemetry.Span{&sp}, 0, nil, nil); err == nil {
 		t.Fatal("mismatched span count accepted")
 	}
 }
@@ -110,7 +110,7 @@ func TestWriteSpanListsAreCopied(t *testing.T) {
 	spans := make([]*telemetry.Span, 1)
 	addrs[0] = nand.Addr{Block: 0, Page: 0}
 	spans[0] = &spA
-	if err := r.ch.WriteMultiPrep(0, addrs, 4096, spans, nil, nil); err != nil {
+	if err := r.ch.Program(0, addrs, 4096, spans, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Scribble the scratch while the op is still queued: an aliasing
@@ -175,7 +175,7 @@ func writeSpanLap(tb testing.TB, r *rig, batches [][]nand.Addr, cursor *int, spa
 		for _, sp := range spans {
 			sp.Start(r.k.Now())
 		}
-		if err := r.ch.WriteMultiPrep(0, batches[*cursor], 4096, spans, nil, nil); err != nil {
+		if err := r.ch.Program(0, batches[*cursor], 4096, spans, 0, nil, nil); err != nil {
 			tb.Fatal(err)
 		}
 		*cursor++
