@@ -10,12 +10,15 @@ package dse
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/nvme"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -126,13 +129,23 @@ func (s Space) axes() []axis {
 }
 
 // Size returns the number of points in the space (the product of the axis
-// lengths; 1 for a space with no swept axes).
+// lengths; 1 for a space with no swept axes). A product beyond int64 reads
+// as math.MaxInt64; At, Enumerate and Sample reject such a space.
 func (s Space) Size() int64 {
+	n, _ := s.count()
+	return n
+}
+
+// count is Size with an error for a point count that overflows int64.
+func (s Space) count() (int64, error) {
 	n := int64(1)
 	for _, a := range s.axes() {
+		if n > math.MaxInt64/int64(a.size) {
+			return math.MaxInt64, errors.New("dse: space has more than 2^63-1 points")
+		}
 		n *= int64(a.size)
 	}
-	return n
+	return n, nil
 }
 
 // At decodes point index idx (0 <= idx < Size) into a fully-built Point.
@@ -140,7 +153,10 @@ func (s Space) Size() int64 {
 // Sample draw from spaces too large to enumerate.
 func (s Space) At(idx int64) (Point, error) {
 	s = s.defaults()
-	size := s.Size()
+	size, err := s.count()
+	if err != nil {
+		return Point{}, err
+	}
 	if idx < 0 || idx >= size {
 		return Point{}, fmt.Errorf("dse: point index %d outside space of %d", idx, size)
 	}
@@ -182,7 +198,10 @@ func (s Space) At(idx int64) (Point, error) {
 
 // Enumerate materialises the full Cartesian product in index order.
 func (s Space) Enumerate() ([]Point, error) {
-	size := s.Size()
+	size, err := s.count()
+	if err != nil {
+		return nil, err
+	}
 	const enumerateCap = 1 << 20
 	if size > enumerateCap {
 		return nil, fmt.Errorf("dse: space has %d points; enumerate caps at %d (use Sample)", size, enumerateCap)
@@ -202,7 +221,10 @@ func (s Space) Enumerate() ([]Point, error) {
 // (space, n, seed) triple always yields the same subset. If n covers the
 // whole space the full enumeration is returned instead.
 func (s Space) Sample(n int, seed uint64) ([]Point, error) {
-	size := s.Size()
+	size, err := s.count()
+	if err != nil {
+		return nil, err
+	}
 	if n <= 0 {
 		return nil, fmt.Errorf("dse: sample size %d must be positive", n)
 	}
@@ -211,11 +233,11 @@ func (s Space) Sample(n int, seed uint64) ([]Point, error) {
 	}
 	// Floyd's algorithm: n distinct indices from [0, size) without
 	// materialising the space.
-	rng := newSplitMix(seed)
+	rng := sim.NewRNG(seed)
 	chosen := make(map[int64]struct{}, n)
 	order := make([]int64, 0, n)
 	for j := size - int64(n); j < size; j++ {
-		t := rng.int63n(j + 1)
+		t := rng.Int63n(j + 1)
 		if _, dup := chosen[t]; dup {
 			t = j
 		}
@@ -231,24 +253,6 @@ func (s Space) Sample(n int, seed uint64) ([]Point, error) {
 		pts = append(pts, pt)
 	}
 	return pts, nil
-}
-
-// splitMix is the same splitmix64 generator the simulator uses, kept local
-// so sampling does not depend on math/rand stream stability.
-type splitMix struct{ state uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed} }
-
-func (r *splitMix) uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *splitMix) int63n(n int64) int64 {
-	return int64(r.uint64() % uint64(n))
 }
 
 // Point is one evaluable design point: a platform configuration, the

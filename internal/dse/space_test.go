@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -78,6 +79,27 @@ func TestSpaceAtRejectsOutOfRange(t *testing.T) {
 	}
 	if _, err := s.At(2); err == nil {
 		t.Error("At(Size) accepted")
+	}
+}
+
+func TestSpaceSizeOverflowIsAnError(t *testing.T) {
+	// Four 2^16-value axes make 2^64 points (wrapping to 0 in int64); with
+	// the fourth at 49,152 values the product wraps negative.
+	wide := make([]int, 1<<16)
+	for _, last := range []int{1 << 16, 49152} {
+		s := Space{Channels: wide, Ways: wide, DiesPerWay: wide, DDRBuffers: make([]int, last)}
+		if got := s.Size(); got != math.MaxInt64 {
+			t.Errorf("last axis %d: Size = %d, want math.MaxInt64", last, got)
+		}
+		if pts, err := s.Sample(5, 1); err == nil {
+			t.Errorf("last axis %d: Sample returned %d points and no error", last, len(pts))
+		}
+		if _, err := s.Enumerate(); err == nil {
+			t.Errorf("last axis %d: Enumerate accepted an overflowing space", last)
+		}
+		if _, err := s.At(0); err == nil {
+			t.Errorf("last axis %d: At accepted an overflowing space", last)
+		}
 	}
 }
 
