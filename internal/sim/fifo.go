@@ -35,7 +35,7 @@ func (q *FIFO[T]) Push(v T) {
 //ssdx:hotpath
 func (q *FIFO[T]) Front() T {
 	if q.n == 0 {
-		panic("sim: Front of empty FIFO")
+		panic("sim: FIFO is empty")
 	}
 	return q.buf[q.head]
 }
