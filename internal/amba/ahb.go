@@ -97,9 +97,10 @@ type Bus struct {
 // layer is one arbitrated crossbar layer with its own round-robin pointer.
 type layer struct {
 	bus       *Bus
-	idx       int // position in Bus.layers (tracing identity)
+	idx       int       // position in Bus.layers (tracing identity)
+	masters   []*Master // the masters on this layer, in ID order
 	busyUntil sim.Time
-	rrNext    int // next master index to consider (round-robin fairness)
+	rrNext    int // next master ID to consider (round-robin fairness)
 	Stats     Stats
 }
 
@@ -163,13 +164,10 @@ func (b *Bus) AttachMaster(name string) (*Master, error) {
 	if len(b.masters) >= b.cfg.MaxMasters*b.cfg.Layers {
 		return nil, fmt.Errorf("amba: master limit %d reached", b.cfg.MaxMasters*b.cfg.Layers)
 	}
-	m := &Master{
-		ID:    len(b.masters),
-		Name:  name,
-		bus:   b,
-		layer: b.layers[len(b.masters)%b.cfg.Layers],
-	}
+	l := b.layers[len(b.masters)%b.cfg.Layers]
+	m := &Master{ID: len(b.masters), Name: name, bus: b, layer: l}
 	b.masters = append(b.masters, m)
+	l.masters = append(l.masters, m)
 	return m, nil
 }
 
@@ -274,20 +272,31 @@ func (b *Bus) TransferTime(n int64) sim.Time {
 }
 
 // kick grants the layer to the next pending master (round-robin).
+//
+//ssdx:hotpath
 func (l *layer) kick() {
 	now := l.bus.k.Now()
 	if l.busyUntil > now {
 		return
 	}
-	// Find next master on this layer with pending work.
-	ms := l.bus.masters
+	// Find the next master on this layer with pending work, scanning
+	// cyclically from the first one with ID >= rrNext. Layer l holds masters
+	// l.idx, l.idx+Layers, ..., so that one sits at slot ceil((rrNext-idx)/Layers).
+	ms := l.masters
 	n := len(ms)
+	first := 0
+	if d := l.rrNext - l.idx; d > 0 {
+		first = (d + l.bus.cfg.Layers - 1) / l.bus.cfg.Layers
+	}
 	var chosen *Master
 	for i := 0; i < n; i++ {
-		cand := ms[(l.rrNext+i)%n]
-		if cand.layer == l && cand.pending.Len() > 0 {
-			chosen = cand
-			l.rrNext = (cand.ID + 1) % n
+		j := first + i
+		if j >= n {
+			j -= n
+		}
+		if ms[j].pending.Len() > 0 {
+			chosen = ms[j]
+			l.rrNext = (chosen.ID + 1) % len(l.bus.masters)
 			break
 		}
 	}

@@ -4,7 +4,9 @@
 // recovery and periodic refresh — the "column pre-charging, refresh
 // operations, detailed command timings" the paper lists as the reason a
 // behavioural DRAM model is insufficient. It substitutes for the SystemC
-// port of DRAMSim2 [18] used by SSDExplorer.
+// port of DRAMSim2 [18] used by SSDExplorer. Timing is exact to the memory
+// clock for every burst, but computing it costs work per row and per
+// refresh, not per burst.
 package dram
 
 import (
@@ -93,8 +95,9 @@ type Stats struct {
 
 // Buffer is one DDR2 device with a FCFS controller front-end. Requests are
 // served one at a time; within a request the burst walk across banks/rows is
-// computed analytically at clock-cycle granularity, which preserves DDR2
-// command timing without one simulation event per column access.
+// computed analytically at clock-cycle granularity, in closed form per row:
+// DDR2 command timing is kept without one simulation event, or one loop
+// step, per column access.
 type Buffer struct {
 	ID  int
 	cfg Config
@@ -151,6 +154,8 @@ func (b *Buffer) Config() Config { return b.cfg }
 // Access queues a read or write of length bytes starting at addr. done is
 // invoked at data completion with the service window. Addresses wrap at
 // capacity (the buffer is a ring in cache mode).
+//
+//ssdx:hotpath
 func (b *Buffer) Access(write bool, addr int64, bytes int64, done func(start, end sim.Time)) error {
 	if bytes <= 0 {
 		return errors.New("dram: access of non-positive size")
@@ -184,6 +189,9 @@ func (b *Buffer) allocReq() *req {
 	return r
 }
 
+// kick starts serving the oldest queued request if the device is idle.
+//
+//ssdx:hotpath
 func (b *Buffer) kick() {
 	if b.queue.Len() == 0 {
 		return
@@ -215,18 +223,77 @@ func (b *Buffer) kick() {
 // serve computes the completion time of r starting at t, updating bank and
 // refresh state. The address maps row-interleaved across banks so that
 // sequential streams hit open rows.
+//
+// The timing is that of a walk over the request one burst at a time, but the
+// work grows with rows and refreshes, not with bursts: inside one row
+// segment every burst before the last is a full burst of identical cost, so
+// runs of them are jumped in closed form — open-row hits until the next
+// refresh falls due, and catch-up refreshes while the refresh schedule lags
+// t. Row ends, partial bursts, row misses and the bursts that cross the end
+// of capacity take the per-burst step.
+//
+//ssdx:hotpath
 func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 	c := b.cfg
 	period := b.clk.Period
-	cyc := func(n int) sim.Time { return sim.Time(n) * period }
-
+	banks := int64(c.Banks)
 	burst := c.BurstBytes()
+	// A full burst moves BurstLen transfers, two per clock; reads pay CL first.
+	full := sim.Time((c.BurstLen+1)/2) * period
+	if !r.write {
+		full += sim.Time(c.CL) * period
+	}
 	addr := r.addr
 	remaining := r.bytes
 	for remaining > 0 {
-		// Refresh stall if due.
+		rowIdx := addr / c.RowBytes
+		bank := int(rowIdx % banks)
+		row := rowIdx / banks
+		rowRemain := c.RowBytes - addr%c.RowBytes
+
+		// Full bursts that start in this row before its last burst, and
+		// below capacity (a burst past the end wraps to another row).
+		k := min((rowRemain-1)/burst, remaining/burst, (c.CapacityBytes-1-addr)/burst+1)
+		if k > 0 {
+			if t >= b.nextRefresh {
+				// Catch-up: each burst here pays a refresh, which closes every
+				// row, then activates its row and moves its data, until t
+				// falls behind the advancing refresh schedule. Refreshes that
+				// fall due while the buffer is idle are not done in the
+				// background: the next access pays every one of them, one per
+				// burst, here or in the single-burst step below.
+				cost := sim.Time(c.TRFC+c.TRCD)*period + full
+				if gain := c.TREFI - cost; gain > 0 {
+					k = min(k, int64((t-b.nextRefresh)/gain)+1)
+				}
+				t += sim.Time(k) * cost
+				b.nextRefresh += sim.Time(k) * c.TREFI
+				b.Stats.Refreshes += uint64(k)
+				b.Stats.RowMisses += uint64(k)
+				for i := range b.openRow {
+					b.openRow[i] = -1
+				}
+				b.openRow[bank] = row
+			} else if b.openRow[bank] == row {
+				// Open-row hits until the next refresh falls due.
+				if full > 0 {
+					k = min(k, int64((b.nextRefresh-t+full-1)/full))
+				}
+				t += sim.Time(k) * full
+				b.Stats.RowHits += uint64(k)
+			} else {
+				k = 0
+			}
+			if k > 0 {
+				addr = (addr + k*burst) % c.CapacityBytes
+				remaining -= k * burst
+				continue
+			}
+		}
+
+		// One burst. Refresh stall if due (idle refreshes included, as above).
 		if t >= b.nextRefresh {
-			t += cyc(c.TRFC)
+			t += sim.Time(c.TRFC) * period
 			b.nextRefresh += c.TREFI
 			b.Stats.Refreshes++
 			// All banks are precharged by refresh.
@@ -234,14 +301,11 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 				b.openRow[i] = -1
 			}
 		}
-		rowIdx := addr / c.RowBytes
-		bank := int(rowIdx % int64(c.Banks))
-		row := rowIdx / int64(c.Banks)
 		if b.openRow[bank] != row {
 			if b.openRow[bank] != -1 {
-				t += cyc(c.TRP) // precharge the old row
+				t += sim.Time(c.TRP) * period // precharge the old row
 			}
-			t += cyc(c.TRCD) // activate the new row
+			t += sim.Time(c.TRCD) * period // activate the new row
 			b.openRow[bank] = row
 			b.Stats.RowMisses++
 		} else {
@@ -252,27 +316,17 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 		// only when the row will close, folded here as amortised cost 0 —
 		// the dominant term is the data transfer itself).
 		if !r.write {
-			t += cyc(c.CL)
+			t += sim.Time(c.CL) * period
 		}
-		n := burst
-		// Do not cross a row boundary within a burst walk.
-		rowRemain := c.RowBytes - addr%c.RowBytes
-		if n > rowRemain {
-			n = rowRemain
-		}
-		if n > remaining {
-			n = remaining
-		}
+		n := min(burst, rowRemain, remaining) // a burst walk stays in its row
 		transfers := (n + int64(c.BusBytes) - 1) / int64(c.BusBytes)
 		clocks := (transfers + 1) / 2 // DDR: 2 transfers per clock
 		t += sim.Time(clocks) * period
-		if r.write {
+		if r.write && n == rowRemain {
 			// Write recovery before a subsequent activate on this bank is
 			// charged when the row is eventually closed; approximate by a
 			// single tWR at the end of the request's last burst in a row.
-			if n == rowRemain {
-				t += cyc(c.TWR)
-			}
+			t += sim.Time(c.TWR) * period
 		}
 		addr = (addr + n) % c.CapacityBytes
 		remaining -= n

@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -76,34 +75,87 @@ type event struct {
 	index int // heap index; -1 once popped or cancelled
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
+// eventHeap is a typed binary min-heap ordered by (at, seq). Every event's
+// index field tracks its slot so Cancel can remove it in O(log n). (at, seq)
+// is a total order, so the pop order does not depend on the heap's shape.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether event a fires before event b.
+func before(a, b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
+
+// push adds e at the bottom and sifts it up.
+//
+//ssdx:hotpath
+func (h *eventHeap) push(e *event) {
 	e.index = len(*h)
 	*h = append(*h, e)
+	h.up(e.index)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+
+// remove takes out the event at slot i, refilling the slot from the bottom.
+//
+//ssdx:hotpath
+func (h *eventHeap) remove(i int) *event {
+	q := *h
+	n := len(q) - 1
+	e := q[i]
+	if i != n {
+		q[i] = q[n]
+		q[i].index = i
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	q[n] = nil
+	*h = q[:n]
 	e.index = -1
-	*h = old[:n-1]
 	return e
+}
+
+// up sifts the event at slot i towards the root.
+//
+//ssdx:hotpath
+func (h eventHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down sifts the event at slot i towards the leaves of h[:n] and reports
+// whether it moved.
+//
+//ssdx:hotpath
+func (h eventHeap) down(i, n int) bool {
+	e, i0 := h[i], i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
+	return i > i0
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The
@@ -192,7 +244,7 @@ func (k *Kernel) At(t Time, fn func()) EventID {
 	e := k.alloc()
 	e.at, e.seq, e.fn = t, k.seq, fn
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	return EventID{ev: e, gen: e.gen}
 }
 
@@ -225,7 +277,7 @@ func (k *Kernel) Cancel(id EventID) bool {
 	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
 		return false
 	}
-	heap.Remove(&k.queue, id.ev.index)
+	k.queue.remove(id.ev.index)
 	k.recycle(id.ev)
 	return true
 }
@@ -262,7 +314,7 @@ func (k *Kernel) Run(until Time) Time {
 			k.flushEvents()
 			return k.now
 		}
-		heap.Pop(&k.queue)
+		k.queue.remove(0)
 		k.now = next.at
 		fn := next.fn
 		k.recycle(next)

@@ -402,6 +402,135 @@ func TestKernelCancelStaleIDIsInert(t *testing.T) {
 	}
 }
 
+// refEvent is one pending event of the sorted-slice reference kernel. A
+// parent event's callback schedules one child event childIn after it fires.
+type refEvent struct {
+	at      Time
+	seq     uint64
+	id      int
+	parent  bool
+	childIn Time
+}
+
+// refKernel is the reference for TestKernelOrderMatchesReference: pending
+// events in a slice, and Run fires the least (at, seq) by linear scan.
+type refKernel struct {
+	pending []refEvent
+	now     Time
+	seq     uint64
+	created int   // events created so far; the next event's id
+	fired   []int // ids in fire order
+}
+
+func (r *refKernel) at(at Time, parent bool, childIn Time) {
+	r.pending = append(r.pending, refEvent{at: max(at, r.now), seq: r.seq, id: r.created, parent: parent, childIn: childIn})
+	r.seq++
+	r.created++
+}
+
+func (r *refKernel) cancel(id int) bool {
+	for i, e := range r.pending {
+		if e.id == id {
+			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refKernel) run(until Time) Time {
+	for len(r.pending) > 0 {
+		m := 0
+		for i, e := range r.pending {
+			if e.at < r.pending[m].at || e.at == r.pending[m].at && e.seq < r.pending[m].seq {
+				m = i
+			}
+		}
+		e := r.pending[m]
+		if e.at > until {
+			r.now = until
+			return r.now
+		}
+		r.pending = append(r.pending[:m], r.pending[m+1:]...)
+		r.now = e.at
+		r.fired = append(r.fired, e.id)
+		if e.parent {
+			r.at(r.now+e.childIn, false, 0)
+		}
+	}
+	return r.now
+}
+
+// TestKernelOrderMatchesReference runs random interleavings of At, Schedule,
+// Cancel (of pending, fired, cancelled and recycled IDs alike) and
+// Run(until) against a reference that keeps pending events in a slice and
+// always fires the least (at, seq). Some callbacks schedule a child event,
+// so events are also added while Run drains the heap. Fire order, Cancel's
+// results, Run's return value and Pending must all agree.
+func TestKernelOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := NewRNG(seed)
+		k := NewKernel()
+		ref := &refKernel{}
+		var ids []EventID // every ID the kernel handed out, indexed by event id
+		var fired []int
+		var schedule func(at Time, parent bool, childIn Time)
+		schedule = func(at Time, parent bool, childIn Time) {
+			id := len(ids)
+			fn := func() {
+				fired = append(fired, id)
+				if parent {
+					schedule(k.Now()+childIn, false, 0)
+				}
+			}
+			if id%2 == 0 {
+				ids = append(ids, k.At(at, fn))
+			} else {
+				ids = append(ids, k.Schedule(at-k.Now(), fn))
+			}
+		}
+		for step := 0; step < 1000; step++ {
+			switch op := rng.Intn(12); {
+			case op < 7:
+				// Sometimes in the past (clamped to now) or at a time
+				// already taken, so ties fall to seq.
+				at := ref.now + Time(rng.Intn(200)) - 3
+				parent, childIn := rng.Bool(0.3), Time(rng.Intn(4))
+				schedule(at, parent, childIn)
+				ref.at(at, parent, childIn)
+			case op < 10:
+				if len(ids) == 0 {
+					continue
+				}
+				id := rng.Intn(len(ids))
+				if len(ref.pending) > 0 && rng.Bool(0.5) {
+					id = ref.pending[rng.Intn(len(ref.pending))].id
+				}
+				if got, want := k.Cancel(ids[id]), ref.cancel(id); got != want {
+					t.Fatalf("seed %d step %d: Cancel(event %d) = %v, reference %v", seed, step, id, got, want)
+				}
+			default:
+				until := ref.now + Time(rng.Intn(30))
+				if rng.Bool(0.1) {
+					until = MaxTime
+				}
+				if got, want := k.Run(until), ref.run(until); got != want {
+					t.Fatalf("seed %d step %d: Run(%d) = %d, reference %d", seed, step, until, got, want)
+				}
+			}
+			if k.Pending() != len(ref.pending) || len(ids) != ref.created {
+				t.Fatalf("seed %d step %d: %d pending of %d, reference %d of %d",
+					seed, step, k.Pending(), len(ids), len(ref.pending), ref.created)
+			}
+		}
+		k.RunAll()
+		ref.run(MaxTime)
+		if fmt.Sprint(fired) != fmt.Sprint(ref.fired) {
+			t.Fatalf("seed %d: fire order\n%v\nreference\n%v", seed, fired, ref.fired)
+		}
+	}
+}
+
 // BenchmarkKernelSchedule measures the schedule/dispatch hot path. With the
 // event free list, steady-state allocs/op is ~0 (it was 1+ per event before
 // pooling).
