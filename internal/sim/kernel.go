@@ -89,29 +89,25 @@ func before(a, b *event) bool {
 //
 //ssdx:hotpath
 func (h *eventHeap) push(e *event) {
-	e.index = len(*h)
 	*h = append(*h, e)
-	h.up(e.index)
+	h.up(len(*h) - 1)
 }
 
 // remove takes out the event at slot i, refilling the slot from the bottom.
 //
 //ssdx:hotpath
-func (h *eventHeap) remove(i int) *event {
+func (h *eventHeap) remove(i int) {
 	q := *h
 	n := len(q) - 1
-	e := q[i]
+	q[i].index = -1
 	if i != n {
 		q[i] = q[n]
-		q[i].index = i
 		if !h.down(i, n) {
 			h.up(i)
 		}
 	}
 	q[n] = nil
 	*h = q[:n]
-	e.index = -1
-	return e
 }
 
 // up sifts the event at slot i towards the root.
