@@ -13,6 +13,7 @@ package amba
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -101,7 +102,11 @@ type layer struct {
 	masters   []*Master // the masters on this layer, in ID order
 	busyUntil sim.Time
 	rrNext    int // next master ID to consider (round-robin fairness)
-	Stats     Stats
+	// ready has bit s set while the master in slot s has pending work, so
+	// the arbiter finds the next requester a word at a time instead of
+	// asking every master.
+	ready []uint64
+	Stats Stats
 }
 
 // Master is an attach point for a DMA engine or CPU port.
@@ -110,6 +115,7 @@ type Master struct {
 	Name  string
 	bus   *Bus
 	layer *layer
+	slot  int // position in layer.masters (its bit in layer.ready)
 
 	pending sim.FIFO[*xfer]
 
@@ -165,9 +171,12 @@ func (b *Bus) AttachMaster(name string) (*Master, error) {
 		return nil, fmt.Errorf("amba: master limit %d reached", b.cfg.MaxMasters*b.cfg.Layers)
 	}
 	l := b.layers[len(b.masters)%b.cfg.Layers]
-	m := &Master{ID: len(b.masters), Name: name, bus: b, layer: l}
+	m := &Master{ID: len(b.masters), Name: name, bus: b, layer: l, slot: len(l.masters)}
 	b.masters = append(b.masters, m)
 	l.masters = append(l.masters, m)
+	if m.slot>>6 == len(l.ready) {
+		l.ready = append(l.ready, 0)
+	}
 	return m, nil
 }
 
@@ -209,6 +218,7 @@ func (m *Master) Transfer(bytes int64, chunk func(end sim.Time, n int64), done f
 	x.remaining = bytes
 	x.chunk, x.done = chunk, done
 	m.pending.Push(x)
+	m.layer.ready[m.slot>>6] |= 1 << (m.slot & 63)
 	m.layer.kick()
 	return nil
 }
@@ -279,30 +289,19 @@ func (l *layer) kick() {
 	if l.busyUntil > now {
 		return
 	}
-	// Find the next master on this layer with pending work, scanning
-	// cyclically from the first one with ID >= rrNext. Layer l holds masters
-	// l.idx, l.idx+Layers, ..., so that one sits at slot ceil((rrNext-idx)/Layers).
-	ms := l.masters
-	n := len(ms)
+	// Find the next master on this layer with pending work, cyclically
+	// from the first one with ID >= rrNext. Layer l holds masters l.idx,
+	// l.idx+Layers, ..., so that one sits at slot ceil((rrNext-idx)/Layers).
 	first := 0
 	if d := l.rrNext - l.idx; d > 0 {
 		first = (d + l.bus.cfg.Layers - 1) / l.bus.cfg.Layers
 	}
-	var chosen *Master
-	for i := 0; i < n; i++ {
-		j := first + i
-		if j >= n {
-			j -= n
-		}
-		if ms[j].pending.Len() > 0 {
-			chosen = ms[j]
-			l.rrNext = (chosen.ID + 1) % len(l.bus.masters)
-			break
-		}
-	}
-	if chosen == nil {
+	j := l.nextReady(first)
+	if j < 0 {
 		return
 	}
+	chosen := l.masters[j]
+	l.rrNext = (chosen.ID + 1) % len(l.bus.masters)
 	x := chosen.pending.Front()
 	nb := x.remaining
 	if nb > l.bus.cfg.MaxGrantBytes {
@@ -313,6 +312,9 @@ func (l *layer) kick() {
 		// Final chunk granted: the next grant serves the master's next
 		// transfer; this one completes via its in-flight fire event.
 		chosen.pending.Pop()
+		if chosen.pending.Len() == 0 {
+			l.ready[j>>6] &^= 1 << (j & 63)
+		}
 	}
 
 	start := l.bus.clk.NextEdge(now)
@@ -330,4 +332,30 @@ func (l *layer) kick() {
 	d := l.bus.allocDelivery()
 	d.x, d.start, d.end, d.bytes, d.last = x, start, end, nb, x.remaining == 0
 	l.bus.k.At(end, d.fire)
+}
+
+// nextReady returns the first slot at or after first whose master has
+// pending work, wrapping past the last slot, or -1 when none has.
+//
+//ssdx:hotpath
+func (l *layer) nextReady(first int) int {
+	w := first >> 6
+	if w < len(l.ready) {
+		if b := l.ready[w] &^ (1<<(first&63) - 1); b != 0 {
+			return w<<6 + bits.TrailingZeros64(b)
+		}
+		for w++; w < len(l.ready); w++ {
+			if l.ready[w] != 0 {
+				return w<<6 + bits.TrailingZeros64(l.ready[w])
+			}
+		}
+	}
+	// Nothing at or after first: the lowest ready slot, if any, is the
+	// next one cyclically.
+	for w, b := range l.ready {
+		if b != 0 {
+			return w<<6 + bits.TrailingZeros64(b)
+		}
+	}
+	return -1
 }

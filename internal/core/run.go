@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/config"
+	"repro/internal/dram"
 	"repro/internal/hostif"
 	"repro/internal/nand"
 	"repro/internal/sim"
@@ -289,7 +290,8 @@ func labeledPhases(profiles []telemetry.PhaseProfile, phases []workload.Spec) []
 	return profiles
 }
 
-// handleCommand is the full command-processing path.
+// handleCommand is the full command-processing path. Every command the
+// device processes runs as one command record (see command).
 func (p *Platform) handleCommand(cmd *hostif.Command, mode Mode) {
 	if mode == ModeHostIdeal {
 		p.Host.Complete(cmd)
@@ -297,20 +299,15 @@ func (p *Platform) handleCommand(cmd *hostif.Command, mode Mode) {
 	}
 	req := cmd.Req
 	p.maybeReclassify()
+	c := &command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(req.Bytes)}
 	switch req.Op {
 	case trace.OpWrite:
-		p.handleWrite(cmd, mode)
+		c.write()
 	case trace.OpRead:
-		p.handleRead(cmd, mode)
+		c.read()
 	case trace.OpTrim, trace.OpFlush:
 		// Firmware bookkeeping; the real FTL also unmaps.
-		p.cpuCost(req, 1, func() {
-			cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
-			if req.Op == trace.OpTrim && p.mapper != nil {
-				p.mapperTrim(req)
-			}
-			p.Host.Complete(cmd)
-		})
+		p.cpuCost(req, 1, c.bookkept)
 	}
 }
 
@@ -381,27 +378,6 @@ func (p *Platform) cpuCost(req trace.Request, pages int, done func()) {
 	p.CPU.Exec(cycles, done)
 }
 
-// acquireCachePages takes n write-cache tokens, then runs fn.
-func (p *Platform) acquireCachePages(n int, fn func()) {
-	if n <= 0 {
-		fn()
-		return
-	}
-	got := 0
-	var take func()
-	take = func() {
-		p.writeCache.AcquireWhenFree(func() {
-			got++
-			if got == n {
-				fn()
-				return
-			}
-			take()
-		})
-	}
-	take()
-}
-
 // pagesOf returns how many flash pages a request spans.
 func (p *Platform) pagesOf(bytes int64) int {
 	n := int((bytes + int64(p.pageBytes) - 1) / int64(p.pageBytes))
@@ -411,174 +387,280 @@ func (p *Platform) pagesOf(bytes int64) int {
 	return n
 }
 
-// handleWrite: host DMA into DRAM (optionally through the host-side
-// compressor), completion per buffer policy, then the flash flush path
-// (channel-side compressor, ECC encode, channel controller, NAND program).
-func (p *Platform) handleWrite(cmd *hostif.Command, mode Mode) {
-	req := cmd.Req
-	pages := p.pagesOf(req.Bytes)
-	afterCPU := func() {
-		cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
-		// Host-side compression shrinks everything downstream of the host
-		// interface (AHB crossing, DRAM, NAND).
-		hostCompress := func(then func(ddrBytes int64)) {
-			if p.Comp.Config().Placement == compress.HostInterface {
-				p.Comp.Process(p.K, req.Bytes, then)
-				return
-			}
-			then(req.Bytes)
-		}
-		hostCompress(func(ddrBytes int64) {
-			// Compressed streams fill whole flash pages as they accumulate:
-			// host placement arrives in DRAM already compressed; channel
-			// placement compresses between DRAM and the controller.
-			flashPages := pages
-			var chanBytes int64
-			switch p.Comp.Config().Placement {
-			case compress.HostInterface:
-				p.compDebt += ddrBytes
-				flashPages = int(p.compDebt / int64(p.pageBytes))
-				p.compDebt -= int64(flashPages) * int64(p.pageBytes)
-			case compress.ChannelWay:
-				out := p.Comp.OutputBytes(ddrBytes)
-				p.Comp.Account(ddrBytes, out)
-				p.compDebt += out
-				flashPages = int(p.compDebt / int64(p.pageBytes))
-				p.compDebt -= int64(flashPages) * int64(p.pageBytes)
-				chanBytes = ddrBytes
-			}
-			ch := int(p.stripe) % p.Cfg.Channels
-			buf := p.DRAM.ForChannel(ch)
-			moveToDRAM := func(then func()) {
-				if err := p.hostDMA.Transfer(ddrBytes, nil, func(_, _ sim.Time) {
-					buf.Access(true, req.LBA*trace.SectorSize, ddrBytes, func(_, _ sim.Time) {
-						cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
-						then()
-					})
-				}); err != nil {
-					panic(fmt.Sprintf("core: host DMA failed: %v", err))
-				}
-			}
-			if mode == ModeHostDDR {
-				moveToDRAM(func() { p.Host.Complete(cmd) })
-				return
-			}
-			// Backpressure: the finite write cache must admit every page
-			// before the host data can land in DRAM.
-			p.acquireCachePages(flashPages, func() {
-				// Admission wait is the flash drain showing through the
-				// finite cache: charge it to the NAND stage.
-				cmd.Span.Advance(telemetry.StageNAND, p.K.Now())
-				moveToDRAM(func() {
-					// Channel compressor occupancy sits between DRAM and
-					// the channel controller.
-					p.Comp.Occupy(p.K, chanBytes, func() {
-						// Buffer policy: caching completes at DRAM landing.
-						remaining := flashPages
-						completeAtProgram := p.Cfg.CachePolicy != "cache"
-						if !completeAtProgram {
-							p.Host.Complete(cmd)
-						} else if remaining == 0 {
-							// Fully absorbed by compression debt.
-							p.Host.Complete(cmd)
-							return
-						}
-						onPage := func() {
-							// Program completion. The command's span rode
-							// the batched write path page by page, so the
-							// controller has already split the interval
-							// into chan (die queue), bus (ONFI), ecc
-							// (encode prep) and nand (tPROG).
-							p.writeCache.Release()
-							remaining--
-							if completeAtProgram && remaining == 0 {
-								p.Host.Complete(cmd)
-							}
-						}
-						for i := 0; i < flashPages; i++ {
-							if p.mapper != nil {
-								p.mapperWrite(req.LBA, i, &cmd.Span, onPage)
-							} else {
-								p.flashWrite(&cmd.Span, onPage)
-							}
-						}
-					})
-				})
-			})
-		})
-	}
-	if mode == ModeHostDDR {
-		afterCPU() // isolate the DMA path: no firmware cost
-		return
-	}
-	p.cpuCost(req, pages, afterCPU)
+// command is the device-side record of one host command: the state its
+// write or read path carries from stage to stage, and the stage steps. A
+// step used once is bound where it is handed on; the steps a command hands
+// on per page or per cache token (tokenFn, programmedFn, pageReadFn,
+// pageSentFn) are bound once on the record. So a command allocates its
+// record and a few bound steps instead of a chain of nested closures with
+// their captured variables. The record dies with its command; it is not
+// pooled, because a pool would keep the in-flight peak alive for the rest
+// of the run.
+type command struct {
+	p    *Platform
+	cmd  *hostif.Command
+	mode Mode
+
+	pages      int          // flash pages the request spans
+	flashPages int          // pages to program once compression debt is settled
+	remaining  int          // cache tokens, then programs, still to come (writes); pages still to send (reads)
+	ddrBytes   int64        // bytes landing in DRAM (after host-side compression)
+	chanBytes  int64        // bytes through the channel-side compressor
+	buf        *dram.Buffer // the DRAM buffer a write lands in
+
+	tokenFn, programmedFn func()
+	pageReadFn            func()
+	pageSentFn            func(start, end sim.Time)
 }
 
-// handleRead: firmware, channel read (NAND -> DRAM), ECC decode, host DMA
-// out of DRAM, completion (the host interface models the tx wire).
-func (p *Platform) handleRead(cmd *hostif.Command, mode Mode) {
-	req := cmd.Req
-	pages := p.pagesOf(req.Bytes)
-	afterCPU := func() {
-		cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
-		if mode == ModeHostDDR {
-			// DRAM-only path: read the buffer and DMA to the host.
-			buf := p.DRAM.ForChannel(0)
-			buf.Access(false, req.LBA*trace.SectorSize, req.Bytes, func(_, _ sim.Time) {
-				if err := p.hostDMA.Transfer(req.Bytes, nil, func(_, _ sim.Time) {
-					cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
-					p.Host.Complete(cmd)
-				}); err != nil {
-					panic(err)
-				}
-			})
-			return
-		}
-		remaining := pages
-		basePage := req.LBA * trace.SectorSize / int64(p.pageBytes)
-		for i := 0; i < pages; i++ {
-			var gdie int
-			var addr nand.Addr
-			mapped := false
-			if p.mapper != nil {
-				gdie, addr, mapped = p.mapperRead(req.LBA, i)
-				if !mapped {
-					// Unwritten/trimmed page: the real FTL answers from
-					// the map without touching flash (zero-fill read).
-					if err := p.hostDMA.Transfer(int64(p.pageBytes), nil, func(_, _ sim.Time) {
-						cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
-						remaining--
-						if remaining == 0 {
-							p.Host.Complete(cmd)
-						}
-					}); err != nil {
-						panic(err)
-					}
-					continue
-				}
-			}
-			if !mapped {
-				gdie, addr = p.readAddr(basePage + int64(i))
-			}
-			p.readPage(gdie, addr, req.LBA, &cmd.Span, false, func() {
-				cmd.Span.Advance(telemetry.StageECC, p.K.Now())
-				if err := p.hostDMA.Transfer(int64(p.pageBytes), nil, func(_, _ sim.Time) {
-					cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
-					remaining--
-					if remaining == 0 {
-						p.Host.Complete(cmd)
-					}
-				}); err != nil {
-					panic(err)
-				}
-			})
-		}
+// bookkept completes a trim or flush once its firmware cost is paid.
+func (c *command) bookkept() {
+	p, req := c.p, c.cmd.Req
+	c.cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
+	if req.Op == trace.OpTrim && p.mapper != nil {
+		p.mapperTrim(req)
 	}
-	if mode == ModeHostDDR {
-		afterCPU()
+	p.Host.Complete(c.cmd)
+}
+
+// write: host DMA into DRAM (optionally through the host-side compressor),
+// completion per buffer policy, then the flash flush path (channel-side
+// compressor, ECC encode, channel controller, NAND program).
+func (c *command) write() {
+	if c.mode == ModeHostDDR {
+		c.writeAfterCPU() // isolate the DMA path: no firmware cost
 		return
 	}
-	p.cpuCost(req, pages, afterCPU)
+	c.p.cpuCost(c.cmd.Req, c.pages, c.writeAfterCPU)
+}
+
+// writeAfterCPU runs host-side compression, which shrinks everything
+// downstream of the host interface (AHB crossing, DRAM, NAND).
+//
+//ssdx:hotpath
+func (c *command) writeAfterCPU() {
+	p := c.p
+	c.cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
+	if p.Comp.Config().Placement == compress.HostInterface {
+		p.Comp.Process(p.K, c.cmd.Req.Bytes, c.compressed)
+		return
+	}
+	c.compressed(c.cmd.Req.Bytes)
+}
+
+// compressed sizes the write downstream of host-side compression and asks
+// the write cache to admit its pages.
+//
+//ssdx:hotpath
+func (c *command) compressed(ddrBytes int64) {
+	p := c.p
+	// Compressed streams fill whole flash pages as they accumulate: host
+	// placement arrives in DRAM already compressed; channel placement
+	// compresses between DRAM and the controller.
+	c.ddrBytes, c.flashPages = ddrBytes, c.pages
+	switch p.Comp.Config().Placement {
+	case compress.HostInterface:
+		p.compDebt += ddrBytes
+		c.flashPages = int(p.compDebt / int64(p.pageBytes))
+		p.compDebt -= int64(c.flashPages) * int64(p.pageBytes)
+	case compress.ChannelWay:
+		out := p.Comp.OutputBytes(ddrBytes)
+		p.Comp.Account(ddrBytes, out)
+		p.compDebt += out
+		c.flashPages = int(p.compDebt / int64(p.pageBytes))
+		p.compDebt -= int64(c.flashPages) * int64(p.pageBytes)
+		c.chanBytes = ddrBytes
+	}
+	c.buf = p.DRAM.ForChannel(int(p.stripe) % p.Cfg.Channels)
+	if c.mode == ModeHostDDR {
+		c.moveToDRAM()
+		return
+	}
+	// Backpressure: the finite write cache must admit every page before the
+	// host data can land in DRAM. Tokens are taken one at a time.
+	c.remaining = c.flashPages
+	if c.remaining <= 0 {
+		c.admitted()
+		return
+	}
+	c.tokenFn = c.token
+	p.writeCache.AcquireWhenFree(c.tokenFn)
+}
+
+// token holds one more write-cache page.
+//
+//ssdx:hotpath
+func (c *command) token() {
+	c.remaining--
+	if c.remaining == 0 {
+		c.admitted()
+		return
+	}
+	c.p.writeCache.AcquireWhenFree(c.tokenFn)
+}
+
+// admitted moves the data once the write cache holds every page. The
+// admission wait is the flash drain showing through the finite cache:
+// charge it to the NAND stage.
+//
+//ssdx:hotpath
+func (c *command) admitted() {
+	c.cmd.Span.Advance(telemetry.StageNAND, c.p.K.Now())
+	c.moveToDRAM()
+}
+
+// moveToDRAM DMAs the host data across the AHB into the DRAM buffer.
+//
+//ssdx:hotpath
+func (c *command) moveToDRAM() {
+	if err := c.p.hostDMA.Transfer(c.ddrBytes, nil, c.dmaDone); err != nil {
+		dmaPanic(err)
+	}
+}
+
+// dmaDone writes the DMAed data into the DRAM buffer.
+//
+//ssdx:hotpath
+func (c *command) dmaDone(_, _ sim.Time) {
+	c.buf.Access(true, c.cmd.Req.LBA*trace.SectorSize, c.ddrBytes, c.landed)
+}
+
+// landed completes a host+DDR write, or passes the data through the
+// channel compressor, whose occupancy sits between DRAM and the channel
+// controller.
+//
+//ssdx:hotpath
+func (c *command) landed(_, _ sim.Time) {
+	p := c.p
+	c.cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
+	if c.mode == ModeHostDDR {
+		p.Host.Complete(c.cmd)
+		return
+	}
+	p.Comp.Occupy(p.K, c.chanBytes, c.occupied)
+}
+
+// occupied completes a cached write at DRAM landing (the caching buffer
+// policy) and issues the page programs.
+//
+//ssdx:hotpath
+func (c *command) occupied() {
+	p := c.p
+	c.remaining = c.flashPages
+	if p.Cfg.CachePolicy == "cache" {
+		p.Host.Complete(c.cmd)
+	} else if c.remaining == 0 {
+		// Fully absorbed by compression debt.
+		p.Host.Complete(c.cmd)
+		return
+	}
+	c.programmedFn = c.programmed
+	for i := 0; i < c.flashPages; i++ {
+		if p.mapper != nil {
+			p.mapperWrite(c.cmd.Req.LBA, i, &c.cmd.Span, c.programmedFn)
+		} else {
+			p.flashWrite(&c.cmd.Span, c.programmedFn)
+		}
+	}
+}
+
+// programmed retires one page program. The command's span rode the
+// batched write path page by page, so the controller has already split the
+// interval into chan (die queue), bus (ONFI), ecc (encode prep) and nand
+// (tPROG).
+//
+//ssdx:hotpath
+func (c *command) programmed() {
+	p := c.p
+	p.writeCache.Release()
+	c.remaining--
+	if p.Cfg.CachePolicy != "cache" && c.remaining == 0 {
+		p.Host.Complete(c.cmd)
+	}
+}
+
+// read: firmware, channel read (NAND -> DRAM), ECC decode, host DMA out of
+// DRAM, completion (the host interface models the tx wire).
+func (c *command) read() {
+	if c.mode == ModeHostDDR {
+		c.readAfterCPU()
+		return
+	}
+	c.p.cpuCost(c.cmd.Req, c.pages, c.readAfterCPU)
+}
+
+// readAfterCPU issues one flash read per page; in host+DDR mode it reads
+// the buffer instead (the DRAM-only path).
+//
+//ssdx:hotpath
+func (c *command) readAfterCPU() {
+	p, req := c.p, c.cmd.Req
+	c.cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
+	c.pageSentFn = c.pageSent
+	if c.mode == ModeHostDDR {
+		c.remaining = 1
+		p.DRAM.ForChannel(0).Access(false, req.LBA*trace.SectorSize, req.Bytes, c.bufferRead)
+		return
+	}
+	c.remaining = c.pages
+	c.pageReadFn = c.pageRead
+	basePage := req.LBA * trace.SectorSize / int64(p.pageBytes)
+	for i := 0; i < c.pages; i++ {
+		var gdie int
+		var addr nand.Addr
+		mapped := false
+		if p.mapper != nil {
+			gdie, addr, mapped = p.mapperRead(req.LBA, i)
+			if !mapped {
+				// Unwritten/trimmed page: the real FTL answers from the
+				// map without touching flash (zero-fill read).
+				c.send(int64(p.pageBytes))
+				continue
+			}
+		}
+		if !mapped {
+			gdie, addr = p.readAddr(basePage + int64(i))
+		}
+		p.readPage(gdie, addr, req.LBA, &c.cmd.Span, false, c.pageReadFn)
+	}
+}
+
+// bufferRead DMAs a host+DDR read out of the DRAM buffer.
+//
+//ssdx:hotpath
+func (c *command) bufferRead(_, _ sim.Time) { c.send(c.cmd.Req.Bytes) }
+
+// pageRead DMAs one decoded page to the host interface.
+//
+//ssdx:hotpath
+func (c *command) pageRead() {
+	c.cmd.Span.Advance(telemetry.StageECC, c.p.K.Now())
+	c.send(int64(c.p.pageBytes))
+}
+
+// send DMAs n bytes of read data out of DRAM.
+//
+//ssdx:hotpath
+func (c *command) send(n int64) {
+	if err := c.p.hostDMA.Transfer(n, nil, c.pageSentFn); err != nil {
+		dmaPanic(err)
+	}
+}
+
+// pageSent completes the read once its last page has left DRAM.
+//
+//ssdx:hotpath
+func (c *command) pageSent(_, _ sim.Time) {
+	c.cmd.Span.Advance(telemetry.StageDRAM, c.p.K.Now())
+	c.remaining--
+	if c.remaining == 0 {
+		c.p.Host.Complete(c.cmd)
+	}
+}
+
+// dmaPanic reports a failed host DMA off the hot path.
+func dmaPanic(err error) {
+	panic(fmt.Sprintf("core: host DMA failed: %v", err))
 }
 
 // lazyPreloadPage marks a replayed read's target page as pre-existing data

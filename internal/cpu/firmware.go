@@ -75,6 +75,12 @@ type Complex struct {
 	cores []*sim.Server
 	next  int
 
+	// done holds, per core, the callbacks of the tasks awaiting their
+	// grant. A core is a serial server that grants in Acquire order, so
+	// the core's one pre-bound grant function pops its FIFO's head.
+	done    []sim.FIFO[func()]
+	grantFn []func(start, end sim.Time)
+
 	TasksRun    uint64
 	CyclesSpent int64
 }
@@ -85,8 +91,10 @@ func NewComplex(k *sim.Kernel, cfg Config) (*Complex, error) {
 		return nil, err
 	}
 	c := &Complex{cfg: cfg, k: k, clk: sim.NewClock("cpu", cfg.ClockMHz)}
+	c.done = make([]sim.FIFO[func()], cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		c.cores = append(c.cores, sim.NewServer(k, c.clk, fmt.Sprintf("core%d", i)))
+		c.grantFn = append(c.grantFn, func(_, end sim.Time) { c.grant(i, end) })
 	}
 	return c, nil
 }
@@ -103,19 +111,27 @@ func (c *Complex) Cores() []*sim.Server { return c.cores }
 
 // Exec schedules a firmware task of the given cycle cost on the next core
 // (round-robin); done fires when the task completes.
+//
+//ssdx:hotpath
 func (c *Complex) Exec(cycles int64, done func()) {
 	if cycles < 0 {
 		cycles = 0
 	}
-	core := c.cores[c.next]
+	i := c.next
 	c.next = (c.next + 1) % len(c.cores)
 	c.TasksRun++
 	c.CyclesSpent += cycles
-	core.Acquire(c.clk.Cycles(cycles), func(_, end sim.Time) {
-		if done != nil {
-			c.k.At(end, done)
-		}
-	})
+	c.done[i].Push(done)
+	c.cores[i].Acquire(c.clk.Cycles(cycles), c.grantFn[i])
+}
+
+// grant schedules the oldest waiting task of core i to complete at end.
+//
+//ssdx:hotpath
+func (c *Complex) grant(i int, end sim.Time) {
+	if done := c.done[i].Pop(); done != nil {
+		c.k.At(end, done)
+	}
 }
 
 // Utilization averages core busy fractions.

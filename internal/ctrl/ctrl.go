@@ -249,14 +249,6 @@ func (ch *Channel) dataBus(die int) *sim.Server {
 	return ch.cmdBus
 }
 
-// acquireCmd serialises a command/address sequence; in shared-bus mode the
-// command cycles ride the same bus as data.
-func (ch *Channel) acquireCmd(fn func()) {
-	ch.cmdBus.Acquire(ch.tim.CommandOverhead(), func(_, end sim.Time) {
-		ch.k.At(end, fn)
-	})
-}
-
 // checkDie validates a die index.
 func (ch *Channel) checkDie(die int) error {
 	if die < 0 || die >= len(ch.dies) {
@@ -290,6 +282,7 @@ type dieOp struct {
 	fetched   bool  // write prefetch (DRAM+AHB) complete
 	prepped   bool  // write prep stage (e.g. ECC encode) complete
 	slotReady bool  // read SRAM slot reserved
+	sensed    bool  // read array sense done (the next ONFI window is data-out)
 
 	// GC attribution: gcPages counts relocation pages riding a program
 	// batch (they get their own op kind in the utilization timeline);
@@ -305,20 +298,26 @@ type dieOp struct {
 
 	done func()
 
-	// busStart/busEnd hold the granted ONFI window between the bus grant
-	// and the program issue event.
+	// busStart/busEnd hold the granted ONFI window between a bus grant and
+	// its end event.
 	busStart, busEnd sim.Time
 
-	// Pre-bound callbacks (write path + prefetch + slot grant), created once
-	// per op object so the steady-state program path never allocates.
-	onPrepReady  func()
-	onSlotWrite  func()
-	onSlotRead   func()
-	onBufFetched func(start, end sim.Time)
-	onDMAFetched func(start, end sim.Time)
-	onBusGrant   func(start, end sim.Time)
-	onBusDone    func()
-	onProgDone   func()
+	// Pre-bound callbacks, created once per op object so the steady-state
+	// program, read and erase paths never allocate. Each is one step that
+	// every op kind passing through it shares, dispatching on kind: the
+	// write prefetch runs DRAM then AHB (onBufDone, then onDMADone), a read
+	// pushes AHB then DRAM (onDMADone, then onBufDone); onGrant and
+	// onBusDone serve every ONFI window (a read's command cycles and its
+	// data-out, a program's data-in, an erase's command cycles), and
+	// onArrayDone ends every array operation.
+	onPrepReady func()
+	onSlotWrite func()
+	onSlotRead  func()
+	onBufDone   func(start, end sim.Time)
+	onDMADone   func(start, end sim.Time)
+	onGrant     func(start, end sim.Time)
+	onBusDone   func()
+	onArrayDone func()
 }
 
 // advance moves every attached span's watermark (nil entries skipped).
@@ -343,52 +342,89 @@ func (op *dieOp) bind() {
 	op.onSlotWrite = func() {
 		// Prefetch: DRAM read then AHB transfer into the SRAM cache.
 		off := int64(op.ch.ID) * op.bytes
-		op.ch.buf.Access(false, off, op.bytes, op.onBufFetched)
-	}
-	op.onBufFetched = func(_, _ sim.Time) {
-		if err := op.ch.ppDMA.Transfer(op.bytes, nil, op.onDMAFetched); err != nil {
-			panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
-		}
-	}
-	op.onDMAFetched = func(_, _ sim.Time) {
-		op.fetched = true
-		op.ch.pump(op.die)
+		op.ch.buf.Access(false, off, op.bytes, op.onBufDone)
 	}
 	op.onSlotRead = func() {
 		op.slotReady = true
 		op.ch.pump(op.die)
 	}
-	op.onBusGrant = func(start, end sim.Time) {
+	op.onBufDone = func(_, _ sim.Time) {
+		if op.kind == opRead {
+			op.ch.readLanded(op)
+			return
+		}
+		if err := op.ch.ppDMA.Transfer(op.bytes, nil, op.onDMADone); err != nil {
+			panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
+		}
+	}
+	op.onDMADone = func(_, _ sim.Time) {
+		if op.kind == opRead {
+			op.ch.buf.Access(true, int64(op.ch.ID)*op.bytes, op.bytes, op.onBufDone)
+			return
+		}
+		op.fetched = true
+		op.ch.pump(op.die)
+	}
+	op.onGrant = func(start, end sim.Time) {
 		op.busStart, op.busEnd = start, end
 		op.ch.k.At(end, op.onBusDone)
 	}
 	op.onBusDone = func() {
-		// Everything up to the bus grant was die-queue wait (channel stage);
-		// the granted window itself is ONFI occupancy (bus stage).
-		op.advance(telemetry.StageChan, op.busStart)
-		op.advance(telemetry.StageBus, op.busEnd)
-		dur, err := op.ch.dies[op.die].MultiPlaneProgram(op.addrs, op.onProgDone)
-		if err != nil {
-			panic(fmt.Sprintf("ctrl: program failed on ch%d die%d %+v: %v",
-				op.ch.ID, op.die, op.addrs, err))
-		}
-		if ch := op.ch; ch.tr != nil {
-			ch.recordProgram(op, dur)
+		ch := op.ch
+		switch {
+		case op.kind == opErase:
+			ch.erase(op)
+		case op.kind == opRead && !op.sensed:
+			ch.sense(op)
+		case op.kind == opRead:
+			ch.readOut(op)
+		default:
+			ch.issueProgram(op)
 		}
 	}
-	op.onProgDone = func() {
-		ch, die := op.ch, op.die
-		// The array time (tPROG) ends the page's flash interval.
-		op.advance(telemetry.StageNAND, ch.k.Now())
-		ch.Stats.PageWrites += uint64(len(op.addrs))
-		ch.Stats.BytesToNAND += uint64(op.bytes)
-		done := op.done
-		ch.cache.Release()
-		ch.release(die)
-		ch.putOp(op)
-		if done != nil {
-			done()
+	op.onArrayDone = func() {
+		ch := op.ch
+		switch op.kind {
+		case opRead:
+			ch.sensed(op)
+		case opErase:
+			ch.erased(op)
+		default:
+			ch.programmed(op)
 		}
+	}
+}
+
+// issueProgram issues a write op's program at the end of its ONFI data-in
+// window. Everything up to the bus grant was die-queue wait (channel
+// stage); the granted window itself is ONFI occupancy (bus stage).
+func (ch *Channel) issueProgram(op *dieOp) {
+	op.advance(telemetry.StageChan, op.busStart)
+	op.advance(telemetry.StageBus, op.busEnd)
+	dur, err := ch.dies[op.die].MultiPlaneProgram(op.addrs, op.onArrayDone)
+	if err != nil {
+		panic(fmt.Sprintf("ctrl: program failed on ch%d die%d %+v: %v",
+			ch.ID, op.die, op.addrs, err))
+	}
+	if ch.tr != nil {
+		ch.recordProgram(op, dur)
+	}
+}
+
+// programmed retires a write op at the end of its array time (tPROG),
+// which ends the page's flash interval.
+//
+//ssdx:hotpath
+func (ch *Channel) programmed(op *dieOp) {
+	op.advance(telemetry.StageNAND, ch.k.Now())
+	ch.Stats.PageWrites += uint64(len(op.addrs))
+	ch.Stats.BytesToNAND += uint64(op.bytes)
+	done := op.done
+	ch.cache.Release()
+	ch.release(op.die)
+	ch.putOp(op)
+	if done != nil {
+		done()
 	}
 }
 
@@ -440,7 +476,7 @@ func (ch *Channel) putOp(op *dieOp) {
 	op.span = nil
 	op.done = nil
 	op.bytes = 0
-	op.fetched, op.prepped, op.slotReady = false, false, false
+	op.fetched, op.prepped, op.slotReady, op.sensed = false, false, false, false
 	op.gcPages, op.gcRead = 0, false
 	ch.opPool.Give(op)
 }
@@ -479,14 +515,14 @@ func (ch *Channel) pump(die int) {
 		ch.tr.Depth(ch.dieRes[die], ch.dieQ[die].Len(), ch.k.Now())
 	}
 	ch.dieBusy[die] = true
-	switch op.kind {
-	case opWrite:
+	if op.kind == opWrite {
 		ch.startWrite(die, op)
-	case opRead:
-		ch.startRead(die, op)
-	case opErase:
-		ch.startErase(die, op)
+		return
 	}
+	// Reads and erases open with command/address cycles, which in
+	// shared-bus mode ride the same bus as data; op.onBusDone continues
+	// with sense or erase at the end of the granted window.
+	ch.cmdBus.Acquire(ch.tim.CommandOverhead(), op.onGrant)
 }
 
 // release frees the die interface and pumps the next queued op.
@@ -502,84 +538,96 @@ func (ch *Channel) startWrite(die int, op *dieOp) {
 	// Command/address plus data-in cycles occupy the (gang-dependent) bus;
 	// op.onBusDone issues the program at the end of the granted window.
 	busTime := sim.Time(len(op.addrs))*ch.tim.CommandOverhead() + ch.tim.DataTransferTime(int(op.bytes))
-	ch.dataBus(die).Acquire(busTime, op.onBusGrant)
+	ch.dataBus(die).Acquire(busTime, op.onGrant)
 }
 
-func (ch *Channel) startRead(die int, op *dieOp) {
-	// Stage 1: command/address cycles, then the array sense.
-	ch.acquireCmd(func() {
-		// Die-queue wait plus command/address cycles: channel stage.
-		ch.adv(op.span, telemetry.StageChan, ch.k.Now())
-		dur, err := ch.dies[die].Read(op.addrs[0], func() {
-			// Array sense (tR): NAND stage.
-			ch.adv(op.span, telemetry.StageNAND, ch.k.Now())
-			// Stage 2: data-out cycles on the data bus (the SRAM slot was
-			// reserved at enqueue, keeping slot-grant order equal to
-			// command order — a FIFO property that rules out deadlock).
-			ch.dataBus(die).Acquire(ch.tim.DataTransferTime(int(op.bytes)), func(_, end sim.Time) {
-				ch.k.At(end, func() {
-					// Data-out occupancy: bus stage.
-					ch.adv(op.span, telemetry.StageBus, end)
-					ch.release(die)
-					// Stage 3: PP-DMA pushes to DRAM over the AHB.
-					if err := ch.ppDMA.Transfer(op.bytes, nil, func(_, _ sim.Time) {
-						ch.buf.Access(true, int64(ch.ID)*op.bytes, op.bytes, func(_, _ sim.Time) {
-							// AHB DMA + DDR landing: DRAM stage.
-							ch.adv(op.span, telemetry.StageDRAM, ch.k.Now())
-							ch.Stats.PageReads++
-							ch.Stats.BytesFromNAND += uint64(op.bytes)
-							done := op.done
-							ch.cache.Release()
-							ch.putOp(op)
-							if done != nil {
-								done()
-							}
-						})
-					}); err != nil {
-						panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
-					}
-				})
-			})
-		})
-		if err != nil {
-			panic(fmt.Sprintf("ctrl: read failed on ch%d die%d %+v: %v",
-				ch.ID, die, op.addrs[0], err))
+// sense starts a read op's array sense once its command/address cycles
+// are done.
+func (ch *Channel) sense(op *dieOp) {
+	// Die-queue wait plus command/address cycles: channel stage.
+	ch.adv(op.span, telemetry.StageChan, ch.k.Now())
+	dur, err := ch.dies[op.die].Read(op.addrs[0], op.onArrayDone)
+	if err != nil {
+		panic(fmt.Sprintf("ctrl: read failed on ch%d die%d %+v: %v",
+			ch.ID, op.die, op.addrs[0], err))
+	}
+	if ch.tr != nil {
+		now := ch.k.Now()
+		kind := evtrace.OpRead
+		if op.gcRead {
+			kind = evtrace.OpGCRead
 		}
-		if ch.tr != nil {
-			now := ch.k.Now()
-			kind := evtrace.OpRead
-			if op.gcRead {
-				kind = evtrace.OpGCRead
-			}
-			ch.tr.Interval(ch.dieRes[die], kind, now, now+dur)
-			if op.span != nil && op.span.Flow != 0 {
-				ch.tr.FlowStep(ch.dieRes[die], op.span.Flow, now)
-			}
+		ch.tr.Interval(ch.dieRes[op.die], kind, now, now+dur)
+		if op.span != nil && op.span.Flow != 0 {
+			ch.tr.FlowStep(ch.dieRes[op.die], op.span.Flow, now)
 		}
-	})
+	}
 }
 
-func (ch *Channel) startErase(die int, op *dieOp) {
+// sensed moves a read op's page out once the array sense (tR, the NAND
+// stage) is done: data-out cycles on the data bus. The SRAM slot was
+// reserved at enqueue, keeping slot-grant order equal to command order — a
+// FIFO property that rules out deadlock.
+//
+//ssdx:hotpath
+func (ch *Channel) sensed(op *dieOp) {
+	ch.adv(op.span, telemetry.StageNAND, ch.k.Now())
+	op.sensed = true
+	ch.dataBus(op.die).Acquire(ch.tim.DataTransferTime(int(op.bytes)), op.onGrant)
+}
+
+// readOut frees the die at the end of a read's data-out window (the bus
+// stage) and has the PP-DMA push the page to DRAM over the AHB.
+func (ch *Channel) readOut(op *dieOp) {
+	ch.adv(op.span, telemetry.StageBus, op.busEnd)
+	ch.release(op.die)
+	if err := ch.ppDMA.Transfer(op.bytes, nil, op.onDMADone); err != nil {
+		panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
+	}
+}
+
+// readLanded retires a read op once its page has landed in DRAM (AHB DMA
+// plus DDR landing: the DRAM stage).
+//
+//ssdx:hotpath
+func (ch *Channel) readLanded(op *dieOp) {
+	ch.adv(op.span, telemetry.StageDRAM, ch.k.Now())
+	ch.Stats.PageReads++
+	ch.Stats.BytesFromNAND += uint64(op.bytes)
+	done := op.done
+	ch.cache.Release()
+	ch.putOp(op)
+	if done != nil {
+		done()
+	}
+}
+
+// erase starts an erase op's block erase once its command/address cycles
+// are done.
+func (ch *Channel) erase(op *dieOp) {
 	a := op.addrs[0]
-	ch.acquireCmd(func() {
-		dur, err := ch.dies[die].EraseBlock(a.Plane, a.Block, func() {
-			ch.Stats.Erases++
-			done := op.done
-			ch.release(die)
-			ch.putOp(op)
-			if done != nil {
-				done()
-			}
-		})
-		if err != nil {
-			panic(fmt.Sprintf("ctrl: erase failed on ch%d die%d p%d b%d: %v",
-				ch.ID, die, a.Plane, a.Block, err))
-		}
-		if ch.tr != nil {
-			now := ch.k.Now()
-			ch.tr.Interval(ch.dieRes[die], evtrace.OpErase, now, now+dur)
-		}
-	})
+	dur, err := ch.dies[op.die].EraseBlock(a.Plane, a.Block, op.onArrayDone)
+	if err != nil {
+		panic(fmt.Sprintf("ctrl: erase failed on ch%d die%d p%d b%d: %v",
+			ch.ID, op.die, a.Plane, a.Block, err))
+	}
+	if ch.tr != nil {
+		now := ch.k.Now()
+		ch.tr.Interval(ch.dieRes[op.die], evtrace.OpErase, now, now+dur)
+	}
+}
+
+// erased retires an erase op.
+//
+//ssdx:hotpath
+func (ch *Channel) erased(op *dieOp) {
+	ch.Stats.Erases++
+	done := op.done
+	ch.release(op.die)
+	ch.putOp(op)
+	if done != nil {
+		done()
+	}
 }
 
 // Program moves a batch of pages from the DRAM buffer through the

@@ -209,8 +209,9 @@ func TestWriteSpanBatchZeroAllocs(t *testing.T) {
 	spans := []*telemetry.Span{&spA, &spB}
 	batches := dieBatches(geo)
 
-	// Warm every pool (die page state, op pool, event pool, server/DMA/DRAM
-	// free lists) with a full-die lap, then erase for the measured lap.
+	// Warm every pool (die page state, op pool, the kernel's event heap,
+	// server/DMA/DRAM free lists) with a full-die lap, then erase for the
+	// measured lap.
 	cursor := 0
 	writeSpanLap(t, r, batches, &cursor, spans, len(batches))
 	eraseDie(t, r)

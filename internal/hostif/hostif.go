@@ -13,6 +13,15 @@
 // workload.Stream, whose record flag and phase the player reads after every
 // pull. Only the pull chains differ (see pull).
 //
+// Commands travel as records, not closure chains. Each wire direction is a
+// serial link: its server grants in Acquire order and its end events fire in
+// grant order, so one FIFO of *Command and two pre-bound steps (the grant,
+// which schedules the end event, and the end) carry every transfer, and the
+// command itself records whether the transfer is its data or its capsule.
+// Each pull chain keeps its one pending submission-queue entry in place (on
+// the Interface for a single stream, on the queue's state otherwise) behind
+// steps bound once, so the player schedules no fresh closure per command.
+//
 // The SATA command-window limit is the microarchitectural mechanism behind
 // the paper's Fig. 3 finding: with a no-cache buffer policy the 32-command
 // window caps how much internal parallelism the drive can expose, flattening
@@ -155,7 +164,44 @@ type Command struct {
 	// in: a recorded command from an earlier window (still in flight when a
 	// reset opened a new one) must not leak into the new window's stats.
 	winGen uint32
+
+	// wireData marks the command's current link transfer as its data
+	// (write data on rx, read data on tx) rather than its capsule.
+	wireData bool
 }
+
+// link is one direction of the host wire: a serial server and the commands
+// it carries. The server grants in Acquire order, and each grant's end
+// event fires no earlier than the previous grant's, so the commands finish
+// in the order they were sent and one FIFO holds them all.
+type link struct {
+	srv     *sim.Server
+	k       *sim.Kernel
+	sending sim.FIFO[*Command] // sent, end event not yet fired
+	grantFn func(start, end sim.Time)
+	endFn   func()
+}
+
+// newLink builds a link on a fresh server named name; end lands each
+// transfer, oldest first.
+func newLink(k *sim.Kernel, name string, end func()) *link {
+	l := &link{srv: sim.NewServer(k, nil, name), k: k, endFn: end}
+	l.grantFn = l.grant
+	return l
+}
+
+// send queues cmd for a transfer occupying the link for dur.
+//
+//ssdx:hotpath
+func (l *link) send(cmd *Command, dur sim.Time) {
+	l.sending.Push(cmd)
+	l.srv.Acquire(dur, l.grantFn)
+}
+
+// grant schedules the end of a granted transfer.
+//
+//ssdx:hotpath
+func (l *link) grant(_, end sim.Time) { l.k.At(end, l.endFn) }
 
 // Stats aggregates interface activity.
 type Stats struct {
@@ -172,9 +218,15 @@ type Interface struct {
 	cfg Config
 	k   *sim.Kernel
 
-	rx     *sim.Server    // host -> device (commands, write data)
-	tx     *sim.Server    // device -> host (completions, read data)
+	rx     *link          // host -> device (commands, write data)
+	tx     *link          // device -> host (completions, read data)
 	window *sim.TokenGate // command queue depth
+
+	// The single-stream pull steps, bound once in New.
+	pullArriveFn, pullGrantFn func()
+	// pulled is the single stream's one pending entry: pulled from the
+	// stream, waiting for its arrival time or for a window slot.
+	pulled sqEntry
 
 	handler     func(*Command)
 	onDrained   func()
@@ -224,13 +276,11 @@ func New(k *sim.Kernel, cfg Config) (*Interface, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Interface{
-		cfg:    cfg,
-		k:      k,
-		rx:     sim.NewServer(k, nil, cfg.Name+"-rx"),
-		tx:     sim.NewServer(k, nil, cfg.Name+"-tx"),
-		window: sim.NewTokenGate(k, cfg.QueueDepth),
-	}, nil
+	i := &Interface{cfg: cfg, k: k, window: sim.NewTokenGate(k, cfg.QueueDepth)}
+	i.rx = newLink(k, cfg.Name+"-rx", i.rxEnd)
+	i.tx = newLink(k, cfg.Name+"-tx", i.txEnd)
+	i.pullArriveFn, i.pullGrantFn = i.pullArrive, i.pullGrant
+	return i, nil
 }
 
 // SetTracer attaches an event tracer: the rx and tx links register as host
@@ -241,11 +291,11 @@ func (i *Interface) SetTracer(tr *evtrace.Tracer) {
 		return
 	}
 	i.tr = tr
-	i.rxRes = tr.Register(evtrace.KindHost, i.rx.Name())
-	i.txRes = tr.Register(evtrace.KindHost, i.tx.Name())
+	i.rxRes = tr.Register(evtrace.KindHost, i.rx.srv.Name())
+	i.txRes = tr.Register(evtrace.KindHost, i.tx.srv.Name())
 	rxRes, txRes := i.rxRes, i.txRes
-	i.rx.OnServe = func(start, end sim.Time) { tr.Interval(rxRes, evtrace.OpBusy, start, end) }
-	i.tx.OnServe = func(start, end sim.Time) { tr.Interval(txRes, evtrace.OpBusy, start, end) }
+	i.rx.srv.OnServe = func(start, end sim.Time) { tr.Interval(rxRes, evtrace.OpBusy, start, end) }
+	i.tx.srv.OnServe = func(start, end sim.Time) { tr.Interval(txRes, evtrace.OpBusy, start, end) }
 }
 
 // SetMetrics attaches a live metrics registry: RunMulti registers one
@@ -308,7 +358,9 @@ func (i *Interface) start(src MultiSource, handler func(*Command), onDrained fun
 		if depth <= 0 || depth > i.cfg.QueueDepth {
 			depth = i.cfg.QueueDepth
 		}
-		i.qs[q] = &queueState{depth: depth, st: src.Stream(q), recording: true, res: -1}
+		qs := &queueState{i: i, q: q, depth: depth, st: src.Stream(q), recording: true, res: -1}
+		qs.pullFn, qs.admitFn = qs.pull, qs.admit
+		i.qs[q] = qs
 	}
 	return nil
 }
@@ -338,16 +390,6 @@ func (i *Interface) next(q int) (e sqEntry, reset, ok bool) {
 	return sqEntry{req: req, record: rec, winGen: qs.winGen, phase: qs.st.Phase()}, reset, true
 }
 
-// atArrival runs issue at req's arrival time, or at once when that time
-// has passed (or the request is closed-loop).
-func (i *Interface) atArrival(req trace.Request, issue func()) {
-	if at := sim.FromMicroseconds(req.ArrivalUS); at > i.k.Now() {
-		i.k.At(at, issue)
-	} else {
-		issue()
-	}
-}
-
 // arrive stamps the latency clock's start on an entry the player is issuing
 // now. An open-loop request is "queued" at its declared arrival time even
 // when the player pulls it late (the pull chain is gated on window
@@ -366,9 +408,11 @@ func (i *Interface) arrive(e sqEntry) sqEntry {
 	return e
 }
 
-// submit takes a granted command-window slot for queue q's entry e, models
-// the command (and write-data) wire transfer, then hands the command to the
-// platform.
+// submit takes a granted command-window slot for queue q's entry e and
+// sends the command capsule over rx; rxEnd continues with the write data,
+// then hands the command to the platform.
+//
+//ssdx:hotpath
 func (i *Interface) submit(q int, e sqEntry) {
 	qs := i.qs[q]
 	qs.outstanding++
@@ -376,8 +420,7 @@ func (i *Interface) submit(q int, e sqEntry) {
 	if i.outstanding > i.Stats.QueuePeak {
 		i.Stats.QueuePeak = i.outstanding
 	}
-	req := e.req
-	cmd := &Command{ID: i.nextID, Queue: q, Phase: e.phase, Req: req, QueuedAt: e.queued, Record: e.record, winGen: e.winGen}
+	cmd := &Command{ID: i.nextID, Queue: q, Phase: e.phase, Req: e.req, QueuedAt: e.queued, Record: e.record, winGen: e.winGen}
 	cmd.Span.Start(e.queued)
 	// The window slot is granted: everything since the queue time was
 	// host-side queueing (window admission plus arrival backlog).
@@ -385,108 +428,130 @@ func (i *Interface) submit(q int, e sqEntry) {
 	if i.tr != nil {
 		// ID 0 is a valid command; flow 0 means "untraced", so shift by one.
 		cmd.Span.Flow = cmd.ID + 1
-		i.tr.CommandStart(cmd.Span.Flow, cmdOp(req.Op), e.queued)
+		i.tr.CommandStart(cmd.Span.Flow, cmdOp(e.req.Op), e.queued)
 		i.tr.FlowStep(i.rxRes, cmd.Span.Flow, i.k.Now())
 	}
 	i.nextID++
-	i.rx.Acquire(i.cfg.wireTime(i.cfg.CmdBytes), func(_, end sim.Time) {
-		i.k.At(end, func() {
-			cmd.SubmitAt = end
-			cmd.Span.Advance(telemetry.StageWire, end)
-			if i.Stats.FirstSubmit == 0 && i.Stats.Completed == 0 {
-				i.Stats.FirstSubmit = end
-			}
-			if cmd.Record && i.cmdInWindow(cmd) {
-				if !i.mHasSubmit {
-					i.mFirstSubmit, i.mHasSubmit = end, true
-				}
-				if !qs.hasSubmit {
-					qs.firstSubmit, qs.hasSubmit = end, true
-				}
-			}
-			if req.Op == trace.OpWrite && req.Bytes > 0 {
-				i.rx.Acquire(i.cfg.wireTime(req.Bytes), func(_, dEnd sim.Time) {
-					i.k.At(dEnd, func() {
-						cmd.DataAt = dEnd
-						cmd.Span.Advance(telemetry.StageWire, dEnd)
-						i.handler(cmd)
-					})
-				})
-				return
-			}
-			cmd.DataAt = end
-			i.handler(cmd)
-		})
-	})
+	i.rx.send(cmd, i.cfg.wireTime(i.cfg.CmdBytes))
+}
+
+// rxEnd lands the oldest granted rx transfer. A capsule opens the command's
+// measured submission and, for a write with data, sends the data next;
+// the command goes to the platform once nothing is left to receive.
+//
+//ssdx:hotpath
+func (i *Interface) rxEnd() {
+	cmd := i.rx.sending.Pop()
+	end := i.k.Now()
+	if cmd.wireData {
+		cmd.DataAt = end
+		cmd.Span.Advance(telemetry.StageWire, end)
+		i.handler(cmd)
+		return
+	}
+	cmd.SubmitAt = end
+	cmd.Span.Advance(telemetry.StageWire, end)
+	if i.Stats.FirstSubmit == 0 && i.Stats.Completed == 0 {
+		i.Stats.FirstSubmit = end
+	}
+	if cmd.Record && i.cmdInWindow(cmd) {
+		if !i.mHasSubmit {
+			i.mFirstSubmit, i.mHasSubmit = end, true
+		}
+		if qs := i.qs[cmd.Queue]; !qs.hasSubmit {
+			qs.firstSubmit, qs.hasSubmit = end, true
+		}
+	}
+	if cmd.Req.Op == trace.OpWrite && cmd.Req.Bytes > 0 {
+		cmd.wireData = true
+		i.rx.send(cmd, i.cfg.wireTime(cmd.Req.Bytes))
+		return
+	}
+	cmd.DataAt = end
+	i.handler(cmd)
 }
 
 // Complete is called by the platform when the device has finished a command.
 // The interface models the device-to-host wire traffic (read data plus the
 // completion capsule), releases the command window slot and accounts stats.
+//
+//ssdx:hotpath
 func (i *Interface) Complete(cmd *Command) {
-	finish := func() {
-		i.tx.Acquire(i.cfg.wireTime(i.cfg.CplBytes), func(_, end sim.Time) {
-			i.k.At(end, func() {
-				cmd.CompleteAt = end
-				cmd.Span.Advance(telemetry.StageWire, end)
-				if i.tr != nil {
-					i.tr.FlowStep(i.txRes, cmd.Span.Flow, end)
-					i.tr.CommandEnd(cmd.Span.Flow, end)
-				}
-				i.Stats.Completed++
-				i.Stats.LastComplete = end
-				switch cmd.Req.Op {
-				case trace.OpWrite:
-					i.Stats.BytesWritten += uint64(cmd.Req.Bytes)
-				case trace.OpRead:
-					i.Stats.BytesRead += uint64(cmd.Req.Bytes)
-				}
-				qs := i.qs[cmd.Queue]
-				if cmd.Record && i.cmdInWindow(cmd) {
-					i.complTimes = append(i.complTimes, end)
-					i.complBytes = append(i.complBytes, cmd.Req.Bytes)
-					i.mLastComplete = end
-					qs.lastComplete = end
-					if cmd.Req.Op == trace.OpWrite || cmd.Req.Op == trace.OpRead {
-						i.mBytes += uint64(cmd.Req.Bytes)
-						qs.bytes += uint64(cmd.Req.Bytes)
-					}
-					// Distributions live per queue; the drive-level view
-					// merges them on demand, so a tenant's window reset
-					// never smears another's.
-					qs.lat.Record(cmd.Req.Op, end-cmd.QueuedAt)
-					qs.stageRec.Observe(&cmd.Span)
-				}
-				// Phase profiles cover every command of a phased stream —
-				// unrecorded (precondition) phases and stale-window
-				// stragglers too. Phase-less streams skip the accounting:
-				// their lone profile would only be discarded.
-				if qs.st.Phased() {
-					qs.phaseWins = observePhase(qs.phaseWins, cmd, end)
-				}
-				i.outstanding--
-				qs.outstanding--
-				qs.completed++
-				i.sampleQueueDepth(qs)
-				if qs.stalled && qs.ready()+qs.outstanding < qs.depth {
-					// The depth bound has slack again: resume the
-					// tenant's pull chain.
-					qs.stalled = false
-					i.pullQueue(cmd.Queue)
-				}
-				i.window.Release()
-				i.maybeDrained()
-			})
-		})
-	}
-	if cmd.Req.Op == trace.OpRead && cmd.Req.Bytes > 0 {
-		i.tx.Acquire(i.cfg.wireTime(cmd.Req.Bytes), func(_, end sim.Time) {
-			cmd.Span.Advance(telemetry.StageWire, end)
-			i.k.At(end, finish)
-		})
+	cmd.wireData = cmd.Req.Op == trace.OpRead && cmd.Req.Bytes > 0
+	if cmd.wireData {
+		i.tx.send(cmd, i.cfg.wireTime(cmd.Req.Bytes))
 		return
 	}
-	finish()
+	i.tx.send(cmd, i.cfg.wireTime(i.cfg.CplBytes))
+}
+
+// txEnd lands the oldest granted tx transfer: read data is charged to the
+// wire stage and followed by the completion capsule, and a sent capsule
+// completes the command.
+//
+//ssdx:hotpath
+func (i *Interface) txEnd() {
+	cmd := i.tx.sending.Pop()
+	if cmd.wireData {
+		cmd.Span.Advance(telemetry.StageWire, i.k.Now())
+		cmd.wireData = false
+		i.tx.send(cmd, i.cfg.wireTime(i.cfg.CplBytes))
+		return
+	}
+	i.retire(cmd, i.k.Now())
+}
+
+// retire accounts a command whose completion capsule reached the host at
+// end, releases its window slot and resumes a stalled pull chain.
+func (i *Interface) retire(cmd *Command, end sim.Time) {
+	cmd.CompleteAt = end
+	cmd.Span.Advance(telemetry.StageWire, end)
+	if i.tr != nil {
+		i.tr.FlowStep(i.txRes, cmd.Span.Flow, end)
+		i.tr.CommandEnd(cmd.Span.Flow, end)
+	}
+	i.Stats.Completed++
+	i.Stats.LastComplete = end
+	switch cmd.Req.Op {
+	case trace.OpWrite:
+		i.Stats.BytesWritten += uint64(cmd.Req.Bytes)
+	case trace.OpRead:
+		i.Stats.BytesRead += uint64(cmd.Req.Bytes)
+	}
+	qs := i.qs[cmd.Queue]
+	if cmd.Record && i.cmdInWindow(cmd) {
+		i.complTimes = append(i.complTimes, end)
+		i.complBytes = append(i.complBytes, cmd.Req.Bytes)
+		i.mLastComplete = end
+		qs.lastComplete = end
+		if cmd.Req.Op == trace.OpWrite || cmd.Req.Op == trace.OpRead {
+			i.mBytes += uint64(cmd.Req.Bytes)
+			qs.bytes += uint64(cmd.Req.Bytes)
+		}
+		// Distributions live per queue; the drive-level view merges them
+		// on demand, so a tenant's window reset never smears another's.
+		qs.lat.Record(cmd.Req.Op, end-cmd.QueuedAt)
+		qs.stageRec.Observe(&cmd.Span)
+	}
+	// Phase profiles cover every command of a phased stream — unrecorded
+	// (precondition) phases and stale-window stragglers too. Phase-less
+	// streams skip the accounting: their lone profile would only be
+	// discarded.
+	if qs.st.Phased() {
+		qs.phaseWins = observePhase(qs.phaseWins, cmd, end)
+	}
+	i.outstanding--
+	qs.outstanding--
+	qs.completed++
+	i.sampleQueueDepth(qs)
+	if qs.stalled && qs.ready()+qs.outstanding < qs.depth {
+		// The depth bound has slack again: resume the tenant's pull
+		// chain.
+		qs.stalled = false
+		qs.pull()
+	}
+	i.window.Release()
+	i.maybeDrained()
 }
 
 func (i *Interface) maybeDrained() {

@@ -63,12 +63,20 @@ type sqEntry struct {
 // private measurement state (latency, stage breakdown, throughput anchors)
 // that the platform reads back per tenant after the run.
 type queueState struct {
+	i     *Interface
+	q     int // the queue's index
 	depth int
 	st    *workload.Stream // the queue's workload stream (record flags, phases)
 
 	sq        sim.FIFO[sqEntry]
 	exhausted bool
 	stalled   bool // ingress paused at the depth bound; completion resumes it
+
+	// pulled is the pull chain's one pending entry: pulled from the stream,
+	// waiting for its arrival time. pullFn and admitFn are the chain's
+	// steps, bound once at start.
+	pulled          sqEntry
+	pullFn, admitFn func()
 
 	// Measured-window state. Commands pulled from record-flagged phases
 	// carry Record=true; all measurement (latency, stage breakdown,
@@ -136,18 +144,20 @@ func (i *Interface) RunMulti(src MultiSource, handler func(*Command), onDrained 
 		qs.depthGauge = i.reg.Gauge(fmt.Sprintf("ssdx_sq_depth{tenant=%q}", src.QueueName(q)),
 			"live submission-queue depth (ready + outstanding commands) per tenant")
 	}
-	for q := range i.qs {
-		i.pullQueue(q)
+	for _, qs := range i.qs {
+		qs.pull()
 	}
 	return nil
 }
 
 // pull admits the single stream's next request straight into the command
-// window. It and pullQueue are the only code the two players do not share:
-// pull recurses inside AcquireWhenFree while pullQueue continues through
-// Schedule(0), so merging them changes event order and simulated results.
-// That merge belongs in a benchmark change that regenerates the ssdxbench
-// result digests.
+// window. It and queueState.pull are the only code the two players do not
+// share: this chain recurses inside AcquireWhenFree while the queue chain
+// continues through Schedule(0), so merging them changes event order and
+// simulated results. That merge belongs in a benchmark change that
+// regenerates the ssdxbench result digests.
+//
+//ssdx:hotpath
 func (i *Interface) pull() {
 	e, reset, ok := i.next(0)
 	if !ok {
@@ -158,38 +168,67 @@ func (i *Interface) pull() {
 		// anchors and completion log restart too.
 		i.resetDriveWindow()
 	}
-	i.atArrival(e.req, func() {
-		in := i.arrive(e)
-		i.window.AcquireWhenFree(func() {
-			i.submit(0, in)
-			// Keep the window full: pull the next request immediately.
-			i.pull()
-		})
-	})
+	i.pulled = e
+	if at := sim.FromMicroseconds(e.req.ArrivalUS); at > i.k.Now() {
+		i.k.At(at, i.pullArriveFn)
+		return
+	}
+	i.pullArrive()
 }
 
-// pullQueue admits queue q's next request into its submission queue. The
-// pull chain pauses at the queue's depth bound and resumes on completion,
-// so a closed-loop tenant is paced by its own depth while open-loop tenants
+// pullArrive queues the pulled entry for a command-window slot.
+//
+//ssdx:hotpath
+func (i *Interface) pullArrive() {
+	i.pulled = i.arrive(i.pulled)
+	i.window.AcquireWhenFree(i.pullGrantFn)
+}
+
+// pullGrant submits the pulled entry into its granted window slot and keeps
+// the window full by pulling the next request at once.
+//
+//ssdx:hotpath
+func (i *Interface) pullGrant() {
+	i.submit(0, i.pulled)
+	i.pull()
+}
+
+// pull admits the queue's next request into its submission queue. The pull
+// chain pauses at the queue's depth bound and resumes on completion, so a
+// closed-loop tenant is paced by its own depth while open-loop tenants
 // accumulate past-due arrivals exactly like the single-stream player.
-func (i *Interface) pullQueue(q int) {
-	e, _, ok := i.next(q)
+//
+//ssdx:hotpath
+func (qs *queueState) pull() {
+	e, _, ok := qs.i.next(qs.q)
 	if !ok {
 		return
 	}
-	qs := i.qs[q]
-	i.atArrival(e.req, func() {
-		qs.push(i.arrive(e))
-		i.sampleQueueDepth(qs)
-		i.dispatch()
-		if qs.ready()+qs.outstanding < qs.depth {
-			// Continue the pull chain through the event queue so a deep
-			// closed-loop fill never recurses depth-of-queue stack frames.
-			i.k.Schedule(0, func() { i.pullQueue(q) })
-		} else {
-			qs.stalled = true
-		}
-	})
+	qs.pulled = e
+	if at := sim.FromMicroseconds(e.req.ArrivalUS); at > qs.i.k.Now() {
+		qs.i.k.At(at, qs.admitFn)
+		return
+	}
+	qs.admit()
+}
+
+// admit moves the pulled entry into the submission queue, arms the
+// dispatcher and continues the pull chain unless the depth bound is
+// reached.
+//
+//ssdx:hotpath
+func (qs *queueState) admit() {
+	i := qs.i
+	qs.push(i.arrive(qs.pulled))
+	i.sampleQueueDepth(qs)
+	i.dispatch()
+	if qs.ready()+qs.outstanding < qs.depth {
+		// Continue the pull chain through the event queue so a deep
+		// closed-loop fill never recurses depth-of-queue stack frames.
+		i.k.Schedule(0, qs.pullFn)
+	} else {
+		qs.stalled = true
+	}
 }
 
 // dispatch arms the arbitrated dispatcher: one pending command-window

@@ -12,8 +12,8 @@ import (
 // //ssdx:hotpath (the span-batch program path, the kernel schedule/dispatch
 // machinery, arbiter picks): the simulator's throughput rests on these
 // running at 0 allocs/op, pinned at runtime by BenchmarkWriteSpanBatch,
-// BenchmarkKernelSchedule, BenchmarkServerAcquire, BenchmarkTokenGateQueued
-// and BenchmarkDRAMAccess. The analyzer rejects the allocating constructs
+// BenchmarkKernelSchedule, BenchmarkServerAcquire, BenchmarkTokenGateQueued,
+// BenchmarkDRAMAccess and BenchmarkAHBTransfer. The analyzer rejects the allocating constructs
 // that have historically crept in: fmt calls, map/slice composite literals
 // and makes, closures capturing locals, non-constant string concatenation,
 // string<->[]byte conversions, and interface boxing of non-pointer values.

@@ -7,17 +7,14 @@ package sim
 // Time is simulated time.
 type Time int64
 
-// EventID names a scheduled event.
-type EventID uint64
-
 // Kernel is the fixture event kernel.
 type Kernel struct{ now Time }
 
 // Schedule runs fn after delay.
-func (k *Kernel) Schedule(delay Time, fn func()) EventID { return 0 }
+func (k *Kernel) Schedule(delay Time, fn func()) {}
 
 // At runs fn at absolute time t.
-func (k *Kernel) At(t Time, fn func()) EventID { return 0 }
+func (k *Kernel) At(t Time, fn func()) {}
 
 // Domain is the fixture clock domain.
 type Domain struct{ K *Kernel }

@@ -127,33 +127,6 @@ func TestDomainStopMidWindow(t *testing.T) {
 	}
 }
 
-// TestDomainCancelAcrossWindow cancels an event scheduled several windows
-// ahead from a window that executes earlier; the cancellation must win in
-// both drivers.
-func TestDomainCancelAcrossWindow(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ds := NewDomainSet(3, 100*Nanosecond, workers)
-		fired := false
-		victim := ds.Domain(1).K.At(50*Microsecond, func() { fired = true })
-		// Keep other domains busy so windows advance in lockstep.
-		for i := 0; i < 3; i++ {
-			d := ds.Domain(i)
-			for j := 1; j <= 20; j++ {
-				d.K.Schedule(Time(j)*Microsecond, func() {})
-			}
-		}
-		ds.Domain(1).K.Schedule(10*Microsecond, func() {
-			if !ds.Domain(1).K.Cancel(victim) {
-				t.Errorf("workers=%d: cancel across window boundary failed", workers)
-			}
-		})
-		ds.Run()
-		if fired {
-			t.Errorf("workers=%d: cancelled event fired", workers)
-		}
-	}
-}
-
 // TestDomainMessageOrdering pins the deterministic merge: same-timestamp
 // messages deliver in (sender id, send order), before later timestamps.
 func TestDomainMessageOrdering(t *testing.T) {
@@ -195,13 +168,14 @@ func TestKernelNextAt(t *testing.T) {
 	if k.NextAt() != MaxTime {
 		t.Fatal("empty kernel NextAt != MaxTime")
 	}
-	id := k.Schedule(5*Nanosecond, func() {})
+	k.Schedule(5*Nanosecond, func() {})
 	if k.NextAt() != 5*Nanosecond {
 		t.Fatalf("NextAt = %v, want 5ns", k.NextAt())
 	}
-	k.Cancel(id)
-	if k.NextAt() != MaxTime {
-		t.Fatal("NextAt after cancel != MaxTime")
+	// A same-time event is due now, ahead of the heap's top.
+	k.Schedule(0, func() {})
+	if k.NextAt() != 0 {
+		t.Fatalf("NextAt with a same-time event = %v, want 0", k.NextAt())
 	}
 }
 

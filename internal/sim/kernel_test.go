@@ -99,22 +99,6 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
-func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	id := k.Schedule(10*Nanosecond, func() { fired = true })
-	if !k.Cancel(id) {
-		t.Fatalf("first cancel should succeed")
-	}
-	if k.Cancel(id) {
-		t.Fatalf("double cancel should fail")
-	}
-	k.RunAll()
-	if fired {
-		t.Fatalf("cancelled event fired")
-	}
-}
-
 func TestKernelStop(t *testing.T) {
 	k := NewKernel()
 	n := 0
@@ -367,14 +351,17 @@ func TestRNGUniformityProperty(t *testing.T) {
 func TestKernelEventRecycling(t *testing.T) {
 	k := NewKernel()
 	nop := func() {}
-	// Warm the pool and the heap's backing array.
+	// Grow the heap's backing array and the lane's ring.
 	for i := 0; i < 128; i++ {
 		k.Schedule(Time(i), nop)
 	}
 	k.RunAll()
-	// Steady state: schedule+run must reuse pooled events, not allocate.
+	// Steady state: events live by value in storage that only grows, so
+	// schedule+run, on the heap and on the same-time lane, must not
+	// allocate.
 	avg := testing.AllocsPerRun(200, func() {
 		k.Schedule(10, nop)
+		k.Schedule(0, nop)
 		k.RunAll()
 	})
 	if avg > 0.05 {
@@ -382,34 +369,43 @@ func TestKernelEventRecycling(t *testing.T) {
 	}
 }
 
-func TestKernelCancelStaleIDIsInert(t *testing.T) {
+// TestKernelRunUntilNeverRewinds runs the kernel to a time and then asks
+// it to run until an earlier one: Run must return the current time, fire
+// nothing and leave the clock where it was, so later events keep their
+// order.
+func TestKernelRunUntilNeverRewinds(t *testing.T) {
 	k := NewKernel()
-	fired := 0
-	id := k.Schedule(0, func() { fired++ })
-	k.RunAll() // the event fires and its struct returns to the pool
-	if k.Cancel(id) {
-		t.Fatal("cancelling a fired event succeeded")
+	var fired []Time
+	k.Schedule(10*Nanosecond, func() { fired = append(fired, k.Now()) })
+	k.Schedule(30*Nanosecond, func() { fired = append(fired, k.Now()) })
+	if got := k.Run(20 * Nanosecond); got != 20*Nanosecond {
+		t.Fatalf("Run(20ns) = %v", got)
 	}
-	// The pooled struct is reused by the next scheduling; the stale ID must
-	// not be able to cancel the new event.
-	k.Schedule(5, func() { fired += 10 })
-	if k.Cancel(id) {
-		t.Fatal("stale EventID cancelled a recycled event")
+	k.Schedule(0, func() { fired = append(fired, k.Now()) })
+	if got := k.Run(5 * Nanosecond); got != 20*Nanosecond || k.Now() != 20*Nanosecond {
+		t.Fatalf("Run(5ns) after reaching 20ns = %v, Now %v; want 20ns for both", got, k.Now())
+	}
+	if len(fired) != 1 || k.Pending() != 2 {
+		t.Fatalf("Run into the past fired events: fired %v, %d pending", fired, k.Pending())
 	}
 	k.RunAll()
-	if fired != 11 {
-		t.Fatalf("fired = %d, want 11", fired)
+	want := []Time{10 * Nanosecond, 20 * Nanosecond, 30 * Nanosecond}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fire times %v, want %v", fired, want)
 	}
 }
 
 // refEvent is one pending event of the sorted-slice reference kernel. A
-// parent event's callback schedules one child event childIn after it fires.
+// parent event's callback schedules one child event childIn after it fires
+// (childIn may be zero or negative, which clamps to the firing time); a
+// stop event's callback calls Stop after that.
 type refEvent struct {
 	at      Time
 	seq     uint64
 	id      int
 	parent  bool
 	childIn Time
+	stop    bool
 }
 
 // refKernel is the reference for TestKernelOrderMatchesReference: pending
@@ -422,23 +418,16 @@ type refKernel struct {
 	fired   []int // ids in fire order
 }
 
-func (r *refKernel) at(at Time, parent bool, childIn Time) {
-	r.pending = append(r.pending, refEvent{at: max(at, r.now), seq: r.seq, id: r.created, parent: parent, childIn: childIn})
+func (r *refKernel) at(at Time, parent bool, childIn Time, stop bool) {
+	r.pending = append(r.pending, refEvent{at: max(at, r.now), seq: r.seq, id: r.created, parent: parent, childIn: childIn, stop: stop})
 	r.seq++
 	r.created++
 }
 
-func (r *refKernel) cancel(id int) bool {
-	for i, e := range r.pending {
-		if e.id == id {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 func (r *refKernel) run(until Time) Time {
+	if until < r.now {
+		return r.now
+	}
 	for len(r.pending) > 0 {
 		m := 0
 		for i, e := range r.pending {
@@ -455,62 +444,61 @@ func (r *refKernel) run(until Time) Time {
 		r.now = e.at
 		r.fired = append(r.fired, e.id)
 		if e.parent {
-			r.at(r.now+e.childIn, false, 0)
+			r.at(r.now+e.childIn, false, 0, false)
+		}
+		if e.stop {
+			return r.now
 		}
 	}
 	return r.now
 }
 
-// TestKernelOrderMatchesReference runs random interleavings of At, Schedule,
-// Cancel (of pending, fired, cancelled and recycled IDs alike) and
-// Run(until) against a reference that keeps pending events in a slice and
-// always fires the least (at, seq). Some callbacks schedule a child event,
-// so events are also added while Run drains the heap. Fire order, Cancel's
-// results, Run's return value and Pending must all agree.
+// TestKernelOrderMatchesReference runs random interleavings of At,
+// Schedule and Run(until) against a reference that keeps pending events in
+// a slice and always fires the least (at, seq). Events are scheduled in the
+// past, at the current time and later, from outside Run and from inside
+// callbacks: some callbacks schedule a child with a zero or negative delay,
+// so same-time lane events interleave with heap events at the same time.
+// Some callbacks call Stop, and the next Run resumes; some Run calls ask for
+// a horizon before the current time. Fire order, Run's return value and
+// Pending must all agree.
 func TestKernelOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		rng := NewRNG(seed)
 		k := NewKernel()
 		ref := &refKernel{}
-		var ids []EventID // every ID the kernel handed out, indexed by event id
+		created := 0
 		var fired []int
-		var schedule func(at Time, parent bool, childIn Time)
-		schedule = func(at Time, parent bool, childIn Time) {
-			id := len(ids)
+		var schedule func(at Time, parent bool, childIn Time, stop bool)
+		schedule = func(at Time, parent bool, childIn Time, stop bool) {
+			id := created
+			created++
 			fn := func() {
 				fired = append(fired, id)
 				if parent {
-					schedule(k.Now()+childIn, false, 0)
+					schedule(k.Now()+childIn, false, 0, false)
+				}
+				if stop {
+					k.Stop()
 				}
 			}
 			if id%2 == 0 {
-				ids = append(ids, k.At(at, fn))
+				k.At(at, fn)
 			} else {
-				ids = append(ids, k.Schedule(at-k.Now(), fn))
+				k.Schedule(at-k.Now(), fn)
 			}
 		}
 		for step := 0; step < 1000; step++ {
-			switch op := rng.Intn(12); {
-			case op < 7:
+			if rng.Intn(10) < 7 {
 				// Sometimes in the past (clamped to now) or at a time
 				// already taken, so ties fall to seq.
 				at := ref.now + Time(rng.Intn(200)) - 3
-				parent, childIn := rng.Bool(0.3), Time(rng.Intn(4))
-				schedule(at, parent, childIn)
-				ref.at(at, parent, childIn)
-			case op < 10:
-				if len(ids) == 0 {
-					continue
-				}
-				id := rng.Intn(len(ids))
-				if len(ref.pending) > 0 && rng.Bool(0.5) {
-					id = ref.pending[rng.Intn(len(ref.pending))].id
-				}
-				if got, want := k.Cancel(ids[id]), ref.cancel(id); got != want {
-					t.Fatalf("seed %d step %d: Cancel(event %d) = %v, reference %v", seed, step, id, got, want)
-				}
-			default:
-				until := ref.now + Time(rng.Intn(30))
+				parent, childIn := rng.Bool(0.3), Time(rng.Intn(6))-2
+				stop := rng.Bool(0.05)
+				schedule(at, parent, childIn, stop)
+				ref.at(at, parent, childIn, stop)
+			} else {
+				until := ref.now + Time(rng.Intn(30)) - 3
 				if rng.Bool(0.1) {
 					until = MaxTime
 				}
@@ -518,22 +506,26 @@ func TestKernelOrderMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: Run(%d) = %d, reference %d", seed, step, until, got, want)
 				}
 			}
-			if k.Pending() != len(ref.pending) || len(ids) != ref.created {
+			if k.Pending() != len(ref.pending) || created != ref.created {
 				t.Fatalf("seed %d step %d: %d pending of %d, reference %d of %d",
-					seed, step, k.Pending(), len(ids), len(ref.pending), ref.created)
+					seed, step, k.Pending(), created, len(ref.pending), ref.created)
 			}
 		}
-		k.RunAll()
-		ref.run(MaxTime)
+		for k.Pending() > 0 {
+			if got, want := k.RunAll(), ref.run(MaxTime); got != want {
+				t.Fatalf("seed %d drain: RunAll = %d, reference %d", seed, got, want)
+			}
+		}
 		if fmt.Sprint(fired) != fmt.Sprint(ref.fired) {
 			t.Fatalf("seed %d: fire order\n%v\nreference\n%v", seed, fired, ref.fired)
 		}
 	}
 }
 
-// BenchmarkKernelSchedule measures the schedule/dispatch hot path. With the
-// event free list, steady-state allocs/op is ~0 (it was 1+ per event before
-// pooling).
+// BenchmarkKernelSchedule measures the schedule/dispatch hot path. Events
+// live by value in the heap (and in the same-time lane for the i%1024 == 0
+// ones scheduled at the current time), so steady-state allocs/op is 0 once
+// the heap has grown to 1024 entries.
 func BenchmarkKernelSchedule(b *testing.B) {
 	k := NewKernel()
 	nop := func() {}

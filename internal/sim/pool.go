@@ -1,9 +1,12 @@
 package sim
 
 // FreeList is the typed free list behind the platform's hot-path object
-// pools: fired events, DMA transfers, DRAM requests and channel-controller
+// pools: DMA transfers and deliveries, DRAM requests and channel-controller
 // die ops all recycle through one so steady-state simulation paths stay
-// allocation-free. The zero value is ready to use.
+// allocation-free. The zero value is ready to use. Kernel events need no
+// pool (they live by value in the event heap), and per-command records are
+// deliberately not pooled: a pool keeps a run's in-flight peak alive to the
+// end of the run.
 type FreeList[T any] struct{ items []*T }
 
 // Take pops a recycled object, or returns nil when the list is empty — the
