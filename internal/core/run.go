@@ -391,11 +391,11 @@ func (p *Platform) pagesOf(bytes int64) int {
 // write or read path carries from stage to stage, and the stage steps. A
 // step used once is bound where it is handed on; the steps a command hands
 // on per page or per cache token (tokenFn, programmedFn, pageReadFn,
-// pageSentFn) are bound once on the record. So a command allocates its
-// record and a few bound steps instead of a chain of nested closures with
-// their captured variables. The record dies with its command; it is not
-// pooled, because a pool would keep the in-flight peak alive for the rest
-// of the run.
+// pageSentFn) are bound once on the record. Binding a step is the only
+// allocation the //ssdx:hotpath stage methods make, so a command costs its
+// record and a few bound steps. The record dies with its command; it is
+// not pooled, because a pool would keep the in-flight peak alive for the
+// rest of the run.
 type command struct {
 	p    *Platform
 	cmd  *hostif.Command
@@ -408,9 +408,8 @@ type command struct {
 	chanBytes  int64        // bytes through the channel-side compressor
 	buf        *dram.Buffer // the DRAM buffer a write lands in
 
-	tokenFn, programmedFn func()
-	pageReadFn            func()
-	pageSentFn            func(start, end sim.Time)
+	tokenFn, programmedFn, pageReadFn func()
+	pageSentFn                        func(start, end sim.Time)
 }
 
 // bookkept completes a trim or flush once its firmware cost is paid.
