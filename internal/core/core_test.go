@@ -214,6 +214,26 @@ func TestHostIdealMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// TestHostDDRModeStopsAtDRAM: the host+DDR column completes a command once
+// its data has landed in (or left) the DRAM buffers, so it touches no flash,
+// charges no firmware time and runs no faster than the host link alone.
+func TestHostDDRModeStopsAtDRAM(t *testing.T) {
+	cfg := config.Default()
+	for _, pat := range []trace.Pattern{trace.SeqWrite, trace.RandRead} {
+		ddr := run4k(t, cfg, pat, 2000, ModeHostDDR)
+		ideal := run4k(t, cfg, pat, 2000, ModeHostIdeal)
+		if ddr.Completed != 2000 || ddr.FlashWrites != 0 || ddr.FlashReads != 0 {
+			t.Fatalf("%v: %d completed, %d flash writes, %d flash reads", pat, ddr.Completed, ddr.FlashWrites, ddr.FlashReads)
+		}
+		if ddr.Stages.CPU.MeanUS != 0 || ddr.Stages.NAND.MeanUS != 0 || ddr.Stages.DRAM.MeanUS <= 0 {
+			t.Fatalf("%v: stage means CPU %.2f NAND %.2f DRAM %.2f us", pat, ddr.Stages.CPU.MeanUS, ddr.Stages.NAND.MeanUS, ddr.Stages.DRAM.MeanUS)
+		}
+		if ddr.MBps > ideal.MBps*1.01 {
+			t.Fatalf("%v: host+ddr %.1f MB/s above host-ideal %.1f", pat, ddr.MBps, ideal.MBps)
+		}
+	}
+}
+
 // TestRandomWriteWAFInjected: random writes must carry greedy-GC traffic.
 func TestRandomWriteWAFInjected(t *testing.T) {
 	if testing.Short() {
