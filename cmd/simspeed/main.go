@@ -19,7 +19,6 @@ import (
 func main() {
 	scale := flag.Float64("scale", 1, "workload scale in (0,1]")
 	list := flag.Bool("list", false, "print the Table III configurations and exit")
-	parallel := flag.Bool("parallel", false, "measure every configuration on the sharded parallel event core too (default: only the two largest)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measurement to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile after the measurement to this file")
 	flag.Parse()
@@ -41,7 +40,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	rows, err := ssdx.SimulationSpeedRows(*scale, *parallel)
+	rows, err := ssdx.SimulationSpeed(*scale)
 	if err != nil {
 		fatal(err)
 	}

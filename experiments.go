@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strings"
 
 	"repro/internal/config"
@@ -271,11 +270,6 @@ type SpeedRow struct {
 	// trend tracking across commits.
 	EventsPerSec float64 `json:"events_per_sec"`
 	SimNS        int64   `json:"sim_ns"`
-
-	// Parallel rows ran on the sharded event core with Workers goroutines
-	// (zero/false on the monolithic-kernel rows).
-	Parallel bool `json:"parallel,omitempty"`
-	Workers  int  `json:"workers,omitempty"`
 }
 
 // PaperKCPS are the paper's measured kilo-cycles-per-second values for
@@ -288,35 +282,12 @@ var PaperKCPS = []float64{144.1, 108.4, 79.5, 39.7, 34.8, 25.4, 15.8, 0.3}
 // the Table III configurations, reporting simulated CPU kilo-cycles per
 // wall-clock second. Unlike the throughput experiments this one measures
 // wall-clock speed, so it deliberately runs one measurement at a time and
-// uncached — overlapping measurements would corrupt the KCPS numbers. The
-// largest configurations additionally run on the sharded parallel event
-// core ("/par" rows), keeping a serial/parallel speed pair in every report.
+// uncached — overlapping measurements would corrupt the KCPS numbers.
 func SimulationSpeed(scale float64) ([]SpeedRow, error) {
-	return SimulationSpeedRows(scale, false)
-}
-
-// SimulationSpeedRows is SimulationSpeed with the parallel sweep widened:
-// parallelAll measures every Table III configuration on the sharded core
-// instead of only the largest ones.
-func SimulationSpeedRows(scale float64, parallelAll bool) ([]SpeedRow, error) {
 	reqs := scaled(3000, scale)
-	cfgs := config.TableIII()
 	var rows []SpeedRow
-	for _, cfg := range cfgs {
-		row, err := speedRow(cfg, reqs, false)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	// The sharded core only has room to win where many channels exist; by
-	// default measure it on the largest two configurations so reports stay
-	// quick while still tracking the parallel path.
-	for i, cfg := range cfgs {
-		if !parallelAll && i < len(cfgs)-2 {
-			continue
-		}
-		row, err := speedRow(cfg, reqs, true)
+	for _, cfg := range config.TableIII() {
+		row, err := speedRow(cfg, reqs)
 		if err != nil {
 			return nil, err
 		}
@@ -325,38 +296,23 @@ func SimulationSpeedRows(scale float64, parallelAll bool) ([]SpeedRow, error) {
 	return rows, nil
 }
 
-// speedRow measures one Fig. 6 bar. Parallel rows pin the worker count to
-// the host's usable parallelism (clamped to the domain count) and record it,
-// so the committed numbers always state how they were obtained.
-func speedRow(cfg config.Platform, reqs int, parallel bool) (SpeedRow, error) {
+// speedRow measures one Fig. 6 bar.
+func speedRow(cfg config.Platform, reqs int) (SpeedRow, error) {
 	w := workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 28, Requests: reqs, Seed: 7,
 	}
-	name := cfg.Name
-	workers := 0
-	if parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if n := cfg.Channels + 1; workers > n {
-			workers = n
-		}
-		cfg.Parallel = true
-		cfg.ParallelWorkers = workers
-		name += "/par"
-	}
 	res, err := core.RunWorkload(cfg, w, core.ModeFull)
 	if err != nil {
-		return SpeedRow{}, fmt.Errorf("simspeed %s: %w", name, err)
+		return SpeedRow{}, fmt.Errorf("simspeed %s: %w", cfg.Name, err)
 	}
 	row := SpeedRow{
-		Name:     name,
+		Name:     cfg.Name,
 		Topology: cfg.Describe(),
 		Dies:     cfg.TotalDies(),
 		KCPS:     res.KCPS,
 		Events:   res.Events,
 		WallSec:  res.WallSeconds,
 		SimNS:    int64(res.SimTime) / 1000, // sim.Time is picoseconds
-		Parallel: parallel,
-		Workers:  workers,
 	}
 	if row.WallSec > 0 {
 		row.EventsPerSec = float64(row.Events) / row.WallSec
@@ -421,30 +377,18 @@ func WriteWearTable(w io.Writer, rows []WearRow) {
 	}
 }
 
-// WriteSpeedTable renders the Fig. 6 bars next to the paper's values. Rows
-// measured on the sharded parallel core carry a "/par" name suffix and show
-// their worker count; the paper column applies to the serial rows, which
-// always come first.
+// WriteSpeedTable renders the Fig. 6 bars next to the paper's values, row i
+// beside Table III configuration i.
 func WriteSpeedTable(w io.Writer, rows []SpeedRow) {
-	fmt.Fprintf(w, "%-8s %-32s %8s %8s %12s %12s %10s\n",
-		"cfg", "topology", "dies", "workers", "KCPS (sim)", "KCPS(paper)", "events")
-	serial := 0
-	for _, r := range rows {
-		if !r.Parallel {
-			serial++
-		}
-	}
+	fmt.Fprintf(w, "%-8s %-32s %8s %12s %12s %10s\n",
+		"cfg", "topology", "dies", "KCPS (sim)", "KCPS(paper)", "events")
 	for i, r := range rows {
 		paper := "-"
-		if !r.Parallel && i < serial && i < len(PaperKCPS) {
+		if i < len(PaperKCPS) {
 			paper = fmt.Sprintf("%.1f", PaperKCPS[i])
 		}
-		workers := "-"
-		if r.Parallel {
-			workers = fmt.Sprintf("%d", r.Workers)
-		}
-		fmt.Fprintf(w, "%-8s %-32s %8d %8s %12.0f %12s %10d\n",
-			r.Name, r.Topology, r.Dies, workers, r.KCPS, paper, r.Events)
+		fmt.Fprintf(w, "%-8s %-32s %8d %12.0f %12s %10d\n",
+			r.Name, r.Topology, r.Dies, r.KCPS, paper, r.Events)
 	}
 }
 

@@ -97,16 +97,13 @@ func TestWriteSpeedTableGolden(t *testing.T) {
 	rows := []SpeedRow{
 		{Name: "C1", Topology: "1-DDR-buf;1-CHN;1-WAY;1-DIE", Dies: 1, KCPS: 152.4, Events: 123456},
 		{Name: "C2", Topology: "1-DDR-buf;2-CHN;1-WAY;2-DIE", Dies: 4, KCPS: 101.9, Events: 654321},
-		{Name: "C2/par", Topology: "1-DDR-buf;2-CHN;1-WAY;2-DIE", Dies: 4, KCPS: 180.4, Events: 654321,
-			Parallel: true, Workers: 2},
 	}
 	var b strings.Builder
 	WriteSpeedTable(&b, rows)
 	want := "" +
-		"cfg      topology                             dies  workers   KCPS (sim)  KCPS(paper)     events\n" +
-		"C1       1-DDR-buf;1-CHN;1-WAY;1-DIE             1        -          152        144.1     123456\n" +
-		"C2       1-DDR-buf;2-CHN;1-WAY;2-DIE             4        -          102        108.4     654321\n" +
-		"C2/par   1-DDR-buf;2-CHN;1-WAY;2-DIE             4        2          180            -     654321\n"
+		"cfg      topology                             dies   KCPS (sim)  KCPS(paper)     events\n" +
+		"C1       1-DDR-buf;1-CHN;1-WAY;1-DIE             1          152        144.1     123456\n" +
+		"C2       1-DDR-buf;2-CHN;1-WAY;2-DIE             4          102        108.4     654321\n"
 	if b.String() != want {
 		t.Errorf("speed table:\n%q\nwant:\n%q", b.String(), want)
 	}

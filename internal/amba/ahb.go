@@ -132,7 +132,6 @@ type xfer struct {
 	remaining int64
 	first     sim.Time
 	haveFirst bool
-	chunk     func(end sim.Time, n int64)
 	done      func(start, end sim.Time)
 }
 
@@ -144,7 +143,6 @@ type xfer struct {
 type delivery struct {
 	x          *xfer
 	start, end sim.Time
-	bytes      int64
 	last       bool
 	fire       func()
 }
@@ -206,17 +204,16 @@ func (b *Bus) Utilization(now sim.Time) float64 {
 // Transfer moves `bytes` across the interconnect on behalf of m. The move is
 // split into grant-sized chunks, each individually arbitrated (so long
 // transfers cannot starve other masters — the round-robin property the paper
-// highlights). chunk, if non-nil, fires at each chunk's completion with the
-// chunk size; done, if non-nil, fires once at the final completion with the
-// overall [start, end] window.
-func (m *Master) Transfer(bytes int64, chunk func(end sim.Time, n int64), done func(start, end sim.Time)) error {
+// highlights). done, if non-nil, fires once at the final completion with
+// the overall [start, end] window.
+func (m *Master) Transfer(bytes int64, done func(start, end sim.Time)) error {
 	if bytes <= 0 {
 		return errors.New("amba: transfer of non-positive size")
 	}
 	x := m.bus.allocXfer()
 	x.m = m
 	x.remaining = bytes
-	x.chunk, x.done = chunk, done
+	x.done = done
 	m.pending.Push(x)
 	m.layer.ready[m.slot>>6] |= 1 << (m.slot & 63)
 	m.layer.kick()
@@ -239,26 +236,23 @@ func (b *Bus) allocDelivery() *delivery {
 	}
 	d := &delivery{}
 	d.fire = func() {
-		x, start, end, nb, last := d.x, d.start, d.end, d.bytes, d.last
+		x, start, end, last := d.x, d.start, d.end, d.last
 		d.x = nil
 		b.delPool.Give(d)
 		if !x.haveFirst {
 			x.first, x.haveFirst = start, true
 		}
-		first, l := x.first, x.m.layer
-		chunk, done := x.chunk, x.done
+		l := x.m.layer
 		if last {
-			// Recycle before the callbacks: they may start a new transfer,
-			// and everything this delivery needs is already copied out.
-			x.m, x.chunk, x.done = nil, nil, nil
+			// Recycle before the callback: it may start a new transfer, and
+			// everything it needs is already copied out.
+			first, done := x.first, x.done
+			x.m, x.done = nil, nil
 			x.haveFirst = false
 			b.xferPool.Give(x)
-		}
-		if chunk != nil {
-			chunk(end, nb)
-		}
-		if last && done != nil {
-			done(first, end)
+			if done != nil {
+				done(first, end)
+			}
 		}
 		l.kick()
 	}
@@ -330,7 +324,7 @@ func (l *layer) kick() {
 	chosen.Grants++
 	chosen.Bytes += uint64(nb)
 	d := l.bus.allocDelivery()
-	d.x, d.start, d.end, d.bytes, d.last = x, start, end, nb, x.remaining == 0
+	d.x, d.start, d.end, d.last = x, start, end, x.remaining == 0
 	l.bus.k.At(end, d.fire)
 }
 

@@ -1,6 +1,7 @@
 package amba
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,7 +61,7 @@ func TestSingleTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var start, end sim.Time
-	if err := m.Transfer(4096, nil, func(s, e sim.Time) { start, end = s, e }); err != nil {
+	if err := m.Transfer(4096, func(s, e sim.Time) { start, end = s, e }); err != nil {
 		t.Fatal(err)
 	}
 	k.RunAll()
@@ -75,14 +76,21 @@ func TestSingleTransfer(t *testing.T) {
 	}
 }
 
+// TestChunkCallbacks checks the grant split through the OnGrant windows: a
+// 2500-byte move takes three grants of 1024, 1024 and 452 bytes.
 func TestChunkCallbacks(t *testing.T) {
 	k, b := newBus(t)
 	m, _ := b.AttachMaster("dma0")
-	var chunks []int64
-	m.Transfer(2500, func(_ sim.Time, n int64) { chunks = append(chunks, n) }, nil)
+	var windows []sim.Time
+	b.OnGrant = func(_ int, start, end sim.Time) { windows = append(windows, end-start) }
+	m.Transfer(2500, nil)
 	k.RunAll()
-	if len(chunks) != 3 || chunks[0] != 1024 || chunks[1] != 1024 || chunks[2] != 452 {
-		t.Fatalf("chunks %v", chunks)
+	var want []sim.Time
+	for _, n := range []int64{1024, 1024, 452} {
+		want = append(want, b.clk.Cycles(b.cfg.grantCycles(n)))
+	}
+	if !slices.Equal(windows, want) {
+		t.Fatalf("grant windows %v, want %v (1024/1024/452 bytes)", windows, want)
 	}
 }
 
@@ -92,8 +100,8 @@ func TestTwoMastersShareBandwidth(t *testing.T) {
 	m2, _ := b.AttachMaster("flash-dma")
 	const total = 1 << 20
 	var e1, e2 sim.Time
-	m1.Transfer(total, nil, func(_, e sim.Time) { e1 = e })
-	m2.Transfer(total, nil, func(_, e sim.Time) { e2 = e })
+	m1.Transfer(total, func(_, e sim.Time) { e1 = e })
+	m2.Transfer(total, func(_, e sim.Time) { e2 = e })
 	k.RunAll()
 	solo := b.TransferTime(total)
 	// Interleaved grants: both finish in ~2x the solo time.
@@ -119,8 +127,8 @@ func TestRoundRobinNoStarvation(t *testing.T) {
 	// Heavy master queues a large transfer first; light master's small
 	// transfer must not wait for all of it.
 	var heavyEnd, lightEnd sim.Time
-	heavy.Transfer(1<<20, nil, func(_, e sim.Time) { heavyEnd = e })
-	light.Transfer(1024, nil, func(_, e sim.Time) { lightEnd = e })
+	heavy.Transfer(1<<20, func(_, e sim.Time) { heavyEnd = e })
+	light.Transfer(1024, func(_, e sim.Time) { lightEnd = e })
 	k.RunAll()
 	if lightEnd >= heavyEnd {
 		t.Fatalf("light transfer starved: light %v heavy %v", lightEnd, heavyEnd)
@@ -142,8 +150,8 @@ func TestMultiLayerParallelism(t *testing.T) {
 	m2, _ := b.AttachMaster("b") // layer 1
 	const total = 1 << 20
 	var e1, e2 sim.Time
-	m1.Transfer(total, nil, func(_, e sim.Time) { e1 = e })
-	m2.Transfer(total, nil, func(_, e sim.Time) { e2 = e })
+	m1.Transfer(total, func(_, e sim.Time) { e1 = e })
+	m2.Transfer(total, func(_, e sim.Time) { e2 = e })
 	k.RunAll()
 	solo := b.TransferTime(total)
 	// On separate layers both complete in ~solo time.
@@ -167,7 +175,7 @@ func TestMasterLimit(t *testing.T) {
 func TestBadTransfer(t *testing.T) {
 	k, b := newBus(t)
 	m, _ := b.AttachMaster("x")
-	if err := m.Transfer(0, nil, nil); err == nil {
+	if err := m.Transfer(0, nil); err == nil {
 		t.Fatal("zero-size transfer accepted")
 	}
 	_ = k
@@ -176,7 +184,7 @@ func TestBadTransfer(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	k, b := newBus(t)
 	m, _ := b.AttachMaster("x")
-	m.Transfer(4096, nil, nil)
+	m.Transfer(4096, nil)
 	k.RunAll()
 	s := b.TotalStats()
 	if s.Bytes != 4096 {
@@ -225,7 +233,7 @@ func TestFairShareProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Transfer(per, nil, func(_, e sim.Time) { ends[i] = e })
+			m.Transfer(per, func(_, e sim.Time) { ends[i] = e })
 		}
 		k.RunAll()
 		solo := b.TransferTime(per)
@@ -296,7 +304,7 @@ func BenchmarkAHBTransfer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := masters[i%len(masters)].Transfer(4096, nil, done); err != nil {
+		if err := masters[i%len(masters)].Transfer(4096, done); err != nil {
 			b.Fatal(err)
 		}
 		if i%1024 == 1023 {

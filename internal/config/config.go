@@ -90,14 +90,13 @@ type Platform struct {
 	// Parallel switches the event core to per-channel clock domains
 	// synchronized with conservative lookahead: each ONFI channel runs its
 	// own event kernel, and cross-domain interactions travel as timestamped
-	// messages with at least ParallelLookaheadNS of modeled hand-off
-	// latency. ParallelWorkers sets the goroutine count (0 = GOMAXPROCS);
-	// ParallelLookaheadNS sets the hand-off latency in nanoseconds
-	// (0 = default 1000ns). Serial mode (Parallel false) keeps the single
-	// monolithic kernel and is the timing-validated path.
-	Parallel            bool
-	ParallelWorkers     int
-	ParallelLookaheadNS int
+	// messages with 1us of modeled hand-off latency. The domains run one
+	// after another on the calling goroutine. Serial mode (Parallel false)
+	// keeps the single monolithic kernel and is the timing-validated path.
+	Parallel bool
+
+	// Deprecated: ignored. The sharded core has no worker pool.
+	ParallelWorkers int
 
 	Seed uint64
 }
@@ -213,9 +212,6 @@ func (p Platform) Validate() error {
 	}
 	if p.MapperBlocksPerUnit < 0 {
 		return fmt.Errorf("config: negative mapper block restriction")
-	}
-	if p.ParallelWorkers < 0 || p.ParallelLookaheadNS < 0 {
-		return fmt.Errorf("config: negative parallel workers/lookahead")
 	}
 	return nil
 }
@@ -402,10 +398,6 @@ func (p *Platform) set(key, value string) error {
 		p.Wear, err = atof()
 	case "parallel":
 		p.Parallel, err = strconv.ParseBool(value)
-	case "parallel_workers":
-		p.ParallelWorkers, err = atoi()
-	case "parallel_lookahead_ns":
-		p.ParallelLookaheadNS, err = atoi()
 	case "seed":
 		var v uint64
 		v, err = strconv.ParseUint(value, 10, 64)
@@ -447,8 +439,6 @@ func (p Platform) Render(w io.Writer) error {
 		"ahb_layers":             strconv.Itoa(p.AHBLayers),
 		"wear":                   strconv.FormatFloat(p.Wear, 'g', -1, 64),
 		"parallel":               strconv.FormatBool(p.Parallel),
-		"parallel_workers":       strconv.Itoa(p.ParallelWorkers),
-		"parallel_lookahead_ns":  strconv.Itoa(p.ParallelLookaheadNS),
 		"seed":                   strconv.FormatUint(p.Seed, 10),
 	}
 	keys := make([]string, 0, len(kv))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/telemetry/metrics"
 )
@@ -11,8 +9,8 @@ import (
 // It is the runtime-observability counterpart of EnableTracing: where the
 // tracer records what each modeled resource did over simulated time, the
 // registry exports what the simulation process is doing in wall-clock time —
-// event throughput, window-barrier cadence and per-worker busy/idle on the
-// parallel core, plus per-tenant SQ depth, which the host interface
+// event throughput, window-barrier cadence and busy/idle wall time on the
+// sharded core, plus per-tenant SQ depth, which the host interface
 // registers when RunTenants starts its queues. A nil registry is a no-op and
 // leaves every hook nil, so the hot paths keep their single pointer test.
 // Metrics never feed back into simulated time: a fixed seed produces
@@ -33,14 +31,12 @@ func (p *Platform) EnableMetrics(reg *metrics.Registry) {
 		Messages: reg.Counter("ssdx_sim_messages_total", "cross-domain messages delivered at window barriers"),
 		WindowMessages: reg.Histogram("ssdx_sim_window_messages",
 			"cross-domain messages merged per window barrier", metrics.ExpBuckets(1, 2, 12)),
-	}
-	for w := 0; w < p.ds.Workers(); w++ {
-		m.WorkerBusyNS = append(m.WorkerBusyNS, reg.Counter(
-			fmt.Sprintf("ssdx_sim_worker_busy_ns_total{worker=%q}", fmt.Sprint(w)),
-			"wall-clock nanoseconds each parallel worker spent executing domain windows"))
-		m.WorkerIdleNS = append(m.WorkerIdleNS, reg.Counter(
-			fmt.Sprintf("ssdx_sim_worker_idle_ns_total{worker=%q}", fmt.Sprint(w)),
-			"wall-clock nanoseconds each parallel worker spent waiting for window work"))
+		// One pair under the worker="0" series names that ssdxbench's
+		// domains.worker_busy_frac reads as busy/(busy+idle).
+		BusyNS: reg.Counter(`ssdx_sim_worker_busy_ns_total{worker="0"}`,
+			"wall-clock nanoseconds the sharded core spent executing domain windows"),
+		IdleNS: reg.Counter(`ssdx_sim_worker_idle_ns_total{worker="0"}`,
+			"wall-clock nanoseconds the sharded core spent coordinating windows"),
 	}
 	p.ds.SetMetrics(m)
 }

@@ -26,16 +26,15 @@ import (
 // goes through cross/toShard/hubFn and every ECC charge through eccFor; no
 // data-path code outside this file branches on p.ds. Flash ops leave the hub
 // only through the dispatch helpers erase, program and readPage (platform.go),
-// which both FTL modes share. The sharded core has not
-// earned a second copy of any operation: measured with ssdxbench on a
-// 2-CPU host it runs 0.53–0.78× as fast at 2 workers as at 1 on every
-// workload, so it has no crossover on current configurations.
+// which both FTL modes share. The sharded core runs its domains one after
+// another on the calling goroutine and is slower than the serial core on
+// every workload; it stays only until the benchmark stops pinning it.
 
-// defaultLookaheadNS is the cross-domain hand-off latency when the
-// configuration leaves ParallelLookaheadNS at zero. 1us is comfortably below
-// NAND array times (hundreds of us) so it does not distort channel behaviour,
-// yet wide enough to give windows real batches of events.
-const defaultLookaheadNS = 1000
+// handoff is the cross-domain hand-off latency and the coordinator's
+// lookahead. 1us is comfortably below NAND array times (hundreds of us) so
+// it does not distort channel behaviour, yet wide enough to give windows
+// real batches of events.
+const handoff = 1000 * sim.Nanosecond
 
 // eccPool is a round-robin ECC engine pool bound to one kernel. The hub and
 // every shard own one so encode/decode latency is charged on the domain where
@@ -129,7 +128,7 @@ func (p *Platform) buildChannels(gang ctrl.GangMode) error {
 			// well-defined.
 			shard, hub := p.ds.Domain(c+1), p.ds.Domain(0)
 			ch.SetSpanSink(func(sp *telemetry.Span, st telemetry.Stage, at sim.Time) {
-				shard.Post(hub, p.handoff, func() { sp.Advance(st, at) })
+				shard.Post(hub, handoff, func() { sp.Advance(st, at) })
 			})
 		}
 		p.Channels = append(p.Channels, ch)
@@ -154,7 +153,7 @@ func (p *Platform) cross(from, to int, fn func()) {
 		fn()
 		return
 	}
-	p.domainOf(from).Post(p.domainOf(to), p.handoff, fn)
+	p.domainOf(from).Post(p.domainOf(to), handoff, fn)
 }
 
 // crossFn wraps fn so that invoking the wrapper on domain `from` delivers fn

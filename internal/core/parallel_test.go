@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -20,8 +19,8 @@ import (
 	"repro/internal/workload"
 )
 
-// scrubWall zeroes the wall-clock-dependent result fields so serial- and
-// parallel-driver runs compare on simulated outcome alone.
+// scrubWall zeroes the wall-clock-dependent result fields so runs compare
+// on simulated outcome alone.
 func scrubWall(r *Result) {
 	r.WallSeconds, r.KCPS = 0, 0
 	if r.Utilization != nil {
@@ -34,41 +33,46 @@ func scrubWall(r *Result) {
 var updateGolden = flag.Bool("update", false, "rewrite the committed golden files")
 
 // datapathGolden pins both event cores: per determinism case it holds the
-// digest of the serial-core run and of the workers=1 sharded run.
+// digest of the serial-core run and of the sharded-core run.
 const datapathGolden = "testdata/datapath.golden"
 
-// runCore builds the platform on the serial core (workers == 0) or the
-// sharded core with the given worker count, runs the workload with event
-// tracing on, and returns the scrubbed result plus the Perfetto export bytes.
-func runCore(t *testing.T, cfg config.Platform, w workload.Spec, mode Mode, workers int) (Result, []byte) {
+// runCore builds the platform on the serial or the sharded core, runs the
+// workload with event tracing on, and returns the scrubbed result plus the
+// Perfetto export bytes.
+func runCore(t *testing.T, cfg config.Platform, w workload.Spec, mode Mode, sharded bool) (Result, []byte) {
 	t.Helper()
-	if workers > 0 {
-		cfg.Parallel = true
-		cfg.ParallelWorkers = workers
-	}
+	cfg.Parallel = sharded
 	p, err := Build(cfg)
 	if err != nil {
-		t.Fatalf("build (workers=%d): %v", workers, err)
+		t.Fatalf("build (sharded=%v): %v", sharded, err)
 	}
 	tr := p.EnableTracing(evtrace.Options{Events: true})
 	res, err := p.Run(w, mode)
 	if err != nil {
-		t.Fatalf("run (workers=%d): %v", workers, err)
+		t.Fatalf("run (sharded=%v): %v", sharded, err)
 	}
 	var buf bytes.Buffer
 	if err := tr.WritePerfetto(&buf); err != nil {
-		t.Fatalf("perfetto export (workers=%d): %v", workers, err)
+		t.Fatalf("perfetto export (sharded=%v): %v", sharded, err)
 	}
 	scrubWall(&res)
 	return res, buf.Bytes()
 }
 
 // runDigest is the SHA-256 of a run's Result JSON followed by its Perfetto
-// bytes. The workload label is blanked first: the replay case's label names
-// a temporary file.
+// bytes. The event counts are scrubbed (eventsLine pins them on a line of
+// their own), and so is the workload label: the replay case's label names a
+// temporary file.
 func runDigest(t *testing.T, res Result, perfetto []byte) string {
 	t.Helper()
 	res.Workload = ""
+	res.Events = 0
+	if res.Utilization != nil {
+		// Scrub a copy: the report pointer is shared with the caller.
+		u := *res.Utilization
+		u.Profile.KernelEvents = 0
+		res.Utilization = &u
+	}
 	js, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +81,32 @@ func runDigest(t *testing.T, res Result, perfetto []byte) string {
 	h.Write(js)
 	h.Write(perfetto)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// eventsLine renders a run's event counts — the Result's and the
+// self-profile's — for its exact "<key>/events" golden line.
+func eventsLine(res Result) string {
+	var profile uint64
+	if res.Utilization != nil {
+		profile = res.Utilization.Profile.KernelEvents
+	}
+	return fmt.Sprintf("result=%d profile=%d", res.Events, profile)
+}
+
+// checkGolden records a run's digest under key and its event counts under
+// key+"/events", and compares both with the committed golden.
+func checkGolden(t *testing.T, golden, got map[string]string, key string, res Result, perfetto []byte) {
+	t.Helper()
+	for _, kv := range [][2]string{
+		{key, runDigest(t, res, perfetto)},
+		{key + "/events", eventsLine(res)},
+	} {
+		got[kv[0]] = kv[1]
+		if !*updateGolden && golden[kv[0]] != kv[1] {
+			t.Errorf("%s: %s, golden %s (re-run with -update only if the change is intended)",
+				kv[0], kv[1], golden[kv[0]])
+		}
+	}
 }
 
 // readDigests loads a digest golden: one "<key> <hex>" pair per line.
@@ -118,13 +148,12 @@ func writeDigests(t *testing.T, path string, digests map[string]string) {
 	}
 }
 
-// TestParallelDeterminism pins the sharded core's central guarantee: for a
-// fixed seed, the serial domain driver (workers=1) and the parallel driver
-// produce identical results — the full Result struct and the byte-exact
-// Perfetto event trace — across topologies, FTL modes and access patterns.
-// Both the serial-core run and the workers=1 run are also digested against
-// the committed datapath golden, so a refactor of either core that shifts
-// one simulated event fails here.
+// TestParallelDeterminism pins both event cores: for a fixed seed, the
+// serial-core run and the sharded-core run of every case — the full Result
+// struct and the byte-exact Perfetto event trace, across topologies, FTL
+// modes and access patterns — are digested against the committed datapath
+// golden, so a refactor of either core that shifts one simulated event
+// fails here. The sharded runs keep their historical "/workers1" keys.
 func TestParallelDeterminism(t *testing.T) {
 	mapperCfg := func(name string) config.Platform {
 		cfg, err := config.Preset(name)
@@ -185,32 +214,13 @@ func TestParallelDeterminism(t *testing.T) {
 	digests := map[string]string{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, serialTrace := runCore(t, tc.cfg, tc.w, tc.mode, 0)
-			ref, refTrace := runCore(t, tc.cfg, tc.w, tc.mode, 1)
-			if ref.Completed == 0 {
-				t.Fatal("reference run completed nothing")
+			serial, serialTrace := runCore(t, tc.cfg, tc.w, tc.mode, false)
+			sharded, shardedTrace := runCore(t, tc.cfg, tc.w, tc.mode, true)
+			if sharded.Completed == 0 {
+				t.Fatal("sharded run completed nothing")
 			}
-			for key, sum := range map[string]string{
-				tc.name + "/serial":   runDigest(t, serial, serialTrace),
-				tc.name + "/workers1": runDigest(t, ref, refTrace),
-			} {
-				digests[key] = sum
-				if !*updateGolden && golden[key] != sum {
-					t.Errorf("%s digest %s, golden %s (re-run with -update only if the change is intended)",
-						key, sum, golden[key])
-				}
-			}
-			for _, workers := range []int{2, 4} {
-				got, gotTrace := runCore(t, tc.cfg, tc.w, tc.mode, workers)
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("workers=%d Result diverged from serial driver:\nserial:   %+v\nparallel: %+v",
-						workers, ref, got)
-				}
-				if !bytes.Equal(refTrace, gotTrace) {
-					t.Errorf("workers=%d Perfetto export differs (%d vs %d bytes)",
-						workers, len(refTrace), len(gotTrace))
-				}
-			}
+			checkGolden(t, golden, digests, tc.name+"/serial", serial, serialTrace)
+			checkGolden(t, golden, digests, tc.name+"/workers1", sharded, shardedTrace)
 		})
 	}
 	if *updateGolden {
@@ -226,7 +236,6 @@ func TestParallelModeRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Parallel = true
-	cfg.ParallelWorkers = 2
 	w := workload.Patterned(trace.SeqWrite, 4096, 1<<26, 500, 7)
 	res, err := RunWorkload(cfg, w, ModeFull)
 	if err != nil {
@@ -237,28 +246,5 @@ func TestParallelModeRuns(t *testing.T) {
 	}
 	if res.MBps <= 0 {
 		t.Fatalf("no throughput measured: %v", res.MBps)
-	}
-}
-
-// TestParallelLookaheadConfig checks the config plumbing: an explicit
-// lookahead reaches the domain set, and zero resolves to the default.
-func TestParallelLookaheadConfig(t *testing.T) {
-	cfg := config.Default()
-	cfg.Parallel = true
-	cfg.ParallelLookaheadNS = 250
-	p, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.ds.Lookahead(); got != 250*1000 {
-		t.Fatalf("lookahead = %v ps, want 250ns", got)
-	}
-	cfg.ParallelLookaheadNS = 0
-	p, err = Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.ds.Lookahead(); got != defaultLookaheadNS*1000 {
-		t.Fatalf("default lookahead = %v ps, want %dns", got, defaultLookaheadNS)
 	}
 }

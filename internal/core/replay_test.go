@@ -35,7 +35,7 @@ func writeTrace(t testing.TB, spec workload.Spec) string {
 // BenchmarkReplayDispatch measures trace-replay throughput through the full
 // platform — the streaming reader, lazy first-touch preload and live WAF
 // reclassification — on the serial monolithic kernel and on the sharded
-// parallel core. One iteration replays the whole trace.
+// core. One iteration replays the whole trace.
 func BenchmarkReplayDispatch(b *testing.B) {
 	path := writeTrace(b, workload.Spec{
 		Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 24,
@@ -51,7 +51,6 @@ func BenchmarkReplayDispatch(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := config.Default()
 			cfg.Parallel = bc.parallel
-			cfg.ParallelWorkers = 2
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := RunWorkload(cfg, workload.Spec{TracePath: path}, ModeFull)

@@ -512,7 +512,7 @@ func (c *command) admitted() {
 //
 //ssdx:hotpath
 func (c *command) moveToDRAM() {
-	if err := c.p.hostDMA.Transfer(c.ddrBytes, nil, c.dmaDone); err != nil {
+	if err := c.p.hostDMA.Transfer(c.ddrBytes, c.dmaDone); err != nil {
 		dmaPanic(err)
 	}
 }
@@ -641,7 +641,7 @@ func (c *command) pageRead() {
 //
 //ssdx:hotpath
 func (c *command) send(n int64) {
-	if err := c.p.hostDMA.Transfer(n, nil, c.pageSentFn); err != nil {
+	if err := c.p.hostDMA.Transfer(n, c.pageSentFn); err != nil {
 		dmaPanic(err)
 	}
 }

@@ -113,12 +113,7 @@ func TestStreamShapesGolden(t *testing.T) {
 			}
 			scrubWall(&res)
 			scrubLabels(&res)
-			sum := runDigest(t, res, buf.Bytes())
-			digests[tc.name] = sum
-			if !*updateGolden && golden[tc.name] != sum {
-				t.Errorf("digest %s, golden %s (re-run with -update only if the change is intended)",
-					sum, golden[tc.name])
-			}
+			checkGolden(t, golden, digests, tc.name, res, buf.Bytes())
 		})
 	}
 	if *updateGolden {

@@ -39,7 +39,6 @@ func TestTenantReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := config.Default()
 			cfg.Parallel = parallel
-			cfg.ParallelWorkers = 2
 			res, err := RunTenantWorkload(cfg, set, ModeFull)
 			if err != nil {
 				t.Fatal(err)

@@ -353,7 +353,7 @@ func (op *dieOp) bind() {
 			op.ch.readLanded(op)
 			return
 		}
-		if err := op.ch.ppDMA.Transfer(op.bytes, nil, op.onDMADone); err != nil {
+		if err := op.ch.ppDMA.Transfer(op.bytes, op.onDMADone); err != nil {
 			panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
 		}
 	}
@@ -581,7 +581,7 @@ func (ch *Channel) sensed(op *dieOp) {
 func (ch *Channel) readOut(op *dieOp) {
 	ch.adv(op.span, telemetry.StageBus, op.busEnd)
 	ch.release(op.die)
-	if err := ch.ppDMA.Transfer(op.bytes, nil, op.onDMADone); err != nil {
+	if err := ch.ppDMA.Transfer(op.bytes, op.onDMADone); err != nil {
 		panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
 	}
 }

@@ -200,7 +200,6 @@ func TestMetricsPreserveDeterminism(t *testing.T) {
 		sp := s
 		sp.Base = config.Default()
 		sp.Base.Parallel = parallel
-		sp.Base.ParallelWorkers = 2
 		pts, err := sp.Enumerate()
 		if err != nil {
 			t.Fatal(err)

@@ -97,13 +97,17 @@ func PCIe(gen, lanes int) (Config, error) {
 	}, nil
 }
 
-// Parse builds a Config from a name: "sata2" or "pcie-g<G>x<L>".
+// Parse builds a Config from a name: "sata2" (or its aliases "sata" and "")
+// or the canonical "pcie-g<G>x<L>". Any other spelling — trailing text,
+// padding, leading zeros or signs — is rejected, so a typo cannot silently
+// select another design point.
 func Parse(name string) (Config, error) {
 	if name == "sata2" || name == "sata" || name == "" {
 		return SATA2(), nil
 	}
 	var gen, lanes int
-	if n, err := fmt.Sscanf(name, "pcie-g%dx%d", &gen, &lanes); n == 2 && err == nil {
+	if _, err := fmt.Sscanf(name, "pcie-g%dx%d", &gen, &lanes); err == nil &&
+		name == fmt.Sprintf("pcie-g%dx%d", gen, lanes) {
 		return PCIe(gen, lanes)
 	}
 	return Config{}, fmt.Errorf("hostif: unknown interface %q", name)

@@ -34,18 +34,74 @@ func TestConfigs(t *testing.T) {
 	}
 }
 
+// TestParse pins which spellings select an interface: the canonical names
+// and the SATA aliases only. Trailing text, padding and non-canonical
+// numbers are rejected rather than parsed as a neighbouring design point.
 func TestParse(t *testing.T) {
-	c, err := Parse("sata2")
-	if err != nil || c.Name != "sata2" {
-		t.Fatalf("parse sata2: %v %v", c.Name, err)
+	for _, tc := range []struct {
+		name string
+		want string // canonical Config.Name, "" for a rejected name
+	}{
+		{"sata2", "sata2"},
+		{"sata", "sata2"},
+		{"", "sata2"},
+		{"pcie-g1x1", "pcie-g1x1"},
+		{"pcie-g2x8", "pcie-g2x8"},
+		{"pcie-g3x16", "pcie-g3x16"},
+		{"scsi", ""},
+		{"pcie-g2x8x4", ""},
+		{"pcie-g2x8foo", ""},
+		{"pcie-g2x8 ", ""},
+		{" pcie-g2x8", ""},
+		{"pcie-g02x8", ""},
+		{"pcie-g+2x8", ""},
+		{"pcie-g2x08", ""},
+		{"pcie-g2 x8", ""},
+		{"pcie-g4x8", ""},
+		{"pcie-g2x3", ""},
+		{"pcie-g2x", ""},
+		{"sata2 ", ""},
+		{"SATA2", ""},
+	} {
+		c, err := Parse(tc.name)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("Parse(%q) accepted as %q", tc.name, c.Name)
+		case tc.want != "" && err != nil:
+			t.Errorf("Parse(%q): %v", tc.name, err)
+		case tc.want != "" && c.Name != tc.want:
+			t.Errorf("Parse(%q) = %q, want %q", tc.name, c.Name, tc.want)
+		}
 	}
-	c, err = Parse("pcie-g3x4")
-	if err != nil || c.LineMBps != 985*4 {
-		t.Fatalf("parse pcie: %+v %v", c, err)
+	if c, _ := Parse("pcie-g3x4"); c.LineMBps != 985*4 {
+		t.Fatalf("parse pcie: %+v", c)
 	}
-	if _, err := Parse("scsi"); err == nil {
-		t.Fatal("unknown interface accepted")
+}
+
+// FuzzHostParse checks that every accepted name is canonical — the
+// Config's own Name or a SATA alias — and re-parses from that Name to the
+// same Config.
+func FuzzHostParse(f *testing.F) {
+	for _, name := range []string{"sata2", "sata", "", "pcie-g1x1", "pcie-g2x8", "pcie-g3x16",
+		"pcie-g2x8x4", "pcie-g2x8foo", "pcie-g2x8 ", "pcie-g02x8", "pcie-g4x8"} {
+		f.Add(name)
 	}
+	f.Fuzz(func(t *testing.T, name string) {
+		c, err := Parse(name)
+		if err != nil {
+			return
+		}
+		if name != c.Name && name != "sata" && name != "" {
+			t.Fatalf("Parse(%q) accepted a non-canonical name for %q", name, c.Name)
+		}
+		back, err := Parse(c.Name)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its name %q does not re-parse: %v", name, c.Name, err)
+		}
+		if back != c {
+			t.Fatalf("Parse(%q) = %+v, re-parse of %q = %+v", name, c, c.Name, back)
+		}
+	})
 }
 
 func TestIdealRates(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 // seeded RNG, does local work, and posts messages to pseudo-randomly chosen
 // peers; every event appends to its domain's log. Returns the per-domain
 // logs concatenated in domain order.
-func pingPong(workers, domains, events int) []string {
+func pingPong(domains, events int) []string {
 	const look = 100 * Nanosecond
-	ds := NewDomainSet(domains, look, workers)
+	ds := NewDomainSet(domains, look)
 	logs := make([][]string, domains)
 	rngs := make([]*RNG, domains)
 	for i := 0; i < domains; i++ {
@@ -50,20 +50,16 @@ func pingPong(workers, domains, events int) []string {
 	return all
 }
 
-// TestDomainDeterminism pins the core guarantee: the serial driver
-// (workers=1) and the parallel driver execute byte-identical event
-// sequences per domain.
+// TestDomainDeterminism pins the core guarantee: the coordinator's merge
+// order alone fixes the schedule, so two runs of the same cross-domain
+// workload execute byte-identical event sequences per domain.
 func TestDomainDeterminism(t *testing.T) {
-	serial := pingPong(1, 5, 8)
-	if len(serial) == 0 {
+	first := pingPong(5, 8)
+	if len(first) == 0 {
 		t.Fatal("workload executed no events")
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got := pingPong(workers, 5, 8)
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("workers=%d diverged from serial driver (%d vs %d log lines)",
-				workers, len(got), len(serial))
-		}
+	if again := pingPong(5, 8); !reflect.DeepEqual(first, again) {
+		t.Fatalf("repeated run diverged (%d vs %d log lines)", len(again), len(first))
 	}
 }
 
@@ -75,13 +71,13 @@ func TestDomainZeroLookaheadPanics(t *testing.T) {
 					t.Errorf("NewDomainSet with lookahead %v did not panic", look)
 				}
 			}()
-			NewDomainSet(2, look, 1)
+			NewDomainSet(2, look)
 		}()
 	}
 }
 
 func TestDomainPostBelowLookaheadPanics(t *testing.T) {
-	ds := NewDomainSet(2, Microsecond, 1)
+	ds := NewDomainSet(2, Microsecond)
 	ds.Domain(0).K.Schedule(0, func() {
 		defer func() {
 			if recover() == nil {
@@ -103,34 +99,31 @@ func TestDomainPostBelowLookaheadPanics(t *testing.T) {
 }
 
 // TestDomainStopMidWindow checks Stop semantics: the window in which Stop
-// fires still completes on every domain (that is what keeps a stopped run
-// deterministic across drivers), and later windows never start.
+// fires still completes on every domain, and later windows never start.
 func TestDomainStopMidWindow(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ds := NewDomainSet(2, 100*Nanosecond, workers)
-		var sameWindow, laterWindow bool
-		ds.Domain(0).K.Schedule(10*Nanosecond, func() { ds.Stop() })
-		ds.Domain(1).K.Schedule(20*Nanosecond, func() { sameWindow = true })
-		ds.Domain(1).K.Schedule(10*Microsecond, func() { laterWindow = true })
-		ds.Run()
-		if !sameWindow {
-			t.Errorf("workers=%d: same-window event skipped after Stop", workers)
-		}
-		if laterWindow {
-			t.Errorf("workers=%d: event in a later window ran after Stop", workers)
-		}
-		// A fresh Run resumes the remaining events.
-		ds.Run()
-		if !laterWindow {
-			t.Errorf("workers=%d: resumed Run dropped pending events", workers)
-		}
+	ds := NewDomainSet(2, 100*Nanosecond)
+	var sameWindow, laterWindow bool
+	ds.Domain(0).K.Schedule(10*Nanosecond, func() { ds.Stop() })
+	ds.Domain(1).K.Schedule(20*Nanosecond, func() { sameWindow = true })
+	ds.Domain(1).K.Schedule(10*Microsecond, func() { laterWindow = true })
+	ds.Run()
+	if !sameWindow {
+		t.Error("same-window event skipped after Stop")
+	}
+	if laterWindow {
+		t.Error("event in a later window ran after Stop")
+	}
+	// A fresh Run resumes the remaining events.
+	ds.Run()
+	if !laterWindow {
+		t.Error("resumed Run dropped pending events")
 	}
 }
 
 // TestDomainMessageOrdering pins the deterministic merge: same-timestamp
 // messages deliver in (sender id, send order), before later timestamps.
 func TestDomainMessageOrdering(t *testing.T) {
-	ds := NewDomainSet(3, 100*Nanosecond, 1)
+	ds := NewDomainSet(3, 100*Nanosecond)
 	var got []string
 	mark := func(s string) func() { return func() { got = append(got, s) } }
 	// Senders post in reverse domain order within the same window; delivery
@@ -151,7 +144,7 @@ func TestDomainMessageOrdering(t *testing.T) {
 }
 
 func TestDomainExecutedAndNow(t *testing.T) {
-	ds := NewDomainSet(2, Microsecond, 2)
+	ds := NewDomainSet(2, Microsecond)
 	ds.Domain(0).K.Schedule(Microsecond, func() {})
 	ds.Domain(1).K.Schedule(3*Microsecond, func() {})
 	end := ds.Run()
@@ -179,37 +172,33 @@ func TestKernelNextAt(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelKernel measures domain-set event throughput at several
-// worker counts over a messaging-heavy synthetic workload; the CI bench
-// smoke runs it once to keep the parallel path exercised.
-func BenchmarkParallelKernel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				const look = 100 * Nanosecond
-				ds := NewDomainSet(8, look, workers)
-				for d := 0; d < ds.Domains(); d++ {
-					dom := ds.Domain(d)
-					var tick func()
-					n := 0
-					tick = func() {
-						n++
-						if n >= 3000 {
-							return
-						}
-						if n%8 == 0 {
-							to := ds.Domain((dom.ID() + 1) % ds.Domains())
-							dom.Post(to, look, func() {})
-						}
-						dom.K.Schedule(10*Nanosecond, tick)
-					}
-					dom.K.Schedule(0, tick)
+// BenchmarkDomainSet measures domain-set event throughput over a
+// messaging-heavy synthetic workload; the CI bench smoke runs it once to
+// keep the coordinator exercised.
+func BenchmarkDomainSet(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		const look = 100 * Nanosecond
+		ds := NewDomainSet(8, look)
+		for d := 0; d < ds.Domains(); d++ {
+			dom := ds.Domain(d)
+			var tick func()
+			n := 0
+			tick = func() {
+				n++
+				if n >= 3000 {
+					return
 				}
-				ds.Run()
-				events += ds.Executed()
+				if n%8 == 0 {
+					to := ds.Domain((dom.ID() + 1) % ds.Domains())
+					dom.Post(to, look, func() {})
+				}
+				dom.K.Schedule(10*Nanosecond, tick)
 			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
+			dom.K.Schedule(0, tick)
+		}
+		ds.Run()
+		events += ds.Executed()
 	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

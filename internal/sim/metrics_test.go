@@ -28,25 +28,21 @@ func TestKernelEventCounter(t *testing.T) {
 }
 
 // TestDomainSetMetrics runs a two-domain ping-pong with metrics bound and
-// checks windows, messages and events all moved — and that the same
-// simulation with metrics off is unchanged (same Executed, same final time).
+// checks windows, messages, events and the busy/idle wall-time split all
+// moved — and that the same simulation with metrics off is unchanged (same
+// Executed, same final time).
 func TestDomainSetMetrics(t *testing.T) {
 	run := func(reg *metrics.Registry) (uint64, Time) {
-		ds := NewDomainSet(2, 10*Nanosecond, 2)
+		ds := NewDomainSet(2, 10*Nanosecond)
 		if reg != nil {
-			m := &DomainMetrics{
+			ds.SetMetrics(&DomainMetrics{
 				Events:         reg.Counter("ssdx_sim_events_total", ""),
 				Windows:        reg.Counter("ssdx_sim_windows_total", ""),
 				Messages:       reg.Counter("ssdx_sim_messages_total", ""),
 				WindowMessages: reg.Histogram("ssdx_sim_window_messages", "", metrics.ExpBuckets(1, 2, 8)),
-				WorkerBusyNS: []*metrics.Counter{
-					reg.Counter(`busy{worker="0"}`, ""), reg.Counter(`busy{worker="1"}`, ""),
-				},
-				WorkerIdleNS: []*metrics.Counter{
-					reg.Counter(`idle{worker="0"}`, ""), reg.Counter(`idle{worker="1"}`, ""),
-				},
-			}
-			ds.SetMetrics(m)
+				BusyNS:         reg.Counter("busy", ""),
+				IdleNS:         reg.Counter("idle", ""),
+			})
 		}
 		a, b := ds.Domain(0), ds.Domain(1)
 		hops := 0
@@ -86,5 +82,10 @@ func TestDomainSetMetrics(t *testing.T) {
 	if snap["ssdx_sim_window_messages_count"] != snap["ssdx_sim_windows_total"] {
 		t.Fatalf("per-window histogram count %v != windows %v",
 			snap["ssdx_sim_window_messages_count"], snap["ssdx_sim_windows_total"])
+	}
+	// The wall-time split must be usable as a fraction: busy/(busy+idle)
+	// is undefined when both are zero.
+	if snap["busy"]+snap["idle"] == 0 {
+		t.Fatal("busy and idle wall time both zero")
 	}
 }

@@ -469,4 +469,8 @@ func JournalCompletedKeys(entries []JournalEntry) map[string]bool {
 // ssdx-bench/v1 report API (BenchReport, BenchSchema, MeasureBench,
 // MeasureBenchRows, CompareBench, WriteBenchJSON, ReadBenchJSON,
 // LoadBenchJSON); the ssdx-bench/v2 benchmark in cmd/ssdxbench replaces it.
-const Version = "1.8.0"
+// 1.9.0 removed the sharded core's worker pool with its knobs
+// (SimulationSpeedRows, SpeedRow.Parallel/Workers, the parallel_workers and
+// parallel_lookahead_ns config keys, Config.ParallelLookaheadNS); the
+// sharded core now runs on the calling goroutine.
+const Version = "1.9.0"
