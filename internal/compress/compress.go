@@ -124,30 +124,21 @@ func (e *Engine) latency(n int64) sim.Time {
 	return sim.Time(float64(n) / (e.cfg.MBps * 1e6) * float64(sim.Second))
 }
 
-// Process runs n bytes through the engine; done receives the output size at
-// completion. Pass-through when disabled (done fires immediately via the
-// kernel to keep causality uniform).
-func (e *Engine) Process(k *sim.Kernel, n int64, done func(out int64)) {
+// Process runs n bytes through the engine and returns the output size,
+// which is known at once (OutputBytes); done fires when the engine has
+// finished with them. Pass-through when disabled (done fires immediately via
+// the kernel to keep causality uniform).
+func (e *Engine) Process(k *sim.Kernel, n int64, done func()) int64 {
 	if n <= 0 {
 		if done != nil {
-			k.Schedule(0, func() { done(0) })
+			k.Schedule(0, done)
 		}
-		return
+		return 0
 	}
 	out := e.OutputBytes(n)
-	e.BytesIn += uint64(n)
-	e.BytesOut += uint64(out)
-	if !e.Enabled() {
-		if done != nil {
-			k.Schedule(0, func() { done(out) })
-		}
-		return
-	}
-	e.srv.Acquire(e.latency(n), func(_, end sim.Time) {
-		if done != nil {
-			k.At(end, func() { done(out) })
-		}
-	})
+	e.Account(n, out)
+	e.Occupy(k, n, done)
+	return out
 }
 
 // Occupy charges engine time for n input bytes without output accounting —

@@ -66,10 +66,9 @@ func TestProcessLatencyAndSerialization(t *testing.T) {
 	var ends []sim.Time
 	var outs []int64
 	for i := 0; i < 2; i++ {
-		e.Process(k, 4096, func(out int64) {
+		outs = append(outs, e.Process(k, 4096, func() {
 			ends = append(ends, k.Now())
-			outs = append(outs, out)
-		})
+		}))
 	}
 	k.RunAll()
 	// 4096 B at 400 MB/s = 10.24 us per request, serialized.
@@ -89,12 +88,9 @@ func TestProcessDisabledImmediate(t *testing.T) {
 	k := sim.NewKernel()
 	e, _ := NewEngine(k, Config{Placement: None})
 	fired := false
-	e.Process(k, 4096, func(out int64) {
-		fired = true
-		if out != 4096 {
-			t.Errorf("disabled output %d", out)
-		}
-	})
+	if out := e.Process(k, 4096, func() { fired = true }); out != 4096 {
+		t.Errorf("disabled output %d", out)
+	}
 	k.RunAll()
 	if !fired {
 		t.Fatal("callback not fired")
@@ -108,9 +104,9 @@ func TestProcessZeroBytes(t *testing.T) {
 	k := sim.NewKernel()
 	e, _ := NewEngine(k, DefaultGZIP(HostInterface))
 	fired := false
-	e.Process(k, 0, func(out int64) { fired = out == 0 })
+	out := e.Process(k, 0, func() { fired = true })
 	k.RunAll()
-	if !fired {
+	if !fired || out != 0 {
 		t.Fatal("zero-byte process mishandled")
 	}
 }

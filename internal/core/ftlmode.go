@@ -94,13 +94,11 @@ func (p *Platform) mapperWrite(lba int64, pageOffset int, sp *telemetry.Span, do
 			// lands in the gc_read/gc_program op kinds of the timeline.
 			p.stats.gcCopies++
 			srcDie, srcAddr := f.place(op.Source)
-			p.program(gdie, []nand.Addr{a}, nil, 1, &flashPage{srcDie, srcAddr}, nil)
+			addrs := [1]nand.Addr{a}
+			p.program(gdie, addrs[:], nil, 1, &flashPage{srcDie, srcAddr}, nil)
 		case ftl.OpProgram:
-			var spans []*telemetry.Span
-			if sp != nil {
-				spans = []*telemetry.Span{sp}
-			}
-			p.program(gdie, []nand.Addr{a}, spans, 0, nil, done)
+			addrs, spans := [1]nand.Addr{a}, [1]*telemetry.Span{sp} // a nil span is skipped
+			p.program(gdie, addrs[:], spans[:], 0, nil, done)
 		}
 	}
 }

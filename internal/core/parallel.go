@@ -43,12 +43,42 @@ type eccPool struct {
 	k       *sim.Kernel
 	engines []*sim.Server
 	next    int
+	jobs    sim.FreeList[eccJob]
+}
+
+// eccJob is one engine grant in flight: the continuation to schedule at the
+// end of the granted window. It recycles at the grant.
+type eccJob struct {
+	ep      *eccPool
+	done    func()
+	granted func(start, end sim.Time)
+}
+
+// takeJob takes a pooled ECC job, or builds one and binds its grant.
+func (ep *eccPool) takeJob() *eccJob {
+	if j := ep.jobs.Take(); j != nil {
+		return j
+	}
+	j := &eccJob{ep: ep}
+	j.granted = j.grant
+	return j
+}
+
+// grant schedules the job's continuation at the end of its window.
+//
+//ssdx:hotpath
+func (j *eccJob) grant(_, end sim.Time) {
+	ep, done := j.ep, j.done
+	j.done = nil
+	ep.jobs.Give(j)
+	ep.k.At(end, done)
 }
 
 // newECCPool builds the configured number of engines on kernel k (none with
 // ECC scheme "none"), named prefix+"ecc<i>".
 func (p *Platform) newECCPool(k *sim.Kernel, prefix string) *eccPool {
 	pool := &eccPool{k: k}
+	pool.jobs.Max = pooledFlashOps
 	if p.scheme != nil {
 		for i := 0; i < p.Cfg.ECCEngines; i++ {
 			pool.engines = append(pool.engines, sim.NewServer(k, nil, fmt.Sprintf("%secc%d", prefix, i)))
@@ -59,6 +89,8 @@ func (p *Platform) newECCPool(k *sim.Kernel, prefix string) *eccPool {
 
 // run charges lat on the next engine and continues with done; with no
 // engines (ECC scheme "none") it degenerates to a zero-delay schedule.
+//
+//ssdx:hotpath
 func (ep *eccPool) run(lat sim.Time, done func()) {
 	if len(ep.engines) == 0 {
 		ep.k.Schedule(0, done)
@@ -66,9 +98,9 @@ func (ep *eccPool) run(lat sim.Time, done func()) {
 	}
 	e := ep.engines[ep.next]
 	ep.next = (ep.next + 1) % len(ep.engines)
-	e.Acquire(lat, func(_, end sim.Time) {
-		ep.k.At(end, done)
-	})
+	j := ep.takeJob()
+	j.done = done
+	e.Acquire(lat, j.granted)
 }
 
 // eccFor returns the ECC pool that serves channel ch: the hub pool on the
@@ -170,17 +202,6 @@ func (p *Platform) toShard(ch int, fn func()) { p.cross(-1, ch, fn) }
 
 // hubFn wraps a hub-side continuation for invocation on channel ch's domain.
 func (p *Platform) hubFn(ch int, fn func()) func() { return p.crossFn(ch, -1, fn) }
-
-// spanBuf returns an empty span list for one program sub-batch. A direct
-// hop hands it to the controller, which copies it synchronously, so the
-// platform's scratch buffer is reused; a posted hop reads it only after
-// later sub-batches were built, so it gets a fresh slice.
-func (p *Platform) spanBuf() []*telemetry.Span {
-	if p.ds != nil {
-		return nil
-	}
-	return p.spanScratch[:0]
-}
 
 // runKernel drives the event core to completion: the monolithic kernel in
 // serial mode, the domain coordinator in parallel mode. After a domain run

@@ -110,10 +110,18 @@ type Platform struct {
 	compDebt    int64 // channel-compressor fractional-page accumulator
 	stripe      int64
 	pending     [][]writePage // per-die accumulating multi-plane batch pages
-	spanScratch []*telemetry.Span
 	lastWritten []nand.Addr
 	hasWritten  []bool
 	expectedLBA int64
+
+	// issueWrite's scratch: allocator output and one sub-batch's spans.
+	addrScratch, eraseScratch []nand.Addr
+	spanScratch               []*telemetry.Span
+
+	// Pooled flash dispatch records (see program, readPage, issueWrite).
+	programOps   sim.FreeList[programOp]
+	readOps      sim.FreeList[readOp]
+	writeBatches sim.FreeList[writeBatch]
 
 	// Bookkeeping.
 	flashWritesInFlight int
@@ -296,6 +304,7 @@ func Build(cfg config.Platform) (*Platform, error) {
 		return nil, err
 	}
 
+	p.programOps.Max, p.readOps.Max, p.writeBatches.Max = pooledFlashOps, pooledFlashOps, pooledFlashOps
 	p.alloc = ctrl.NewPageAllocator(p.totalDies, p.geo)
 	p.pending = make([][]writePage, p.totalDies)
 	p.spanScratch = make([]*telemetry.Span, 0, p.geo.PlanesPerDie)
@@ -345,7 +354,10 @@ func (p *Platform) eccDecode(ch, pages int, done func()) {
 // WAF abstraction and the mapper FTL issue their flash traffic through
 // them. Each owns four things: the hop from the hub to the die's channel
 // (and back for a completion), the op's runStats counter, the ECC stage
-// that goes with the op and the panic on a dispatch error.
+// that goes with the op and the panic on a dispatch error. Program and read
+// ride pooled records (programOp, readOp) whose hop and ECC steps are bound
+// once, when the record is built, so the serial core dispatches a flash op
+// without allocating.
 
 // erase erases block (a.Plane, a.Block) of global die gdie.
 func (p *Platform) erase(gdie int, a nand.Addr) {
@@ -358,10 +370,47 @@ func (p *Platform) erase(gdie int, a nand.Addr) {
 	})
 }
 
+// pooledFlashOps bounds each flash dispatch pool (programOp, readOp,
+// writeBatch, eccJob). Steady traffic needs a few hundred records at most:
+// C8's sequential write peaks at 192 batch completions in flight. The WAF
+// abstraction's injected GC traffic is not throttled, though, and a small
+// Table II point can queue thousands of relocation reads and programs at
+// once; keeping all of them would hold that peak to the end of the run.
+const pooledFlashOps = 256
+
 // flashPage names one physical page: a global die and an address on it.
 type flashPage struct {
 	gdie int
 	addr nand.Addr
+}
+
+// programOp is one program dispatch in flight from the hub to a channel:
+// a copy of the batch's addresses and spans, its prep stage's inputs and
+// the completion. It recycles once ctrl.Channel.Program returns, because
+// the controller copies the batch and runs the prep stage's first step
+// before that.
+type programOp struct {
+	p        *Platform
+	ch, die  int
+	addrs    []nand.Addr
+	spans    []*telemetry.Span
+	gcPages  int
+	reloc    bool      // the batch relocates src
+	src      flashPage // the relocation's source page
+	fin      func()
+	dispatch func()
+	prep     func(ready func())
+}
+
+// takeProgram takes a pooled program record, or builds one and binds its
+// steps.
+func (p *Platform) takeProgram() *programOp {
+	if r := p.programOps.Take(); r != nil {
+		return r
+	}
+	r := &programOp{p: p}
+	r.dispatch, r.prep = r.run, r.encode
+	return r
 }
 
 // program enqueues addrs, a multi-plane batch in allocation order, on global
@@ -372,36 +421,88 @@ type flashPage struct {
 // channel's pool and hops back. The program is enqueued at once either
 // way, so the data dependency costs real time without reordering programs
 // on the die; within one channel the hops are direct calls. done, if
-// non-nil, runs on the hub when the program completes.
+// non-nil, runs on the hub when the program completes. addrs and spans are
+// copied, so the caller may reuse them at once.
+//
+//ssdx:hotpath
 func (p *Platform) program(gdie int, addrs []nand.Addr, spans []*telemetry.Span, gcPages int, src *flashPage, done func()) {
 	ch, die := p.chanDie(gdie)
 	p.stats.flashWrites += uint64(len(addrs))
+	r := p.takeProgram()
+	r.ch, r.die, r.gcPages = ch, die, gcPages
+	r.addrs = append(r.addrs[:0], addrs...)
+	r.spans = append(r.spans[:0], spans...)
+	r.reloc = src != nil
 	if src != nil {
 		p.stats.flashReads++
+		r.src = *src
 	}
-	prep := p.prepFor(ch, len(addrs), src)
-	fin := p.hubFn(ch, done)
-	p.toShard(ch, func() {
-		if err := p.Channels[ch].Program(die, addrs, p.pageBytes, spans, gcPages, prep, fin); err != nil {
-			panic(fmt.Sprintf("core: program dispatch failed: %v", err))
-		}
+	r.fin = p.hubFn(ch, done)
+	p.toShard(ch, r.dispatch)
+}
+
+// run hands the batch to its channel and recycles the record.
+//
+//ssdx:hotpath
+func (r *programOp) run() {
+	p := r.p
+	err := p.Channels[r.ch].Program(r.die, r.addrs, p.pageBytes, r.spans, r.gcPages, r.prep, r.fin)
+	clear(r.spans)
+	r.fin = nil
+	p.programOps.Give(r)
+	if err != nil {
+		dispatchPanic("program", err)
+	}
+}
+
+// encode is the batch's prep stage: the ECC encode on the channel's pool,
+// or a relocation's read-decode-encode (relocate).
+//
+//ssdx:hotpath
+func (r *programOp) encode(ready func()) {
+	if r.reloc {
+		r.p.relocate(r.ch, len(r.addrs), r.src, ready)
+		return
+	}
+	r.p.eccEncode(r.ch, len(r.addrs), ready)
+}
+
+// relocate is a relocation's prep stage for an n-page batch on channel ch:
+// hop to the source page's channel, read and decode the page there,
+// re-encode it on that channel's pool and hop back with ready.
+func (p *Platform) relocate(ch, n int, src flashPage, ready func()) {
+	srcCh, srcDie := p.chanDie(src.gdie)
+	fin := p.crossFn(srcCh, ch, ready)
+	p.cross(ch, srcCh, func() {
+		r := p.takeRead()
+		r.ch, r.die, r.addr, r.gc = srcCh, srcDie, src.addr, true
+		r.fin = func() { p.eccEncode(srcCh, n, fin) }
+		p.sense(r)
 	})
 }
 
-// prepFor returns the prep stage of an n-page program batch on channel ch,
-// as program describes it.
-func (p *Platform) prepFor(ch, n int, src *flashPage) func(ready func()) {
-	if src == nil {
-		return func(ready func()) { p.eccEncode(ch, n, ready) }
+// readOp is one page read in flight from the hub to a channel, through the
+// array read to its decode. It recycles when the decode starts.
+type readOp struct {
+	p       *Platform
+	ch, die int
+	addr    nand.Addr
+	lba     int64
+	sp      *telemetry.Span
+	gc      bool
+	fin     func()
+
+	dispatch, decode func()
+}
+
+// takeRead takes a pooled read record, or builds one and binds its steps.
+func (p *Platform) takeRead() *readOp {
+	if r := p.readOps.Take(); r != nil {
+		return r
 	}
-	srcCh, srcDie := p.chanDie(src.gdie)
-	srcAddr := src.addr // captured by value, so src stays on the caller's stack
-	return func(ready func()) {
-		fin := p.crossFn(srcCh, ch, ready)
-		p.cross(ch, srcCh, func() {
-			p.sense(srcCh, srcDie, srcAddr, nil, true, func() { p.eccEncode(srcCh, n, fin) })
-		})
-	}
+	r := &readOp{p: p}
+	r.dispatch, r.decode = r.run, r.decoded
+	return r
 }
 
 // readPage reads one flash page of global die gdie and decodes it, then
@@ -411,24 +512,51 @@ func (p *Platform) prepFor(ch, n int, src *flashPage) func(ready func()) {
 // non-nil, receives the read's stage attribution; lba names the request in
 // a preload failure. gc marks a GC relocation source read, which never
 // preloads.
+//
+//ssdx:hotpath
 func (p *Platform) readPage(gdie int, addr nand.Addr, lba int64, sp *telemetry.Span, gc bool, done func()) {
 	ch, die := p.chanDie(gdie)
 	p.stats.flashReads++
-	fin := p.hubFn(ch, done)
-	p.toShard(ch, func() {
-		if !gc {
-			p.lazyPreloadPage(ch, die, addr, lba)
-		}
-		p.sense(ch, die, addr, sp, gc, fin)
-	})
+	r := p.takeRead()
+	r.ch, r.die, r.addr, r.lba, r.sp, r.gc = ch, die, addr, lba, sp, gc
+	r.fin = p.hubFn(ch, done)
+	p.toShard(ch, r.dispatch)
 }
 
-// sense reads one page of channel ch and decodes it on ch's ECC pool, then
-// continues with done. It runs on ch's domain.
-func (p *Platform) sense(ch, die int, addr nand.Addr, sp *telemetry.Span, gc bool, done func()) {
-	if err := p.Channels[ch].Read(die, addr, p.pageBytes, sp, gc, func() { p.eccDecode(ch, 1, done) }); err != nil {
-		panic(fmt.Sprintf("core: read dispatch failed: %v", err))
+// run is a read's first step on the die's channel.
+//
+//ssdx:hotpath
+func (r *readOp) run() {
+	if !r.gc {
+		r.p.lazyPreloadPage(r.ch, r.die, r.addr, r.lba)
 	}
+	r.p.sense(r)
+}
+
+// sense reads r's page and has r decode it on the channel's ECC pool. It
+// runs on the channel's domain.
+//
+//ssdx:hotpath
+func (p *Platform) sense(r *readOp) {
+	if err := p.Channels[r.ch].Read(r.die, r.addr, p.pageBytes, r.sp, r.gc, r.decode); err != nil {
+		dispatchPanic("read", err)
+	}
+}
+
+// decoded starts the page's decode once it is in DRAM, recycling the
+// record; the decode continues with the read's completion.
+//
+//ssdx:hotpath
+func (r *readOp) decoded() {
+	p, ch, fin := r.p, r.ch, r.fin
+	r.sp, r.fin = nil, nil
+	p.readOps.Give(r)
+	p.eccDecode(ch, 1, fin)
+}
+
+// dispatchPanic reports a failed flash dispatch off the hot path.
+func dispatchPanic(op string, err error) {
+	panic(fmt.Sprintf("core: %s dispatch failed: %v", op, err))
 }
 
 // readAddr maps a logical page index to a deterministic physical location in
@@ -478,6 +606,8 @@ type writePage struct {
 // command's span: it rides the batch so the controller can attribute the
 // page's write stages to the command even when the batch mixes pages of
 // several commands. done fires when the page's program completes.
+//
+//ssdx:hotpath
 func (p *Platform) flashWrite(sp *telemetry.Span, done func()) {
 	u := p.stripe / int64(p.planeBatch)
 	p.stripe++
@@ -494,17 +624,59 @@ func (p *Platform) flashWrite(sp *telemetry.Span, done func()) {
 	}
 }
 
+// writeBatch is the completion of one program sub-batch: the die, its last
+// address and a copy of its pages, whose callbacks it runs. It recycles
+// once they have run.
+type writeBatch struct {
+	p     *Platform
+	gdie  int
+	last  nand.Addr
+	pages []writePage
+	done  func()
+}
+
+// takeBatch takes a pooled batch completion, or builds one and binds its
+// callback.
+func (p *Platform) takeBatch() *writeBatch {
+	if b := p.writeBatches.Take(); b != nil {
+		return b
+	}
+	b := &writeBatch{p: p}
+	b.done = b.programmed
+	return b
+}
+
+// programmed records the die's last written page and retires the batch's
+// pages in order.
+//
+//ssdx:hotpath
+func (b *writeBatch) programmed() {
+	p := b.p
+	p.lastWritten[b.gdie] = b.last
+	p.hasWritten[b.gdie] = true
+	for _, pg := range b.pages {
+		if pg.done != nil {
+			pg.done()
+		}
+	}
+	clear(b.pages)
+	b.pages = b.pages[:0]
+	p.writeBatches.Give(b)
+}
+
 // issueWrite allocates physical pages on the hub and issues the programs in
 // allocation order, so per-die program order always equals allocation
-// order. The captured slices are safe to defer: Batch returns fresh slices
-// and issueBatch hands over the die's pending list.
+// order. Nothing here outlives the call: program copies each sub-batch's
+// addresses and spans, and each sub-batch's completion copies its pages,
+// so the allocator scratch, the span scratch and pages are all reused.
+//
+//ssdx:hotpath
 func (p *Platform) issueWrite(gdie int, pages []writePage) {
-	addrs, erases := p.alloc.Batch(gdie, len(pages))
+	addrs, erases := p.alloc.Batch(gdie, len(pages), p.addrScratch[:0], p.eraseScratch[:0])
 	for len(addrs) < len(pages) {
-		extra, more := p.alloc.Batch(gdie, len(pages)-len(addrs))
-		addrs = append(addrs, extra...)
-		erases = append(erases, more...)
+		addrs, erases = p.alloc.Batch(gdie, len(pages)-len(addrs), addrs, erases)
 	}
+	p.addrScratch, p.eraseScratch = addrs, erases
 	for _, e := range erases {
 		p.erase(gdie, e)
 	}
@@ -523,7 +695,7 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 		// The wait for the multi-plane batch to fill is channel-controller
 		// batching: charge it to the chan stage now, so the prep interval
 		// that follows is pure encode.
-		spans := p.spanBuf()
+		spans := p.spanScratch[:0]
 		haveSpan := false
 		gcPages := 0
 		for _, pg := range batchPages {
@@ -536,30 +708,30 @@ func (p *Platform) issueWrite(gdie int, pages []writePage) {
 				gcPages++
 			}
 		}
+		p.spanScratch = spans
 		if !haveSpan {
 			spans = nil
 		}
-		p.program(gdie, batch, spans, gcPages, nil, func() {
-			p.lastWritten[gdie] = batch[len(batch)-1]
-			p.hasWritten[gdie] = true
-			for _, pg := range batchPages {
-				if pg.done != nil {
-					pg.done()
-				}
-			}
-		})
+		b := p.takeBatch()
+		b.gdie, b.last = gdie, batch[len(batch)-1]
+		b.pages = append(b.pages, batchPages...)
+		p.program(gdie, batch, spans, gcPages, nil, b.done)
 		start = end
 	}
 }
 
-// issueBatch sends a die's accumulated pages to the channel controller.
+// issueBatch sends a die's accumulated pages to the channel controller and
+// keeps the die's pending slice for the next batch.
+//
+//ssdx:hotpath
 func (p *Platform) issueBatch(gdie int) {
 	pages := p.pending[gdie]
 	if len(pages) == 0 {
 		return
 	}
-	p.pending[gdie] = nil
 	p.issueWrite(gdie, pages)
+	clear(pages)
+	p.pending[gdie] = pages[:0]
 }
 
 // gcCopy models one greedy-GC page relocation: read a programmed page and

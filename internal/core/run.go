@@ -299,7 +299,7 @@ func (p *Platform) handleCommand(cmd *hostif.Command, mode Mode) {
 	}
 	req := cmd.Req
 	p.maybeReclassify()
-	c := &command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(req.Bytes)}
+	c := newCommand(p, cmd, mode)
 	switch req.Op {
 	case trace.OpWrite:
 		c.write()
@@ -307,7 +307,8 @@ func (p *Platform) handleCommand(cmd *hostif.Command, mode Mode) {
 		c.read()
 	case trace.OpTrim, trace.OpFlush:
 		// Firmware bookkeeping; the real FTL also unmaps.
-		p.cpuCost(req, 1, c.bookkept)
+		c.stage = stBookkeep
+		p.cpuCost(req, 1, c.stepFn)
 	}
 }
 
@@ -388,18 +389,23 @@ func (p *Platform) pagesOf(bytes int64) int {
 }
 
 // command is the device-side record of one host command: the state its
-// write or read path carries from stage to stage, and the stage steps. A
-// step used once is bound where it is handed on; the steps a command hands
-// on per page or per cache token (tokenFn, programmedFn, pageReadFn,
-// pageSentFn) are bound once on the record. Binding a step is the only
-// allocation the //ssdx:hotpath stage methods make, so a command costs its
-// record and a few bound steps. The record dies with its command; it is
-// not pooled, because a pool would keep the in-flight peak alive for the
-// rest of the run.
+// write or read path carries from stage to stage, and the stage steps. The
+// record hands itself on through two callbacks bound once, when it is
+// built: stepFn for every func() continuation (firmware cost paid, cache
+// token, compressor done, page programmed, page read) and windowFn for
+// every func(start, end) one (host DMA, DRAM access, page sent). Both
+// dispatch on stage, which a step sets before it hands a callback on. A
+// command waits on one stage at a time; only a read's pages overlap, and
+// they share stPages, where stepFn means "page read" and windowFn "page
+// sent". The //ssdx:hotpath stage methods therefore allocate nothing, and
+// a command costs its record and two bound callbacks. The record dies with
+// its command; it is not pooled, because a pool would keep the in-flight
+// peak alive for the rest of the run.
 type command struct {
-	p    *Platform
-	cmd  *hostif.Command
-	mode Mode
+	p     *Platform
+	cmd   *hostif.Command
+	mode  Mode
+	stage cmdStage
 
 	pages      int          // flash pages the request spans
 	flashPages int          // pages to program once compression debt is settled
@@ -408,8 +414,73 @@ type command struct {
 	chanBytes  int64        // bytes through the channel-side compressor
 	buf        *dram.Buffer // the DRAM buffer a write lands in
 
-	tokenFn, programmedFn, pageReadFn func()
-	pageSentFn                        func(start, end sim.Time)
+	stepFn   func()
+	windowFn func(start, end sim.Time)
+}
+
+// cmdStage names what a command's pending callbacks continue with.
+type cmdStage uint8
+
+const (
+	stWriteCPU   cmdStage = iota // stepFn: firmware cost paid (write)
+	stReadCPU                    // stepFn: firmware cost paid (read)
+	stBookkeep                   // stepFn: firmware cost paid (trim, flush)
+	stCompress                   // stepFn: host-side compressor done
+	stToken                      // stepFn: one more write-cache page held
+	stToDRAM                     // windowFn: host DMA across the AHB done
+	stLanded                     // windowFn: write data landed in DRAM
+	stOccupied                   // stepFn: channel-side compressor done
+	stPrograms                   // stepFn: one page program retired
+	stBufferRead                 // windowFn: host+DDR read out of DRAM done
+	stPages                      // stepFn: one page read and decoded; windowFn: one page sent
+)
+
+// newCommand builds a command's record and binds its two callbacks.
+func newCommand(p *Platform, cmd *hostif.Command, mode Mode) *command {
+	c := &command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(cmd.Req.Bytes)}
+	c.stepFn, c.windowFn = c.step, c.window
+	return c
+}
+
+// step continues a command after a func() callback.
+//
+//ssdx:hotpath
+func (c *command) step() {
+	switch c.stage {
+	case stWriteCPU:
+		c.writeAfterCPU()
+	case stReadCPU:
+		c.readAfterCPU()
+	case stBookkeep:
+		c.bookkept()
+	case stCompress:
+		c.compressed()
+	case stToken:
+		c.token()
+	case stOccupied:
+		c.occupied()
+	case stPrograms:
+		c.programmed()
+	case stPages:
+		c.pageRead()
+	}
+}
+
+// window continues a command after a func(start, end) callback.
+//
+//ssdx:hotpath
+func (c *command) window(_, _ sim.Time) {
+	switch c.stage {
+	case stToDRAM:
+		c.dmaDone()
+	case stLanded:
+		c.landed()
+	case stBufferRead:
+		c.stage = stPages
+		c.send(c.cmd.Req.Bytes)
+	case stPages:
+		c.pageSent()
+	}
 }
 
 // bookkept completes a trim or flush once its firmware cost is paid.
@@ -430,7 +501,8 @@ func (c *command) write() {
 		c.writeAfterCPU() // isolate the DMA path: no firmware cost
 		return
 	}
-	c.p.cpuCost(c.cmd.Req, c.pages, c.writeAfterCPU)
+	c.stage = stWriteCPU
+	c.p.cpuCost(c.cmd.Req, c.pages, c.stepFn)
 }
 
 // writeAfterCPU runs host-side compression, which shrinks everything
@@ -440,23 +512,26 @@ func (c *command) write() {
 func (c *command) writeAfterCPU() {
 	p := c.p
 	c.cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
+	c.ddrBytes = c.cmd.Req.Bytes
 	if p.Comp.Config().Placement == compress.HostInterface {
-		p.Comp.Process(p.K, c.cmd.Req.Bytes, c.compressed)
+		c.stage = stCompress
+		c.ddrBytes = p.Comp.Process(p.K, c.ddrBytes, c.stepFn)
 		return
 	}
-	c.compressed(c.cmd.Req.Bytes)
+	c.compressed()
 }
 
 // compressed sizes the write downstream of host-side compression and asks
 // the write cache to admit its pages.
 //
 //ssdx:hotpath
-func (c *command) compressed(ddrBytes int64) {
+func (c *command) compressed() {
 	p := c.p
 	// Compressed streams fill whole flash pages as they accumulate: host
 	// placement arrives in DRAM already compressed; channel placement
 	// compresses between DRAM and the controller.
-	c.ddrBytes, c.flashPages = ddrBytes, c.pages
+	ddrBytes := c.ddrBytes
+	c.flashPages = c.pages
 	switch p.Comp.Config().Placement {
 	case compress.HostInterface:
 		p.compDebt += ddrBytes
@@ -482,8 +557,8 @@ func (c *command) compressed(ddrBytes int64) {
 		c.admitted()
 		return
 	}
-	c.tokenFn = c.token
-	p.writeCache.AcquireWhenFree(c.tokenFn)
+	c.stage = stToken
+	p.writeCache.AcquireWhenFree(c.stepFn)
 }
 
 // token holds one more write-cache page.
@@ -495,7 +570,7 @@ func (c *command) token() {
 		c.admitted()
 		return
 	}
-	c.p.writeCache.AcquireWhenFree(c.tokenFn)
+	c.p.writeCache.AcquireWhenFree(c.stepFn)
 }
 
 // admitted moves the data once the write cache holds every page. The
@@ -512,7 +587,8 @@ func (c *command) admitted() {
 //
 //ssdx:hotpath
 func (c *command) moveToDRAM() {
-	if err := c.p.hostDMA.Transfer(c.ddrBytes, c.dmaDone); err != nil {
+	c.stage = stToDRAM
+	if err := c.p.hostDMA.Transfer(c.ddrBytes, c.windowFn); err != nil {
 		dmaPanic(err)
 	}
 }
@@ -520,8 +596,9 @@ func (c *command) moveToDRAM() {
 // dmaDone writes the DMAed data into the DRAM buffer.
 //
 //ssdx:hotpath
-func (c *command) dmaDone(_, _ sim.Time) {
-	c.buf.Access(true, c.cmd.Req.LBA*trace.SectorSize, c.ddrBytes, c.landed)
+func (c *command) dmaDone() {
+	c.stage = stLanded
+	c.buf.Access(true, c.cmd.Req.LBA*trace.SectorSize, c.ddrBytes, c.windowFn)
 }
 
 // landed completes a host+DDR write, or passes the data through the
@@ -529,14 +606,15 @@ func (c *command) dmaDone(_, _ sim.Time) {
 // controller.
 //
 //ssdx:hotpath
-func (c *command) landed(_, _ sim.Time) {
+func (c *command) landed() {
 	p := c.p
 	c.cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
 	if c.mode == ModeHostDDR {
 		p.Host.Complete(c.cmd)
 		return
 	}
-	p.Comp.Occupy(p.K, c.chanBytes, c.occupied)
+	c.stage = stOccupied
+	p.Comp.Occupy(p.K, c.chanBytes, c.stepFn)
 }
 
 // occupied completes a cached write at DRAM landing (the caching buffer
@@ -553,12 +631,12 @@ func (c *command) occupied() {
 		p.Host.Complete(c.cmd)
 		return
 	}
-	c.programmedFn = c.programmed
+	c.stage = stPrograms
 	for i := 0; i < c.flashPages; i++ {
 		if p.mapper != nil {
-			p.mapperWrite(c.cmd.Req.LBA, i, &c.cmd.Span, c.programmedFn)
+			p.mapperWrite(c.cmd.Req.LBA, i, &c.cmd.Span, c.stepFn)
 		} else {
-			p.flashWrite(&c.cmd.Span, c.programmedFn)
+			p.flashWrite(&c.cmd.Span, c.stepFn)
 		}
 	}
 }
@@ -585,7 +663,8 @@ func (c *command) read() {
 		c.readAfterCPU()
 		return
 	}
-	c.p.cpuCost(c.cmd.Req, c.pages, c.readAfterCPU)
+	c.stage = stReadCPU
+	c.p.cpuCost(c.cmd.Req, c.pages, c.stepFn)
 }
 
 // readAfterCPU issues one flash read per page; in host+DDR mode it reads
@@ -595,14 +674,14 @@ func (c *command) read() {
 func (c *command) readAfterCPU() {
 	p, req := c.p, c.cmd.Req
 	c.cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
-	c.pageSentFn = c.pageSent
 	if c.mode == ModeHostDDR {
 		c.remaining = 1
-		p.DRAM.ForChannel(0).Access(false, req.LBA*trace.SectorSize, req.Bytes, c.bufferRead)
+		c.stage = stBufferRead
+		p.DRAM.ForChannel(0).Access(false, req.LBA*trace.SectorSize, req.Bytes, c.windowFn)
 		return
 	}
 	c.remaining = c.pages
-	c.pageReadFn = c.pageRead
+	c.stage = stPages
 	basePage := req.LBA * trace.SectorSize / int64(p.pageBytes)
 	for i := 0; i < c.pages; i++ {
 		var gdie int
@@ -620,14 +699,9 @@ func (c *command) readAfterCPU() {
 		if !mapped {
 			gdie, addr = p.readAddr(basePage + int64(i))
 		}
-		p.readPage(gdie, addr, req.LBA, &c.cmd.Span, false, c.pageReadFn)
+		p.readPage(gdie, addr, req.LBA, &c.cmd.Span, false, c.stepFn)
 	}
 }
-
-// bufferRead DMAs a host+DDR read out of the DRAM buffer.
-//
-//ssdx:hotpath
-func (c *command) bufferRead(_, _ sim.Time) { c.send(c.cmd.Req.Bytes) }
 
 // pageRead DMAs one decoded page to the host interface.
 //
@@ -641,7 +715,7 @@ func (c *command) pageRead() {
 //
 //ssdx:hotpath
 func (c *command) send(n int64) {
-	if err := c.p.hostDMA.Transfer(n, c.pageSentFn); err != nil {
+	if err := c.p.hostDMA.Transfer(n, c.windowFn); err != nil {
 		dmaPanic(err)
 	}
 }
@@ -649,7 +723,7 @@ func (c *command) send(n int64) {
 // pageSent completes the read once its last page has left DRAM.
 //
 //ssdx:hotpath
-func (c *command) pageSent(_, _ sim.Time) {
+func (c *command) pageSent() {
 	c.cmd.Span.Advance(telemetry.StageDRAM, c.p.K.Now())
 	c.remaining--
 	if c.remaining == 0 {

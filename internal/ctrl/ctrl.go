@@ -790,10 +790,11 @@ func (a *PageAllocator) Next(die int) (addr nand.Addr, needErase bool) {
 	return addr, needErase
 }
 
-// Batch returns up to n consecutive addresses of one die forming a legal
-// multi-plane group (it stops at plane-group boundaries), plus the blocks
-// that must be erased first.
-func (a *PageAllocator) Batch(die, n int) (addrs []nand.Addr, erase []nand.Addr) {
+// Batch appends up to n consecutive addresses of one die forming a legal
+// multi-plane group (it stops at plane-group boundaries) to addrs, and the
+// blocks that must be erased first to erase, and returns both. Passing
+// reused scratch slices keeps the allocation path allocation-free.
+func (a *PageAllocator) Batch(die, n int, addrs, erase []nand.Addr) ([]nand.Addr, []nand.Addr) {
 	if n < 1 {
 		n = 1
 	}

@@ -265,7 +265,7 @@ func TestAllocatorWrapRequestsErase(t *testing.T) {
 func TestAllocatorBatch(t *testing.T) {
 	geo := nand.SmallGeometry()
 	a := NewPageAllocator(1, geo)
-	addrs, erase := a.Batch(0, 2)
+	addrs, erase := a.Batch(0, 2, nil, nil)
 	if len(addrs) != 2 || len(erase) != 0 {
 		t.Fatalf("batch %v erase %v", addrs, erase)
 	}
@@ -273,7 +273,7 @@ func TestAllocatorBatch(t *testing.T) {
 		t.Fatalf("batch not multi-plane legal: %v", addrs)
 	}
 	// Batch larger than plane count clips at the group boundary.
-	addrs, _ = a.Batch(0, 5)
+	addrs, _ = a.Batch(0, 5, nil, nil)
 	if len(addrs) != 2 {
 		t.Fatalf("oversized batch returned %d", len(addrs))
 	}

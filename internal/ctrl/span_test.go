@@ -161,7 +161,7 @@ func dieBatches(geo nand.Geometry) [][]nand.Addr {
 	n := geo.BlocksPerPlane * geo.PagesPerBlock
 	out := make([][]nand.Addr, 0, n)
 	for i := 0; i < n; i++ {
-		addrs, _ := alloc.Batch(0, geo.PlanesPerDie)
+		addrs, _ := alloc.Batch(0, geo.PlanesPerDie, nil, nil)
 		out = append(out, addrs)
 	}
 	return out

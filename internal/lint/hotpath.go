@@ -12,13 +12,17 @@ import (
 // //ssdx:hotpath (the span-batch program path, the kernel schedule/dispatch
 // machinery, arbiter picks): the simulator's throughput rests on these
 // running at 0 allocs/op, pinned at runtime by BenchmarkWriteSpanBatch,
-// BenchmarkKernelSchedule, BenchmarkServerAcquire, BenchmarkTokenGateQueued,
-// BenchmarkDRAMAccess and BenchmarkAHBTransfer. The analyzer rejects the allocating constructs
-// that have historically crept in: fmt calls, map/slice composite literals
-// and makes, closures capturing locals, non-constant string concatenation,
-// string<->[]byte conversions, and interface boxing of non-pointer values.
-// Struct composite literals stay legal — pool-refill slow paths allocate by
-// design, amortized to zero.
+// BenchmarkKernelSchedule, BenchmarkServerAcquire, BenchmarkServerQueued,
+// BenchmarkTokenGateQueued, BenchmarkDRAMAccess and BenchmarkAHBTransfer.
+// The analyzer rejects the allocating constructs that have historically
+// crept in: fmt calls, map/slice composite literals and makes, closures
+// capturing locals, non-constant string concatenation, string<->[]byte
+// conversions, interface boxing of non-pointer values, and method values (a
+// method handed on as a func value is a closure over its receiver, built
+// per evaluation just like a capturing FuncLit). Struct composite literals
+// stay legal — pool-refill slow paths allocate by design, amortized to
+// zero; a pooled record binds its callbacks once, in the unannotated
+// constructor that builds it.
 var HotPath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc:  "functions annotated //ssdx:hotpath must not contain allocating constructs",
@@ -46,10 +50,20 @@ type hotpathFunc struct {
 
 func (hp *hotpathFunc) check() {
 	pass := hp.pass
+	// called holds the selector expressions in call position. Inspect visits
+	// a call before its operand, so a selector is recorded before it is met.
+	called := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(hp.fd.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
+				called[sel] = true
+			}
 			hp.checkCall(e)
+		case *ast.SelectorExpr:
+			if sel := pass.TypesInfo.Selections[e]; sel != nil && sel.Kind() == types.MethodVal && !called[e] {
+				pass.Reportf(e.Pos(), "hot path: method value %s allocates a closure; bind it once where the record is built", e.Sel.Name)
+			}
 		case *ast.CompositeLit:
 			if tv, ok := pass.TypesInfo.Types[e]; ok {
 				switch tv.Type.Underlying().(type) {

@@ -86,3 +86,34 @@ func relaxed(p *pool, n int) any {
 	p.sinks = append(p.sinks, func() { _ = n })
 	return n
 }
+
+type record struct {
+	n      int
+	stepFn func()
+}
+
+func (r *record) step() { r.n++ }
+
+type stepper interface{ step() }
+
+// A method value is a closure over its receiver: handing one on allocates,
+// calling the method does not. Bind it once in the record's constructor.
+//
+//ssdx:hotpath
+func methodValues(p *pool, r *record, s stepper) {
+	p.sinks = append(p.sinks, r.step)   // want `hot path: method value step allocates a closure; bind it once where the record is built`
+	p.sinks = append(p.sinks, (r.step)) // want `hot path: method value step allocates a closure; bind it once where the record is built`
+	p.sinks = append(p.sinks, s.step)   // want `hot path: method value step allocates a closure; bind it once where the record is built`
+	r.step()                            // call: legal
+	(r.step)()                          // call: legal
+	s.step()                            // interface call: legal
+	p.sinks = append(p.sinks, r.stepFn) // pre-bound field: legal
+	_ = (*record).step                  // method expression: a static function, legal
+}
+
+// newRecord binds the record's callback once; unannotated, so legal.
+func newRecord() *record {
+	r := &record{}
+	r.stepFn = r.step
+	return r
+}

@@ -58,10 +58,10 @@ func newBurster(tenants []Tenant) burster {
 }
 
 // pick serves the in-progress burst if its queue is still a candidate,
-// otherwise defers to inner and opens the winner's burst.
+// otherwise defers to the rotation rr and opens the winner's burst.
 //
 //ssdx:hotpath
-func (b *burster) pick(candidates []int, inner func([]int) int) int {
+func (b *burster) pick(candidates []int, rr *roundRobin) int {
 	if b.left > 0 {
 		for _, q := range candidates {
 			if q == b.q {
@@ -70,7 +70,7 @@ func (b *burster) pick(candidates []int, inner func([]int) int) int {
 			}
 		}
 	}
-	q := inner(candidates)
+	q := rr.pick(candidates)
 	b.q, b.left = q, b.bursts[q]-1
 	return q
 }
@@ -104,7 +104,7 @@ type rrArbiter struct {
 func (a *rrArbiter) Name() string { return PolicyRR.String() }
 
 //ssdx:hotpath
-func (a *rrArbiter) Pick(ready []int) int { return a.b.pick(ready, a.rr.pick) }
+func (a *rrArbiter) Pick(ready []int) int { return a.b.pick(ready, &a.rr) }
 
 // wrrArbiter is NVMe weighted round robin with an urgent class: urgent
 // queues are served strictly first (round-robin among themselves); the
@@ -137,7 +137,7 @@ func (a *wrrArbiter) Pick(ready []int) int {
 		}
 	}
 	if len(a.urgentBuf) > 0 {
-		return a.b.pick(a.urgentBuf, a.rr.pick)
+		return a.b.pick(a.urgentBuf, &a.rr)
 	}
 	// Weighted classes: rotate among queues that still hold credits;
 	// replenish when the ready set is dry.
@@ -153,7 +153,7 @@ func (a *wrrArbiter) Pick(ready []int) int {
 		}
 		funded = a.weightedBuf
 	}
-	choice := a.b.pick(funded, a.rr.pick)
+	choice := a.b.pick(funded, &a.rr)
 	a.credits[choice]--
 	return choice
 }
@@ -185,5 +185,5 @@ func (a *prioArbiter) Pick(ready []int) int {
 			a.buf = append(a.buf, q)
 		}
 	}
-	return a.b.pick(a.buf, a.rr.pick)
+	return a.b.pick(a.buf, &a.rr)
 }

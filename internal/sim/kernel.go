@@ -9,6 +9,13 @@
 // heap for a FIFO lane. Scheduled work cannot be cancelled; models that
 // need to wait on a resource queue a record behind a pre-bound callback
 // instead of allocating a closure per step.
+//
+// An event that may turn out to be a no-op need not be queued at all: a
+// model can reserve the seq it would have had and queue it later, under
+// that seq, only once it has work to do. The heap's (at, seq) order is
+// total, so the late push fires exactly where the early one would have.
+// Server's release is the one such event: it is queued only when a request
+// waits for it.
 package sim
 
 import (
@@ -154,12 +161,18 @@ func (h *eventHeap) pop() event {
 // its seq is lower than that of any lane event, which was scheduled at the
 // current time; Run therefore fires heap events at now, then the lane, and
 // only then advances time.
+//
+// A reserved seq (see reserve) stands for an event that was never queued.
+// Run still lets time pass over it: when the queues run dry, time advances
+// to the latest reserved slot (capped at Run's horizon), as it would have
+// had the no-op event fired. Executed does not count such slots.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	queue   eventHeap
-	lane    FIFO[func()] // events at now, in scheduling order
-	stopped bool
+	now      Time
+	seq      uint64
+	queue    eventHeap
+	lane     FIFO[func()] // events at now, in scheduling order
+	reserved Time         // latest time a seq was reserved for
+	stopped  bool
 
 	// Executed counts delivered events; used by the simulation-speed
 	// experiment (Fig. 6) and by sanity limits in tests.
@@ -223,12 +236,36 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.seq++
 }
 
+// reserve takes the seq an event at t (later than now) would get from At,
+// without queueing anything. The caller may queue the event later with
+// atReserved; if it never does, only the time t is kept, for Run.
+//
+//ssdx:hotpath
+func (k *Kernel) reserve(t Time) uint64 {
+	seq := k.seq
+	k.seq++
+	if t > k.reserved {
+		k.reserved = t
+	}
+	return seq
+}
+
+// atReserved queues fn at time t under a seq taken from reserve(t). It must
+// be called before time passes t, so the event fires where an At(t, fn) in
+// reserve's place would have.
+//
+//ssdx:hotpath
+func (k *Kernel) atReserved(t Time, seq uint64, fn func()) {
+	k.queue.push(event{at: t, seq: seq, fn: fn})
+}
+
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return len(k.queue) + k.lane.Len() }
 
 // NextAt returns the timestamp of the earliest pending event, or MaxTime
 // when the queue is empty. The domain coordinator uses it to compute the
-// global lower bound a conservative window starts from.
+// global lower bound a conservative window starts from. Reserved slots that
+// were never queued hold no work and do not count.
 func (k *Kernel) NextAt() Time {
 	switch {
 	case k.lane.Len() > 0:
@@ -265,6 +302,11 @@ func (k *Kernel) Run(until Time) Time {
 		case k.lane.Len() > 0:
 			fn = k.lane.Pop()
 		case len(k.queue) == 0:
+			// Let time pass over reserved slots still ahead, as their no-op
+			// events would have.
+			if k.reserved > k.now {
+				k.now = min(k.reserved, until)
+			}
 			k.flushEvents()
 			return k.now
 		case k.queue[0].at > until:

@@ -14,10 +14,17 @@ type Server struct {
 	queue     FIFO[serverReq] // waiting requests
 	// granted holds the service windows whose start event has not fired
 	// yet. Start events fire in grant order, so one pre-bound fireFn pops
-	// them, and with kickFn (the shared completion callback) it keeps the
+	// them, and with kickFn (the shared release callback) it keeps the
 	// acquire path allocation-free.
 	granted        FIFO[serverGrant]
 	fireFn, kickFn func()
+
+	// The release at busyUntil only matters when a request waits for it, so
+	// a grant reserves its kernel seq (relSeq) instead of queueing it, and
+	// the first request to arrive while the server is busy queues it under
+	// that seq (relQueued). A release nobody waited for is never an event.
+	relSeq    uint64
+	relQueued bool
 
 	// Stats
 	Served    uint64
@@ -67,6 +74,14 @@ func (s *Server) Acquire(dur Time, fn func(start, end Time)) {
 	if s.queue.Len() > s.QueuePeak {
 		s.QueuePeak = s.queue.Len()
 	}
+	if s.busyUntil > s.k.Now() {
+		// Busy: the release at busyUntil grants the next request.
+		if !s.relQueued {
+			s.relQueued = true
+			s.k.atReserved(s.busyUntil, s.relSeq, s.kickFn)
+		}
+		return
+	}
 	s.kick()
 }
 
@@ -79,7 +94,7 @@ func (s *Server) kick() {
 	}
 	now := s.k.Now()
 	if s.busyUntil > now {
-		// Busy: completion event will re-kick.
+		// Busy: the queued release will re-kick.
 		return
 	}
 	req := s.queue.Pop()
@@ -97,7 +112,15 @@ func (s *Server) kick() {
 	}
 	s.granted.Push(serverGrant{fn: req.fn, start: start, end: end})
 	s.k.At(start, s.fireFn)
-	s.k.At(end, s.kickFn)
+	if end <= now {
+		s.k.At(end, s.kickFn) // same-time lane: no seq to reserve
+		return
+	}
+	s.relSeq = s.k.reserve(end)
+	s.relQueued = s.queue.Len() > 0
+	if s.relQueued {
+		s.k.atReserved(end, s.relSeq, s.kickFn)
+	}
 }
 
 // fire delivers the oldest granted request's service window.
