@@ -418,7 +418,7 @@ func TestPreconditionThenOpenLoopPacing(t *testing.T) {
 }
 
 // TestReplayWithoutSpan: a replay spec no longer needs a pre-scanned
-// SpanBytes — reads beyond the declared span preload lazily on first touch,
+// SpanBytes — every read preloads its page on first touch,
 // so the file streams through a non-mapper platform in a single pass.
 func TestReplayWithoutSpan(t *testing.T) {
 	dir := t.TempDir()
@@ -475,7 +475,7 @@ func TestScanTraceFileClassifies(t *testing.T) {
 }
 
 // TestWriteOnlyReplayWithoutSpan: a trace with no reads replays on a
-// non-mapper platform without fabricating a SpanBytes (ReplayNoReads).
+// non-mapper platform without fabricating a SpanBytes.
 func TestWriteOnlyReplayWithoutSpan(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
@@ -488,11 +488,8 @@ func TestWriteOnlyReplayWithoutSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ReadSpanBytes != 0 {
-		t.Fatalf("write-only trace scanned read span %d", info.ReadSpanBytes)
-	}
 	res, err := Run(DefaultConfig(), Workload{
-		TracePath: path, ReplaySeqWrites: !info.RandomWrites, ReplayNoReads: true,
+		TracePath: path, ReplaySeqWrites: !info.RandomWrites,
 	}, ModeFull)
 	if err != nil {
 		t.Fatal(err)

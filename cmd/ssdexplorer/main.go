@@ -138,8 +138,8 @@ func main() {
 			fatal(err)
 		}
 	case *tracePath != "":
-		// Single-pass streaming replay: no pre-scan. The platform preloads
-		// read targets lazily on first touch and adapts the WAF abstraction
+		// Single-pass streaming replay: no pre-scan. Each read preloads its
+		// page on first touch, and the platform adapts the WAF abstraction
 		// to the stream's windowed write classification while the file
 		// plays.
 		var err error

@@ -47,7 +47,7 @@ func main() {
 
 	base := ssdx.Workload{BlockSize: 4096, SpanBytes: 1 << 26, Seed: 7}
 	set, err := ssdx.ParseTenants(fmt.Sprintf(
-		"victim@high*9#4:900xRR | aggressor@low:replay:%s,span=48m,noreads", trace), base)
+		"victim@high*9#4:900xRR | aggressor@low:replay:%s,span=48m", trace), base)
 	if err != nil {
 		log.Fatal(err)
 	}

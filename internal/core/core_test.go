@@ -234,6 +234,56 @@ func TestHostDDRModeStopsAtDRAM(t *testing.T) {
 	}
 }
 
+// TestReadsPreloadOnFirstTouch: a read marks its page as pre-existing data
+// when it first reaches the die, so a full-platform run programs exactly
+// the read-region pages its requests touch, and the host-only columns,
+// which never reach flash, program none.
+func TestReadsPreloadOnFirstTouch(t *testing.T) {
+	w := workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 30, Requests: 64, Seed: 7}
+	reqs, err := w.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeFull, ModeHostIdeal, ModeHostDDR} {
+		p, err := Build(config.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(w, mode); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		touched := map[int64]bool{}
+		if mode == ModeFull {
+			for _, r := range reqs {
+				first := r.LBA * trace.SectorSize / int64(p.pageBytes)
+				for i := 0; i < p.pagesOf(r.Bytes); i++ {
+					touched[first+int64(i)] = true
+				}
+			}
+		}
+		pages := w.SpanBytes / int64(p.pageBytes)
+		programmed, wrong := 0, int64(-1)
+		for i := int64(0); i < pages; i++ {
+			gdie, a := p.readAddr(i)
+			ch, die := p.chanDie(gdie)
+			ok, err := p.Channels[ch].Die(die).PageProgrammed(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				programmed++
+			}
+			if ok != touched[i] && wrong < 0 {
+				wrong = i
+			}
+		}
+		if wrong >= 0 || programmed != len(touched) {
+			t.Fatalf("%v: %d of %d read-region pages programmed, want the %d touched (first mismatch: page %d)",
+				mode, programmed, pages, len(touched), wrong)
+		}
+	}
+}
+
 // TestRandomWriteWAFInjected: random writes must carry greedy-GC traffic.
 func TestRandomWriteWAFInjected(t *testing.T) {
 	if testing.Short() {

@@ -104,8 +104,8 @@ func (p *Platform) mapperWrite(lba int64, pageOffset int, sp *telemetry.Span, do
 }
 
 // mapperRead resolves a logical page through the real map; ok=false means
-// the page was never written (the caller falls back to the preloaded
-// region so pure-read benchmarks still work).
+// the page was never written (the caller answers it as a zero-fill read
+// without touching flash).
 func (p *Platform) mapperRead(lba int64, pageOffset int) (gdie int, a nand.Addr, ok bool) {
 	f := p.mapper
 	pp, ok := f.m.Read(f.lpnOf(lba, p.pageBytes, pageOffset))

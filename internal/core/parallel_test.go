@@ -175,7 +175,7 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		return cfg
 	}
-	// A mixed read/write trace replay: reads exercise the shard-side lazy
+	// A mixed read/write trace replay: reads exercise the shard-side
 	// first-touch preload, writes exercise live WAF reclassification — the
 	// two mechanisms that previously forced replay off the parallel core.
 	replayPath := writeTrace(t, workload.Spec{

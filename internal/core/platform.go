@@ -132,14 +132,11 @@ type Platform struct {
 	tracer *evtrace.Tracer
 
 	// Replay classification state: liveClass is the streaming generator's
-	// windowed classifier (nil outside adaptive replay), wafRandom the
-	// write-address regime the current WAF model was resolved for, and
-	// lazyPreload allows reads beyond the declared span to preload their
-	// target page on first touch.
-	liveClass   *workload.Classifier
-	wafRandom   bool
-	writeCmds   uint64
-	lazyPreload bool
+	// windowed classifier (nil outside adaptive replay) and wafRandom the
+	// write-address regime the current WAF model was resolved for.
+	liveClass *workload.Classifier
+	wafRandom bool
+	writeCmds uint64
 
 	stats runStats
 }
@@ -507,7 +504,7 @@ func (p *Platform) takeRead() *readOp {
 
 // readPage reads one flash page of global die gdie and decodes it, then
 // continues with done on the hub. The array read and its decode run on the
-// die's channel, and a host read's first-touch preload rides the same hop,
+// die's channel, and a non-GC read's first-touch preload rides the same hop,
 // so die state is only ever inspected by its owning domain. sp, when
 // non-nil, receives the read's stage attribution; lba names the request in
 // a preload failure. gc marks a GC relocation source read, which never
@@ -528,7 +525,7 @@ func (p *Platform) readPage(gdie int, addr nand.Addr, lba int64, sp *telemetry.S
 //ssdx:hotpath
 func (r *readOp) run() {
 	if !r.gc {
-		r.p.lazyPreloadPage(r.ch, r.die, r.addr, r.lba)
+		r.p.preloadOnFirstTouch(r.ch, r.die, r.addr, r.lba)
 	}
 	r.p.sense(r)
 }
@@ -560,8 +557,9 @@ func dispatchPanic(op string, err error) {
 }
 
 // readAddr maps a logical page index to a deterministic physical location in
-// the preloaded read region (the top half of each plane's block range, so
-// the write frontier growing from block 0 does not collide with it).
+// the read region (the top half of each plane's block range, so the write
+// frontier growing from block 0 does not collide with it). Each page in it
+// is preloaded on its first read.
 func (p *Platform) readAddr(pageIdx int64) (gdie int, a nand.Addr) {
 	gdie = int(pageIdx % int64(p.totalDies))
 	w := pageIdx / int64(p.totalDies)
@@ -572,23 +570,6 @@ func (p *Platform) readAddr(pageIdx int64) (gdie int, a nand.Addr) {
 	half := int64(p.geo.BlocksPerPlane / 2)
 	a.Block = p.geo.BlocksPerPlane - 1 - int(w%half)
 	return gdie, a
-}
-
-// preloadReadRegion marks every page a read workload can touch as
-// programmed (data written before the benchmark started).
-func (p *Platform) preloadReadRegion(spanBytes int64) error {
-	pages := spanBytes / int64(p.pageBytes)
-	if pages*int64(p.pageBytes) < spanBytes {
-		pages++
-	}
-	for i := int64(0); i < pages; i++ {
-		gdie, a := p.readAddr(i)
-		ch, die := p.chanDie(gdie)
-		if err := p.Channels[ch].Die(die).Preload(a); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writePage is one page accumulating in a die's multi-plane batch: the

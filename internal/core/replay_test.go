@@ -33,7 +33,7 @@ func writeTrace(t testing.TB, spec workload.Spec) string {
 }
 
 // BenchmarkReplayDispatch measures trace-replay throughput through the full
-// platform — the streaming reader, lazy first-touch preload and live WAF
+// platform — the streaming reader, first-touch preload and live WAF
 // reclassification — on the serial monolithic kernel and on the sharded
 // core. One iteration replays the whole trace.
 func BenchmarkReplayDispatch(b *testing.B) {

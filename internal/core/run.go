@@ -120,11 +120,11 @@ func (p *Platform) Run(w workload.Spec, mode Mode) (Result, error) {
 	if mode == ModeDDRFlash && !w.Simple() {
 		return Result{}, errors.New("core: ddr+flash drain mode measures plain closed-loop synthetic workloads only")
 	}
-	// Trace replay needs no pre-scan: reads beyond the declared span
-	// preload on demand (on the die's owning domain in parallel mode), and
-	// the WAF abstraction re-resolves from the replay generator's windowed
-	// classification as the file streams.
-	if err := p.prepare(w.HasReplay(), w.RandomWrites(), w.MayRead(), w.ReadSpan()); err != nil {
+	// No workload needs a pre-scan: every read preloads its page on first
+	// touch (on the die's owning channel), and trace replay re-resolves the
+	// WAF abstraction from the generator's windowed classification as the
+	// file streams.
+	if err := p.resolveWAF(w.RandomWrites()); err != nil {
 		return Result{}, err
 	}
 	res, err := p.run(mode, w.Describe(), w.TotalRequests(), func() (Result, error) {
@@ -139,21 +139,6 @@ func (p *Platform) Run(w workload.Spec, mode Mode) (Result, error) {
 	res.Pattern = w.Pattern
 	res.BlockBytes = w.BlockSize
 	return res, nil
-}
-
-// prepare readies the platform for a workload: first-touch preload for
-// replayed reads (lazy), the WAF abstraction for its write regime, and the
-// preloaded region its reads may touch (the mapper FTL answers reads from
-// its own map instead).
-func (p *Platform) prepare(lazy, randomWrites, mayRead bool, readSpan int64) error {
-	p.lazyPreload = lazy
-	if err := p.resolveWAF(randomWrites); err != nil {
-		return err
-	}
-	if mayRead && p.mapper == nil {
-		return p.preloadReadRegion(readSpan)
-	}
-	return nil
 }
 
 // run is the body every entry point shares. measure drives the event core
@@ -736,24 +721,19 @@ func dmaPanic(err error) {
 	panic(fmt.Sprintf("core: host DMA failed: %v", err))
 }
 
-// lazyPreloadPage marks a replayed read's target page as pre-existing data
-// on first touch, instead of demanding a pre-scan of the trace. It must run
-// on the domain that owns the die — the shard closure in parallel mode — so
-// die state is never inspected hub-side mid-run; Preload consumes no
-// simulated time, so domain-local marking preserves the conservative-
-// lookahead contract. p.lazyPreload and p.mapper are set before the kernel
-// starts and are immutable during the run, so reading them here is safe
-// from any domain.
-func (p *Platform) lazyPreloadPage(ch, die int, addr nand.Addr, lba int64) {
-	if !p.lazyPreload || p.mapper != nil {
+// preloadOnFirstTouch marks a read's target page as data written before
+// the run started (the drive the paper's read columns measure already holds
+// its data). Preloading a programmed page is a no-op, so every read may
+// call it. It must run on the channel that owns the die, so die state is
+// never inspected hub-side mid-run; Preload consumes no simulated time. The
+// mapper FTL answers reads from its own map and never preloads.
+func (p *Platform) preloadOnFirstTouch(ch, die int, addr nand.Addr, lba int64) {
+	if p.mapper != nil {
 		return
 	}
-	d := p.Channels[ch].Die(die)
-	if ok, err := d.PageProgrammed(addr); err == nil && !ok {
-		if err := d.Preload(addr); err != nil {
-			panic(fmt.Sprintf("core: lazy preload of LBA %d failed (ch %d die %d plane %d block %d page %d): %v",
-				lba, ch, die, addr.Plane, addr.Block, addr.Page, err))
-		}
+	if err := p.Channels[ch].Die(die).Preload(addr); err != nil {
+		panic(fmt.Sprintf("core: preload of LBA %d failed (ch %d die %d plane %d block %d page %d): %v",
+			lba, ch, die, addr.Plane, addr.Block, addr.Page, err))
 	}
 }
 
@@ -807,16 +787,15 @@ func (p *Platform) runDrain(w workload.Spec) (Result, error) {
 
 // RunRequests replays an explicit request list (a parsed trace file)
 // through the host interface in full-platform mode. The WAF abstraction is
-// parameterised from the observed write-address pattern, and every page a
-// read may touch is preloaded.
+// parameterised from the observed write-address pattern; reads preload
+// their pages on first touch as on every other path.
 func (p *Platform) RunRequests(reqs []trace.Request) (Result, error) {
 	if len(reqs) == 0 {
 		return Result{}, errors.New("core: empty request list")
 	}
-	// Classify the write pattern and find the read extent (the same scan
-	// ScanTrace applies to files).
+	// Classify the write pattern (the same scan ScanTrace applies to files).
 	info := workload.ScanStream(trace.NewSliceStream(reqs))
-	if err := p.prepare(false, info.RandomWrites, info.ReadSpanBytes > 0, info.ReadSpanBytes); err != nil {
+	if err := p.resolveWAF(info.RandomWrites); err != nil {
 		return Result{}, err
 	}
 	return p.run(ModeFull, fmt.Sprintf("trace[%d]", len(reqs)), len(reqs), func() (Result, error) {

@@ -17,7 +17,7 @@ import (
 // scenario — the queue rebases its LBAs into the tenant's namespace, the
 // victim keeps its own partition, and (the aggressor being the sole writer)
 // the WAF model re-resolves from the replay stream's live classification.
-// The same scenario must run on the sharded parallel core, where the lazy
+// The same scenario must run on the sharded parallel core, where the
 // first-touch preload executes on each die's owning domain.
 func TestTenantReplay(t *testing.T) {
 	aggPath := writeTrace(t, workload.Spec{

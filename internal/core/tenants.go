@@ -80,11 +80,9 @@ func (p *Platform) RunTenants(set nvme.TenantSet, mode Mode) (Result, error) {
 	if mode == ModeDDRFlash {
 		return Result{}, errors.New("core: ddr+flash drain mode cannot run multi-queue scenarios")
 	}
-	// Replay tenants need no pre-scan: their declared namespaces are
-	// preloaded eagerly below like every reading tenant's, and any read a
-	// trace aims past its declared extent preloads on first touch, on the
-	// die's owning domain.
-	if err := p.prepare(set.HasReplay(), set.RandomWrites(), set.MayRead(), set.ReadSpan()); err != nil {
+	// No tenant needs a pre-scan: every read preloads its page on first
+	// touch, on the die's owning channel.
+	if err := p.resolveWAF(set.RandomWrites()); err != nil {
 		return Result{}, err
 	}
 	q, err := set.Compile()

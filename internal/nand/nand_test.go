@@ -407,6 +407,24 @@ func TestPreload(t *testing.T) {
 		t.Fatalf("read of preloaded page: %v", err)
 	}
 	k.RunAll()
+	// Preloading a programmed page — preloaded or programmed, below the
+	// block's write frontier or at its top — changes neither its bit nor
+	// the frontier, so a read may preload its page on every touch.
+	next := Addr{Plane: 1, Block: 4, Page: 4}
+	if _, err := d.Program(next, nil); err != nil {
+		t.Fatal(err)
+	}
+	k.RunAll()
+	for _, pa := range []Addr{a, next, a} {
+		if err := d.Preload(pa); err != nil {
+			t.Fatal(err)
+		}
+		h := d.block(pa.Plane, pa.Block)
+		if !d.programmed(h, a.Page) || !d.programmed(h, next.Page) || d.nextPage(h) != next.Page+1 {
+			t.Fatalf("re-preload of page %d moved the block: pages %d/%d programmed %v/%v, next page %d, want %d",
+				pa.Page, a.Page, next.Page, d.programmed(h, a.Page), d.programmed(h, next.Page), d.nextPage(h), next.Page+1)
+		}
+	}
 	if err := d.Preload(Addr{Plane: 9}); err != ErrBadAddress {
 		t.Fatalf("bad preload: %v", err)
 	}

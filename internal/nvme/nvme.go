@@ -260,29 +260,6 @@ func (s TenantSet) TotalSpan() int64 {
 	return total
 }
 
-// ReadSpan returns the extent a platform without a mapping FTL must preload:
-// the end of the last namespace whose tenant may read.
-func (s TenantSet) ReadSpan() int64 {
-	var span, off int64
-	for _, t := range s.Tenants {
-		off += t.NSBytes()
-		if t.Workload.MayRead() {
-			span = off
-		}
-	}
-	return span
-}
-
-// MayRead reports whether any tenant can issue reads.
-func (s TenantSet) MayRead() bool {
-	for _, t := range s.Tenants {
-		if t.Workload.MayRead() {
-			return true
-		}
-	}
-	return false
-}
-
 // RandomWrites reports whether any tenant's write traffic addresses randomly
 // — the conservative input to the WAF abstraction. Interleaving multiple
 // sequential streams also breaks drive-level sequentiality, so any mix of
@@ -299,17 +276,6 @@ func (s TenantSet) RandomWrites() bool {
 		}
 	}
 	return writers > 1
-}
-
-// HasReplay reports whether any tenant replays a trace file — the shape
-// whose reads preload lazily on the die's owning domain.
-func (s TenantSet) HasReplay() bool {
-	for _, t := range s.Tenants {
-		if t.Workload.HasReplay() {
-			return true
-		}
-	}
-	return false
 }
 
 // Open reports whether any tenant declares an open-loop arrival process.

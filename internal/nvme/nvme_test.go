@@ -21,9 +21,6 @@ func TestTenantSetAggregates(t *testing.T) {
 	if got := set.TotalBytes(); got != int64(430)*4096 {
 		t.Errorf("TotalBytes = %d", got)
 	}
-	if !set.MayRead() {
-		t.Error("set with readers must MayRead")
-	}
 	if !set.Open() {
 		t.Error("set with a poisson tenant must be Open")
 	}
@@ -34,18 +31,14 @@ func TestTenantSetAggregates(t *testing.T) {
 	if got := set.Tenants[2].NSBytes(); got != 1<<20 {
 		t.Errorf("phased NSBytes = %d", got)
 	}
-	// Read span covers through the last reading tenant (the phased one).
-	if got, want := set.ReadSpan(), set.TotalSpan(); got != want {
-		t.Errorf("ReadSpan = %d, want %d", got, want)
-	}
 
 	closed, err := ParseTenants("a:10xSW,span=1m", baseSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if closed.Open() || closed.MayRead() || closed.RandomWrites() {
-		t.Errorf("single sequential writer misclassified: open=%v read=%v random=%v",
-			closed.Open(), closed.MayRead(), closed.RandomWrites())
+	if closed.Open() || closed.RandomWrites() {
+		t.Errorf("single sequential writer misclassified: open=%v random=%v",
+			closed.Open(), closed.RandomWrites())
 	}
 }
 

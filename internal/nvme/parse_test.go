@@ -55,12 +55,12 @@ func TestParseTenantsPhased(t *testing.T) {
 // TestParseTenantsReplay: the replay phase syntax reaches tenant workloads
 // and round-trips through FormatTenants.
 func TestParseTenantsReplay(t *testing.T) {
-	set, err := ParseTenants("agg:replay:msr.csv,span=16m,noreads | victim@high:6000xRR", baseSpec())
+	set, err := ParseTenants("agg:replay:msr.csv,span=16m,seqwrites | victim@high:6000xRR", baseSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	agg := set.Tenants[0]
-	if agg.Workload.TracePath != "msr.csv" || !agg.Workload.ReplayNoReads {
+	if agg.Workload.TracePath != "msr.csv" || !agg.Workload.ReplaySeqWrites {
 		t.Errorf("replay tenant mis-parsed: %+v", agg.Workload)
 	}
 	if got := agg.NSBytes(); got != 16<<20 {
@@ -143,7 +143,7 @@ func FuzzParseTenants(f *testing.F) {
 	f.Add("a@urgent*3#7:1xRW;2xRR,record")
 	f.Add("x:1xSW,block=8k,span=1m,seed=3")
 	f.Add("a:replay:t.trace,span=1m,seqwrites")
-	f.Add("a:100xSW;replay:t.trace,span=2m,noreads,record")
+	f.Add("a:100xSW;replay:t.trace,span=2m,record")
 	f.Add("||")
 	f.Add("a:@:*:#")
 	f.Add("a*99999999999999999999:1xSW")
@@ -181,10 +181,6 @@ func TestLayoutAndSpans(t *testing.T) {
 	}
 	if got := set.TotalSpan(); got != 7<<20 {
 		t.Errorf("TotalSpan = %d, want %d", got, 7<<20)
-	}
-	// Only b reads; preload must cover through the end of b's namespace.
-	if got := set.ReadSpan(); got != 3<<20 {
-		t.Errorf("ReadSpan = %d, want %d", got, 3<<20)
 	}
 	if !set.RandomWrites() {
 		t.Error("two writing tenants must classify as random at drive level")

@@ -7,12 +7,12 @@ import "repro/internal/trace"
 // track regime changes within a trace.
 const DefaultClassifyWindow = 1024
 
-// Classifier classifies a request stream incrementally in O(window) memory:
-// write-address randomness (the WAF sequentiality rule) and the read extent
-// a non-mapper platform must cover. It maintains both lifetime counters —
-// matching the one-shot ScanStream pre-scan exactly — and a trailing-window
-// estimate that lets replay adapt the WAF abstraction *during* the run,
-// removing the need for a second pass over the trace file.
+// Classifier classifies a request stream's write-address randomness (the
+// WAF sequentiality rule) incrementally in O(window) memory. It maintains
+// both lifetime counters — matching the one-shot ScanStream pre-scan
+// exactly — and a trailing-window estimate that lets replay adapt the WAF
+// abstraction *during* the run, removing the need for a second pass over
+// the trace file.
 type Classifier struct {
 	window int
 	ring   []bool // seq-break bit of the last `window` writes
@@ -25,7 +25,6 @@ type Classifier struct {
 	breaks     int // lifetime seq-break count
 	expected   int64
 	hasWrite   bool
-	readSpan   int64
 	totalBytes int64
 }
 
@@ -42,30 +41,26 @@ func NewClassifier(window int) *Classifier {
 func (c *Classifier) Observe(req trace.Request) {
 	c.requests++
 	c.totalBytes += req.Bytes
-	switch req.Op {
-	case trace.OpWrite:
-		brk := c.hasWrite && req.LBA != c.expected
-		c.expected = req.EndLBA()
-		c.hasWrite = true
-		c.writes++
-		if brk {
-			c.breaks++
-		}
-		if c.filled && c.ring[c.head] {
-			c.winBrk--
-		}
-		c.ring[c.head] = brk
-		if brk {
-			c.winBrk++
-		}
-		c.head++
-		if c.head == c.window {
-			c.head, c.filled = 0, true
-		}
-	case trace.OpRead:
-		if end := req.EndLBA() * trace.SectorSize; end > c.readSpan {
-			c.readSpan = end
-		}
+	if req.Op != trace.OpWrite {
+		return
+	}
+	brk := c.hasWrite && req.LBA != c.expected
+	c.expected = req.EndLBA()
+	c.hasWrite = true
+	c.writes++
+	if brk {
+		c.breaks++
+	}
+	if c.filled && c.ring[c.head] {
+		c.winBrk--
+	}
+	c.ring[c.head] = brk
+	if brk {
+		c.winBrk++
+	}
+	c.head++
+	if c.head == c.window {
+		c.head, c.filled = 0, true
 	}
 }
 
@@ -98,10 +93,9 @@ func (c *Classifier) Reset() {
 // paths agree on any stream.
 func (c *Classifier) Info() TraceInfo {
 	return TraceInfo{
-		Requests:      c.requests,
-		Writes:        c.writes,
-		RandomWrites:  c.writes > 0 && 2*c.breaks > c.writes,
-		ReadSpanBytes: c.readSpan,
-		TotalBytes:    c.totalBytes,
+		Requests:     c.requests,
+		Writes:       c.writes,
+		RandomWrites: c.writes > 0 && 2*c.breaks > c.writes,
+		TotalBytes:   c.totalBytes,
 	}
 }

@@ -110,9 +110,6 @@ func TestScanStreamMatchesClassifier(t *testing.T) {
 	if info.RandomWrites {
 		t.Errorf("1/3 breaks classified random: %+v", info)
 	}
-	if want := (1024 + 16) * trace.SectorSize; info.ReadSpanBytes != int64(want) {
-		t.Errorf("read span %d, want %d", info.ReadSpanBytes, want)
-	}
 	c := NewClassifier(0)
 	for _, r := range reqs {
 		c.Observe(r)

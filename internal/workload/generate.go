@@ -477,19 +477,17 @@ func (r *Replay) Close() error { return r.f.Close() }
 
 // TraceInfo summarises a streaming pre-scan of a trace file.
 type TraceInfo struct {
-	Requests      int
-	Writes        int
-	RandomWrites  bool  // >50% of writes break sequentiality (the WAF rule)
-	ReadSpanBytes int64 // smallest span covering every read's extent
-	TotalBytes    int64
+	Requests     int
+	Writes       int
+	RandomWrites bool // >50% of writes break sequentiality (the WAF rule)
+	TotalBytes   int64
 }
 
-// ScanStream drains a request source and classifies it: write-address
+// ScanStream drains a request source and classifies its write-address
 // randomness (the WAF sequentiality rule: >50% of writes breaking
-// consecutive order) and the extent a non-mapper platform must preload for
-// its reads. It is the one-shot form of the incremental Classifier (and is
-// implemented on it, so the two can never disagree); streaming replay
-// classifies during the run instead and needs no separate scan.
+// consecutive order). It is the one-shot form of the incremental Classifier
+// (and is implemented on it, so the two can never disagree); streaming
+// replay classifies during the run instead and needs no separate scan.
 func ScanStream(src interface{ Next() (trace.Request, bool) }) TraceInfo {
 	c := NewClassifier(0)
 	for {
@@ -503,8 +501,8 @@ func ScanStream(src interface{ Next() (trace.Request, bool) }) TraceInfo {
 }
 
 // ScanTrace streams through a trace file once (constant memory) and
-// classifies it. Callers feed the results into
-// Spec{TracePath, SpanBytes, ReplaySeqWrites, ReplayNoReads}.
+// classifies it. Callers feed the result into
+// Spec{TracePath, ReplaySeqWrites: !info.RandomWrites}.
 func ScanTrace(path string) (TraceInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -25,11 +25,11 @@ import (
 //
 // A phase may instead replay a recorded trace:
 //
-//	replay:<path>[,span=<size>][,seqwrites][,noreads][,record]
+//	replay:<path>[,span=<size>][,seqwrites][,record]
 //
 // streams the file (canonical, blktrace text or MSR CSV, auto-detected)
 // through the same pull-based path; span declares the addressed extent
-// (a tenant's namespace size), seqwrites/noreads declare the trace shape
+// (a tenant's namespace size), seqwrites declares sequential write traffic
 // up front instead of having ScanTrace discover it.
 //
 // base supplies the defaults for block, span and seed of every phase.
@@ -129,8 +129,8 @@ func parsePhase(field string, base Spec) (Spec, error) {
 
 // parseReplayPhase decodes a "replay:<path>[,opt...]" field into a trace-
 // replay Spec. The replay options are span=<size> (the declared span; for a
-// tenant it sizes the namespace), seqwrites / noreads (the trace-shape
-// declarations ScanTrace would otherwise have to discover) and record.
+// tenant it sizes the namespace), seqwrites (the write-shape declaration
+// ScanTrace would otherwise have to discover) and record.
 func parseReplayPhase(path string, opts []string, base Spec) (Spec, error) {
 	if path == "" {
 		return Spec{}, fmt.Errorf("replay: missing trace path")
@@ -153,11 +153,6 @@ func parseReplayPhase(path string, opts []string, base Spec) (Spec, error) {
 				return Spec{}, fmt.Errorf("seqwrites takes no value, got %q", opt)
 			}
 			ph.ReplaySeqWrites = true
-		case "noreads":
-			if val != "" {
-				return Spec{}, fmt.Errorf("noreads takes no value, got %q", opt)
-			}
-			ph.ReplayNoReads = true
 		case "record":
 			if val != "" {
 				return Spec{}, fmt.Errorf("record takes no value, got %q", opt)
@@ -213,9 +208,6 @@ func FormatPhases(s Spec) string {
 			}
 			if ph.ReplaySeqWrites {
 				b.WriteString(",seqwrites")
-			}
-			if ph.ReplayNoReads {
-				b.WriteString(",noreads")
 			}
 			if ph.Record {
 				b.WriteString(",record")

@@ -67,6 +67,7 @@ func TestParsePhasesErrors(t *testing.T) {
 		"0xSW",                       // validation: zero requests
 		"10xSW,span=1k",              // validation: span < block
 		"10xSW,block=9999999999999g", // size overflow
+		"replay:x,noreads",           // unknown replay option
 	}
 	for _, in := range cases {
 		if _, err := ParsePhases(in, phaseBase); err == nil {

@@ -232,19 +232,14 @@ type Spec struct {
 	Arrival Arrival `json:"arrival,omitempty"`
 
 	// TracePath, when set, replays the trace file instead of synthesising
-	// requests. SpanBytes must still cover the read extent unless the
-	// platform runs a mapping FTL.
+	// requests. SpanBytes is the declared extent (a tenant's namespace
+	// size); reads anywhere preload their page on first touch.
 	TracePath string `json:"trace_path,omitempty"`
 	// ReplaySeqWrites hints that the replayed trace's write traffic is
 	// sequential, pinning the WAF abstraction to the sequential model
 	// instead of the conservative random default. ScanTrace computes it
 	// with a streaming pre-scan.
 	ReplaySeqWrites bool `json:"replay_seq_writes,omitempty"`
-	// ReplayNoReads hints that the replayed trace issues no reads, waiving
-	// the read-region preload (and with it the SpanBytes requirement) on
-	// platforms without a mapping FTL. ScanTrace computes it too
-	// (ReadSpanBytes == 0).
-	ReplayNoReads bool `json:"replay_no_reads,omitempty"`
 
 	// Record marks a phase as part of the measured window. When any phase of
 	// a phased spec sets Record, statistics (latency, stage breakdown,
@@ -345,17 +340,6 @@ func (s Spec) writes() bool { return s.TracePath != "" || s.Pattern.IsWrite() ||
 // HasWrites reports whether the workload can issue writes.
 func (s Spec) HasWrites() bool { return s.anyPhase(Spec.writes) }
 
-// MayRead reports whether the workload can issue reads (which the platform
-// must preload for when no mapping FTL is built).
-func (s Spec) MayRead() bool {
-	return s.anyPhase(func(ph Spec) bool {
-		if ph.TracePath != "" {
-			return !ph.ReplayNoReads
-		}
-		return !ph.Pattern.IsWrite() || ph.mixed()
-	})
-}
-
 // RandomWrites reports whether write traffic addresses randomly — the input
 // to the WAF abstraction's steady-state model. Trace replay is classified
 // as random (the conservative default; WAFOverride pins it exactly).
@@ -369,8 +353,7 @@ func (s Spec) RandomWrites() bool {
 }
 
 // HasReplay reports whether the spec (or any phase) replays a trace file —
-// the shape whose reads preload lazily and whose WAF model adapts to the
-// stream's windowed classification.
+// the shape whose WAF model adapts to the stream's windowed classification.
 func (s Spec) HasReplay() bool { return s.anyPhase(func(ph Spec) bool { return ph.TracePath != "" }) }
 
 // OpenLoop reports whether any phase declares an open-loop arrival process.
@@ -399,18 +382,6 @@ func (s Spec) TotalRequests() int {
 // trace replay.
 func (s Spec) TotalBytes() int64 {
 	return s.sumPhases(func(ph Spec) int64 { return int64(ph.Requests) * ph.BlockSize })
-}
-
-// ReadSpan returns the widest span any reading phase touches — the extent
-// the platform preloads.
-func (s Spec) ReadSpan() int64 {
-	var span int64
-	for _, ph := range s.chain() {
-		if ph.MayRead() {
-			span = max(span, ph.SpanBytes)
-		}
-	}
-	return span
 }
 
 // Simple reports whether the spec is a plain closed-loop synthetic pattern
@@ -457,9 +428,9 @@ func (s Spec) Canonical() string {
 }
 
 func (s Spec) canon(b *strings.Builder, depth int) {
-	fmt.Fprintf(b, "%*sspec: %v %d %d %d %d %v frac=%g skew=%s arrival=%s trace=%q seqreplay=%v noreads=%v record=%v\n",
+	fmt.Fprintf(b, "%*sspec: %v %d %d %d %d %v frac=%g skew=%s arrival=%s trace=%q seqreplay=%v record=%v\n",
 		depth*2, "", s.Pattern, s.BlockSize, s.SpanBytes, s.Requests, s.Seed,
-		s.AlignLBA, s.WriteFrac, s.Skew, s.Arrival, s.TracePath, s.ReplaySeqWrites, s.ReplayNoReads, s.Record)
+		s.AlignLBA, s.WriteFrac, s.Skew, s.Arrival, s.TracePath, s.ReplaySeqWrites, s.Record)
 	if s.TracePath != "" {
 		// The path alone would serve stale cache hits after the file is
 		// rewritten; fold in its size and mtime (or the stat error) so a

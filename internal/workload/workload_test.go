@@ -436,27 +436,27 @@ func TestSpecValidation(t *testing.T) {
 
 func TestSpecClassification(t *testing.T) {
 	w := Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 1}
-	if !w.Simple() || w.MayRead() || !w.HasWrites() || w.RandomWrites() {
+	if !w.Simple() || !w.HasWrites() || w.RandomWrites() {
 		t.Fatalf("plain SW misclassified: %+v", w)
 	}
 	mixed := w
 	mixed.WriteFrac = 0.5
-	if mixed.Simple() || !mixed.MayRead() || !mixed.HasWrites() {
+	if mixed.Simple() || !mixed.HasWrites() {
 		t.Fatalf("mixed misclassified")
 	}
 	r := Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 1}
-	if r.HasWrites() || !r.MayRead() || r.RandomWrites() {
+	if r.HasWrites() || r.RandomWrites() {
 		t.Fatalf("RR misclassified")
 	}
 	replay := Spec{TracePath: "x", SpanBytes: 1 << 20}
-	if replay.Simple() || !replay.MayRead() || !replay.RandomWrites() || replay.TotalRequests() != -1 {
+	if replay.Simple() || !replay.RandomWrites() || replay.TotalRequests() != -1 {
 		t.Fatalf("replay misclassified")
 	}
 	open := r
 	open.Arrival = Arrival{Kind: ArrivalPoisson, RateIOPS: 1000}
 	chain := Spec{Phases: []Spec{w, open}}
-	if w.OpenLoop() || !open.OpenLoop() || !chain.OpenLoop() || !chain.HasWrites() || !chain.MayRead() ||
-		chain.RandomWrites() || chain.TotalRequests() != 2 || chain.TotalBytes() != 8192 || chain.ReadSpan() != 1<<20 {
+	if w.OpenLoop() || !open.OpenLoop() || !chain.OpenLoop() || !chain.HasWrites() ||
+		chain.RandomWrites() || chain.TotalRequests() != 2 || chain.TotalBytes() != 8192 {
 		t.Fatalf("SW -> open RR chain misclassified")
 	}
 	if withReplay := (Spec{Phases: []Spec{w, replay}}); withReplay.TotalRequests() != -1 || withReplay.TotalBytes() != -1 {
@@ -509,10 +509,6 @@ func TestScanTrace(t *testing.T) {
 	}
 	if info.Requests != 501 || info.Writes != 500 || info.RandomWrites {
 		t.Fatalf("sequential scan: %+v", info)
-	}
-	wantSpan := (int64(1<<16) + 8) * trace.SectorSize
-	if info.ReadSpanBytes != wantSpan {
-		t.Fatalf("read span %d, want %d", info.ReadSpanBytes, wantSpan)
 	}
 
 	randPath := filepath.Join(dir, "rand.trace")

@@ -16,7 +16,7 @@ func qosTraceScenario(t *testing.T) (Config, TenantSet) {
 	t.Helper()
 	base := Workload{BlockSize: 4096, SpanBytes: 1 << 26, Seed: 7}
 	set, err := ParseTenants(
-		"victim@high*9#4:900xRR | aggressor@low:replay:testdata/noisy_neighbor_aggressor.msr.csv,span=48m,noreads",
+		"victim@high*9#4:900xRR | aggressor@low:replay:testdata/noisy_neighbor_aggressor.msr.csv,span=48m",
 		base)
 	if err != nil {
 		t.Fatal(err)

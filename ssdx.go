@@ -205,10 +205,10 @@ func WriteTraceFile(path string, reqs []trace.Request) error {
 type TraceInfo = workload.TraceInfo
 
 // ScanTraceFile streams through a trace file once (constant memory) and
-// classifies it for replay: write-address randomness (WAF) and the read
-// extent to preload. Feed the results into Workload{TracePath, SpanBytes,
-// ReplaySeqWrites, ReplayNoReads} for streaming replay in any measurement
-// mode.
+// classifies its write-address randomness (WAF) for replay. Feed the result
+// into Workload{TracePath, ReplaySeqWrites: !info.RandomWrites} for
+// streaming replay in any measurement mode; reads preload their pages on
+// first touch.
 func ScanTraceFile(path string) (TraceInfo, error) { return workload.ScanTrace(path) }
 
 // RunTrace executes an explicit request list (e.g. a parsed trace file)
@@ -473,4 +473,9 @@ func JournalCompletedKeys(entries []JournalEntry) map[string]bool {
 // (SimulationSpeedRows, SpeedRow.Parallel/Workers, the parallel_workers and
 // parallel_lookahead_ns config keys, Config.ParallelLookaheadNS); the
 // sharded core now runs on the calling goroutine.
-const Version = "1.9.0"
+// 1.10.0 removed the eager read-region preload and the API that sized it:
+// TraceInfo's read-span field, Workload's replay no-reads flag with its
+// replay option, Workload's may-read and read-span predicates, and
+// TenantSet's may-read, read-span and has-replay predicates. Every read now
+// preloads its page on first touch.
+const Version = "1.10.0"
