@@ -101,7 +101,7 @@ func TestTraceFileWorkflow(t *testing.T) {
 	if len(back) != len(reqs) {
 		t.Fatalf("trace length %d != %d", len(back), len(reqs))
 	}
-	res, err := RunTrace(DefaultConfig(), back)
+	res, err := replayFile(t, DefaultConfig(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,32 @@ func TestTraceFileWorkflow(t *testing.T) {
 	}
 }
 
+// replayFile replays a trace file, starting in the WAF regime its one-shot
+// scan classifies.
+func replayFile(t *testing.T, cfg Config, path string) (Result, error) {
+	t.Helper()
+	info, err := ScanTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Run(cfg, Workload{TracePath: path, ReplaySeqWrites: !info.RandomWrites}, ModeFull)
+}
+
+// replayList writes a request list as a trace file and replays it.
+func replayList(t *testing.T, cfg Config, reqs []trace.Request) (Result, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "list.trace")
+	if err := WriteTraceFile(path, reqs); err != nil {
+		t.Fatal(err)
+	}
+	return replayFile(t, cfg, path)
+}
+
 func TestRunTraceClassifiesPattern(t *testing.T) {
 	// A random-write trace must engage the WAF abstraction; sequential not.
 	wr, _ := NewWorkload("RW", 4096, 1<<26, 1200)
 	randReqs, _ := wr.Generate()
-	res, err := RunTrace(VertexConfig(), randReqs)
+	res, err := replayList(t, VertexConfig(), randReqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +144,7 @@ func TestRunTraceClassifiesPattern(t *testing.T) {
 	}
 	ws, _ := NewWorkload("SW", 4096, 1<<26, 1200)
 	seqReqs, _ := ws.Generate()
-	res, err = RunTrace(VertexConfig(), seqReqs)
+	res, err = replayList(t, VertexConfig(), seqReqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +161,7 @@ func TestRunTraceMixedReadWrite(t *testing.T) {
 		reqs = append(reqs, trace.Request{Op: trace.OpWrite, LBA: int64(i) * 8, Bytes: 4096})
 		reqs = append(reqs, trace.Request{Op: trace.OpRead, LBA: int64(i) * 8, Bytes: 4096})
 	}
-	res, err := RunTrace(DefaultConfig(), reqs)
+	res, err := replayList(t, DefaultConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +386,7 @@ func TestPhasedWorkloadEndToEnd(t *testing.T) {
 }
 
 // TestStreamedReplayEndToEnd: a trace file replayed through the streaming
-// generator path (TracePath spec), not the materialised RunTrace helper.
+// generator path (TracePath spec) with no pre-scan.
 func TestStreamedReplayEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
@@ -445,8 +466,8 @@ func TestReplayWithoutSpan(t *testing.T) {
 	}
 }
 
-// TestScanTraceFileClassifies: the streaming pre-scan matches the
-// materialised RunTrace classification used by ssdexplorer -trace.
+// TestScanTraceFileClassifies: the streaming pre-scan classifies a
+// sequential trace, and replay from its regime reports WAF 1.
 func TestScanTraceFileClassifies(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
@@ -462,7 +483,7 @@ func TestScanTraceFileClassifies(t *testing.T) {
 	if info.Requests != 500 || info.RandomWrites {
 		t.Fatalf("scan: %+v", info)
 	}
-	// Streaming replay with the sequential hint matches RunTrace's WAF.
+	// Streaming replay with the sequential hint keeps the WAF at 1.
 	res, err := Run(DefaultConfig(), Workload{
 		TracePath: path, SpanBytes: 1 << 24, ReplaySeqWrites: !info.RandomWrites,
 	}, ModeFull)

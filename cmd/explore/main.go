@@ -59,7 +59,6 @@ func main() {
 		jsonF    = flag.String("json", "", "write the full sweep as JSON to this file ('-' = stdout)")
 		front    = flag.Bool("front", false, "print only the Pareto front")
 		quiet    = flag.Bool("quiet", false, "suppress per-point progress")
-		parallel = flag.Bool("parallel", false, "evaluate every point on the sharded per-channel event core (conservative-lookahead clock domains)")
 		utilFlag = flag.Bool("utilization", false, "trace device-wide utilization on every point (fills the *_util/gc_frac CSV columns and the 'utilization' objective)")
 		traceOut = flag.String("trace-out", "", "after the sweep, re-run the best-ranked point with full event tracing and write its Perfetto JSON here")
 		status   = flag.String("status", "", "serve live /metrics (Prometheus), /progress (JSON with the streaming Pareto front) and /debug/pprof on this address (e.g. :9090) for the duration of the sweep")
@@ -70,9 +69,6 @@ func main() {
 	base, err := ssdx.Preset(*preset)
 	if err != nil {
 		fatal(err)
-	}
-	if *parallel {
-		base.Parallel = true
 	}
 	space := ssdx.Space{
 		Base:      base,

@@ -45,7 +45,6 @@ func main() {
 		verbose    = flag.Bool("v", false, "print microarchitectural detail")
 		utilFlag   = flag.Bool("utilization", false, "trace device-wide utilization and print the per-resource report")
 		traceOut   = flag.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON file of the run (implies tracing)")
-		parallel   = flag.Bool("parallel", false, "run on the sharded per-channel event core (conservative-lookahead clock domains)")
 		statusAddr = flag.String("status", "", "serve live /metrics, /progress and /debug/pprof on this address (e.g. :9100) for the duration of the run")
 	)
 	flag.Parse()
@@ -58,9 +57,6 @@ func main() {
 	cfg, err := resolveConfig(*configPath, *preset)
 	if err != nil {
 		fatal(err)
-	}
-	if *parallel {
-		cfg.Parallel = true
 	}
 	if *dump {
 		if err := cfg.Render(os.Stdout); err != nil {

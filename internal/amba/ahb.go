@@ -178,9 +178,6 @@ func (b *Bus) AttachMaster(name string) (*Master, error) {
 	return m, nil
 }
 
-// Masters returns the number of attached masters.
-func (b *Bus) Masters() int { return len(b.masters) }
-
 // TotalStats sums activity across layers.
 func (b *Bus) TotalStats() Stats {
 	var s Stats

@@ -161,6 +161,11 @@ func (p Platform) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown cache policy %q", p.CachePolicy)
 	}
+	switch p.GangMode { // the names ctrl.ParseGangMode accepts
+	case "shared-bus", "bus", "", "shared-control", "control":
+	default:
+		return fmt.Errorf("config: unknown gang mode %q", p.GangMode)
+	}
 	switch p.ECCScheme {
 	case "none", "fixed", "adaptive":
 	default:

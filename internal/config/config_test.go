@@ -134,6 +134,7 @@ func TestParseErrors(t *testing.T) {
 		"channels = abc", // bad int
 		"wear = 9",       // out of range (validation)
 		"cache_policy = maybe",
+		"gang_mode = shared-controll",
 	}
 	for _, key := range floatKeys {
 		for _, v := range []string{"NaN", "Inf", "-Inf"} {
@@ -184,6 +185,7 @@ func TestValidationCatches(t *testing.T) {
 		func(p *Platform) { p.Wear = 2 },
 		func(p *Platform) { p.QueueDepth = -1 },
 		func(p *Platform) { p.ECCLatency = "quantum" },
+		func(p *Platform) { p.GangMode = "shared-controll" },
 	}
 	for i, mutate := range cases {
 		p := Default()

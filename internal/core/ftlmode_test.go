@@ -21,6 +21,18 @@ func mapperCfg() config.Platform {
 	return cfg
 }
 
+// replayList replays an explicit request list through a trace file, the one
+// replay path, with the scanned write pattern as the starting WAF regime.
+func replayList(t *testing.T, p *Platform, reqs []trace.Request) (Result, error) {
+	t.Helper()
+	path := writeTraceReqs(t, reqs)
+	info, err := workload.ScanTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Run(workload.Spec{TracePath: path, ReplaySeqWrites: !info.RandomWrites}, ModeFull)
+}
+
 func TestMapperModeSequential(t *testing.T) {
 	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 6000, Seed: 7}
 	res, err := RunWorkload(mapperCfg(), w, ModeFull)
@@ -82,7 +94,7 @@ func TestMapperModeReadAfterWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunRequests(reqs)
+	res, err := replayList(t, p, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestRunRequestsMapperWAF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunRequests(reqs)
+	res, err := replayList(t, p, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +128,7 @@ func TestRunRequestsMapperWAF(t *testing.T) {
 		t.Fatal("random overwrites never reached garbage collection")
 	}
 	if want := p.mapper.m.MeasuredWAF(); res.WAF != want {
-		t.Fatalf("RunRequests WAF %.4f, mapper measured %.4f", res.WAF, want)
+		t.Fatalf("replay WAF %.4f, mapper measured %.4f", res.WAF, want)
 	}
 }
 
@@ -128,7 +140,7 @@ func TestMapperModeUnwrittenReadZeroFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := []trace.Request{{Op: trace.OpRead, LBA: 0, Bytes: 4096}}
-	res, err := p.RunRequests(reqs)
+	res, err := replayList(t, p, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,7 @@ func TestMapperModeTrim(t *testing.T) {
 		{Op: trace.OpTrim, LBA: 0, Bytes: 4096},
 		{Op: trace.OpRead, LBA: 0, Bytes: 4096},
 	}
-	res, err := p.RunRequests(reqs)
+	res, err := replayList(t, p, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

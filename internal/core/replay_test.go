@@ -18,6 +18,13 @@ func writeTrace(t testing.TB, spec workload.Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writeTraceReqs(t, reqs)
+}
+
+// writeTraceReqs writes an explicit request list as a temporary trace file
+// and returns its path.
+func writeTraceReqs(t testing.TB, reqs []trace.Request) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "w.trace")
 	f, err := os.Create(path)
 	if err != nil {

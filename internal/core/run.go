@@ -785,24 +785,6 @@ func (p *Platform) runDrain(w workload.Spec) (Result, error) {
 	return Result{MBps: mbps, BytesMoved: bytes, Completed: uint64(completed)}, nil
 }
 
-// RunRequests replays an explicit request list (a parsed trace file)
-// through the host interface in full-platform mode. The WAF abstraction is
-// parameterised from the observed write-address pattern; reads preload
-// their pages on first touch as on every other path.
-func (p *Platform) RunRequests(reqs []trace.Request) (Result, error) {
-	if len(reqs) == 0 {
-		return Result{}, errors.New("core: empty request list")
-	}
-	// Classify the write pattern (the same scan ScanTrace applies to files).
-	info := workload.ScanStream(trace.NewSliceStream(reqs))
-	if err := p.resolveWAF(info.RandomWrites); err != nil {
-		return Result{}, err
-	}
-	return p.run(ModeFull, fmt.Sprintf("trace[%d]", len(reqs)), len(reqs), func() (Result, error) {
-		return p.playStream(workload.FromRequests(reqs), ModeFull)
-	})
-}
-
 // RunWorkload is the one-shot convenience: build a platform from cfg and
 // run the workload in the given mode.
 func RunWorkload(cfg config.Platform, w workload.Spec, mode Mode) (Result, error) {

@@ -33,8 +33,7 @@ func scrubLabels(res *Result) {
 
 // TestStreamShapesGolden runs a plain synthetic stream, a one-phase chain, a
 // precondition -> measure chain whose first-phase writes straggle past the
-// window reset, a bare replay, a replay inside a chain, an explicit request
-// list and a tenant set with a phased and a replayed tenant, each on the
+// window reset, a bare replay, a replay inside a chain and a tenant set with a phased and a replayed tenant, each on the
 // serial core with event tracing on, and compares every run's digest with
 // the committed golden.
 func TestStreamShapesGolden(t *testing.T) {
@@ -65,10 +64,6 @@ func TestStreamShapesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	tenants.Policy = nvme.PolicyWRR
-	reqs, err := synth(trace.RandWrite, 300, 61).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	run := func(p *Platform, w workload.Spec) (Result, error) { return p.Run(w, ModeFull) }
 	cases := []struct {
@@ -88,7 +83,6 @@ func TestStreamShapesGolden(t *testing.T) {
 		{"chain-replay", func(p *Platform) (Result, error) {
 			return run(p, workload.Spec{Phases: []workload.Spec{synth(trace.SeqWrite, 200, 73), replayRec}})
 		}},
-		{"requests", func(p *Platform) (Result, error) { return p.RunRequests(reqs) }},
 		{"tenants-phased-replay", func(p *Platform) (Result, error) { return p.RunTenants(tenants, ModeFull) }},
 	}
 	golden := readDigests(t, streamShapesGolden)

@@ -47,9 +47,6 @@ func NewMachine(sramBytes int) *Machine {
 // SetSWIHandler installs the platform service handler.
 func (m *Machine) SetSWIHandler(h SWIHandler) { m.swi = h }
 
-// Mem exposes the SRAM for loading firmware images and data tables.
-func (m *Machine) Mem() []byte { return m.mem }
-
 // LoadWords copies a firmware image (little-endian words) at addr.
 func (m *Machine) LoadWords(addr uint32, words []uint32) error {
 	if int(addr)+4*len(words) > len(m.mem) {
@@ -462,9 +459,6 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 	}
 	return m.Cycles - startCycles, nil
 }
-
-// Halted reports whether the machine stopped via a halting SWI.
-func (m *Machine) Halted() bool { return m.halted }
 
 // Reset clears registers, flags and counters (memory is preserved so
 // firmware images survive).

@@ -337,9 +337,6 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 // QueueLen reports waiting requests.
 func (b *Buffer) QueueLen() int { return b.queue.Len() }
 
-// Busy reports whether the device is serving a request now.
-func (b *Buffer) Busy() bool { return b.busyUntil > b.k.Now() }
-
 // Utilization is busy time over elapsed time.
 func (b *Buffer) Utilization(now sim.Time) float64 {
 	if now <= 0 {

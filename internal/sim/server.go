@@ -131,9 +131,6 @@ func (s *Server) fire() {
 	g.fn(g.start, g.end)
 }
 
-// Busy reports whether the server is occupied at the current time.
-func (s *Server) Busy() bool { return s.busyUntil > s.k.Now() }
-
 // QueueLen reports the number of waiting requests (not counting in-service).
 func (s *Server) QueueLen() int { return s.queue.Len() }
 

@@ -43,9 +43,6 @@ func (b *Backlog) Observe(arrivalUS, lagUS float64) {
 	}
 }
 
-// Samples reports how many arrivals were observed.
-func (b *Backlog) Samples() uint64 { return uint64(b.n) }
-
 // MaxLagUS reports the worst arrival lag seen, in microseconds.
 func (b *Backlog) MaxLagUS() float64 { return b.maxLagUS }
 

@@ -81,8 +81,6 @@ func (r Request) EndLBA() int64 {
 type Stream interface {
 	// Next returns the next request, or ok=false when the stream ends.
 	Next() (req Request, ok bool)
-	// Reset rewinds the stream to its beginning.
-	Reset()
 }
 
 // SliceStream is a Stream over an in-memory request slice.
@@ -105,12 +103,6 @@ func (s *SliceStream) Next() (Request, bool) {
 	s.pos++
 	return r, true
 }
-
-// Reset implements Stream.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Remaining reports how many requests are left.
-func (s *SliceStream) Remaining() int { return len(s.Reqs) - s.pos }
 
 // Parse reads a whole trace from r (a materialising convenience over
 // ParseReader; replay paths stream instead).

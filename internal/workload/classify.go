@@ -9,7 +9,7 @@ const DefaultClassifyWindow = 1024
 
 // Classifier classifies a request stream's write-address randomness (the
 // WAF sequentiality rule) incrementally in O(window) memory. It maintains
-// both lifetime counters — matching the one-shot ScanStream pre-scan
+// both lifetime counters — matching the one-shot ScanTrace pre-scan
 // exactly — and a trailing-window estimate that lets replay adapt the WAF
 // abstraction *during* the run, removing the need for a second pass over
 // the trace file.
@@ -82,11 +82,6 @@ func (c *Classifier) RandomWrites() bool {
 // Confident reports whether the windowed estimate has seen enough writes to
 // act on (a full window, or the whole stream when shorter than one).
 func (c *Classifier) Confident() bool { return c.windowLen() >= 64 || c.filled }
-
-// Reset returns the classifier to its initial state.
-func (c *Classifier) Reset() {
-	*c = *NewClassifier(c.window)
-}
 
 // Info snapshots the lifetime classification in the same form — and with
 // the same >50%-of-all-writes rule — as the one-shot pre-scan, so both

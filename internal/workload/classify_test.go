@@ -76,45 +76,3 @@ func TestClassifierWindowedEstimate(t *testing.T) {
 		t.Error("lifetime classification flipped on a 1/6 random tail")
 	}
 }
-
-// TestClassifierReset: Reset returns to the initial state.
-func TestClassifierReset(t *testing.T) {
-	c := NewClassifier(16)
-	c.Observe(trace.Request{Op: trace.OpWrite, LBA: 800, Bytes: 4096})
-	c.Observe(trace.Request{Op: trace.OpRead, LBA: 100, Bytes: 4096})
-	c.Reset()
-	if got := c.Info(); got != (TraceInfo{}) {
-		t.Errorf("after reset: %+v", got)
-	}
-	if c.RandomWrites() || c.Confident() {
-		t.Error("reset classifier still opinionated")
-	}
-}
-
-// TestScanStreamMatchesClassifier: ScanStream is implemented on the
-// classifier; pin the equivalence with a synthetic stream that mixes every
-// op class.
-func TestScanStreamMatchesClassifier(t *testing.T) {
-	reqs := []trace.Request{
-		{Op: trace.OpWrite, LBA: 0, Bytes: 4096},
-		{Op: trace.OpWrite, LBA: 8, Bytes: 4096},
-		{Op: trace.OpWrite, LBA: 512, Bytes: 4096},
-		{Op: trace.OpRead, LBA: 1024, Bytes: 8192},
-		{Op: trace.OpTrim, LBA: 0, Bytes: 4096},
-		{Op: trace.OpFlush},
-	}
-	info := ScanStream(trace.NewSliceStream(reqs))
-	if info.Requests != 6 || info.Writes != 3 {
-		t.Errorf("counts: %+v", info)
-	}
-	if info.RandomWrites {
-		t.Errorf("1/3 breaks classified random: %+v", info)
-	}
-	c := NewClassifier(0)
-	for _, r := range reqs {
-		c.Observe(r)
-	}
-	if c.Info() != info {
-		t.Errorf("classifier %+v != scan %+v", c.Info(), info)
-	}
-}

@@ -80,11 +80,10 @@ func (s Spec) source() (source, error) {
 		}
 		return r, nil
 	}
-	g := &synth{spec: s}
+	g := &synth{spec: s, rng: sim.NewRNG(s.Seed ^ seedSalt), onRemainUS: s.Arrival.OnMS * 1000}
 	if s.Skew.Kind == SkewZipf {
 		g.zipf = newZipf(s.SpanBytes/s.BlockSize, s.Skew.Theta)
 	}
-	g.Reset()
 	return g, nil
 }
 
@@ -127,8 +126,7 @@ type sliceSource struct {
 }
 
 // synth streams one synthetic workload: base pattern, optional direction
-// mix, address skew and arrival process. State is O(1); Reset replays the
-// identical stream.
+// mix, address skew and arrival process. State is O(1).
 type synth struct {
 	infallible
 	spec Spec
@@ -141,15 +139,6 @@ type synth struct {
 	// Open-loop arrival clock, microseconds.
 	clockUS    float64
 	onRemainUS float64
-}
-
-// Reset implements Generator.
-func (g *synth) Reset() {
-	g.rng = sim.NewRNG(g.spec.Seed ^ seedSalt)
-	g.emitted = 0
-	g.seq = 0
-	g.clockUS = 0
-	g.onRemainUS = g.spec.Arrival.OnMS * 1000
 }
 
 // Next implements Generator. Draw order is fixed (direction, address,
@@ -384,21 +373,6 @@ func (p *Stream) Next() (trace.Request, bool) {
 	return trace.Request{}, false
 }
 
-// Reset implements Generator.
-func (p *Stream) Reset() {
-	for _, src := range p.srcs {
-		src.Reset()
-	}
-	p.idx = 0
-	p.curIdx = 0
-	p.curRec = true
-	p.baseUS = 0
-	p.phaseMax = 0
-	if p.cls != nil {
-		p.cls.Reset()
-	}
-}
-
 // Close releases any replayed files.
 func (p *Stream) Close() error {
 	var first error
@@ -458,17 +432,6 @@ func (r *Replay) Next() (trace.Request, bool) {
 	return req, ok
 }
 
-// Reset implements Generator by rewinding the file (the dialect detected
-// at open time sticks).
-func (r *Replay) Reset() {
-	if _, err := r.f.Seek(0, 0); err != nil {
-		r.err = err
-		return
-	}
-	r.err = nil
-	r.r = trace.ParseReaderFormat(r.f, r.format)
-}
-
 // Err returns the parse or I/O error that ended the stream, if any.
 func (r *Replay) Err() error { return r.err }
 
@@ -483,26 +446,12 @@ type TraceInfo struct {
 	TotalBytes   int64
 }
 
-// ScanStream drains a request source and classifies its write-address
-// randomness (the WAF sequentiality rule: >50% of writes breaking
-// consecutive order). It is the one-shot form of the incremental Classifier
-// (and is implemented on it, so the two can never disagree); streaming
-// replay classifies during the run instead and needs no separate scan.
-func ScanStream(src interface{ Next() (trace.Request, bool) }) TraceInfo {
-	c := NewClassifier(0)
-	for {
-		req, ok := src.Next()
-		if !ok {
-			break
-		}
-		c.Observe(req)
-	}
-	return c.Info()
-}
-
 // ScanTrace streams through a trace file once (constant memory) and
-// classifies it. Callers feed the result into
-// Spec{TracePath, ReplaySeqWrites: !info.RandomWrites}.
+// classifies its write-address randomness (the WAF sequentiality rule: >50%
+// of writes breaking consecutive order). It is the one-shot form of the
+// incremental Classifier (and is a loop over one, so the two can never
+// disagree); streaming replay classifies during the run instead. Callers
+// feed the result into Spec{TracePath, ReplaySeqWrites: !info.RandomWrites}.
 func ScanTrace(path string) (TraceInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -510,9 +459,9 @@ func ScanTrace(path string) (TraceInfo, error) {
 	}
 	defer f.Close()
 	r := trace.ParseReader(f)
-	info := ScanStream(r)
-	if err := r.Err(); err != nil {
-		return info, err
+	c := NewClassifier(0)
+	for req, ok := r.Next(); ok; req, ok = r.Next() {
+		c.Observe(req)
 	}
-	return info, nil
+	return c.Info(), r.Err()
 }

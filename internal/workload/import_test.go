@@ -7,8 +7,7 @@ import (
 )
 
 // TestReplayAutoDetectsForeignFormats proves a replay stream plays
-// committed blktrace and MSR fixtures without a conversion step, and that
-// Reset keeps the detected dialect.
+// committed blktrace and MSR fixtures without a conversion step.
 func TestReplayAutoDetectsForeignFormats(t *testing.T) {
 	cases := []struct {
 		path   string
@@ -32,28 +31,23 @@ func TestReplayAutoDetectsForeignFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.path, err)
 		}
-		for pass := 0; pass < 2; pass++ { // second pass exercises Reset
-			if pass > 0 {
-				st.Reset()
+		n, writes := 0, 0
+		for {
+			req, ok := st.Next()
+			if !ok {
+				break
 			}
-			n, writes := 0, 0
-			for {
-				req, ok := st.Next()
-				if !ok {
-					break
-				}
-				n++
-				if req.Op == trace.OpWrite {
-					writes++
-				}
+			n++
+			if req.Op == trace.OpWrite {
+				writes++
 			}
-			if err := st.Err(); err != nil {
-				t.Fatalf("%s pass %d: %v", c.path, pass, err)
-			}
-			if n != c.reqs || writes != c.writes {
-				t.Errorf("%s pass %d: %d requests (%d writes), want %d (%d)",
-					c.path, pass, n, writes, c.reqs, c.writes)
-			}
+		}
+		if err := st.Err(); err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if n != c.reqs || writes != c.writes {
+			t.Errorf("%s: %d requests (%d writes), want %d (%d)",
+				c.path, n, writes, c.reqs, c.writes)
 		}
 		// The classifier rode the stream: replay needs no pre-scan.
 		if got := st.Classification().Info().Writes; got != c.writes {

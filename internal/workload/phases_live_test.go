@@ -7,7 +7,7 @@ import (
 )
 
 // TestPhasedPhaseIndex: a phase chain reports the phase of the last
-// returned request, and rewinds on Reset.
+// returned request.
 func TestPhasedPhaseIndex(t *testing.T) {
 	spec := Spec{Phases: []Spec{
 		{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 3, Seed: 1},
@@ -31,10 +31,6 @@ func TestPhasedPhaseIndex(t *testing.T) {
 	}
 	if _, ok := g.Next(); ok {
 		t.Fatal("stream too long")
-	}
-	g.Reset()
-	if _, ok := g.Next(); !ok || g.Phase() != 0 {
-		t.Errorf("after Reset, phase = %d, want 0", g.Phase())
 	}
 	// A plain spec compiles to a one-phase chain that declares no phases.
 	plain, err := Spec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 2, Seed: 1}.Stream()
@@ -83,10 +79,5 @@ func TestPhasedLiveClassification(t *testing.T) {
 	}
 	if !cls.RandomWrites() {
 		t.Fatal("after random overwrite the trailing window still classifies sequential")
-	}
-	// Reset rewinds the classification with the stream.
-	g.Reset()
-	if cls := g.Classification(); cls.Info().Writes != 0 {
-		t.Errorf("classifier not reset: %+v", cls.Info())
 	}
 }

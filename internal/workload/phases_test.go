@@ -199,7 +199,7 @@ func FuzzParsePhases(f *testing.F) {
 // reports the phase and record flag of every request it returns, keeps
 // open-loop arrivals monotonic across phase boundaries, classifies what it
 // played, matches the spec's request and byte totals, and replays
-// identically after Reset. Each phase compiled on its
+// identically when compiled again. Each phase compiled on its
 // own is a plain one-phase stream that records everything and classifies
 // nothing.
 func FuzzStream(f *testing.F) {
@@ -264,11 +264,17 @@ func FuzzStream(f *testing.F) {
 			t.Fatalf("played %d requests (%d classified, %d bytes); spec totals %d requests, %d bytes\ninput: %q",
 				len(reqs), info.Requests, info.TotalBytes, w.TotalRequests(), w.TotalBytes(), in)
 		}
-		st.Reset()
+		again, err := w.Stream()
+		if err != nil {
+			t.Fatalf("spec does not compile twice: %v\ninput: %q", err, in)
+		}
 		for i, want := range reqs {
-			if got, ok := st.Next(); !ok || got != want {
-				t.Fatalf("after Reset request %d = %+v (ok=%v), want %+v\ninput: %q", i, got, ok, want, in)
+			if got, ok := again.Next(); !ok || got != want {
+				t.Fatalf("second compile request %d = %+v (ok=%v), want %+v\ninput: %q", i, got, ok, want, in)
 			}
+		}
+		if _, ok := again.Next(); ok {
+			t.Fatalf("second compile plays more than %d requests\ninput: %q", len(reqs), in)
 		}
 		for p, ph := range w.Phases {
 			plain, err := ph.Stream()

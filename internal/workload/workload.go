@@ -20,15 +20,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Generator supplies host requests one at a time. It is structurally a
-// trace.Stream; a Spec's Generator is its compiled Stream, which also
+// Generator supplies host requests one at a time: the pull contract is
+// trace.Stream's. A Spec's Generator is its compiled Stream, which also
 // implements io.Closer and Err() error.
-type Generator interface {
-	// Next returns the next request, or ok=false when the stream ends.
-	Next() (req trace.Request, ok bool)
-	// Reset rewinds the generator to its first request.
-	Reset()
-}
+type Generator = trace.Stream
 
 // SkewKind selects the address-distribution model of a synthetic workload.
 type SkewKind uint8

@@ -56,25 +56,29 @@ func TestPatternStreamsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestGeneratorResetReplaysIdentically: a stream is a deterministic
+// function of its spec, so compiling the spec again replays it identically.
 func TestGeneratorResetReplaysIdentically(t *testing.T) {
 	spec := Spec{
 		Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 500, Seed: 3,
 		WriteFrac: 0.3, Skew: Skew{Kind: SkewZipf, Theta: 0.99},
 		Arrival: Arrival{Kind: ArrivalPoisson, RateIOPS: 50000},
 	}
-	g, err := spec.Generator()
-	if err != nil {
-		t.Fatal(err)
+	var runs [2][]trace.Request
+	for i := range runs {
+		g, err := spec.Generator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = drain(t, g)
 	}
-	a := drain(t, g)
-	g.Reset()
-	b := drain(t, g)
+	a, b := runs[0], runs[1]
 	if len(a) != 500 || len(b) != 500 {
 		t.Fatalf("lengths %d/%d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("reset diverged at %d: %+v vs %+v", i, a[i], b[i])
+			t.Fatalf("second compile diverged at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -262,12 +266,18 @@ func TestPhasesConcatenateAndOffsetArrivals(t *testing.T) {
 		t.Fatalf("phase 2 arrival %v does not continue after phase 1 end %v",
 			reqs[100].ArrivalUS, reqs[99].ArrivalUS)
 	}
-	// Reset replays the whole scenario.
-	g.Reset()
+	// Compiling the spec again replays the whole scenario.
+	g, err = spec.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
 	again := drain(t, g)
+	if len(again) != len(reqs) {
+		t.Fatalf("second compile played %d requests, want %d", len(again), len(reqs))
+	}
 	for i := range reqs {
 		if reqs[i] != again[i] {
-			t.Fatalf("phased reset diverged at %d", i)
+			t.Fatalf("phased second compile diverged at %d", i)
 		}
 	}
 }
@@ -304,10 +314,6 @@ func TestReplayStreamsTraceFile(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("request %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-	g.Reset()
-	if again := drain(t, g); len(again) != len(want) {
-		t.Fatalf("reset replay %d requests", len(again))
 	}
 }
 

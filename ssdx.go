@@ -211,16 +211,6 @@ type TraceInfo = workload.TraceInfo
 // first touch.
 func ScanTraceFile(path string) (TraceInfo, error) { return workload.ScanTrace(path) }
 
-// RunTrace executes an explicit request list (e.g. a parsed trace file)
-// against a platform configuration in ModeFull.
-func RunTrace(cfg Config, reqs []trace.Request) (Result, error) {
-	p, err := core.Build(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.RunRequests(reqs)
-}
-
 // --- multi-queue host interface (tenant-aware QoS) --------------------------
 //
 // The nvme layer is the NVMe-style front end: N submission/completion queue
@@ -478,4 +468,10 @@ func JournalCompletedKeys(entries []JournalEntry) map[string]bool {
 // replay option, Workload's may-read and read-span predicates, and
 // TenantSet's may-read, read-span and has-replay predicates. Every read now
 // preloads its page on first touch.
-const Version = "1.10.0"
+// 1.11.0 removed the request-list runners (the package-level trace runner
+// and the platform's request-list method): a request list replays through
+// WriteTraceFile and Workload{TracePath}, the one replay path. Streams are
+// pull-only: Generator, the trace streams and the write classifier lost
+// their rewind, the slice stream its remaining-count accessor, and the
+// one-shot stream scan folded into ScanTraceFile.
+const Version = "1.11.0"
