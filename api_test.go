@@ -2,7 +2,8 @@ package ssdx
 
 // Integration tests of the public API and the experiment harness, at reduced
 // scale. These are the end-to-end checks a downstream user of the library
-// relies on; the full-scale published numbers live in EXPERIMENTS.md.
+// relies on; the full-scale numbers come from the cmd/ tools listed under
+// "Reproducing the paper's figures" in README.md.
 
 import (
 	"context"

@@ -2,9 +2,8 @@ package ssdx
 
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (scaled-down per iteration so `go test -bench` stays tractable;
-// the full-size published numbers come from the cmd/ tools and are recorded
-// in EXPERIMENTS.md), plus ablation benches for the design choices DESIGN.md
-// calls out and microbenches for the hot substrates.
+// the full-size numbers come from the cmd/ tools), plus ablation benches for
+// the model's design choices and microbenches for the hot substrates.
 
 import (
 	"testing"

@@ -17,14 +17,14 @@ import (
 // This file implements the paper's evaluation harness: one function per
 // table/figure, each regenerating the rows/series the paper reports. The
 // CLI tools under cmd/ and the root bench_test.go are thin wrappers over
-// these. Scale parameters let benches run reduced instances; the published
-// EXPERIMENTS.md numbers use Scale = 1.
+// these. Scale parameters let benches run reduced instances; the cmd/
+// tools default to Scale = 1, the paper's full size.
 
 // Fig2References are the real-device throughputs used as the validation
 // baseline. The paper compares against an OCZ Vertex 120 GB under IOZone
 // 4 KB patterns; the drive itself is unavailable, so these references are
 // estimated from the paper's Fig. 2 bar heights and period reviews of the
-// Vertex/Barefoot platform (see EXPERIMENTS.md).
+// Vertex/Barefoot platform.
 var Fig2References = map[trace.Pattern]float64{
 	trace.SeqWrite:  165,
 	trace.SeqRead:   240,

@@ -21,7 +21,8 @@ import (
 // so the relocation prep, its read records and the ECC jobs are covered
 // too. Its bound is looser: each relocation keeps two hop closures, the
 // mapper returns a fresh op list per write, and the controller's op pool
-// and the read pool grow to the deep in-flight peak GC traffic builds.
+// and the read pool grow to the deep in-flight peak GC traffic builds. It
+// sits at the measured 9.4, so one more allocation per ten commands fails.
 func TestDataPathAllocsPerCommand(t *testing.T) {
 	const reqs = 20000
 	vertex := config.Vertex()
@@ -40,7 +41,7 @@ func TestDataPathAllocsPerCommand(t *testing.T) {
 			Pattern: trace.RandWrite, WriteFrac: 0.7,
 			Skew:      workload.Skew{Kind: workload.SkewZipf, Theta: 0.9},
 			BlockSize: 4096, SpanBytes: 128 << 20,
-		}, 10},
+		}, 9.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := Build(tc.cfg)
@@ -67,7 +68,7 @@ func TestDataPathAllocsPerCommand(t *testing.T) {
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / reqs
 			t.Logf("%s: %.1f mallocs, %.0f B per command (%d GC copies)", tc.name, per, bytes, res.GCCopies)
 			if per > tc.bound {
-				t.Fatalf("%s: %.1f mallocs per command, bound %.0f", tc.name, per, tc.bound)
+				t.Fatalf("%s: %.1f mallocs per command, bound %g", tc.name, per, tc.bound)
 			}
 		})
 	}

@@ -48,7 +48,7 @@ func TestModeNames(t *testing.T) {
 
 // TestVertexValidation is the Fig. 2 experiment in miniature: the simulated
 // Vertex-class platform must land within the paper's error bands around the
-// documented reference throughputs (see EXPERIMENTS.md for the references).
+// reference throughputs (ssdx.Fig2References, in experiments.go).
 func TestVertexValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

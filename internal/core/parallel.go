@@ -145,7 +145,7 @@ func (p *Platform) buildChannels(gang ctrl.GangMode) error {
 			Ways:       cfg.Ways,
 			DiesPerWay: cfg.DiesPerWay,
 			Gang:       gang,
-		}, p.geo, p.tim, m, buf, p.rng.Fork(uint64(c+101)))
+		}, &p.geo, &p.tim, m, buf, p.rng.Fork(uint64(c+101)))
 		if err != nil {
 			return err
 		}

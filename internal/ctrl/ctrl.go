@@ -112,7 +112,7 @@ type Channel struct {
 	ppDMA *amba.Master // push-pull DMA's AHB master port
 	buf   *dram.Buffer // DRAM buffer serving this channel
 
-	tim nand.Timing
+	tim *nand.Timing
 
 	Stats Stats
 
@@ -154,8 +154,9 @@ func (ch *Channel) adv(sp *telemetry.Span, st telemetry.Stage, at sim.Time) {
 	sp.Advance(st, at)
 }
 
-// New builds a channel controller with its dies attached.
-func New(k *sim.Kernel, id int, cfg Config, geo nand.Geometry, tim nand.Timing,
+// New builds a channel controller with its dies attached. The channel and
+// its dies share geo and tim (see nand.NewDie).
+func New(k *sim.Kernel, id int, cfg Config, geo *nand.Geometry, tim *nand.Timing,
 	ppDMA *amba.Master, buf *dram.Buffer, rng *sim.RNG) (*Channel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -32,7 +32,8 @@ func newRig(t *testing.T, cfg Config, tim nand.Timing) *rig {
 		t.Fatal(err)
 	}
 	tim.JitterPct = 0
-	ch, err := New(k, 0, cfg, nand.SmallGeometry(), tim, m, buf, sim.NewRNG(1))
+	geo := nand.SmallGeometry()
+	ch, err := New(k, 0, cfg, &geo, &tim, m, buf, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}

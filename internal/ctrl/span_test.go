@@ -146,7 +146,8 @@ func benchRig(tb testing.TB) *rig {
 	}
 	tim := nand.ProfileExplore()
 	tim.JitterPct = 0
-	ch, err := New(k, 0, Config{Ways: 1, DiesPerWay: 1}, nand.SmallGeometry(), tim, m, buf, sim.NewRNG(1))
+	geo := nand.SmallGeometry()
+	ch, err := New(k, 0, Config{Ways: 1, DiesPerWay: 1}, &geo, &tim, m, buf, sim.NewRNG(1))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -81,7 +81,8 @@ type Stats struct {
 type unitState struct {
 	activeBlock int
 	nextPage    int
-	freeBlocks  []int // stack of erased block ids
+	freeBlocks  []int  // stack of erased block ids
+	free        []bool // free[b]: block b is in freeBlocks
 }
 
 // Mapper is a page-mapped FTL: logical page -> physical page with greedy
@@ -143,8 +144,10 @@ func NewMapper(geo Geometry, logicalPages int64) (*Mapper, error) {
 		us := &m.units[u]
 		us.activeBlock = -1
 		us.freeBlocks = make([]int, geo.BlocksPerUnit)
+		us.free = make([]bool, geo.BlocksPerUnit)
 		for b := range us.freeBlocks {
 			us.freeBlocks[b] = geo.BlocksPerUnit - 1 - b
+			us.free[b] = true
 		}
 	}
 	return m, nil
@@ -177,6 +180,7 @@ func (m *Mapper) popFreeBlock(u int) int {
 	}
 	blk := us.freeBlocks[bestIdx]
 	us.freeBlocks = append(us.freeBlocks[:bestIdx], us.freeBlocks[bestIdx+1:]...)
+	us.free[blk] = false
 	return blk
 }
 
@@ -219,15 +223,11 @@ func (m *Mapper) bind(lpn int64, p PPN) {
 // appending the required physical ops.
 func (m *Mapper) gcUnit(u int, ops []Op) []Op {
 	us := &m.units[u]
-	inFree := make(map[int]bool, len(us.freeBlocks))
-	for _, b := range us.freeBlocks {
-		inFree[b] = true
-	}
 	// Greedy victim: fewest valid pages; ties broken toward the
 	// least-worn block so reclamation wear spreads evenly.
 	victim, best := -1, m.geo.PagesPerBlock+1
 	for b := 0; b < m.geo.BlocksPerUnit; b++ {
-		if b == us.activeBlock || inFree[b] {
+		if b == us.activeBlock || us.free[b] {
 			continue
 		}
 		v := m.valid[u][b]
@@ -257,12 +257,19 @@ func (m *Mapper) gcUnit(u int, ops []Op) []Op {
 		m.Stats.PhysPrograms++
 		ops = append(ops, Op{Kind: OpCopy, Target: dst, Source: src})
 	}
-	m.valid[u][victim] = 0
-	m.pe[u][victim]++
-	us.freeBlocks = append(us.freeBlocks, victim)
+	return m.recycle(u, victim, ops)
+}
+
+// recycle erases block b of unit u, whose valid pages have been relocated,
+// and returns it to the unit's free pool.
+func (m *Mapper) recycle(u, b int, ops []Op) []Op {
+	us := &m.units[u]
+	m.valid[u][b] = 0
+	m.pe[u][b]++
+	us.freeBlocks = append(us.freeBlocks, b)
+	us.free[b] = true
 	m.Stats.Erases++
-	ops = append(ops, Op{Kind: OpErase, Target: m.geo.Compose(u, victim, 0)})
-	return ops
+	return append(ops, Op{Kind: OpErase, Target: m.geo.Compose(u, b, 0)})
 }
 
 // maybeStaticWL relocates the coldest data block of unit u when the unit's
@@ -270,17 +277,13 @@ func (m *Mapper) gcUnit(u int, ops []Op) []Op {
 // blocks pinned by static data never cycle and hot blocks wear out first).
 func (m *Mapper) maybeStaticWL(u int, ops []Op) []Op {
 	us := &m.units[u]
-	inFree := make(map[int]bool, len(us.freeBlocks))
-	for _, b := range us.freeBlocks {
-		inFree[b] = true
-	}
 	coldest, coldPE := -1, int(^uint(0)>>1)
 	hotPE := 0
 	for b := 0; b < m.geo.BlocksPerUnit; b++ {
 		if pe := m.pe[u][b]; pe > hotPE {
 			hotPE = pe
 		}
-		if b == us.activeBlock || inFree[b] {
+		if b == us.activeBlock || us.free[b] {
 			continue
 		}
 		if pe := m.pe[u][b]; pe < coldPE {
@@ -307,12 +310,7 @@ func (m *Mapper) maybeStaticWL(u int, ops []Op) []Op {
 		m.Stats.PhysPrograms++
 		ops = append(ops, Op{Kind: OpCopy, Target: dst, Source: src})
 	}
-	m.valid[u][coldest] = 0
-	m.pe[u][coldest]++
-	us.freeBlocks = append(us.freeBlocks, coldest)
-	m.Stats.Erases++
-	ops = append(ops, Op{Kind: OpErase, Target: m.geo.Compose(u, coldest, 0)})
-	return ops
+	return m.recycle(u, coldest, ops)
 }
 
 // Write maps a logical page write, running garbage collection first when the

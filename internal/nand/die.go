@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -23,16 +24,39 @@ var (
 // chunkBlocks is the number of consecutive blocks whose state is
 // materialised together. A run touches few blocks per plane (a sequential
 // write fills one block at a time), so a small chunk keeps the state of
-// each write frontier to a few hundred bytes.
-const chunkBlocks = 16
+// each write frontier small: at DefaultGeometry's 128 pages, a chunk holds
+// 4 × (4 B frontier + 8 B P/E delta + 16 B bitmap) = 112 B, and its entry
+// in the plane's list 8 B more. A sequential write, which fills one block
+// on each of a die's two planes, holds 240 B of block state per die.
+const chunkBlocks = 4
 
-// plane is a set of blocks sharing a page register. Its blocks live in a
-// two-level table: chunks[b/chunkBlocks] names the die chunk that holds
-// block b, 0 while no block in that chunk has been programmed, preloaded
-// or erased. The table itself stays nil until the plane's first touch. An
-// untouched block reads as erased at the die's base P/E count.
+// plane is a set of blocks sharing a page register. Its touched chunks are
+// listed in chunks, sorted by chunk index: each entry packs the plane's
+// chunk index ci (block b lies in chunk b/chunkBlocks) above the die chunk
+// number that holds its state, ci<<32 | dieChunk. A chunk is listed once a
+// block in it has been programmed, preloaded or erased; the list stays nil
+// until the plane's first touch. An untouched block reads as erased at the
+// die's base P/E count.
 type plane struct {
-	chunks []int32 // die chunk number + 1, 0 = untouched
+	chunks []uint64
+}
+
+// find returns the position of chunk index ci in the plane's sorted list,
+// or where it would be inserted, and whether it is there.
+//
+//ssdx:hotpath
+func (pl *plane) find(ci int) (int, bool) {
+	t := pl.chunks
+	lo, hi := 0, len(t)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(t[m]>>32) < ci {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t) && int(t[lo]>>32) == ci
 }
 
 // Stats aggregates operation counters for one die.
@@ -59,8 +83,8 @@ type Stats struct {
 // parallelism the paper's exploration experiments quantify.
 type Die struct {
 	ID  int
-	geo Geometry
-	tim Timing
+	geo *Geometry // shared by every die of a platform
+	tim *Timing   // shared by every die of a platform
 	k   *sim.Kernel
 	rng *sim.RNG
 
@@ -83,8 +107,10 @@ type Die struct {
 
 // NewDie builds a die. rng drives timing jitter; pass a forked stream so
 // dies vary independently (die-to-die variation). Block state is built on
-// first touch, so a die costs the same to build whatever its capacity.
-func NewDie(k *sim.Kernel, id int, geo Geometry, tim Timing, rng *sim.RNG) (*Die, error) {
+// first touch, so a die costs the same to build whatever its capacity. The
+// die keeps geo and tim rather than copying them, so that every die of a
+// platform shares one pair; neither may change once a die is built on it.
+func NewDie(k *sim.Kernel, id int, geo *Geometry, tim *Timing, rng *sim.RNG) (*Die, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
@@ -100,30 +126,30 @@ func NewDie(k *sim.Kernel, id int, geo Geometry, tim Timing, rng *sim.RNG) (*Die
 
 // block returns the handle of block b of plane p, or -1 while its chunk
 // is untouched. It never allocates.
+//
+//ssdx:hotpath
 func (d *Die) block(p, b int) int {
-	t := d.planes[p].chunks
-	if ci := b / chunkBlocks; ci < len(t) && t[ci] != 0 {
-		return int(t[ci]-1)*chunkBlocks + b%chunkBlocks
+	pl := &d.planes[p]
+	if i, ok := pl.find(b / chunkBlocks); ok {
+		return int(uint32(pl.chunks[i]))*chunkBlocks + b%chunkBlocks
 	}
 	return -1
 }
 
-// touch is block that materialises the plane's table and the block's
-// chunk on first use. Erase keeps a chunk, so reprogramming a block never
-// allocates again.
+// touch is block that materialises the block's chunk on first use,
+// inserting it into the plane's sorted list. Erase keeps a chunk, so
+// reprogramming a block never allocates again.
 func (d *Die) touch(p, b int) int {
 	pl := &d.planes[p]
-	if pl.chunks == nil {
-		pl.chunks = make([]int32, (d.geo.BlocksPerPlane+chunkBlocks-1)/chunkBlocks)
-	}
-	ci := b / chunkBlocks
-	if pl.chunks[ci] == 0 {
+	i, ok := pl.find(b / chunkBlocks)
+	if !ok {
+		dc := uint64(len(d.next) / chunkBlocks)
 		d.next = append(d.next, make([]int32, chunkBlocks)...)
 		d.peDelta = append(d.peDelta, make([]int64, chunkBlocks)...)
 		d.pages = append(d.pages, make([]uint64, chunkBlocks*d.words)...)
-		pl.chunks[ci] = int32(len(d.next) / chunkBlocks)
+		pl.chunks = slices.Insert(pl.chunks, i, uint64(b/chunkBlocks)<<32|dc)
 	}
-	return int(pl.chunks[ci]-1)*chunkBlocks + b%chunkBlocks
+	return int(uint32(pl.chunks[i]))*chunkBlocks + b%chunkBlocks
 }
 
 // programmed reports whether page of block handle h holds data.
@@ -158,10 +184,10 @@ func (d *Die) peOf(h int) int64 {
 }
 
 // Geometry returns the die geometry.
-func (d *Die) Geometry() Geometry { return d.geo }
+func (d *Die) Geometry() Geometry { return *d.geo }
 
 // Timing returns the die timing profile.
-func (d *Die) Timing() Timing { return d.tim }
+func (d *Die) Timing() Timing { return *d.tim }
 
 // Ready reports whether the die can accept a new array operation now
 // (the RB# pin in ONFI terms).
@@ -230,7 +256,7 @@ func (d *Die) begin(dur sim.Time, done func()) {
 // Read senses a page into the plane register (tR). done fires when the data
 // is ready for bus transfer. Returns the array time used.
 func (d *Die) Read(a Addr, done func()) (sim.Time, error) {
-	if err := a.Check(d.geo); err != nil {
+	if err := a.Check(*d.geo); err != nil {
 		return 0, ErrBadAddress
 	}
 	if !d.Ready() {
@@ -250,7 +276,7 @@ func (d *Die) Read(a Addr, done func()) (sim.Time, error) {
 // the die returns to ready. Pages in a block must be programmed in order and
 // only after erase, per MLC constraints.
 func (d *Die) Program(a Addr, done func()) (sim.Time, error) {
-	if err := a.Check(d.geo); err != nil {
+	if err := a.Check(*d.geo); err != nil {
 		return 0, ErrBadAddress
 	}
 	if !d.Ready() {
@@ -286,7 +312,7 @@ func (d *Die) MultiPlaneProgram(addrs []Addr, done func()) (sim.Time, error) {
 		return 0, ErrBusy
 	}
 	for i, a := range addrs {
-		if err := a.Check(d.geo); err != nil {
+		if err := a.Check(*d.geo); err != nil {
 			return 0, ErrBadAddress
 		}
 		// Plane distinctness checked pairwise: batches are at most
@@ -349,7 +375,7 @@ func (d *Die) EraseBlock(planeIdx, blockIdx int, done func()) (sim.Time, error) 
 // before a read workload starts (IOZone reads follow writes; re-simulating
 // the fill would only waste wall-clock time).
 func (d *Die) Preload(a Addr) error {
-	if err := a.Check(d.geo); err != nil {
+	if err := a.Check(*d.geo); err != nil {
 		return ErrBadAddress
 	}
 	d.markProgrammed(a.Plane, a.Block, a.Page)
@@ -358,7 +384,7 @@ func (d *Die) Preload(a Addr) error {
 
 // PageProgrammed reports whether a page currently holds data.
 func (d *Die) PageProgrammed(a Addr) (bool, error) {
-	if err := a.Check(d.geo); err != nil {
+	if err := a.Check(*d.geo); err != nil {
 		return false, ErrBadAddress
 	}
 	return d.programmed(d.block(a.Plane, a.Block), a.Page), nil

@@ -178,10 +178,12 @@ func (r *refDie) avgWear() float64 {
 	return float64(total) / float64(n) / float64(r.tim.RatedPE)
 }
 
-// fuzzGeometry spans two full chunks and a partial third, with pages
-// spilling into a second bitmap word.
+// fuzzGeometry spans eight full 4-block chunks and a partial ninth per
+// plane, so that a plane's sorted chunk list grows deep enough for
+// insertions before, between and after listed chunks; its pages spill into
+// a second bitmap word.
 func fuzzGeometry() Geometry {
-	return Geometry{PlanesPerDie: 2, BlocksPerPlane: 2*chunkBlocks + 3, PagesPerBlock: 70, PageBytes: 4096}
+	return Geometry{PlanesPerDie: 2, BlocksPerPlane: 35, PagesPerBlock: 70, PageBytes: 4096}
 }
 
 // Die operations as FuzzDie decodes them: every operation is four bytes
@@ -207,6 +209,10 @@ func FuzzDie(f *testing.F) {
 	geo := fuzzGeometry()
 	last := byte(geo.BlocksPerPlane - 1)
 	cb := byte(chunkBlocks)
+	nc := byte((geo.BlocksPerPlane + chunkBlocks - 1) / chunkBlocks)
+	if nc < 8 {
+		f.Fatalf("fuzz geometry holds %d chunks per plane, want at least 8", nc)
+	}
 	seq := func(ops ...[4]byte) []byte {
 		var b []byte
 		for _, op := range ops {
@@ -249,13 +255,40 @@ func FuzzDie(f *testing.F) {
 		[4]byte{fzMultiPlane | 1<<3 | 1<<6, 0, 5, fzFrontier}, [4]byte{fzPreload, 0, 9, 64},
 		[4]byte{fzProgram, 0, 9, fzFrontier}, [4]byte{fzRead | fzNoRun, 0, 9, 64},
 		[4]byte{fzRun, 0, 0, 0}, [4]byte{fzRead, 0, 9, 63}))
+	// Chunks touched in descending order, so that each insertion goes to
+	// the front of the plane's list, then read and erased again.
+	var desc [][4]byte
+	for c := nc; c > 0; c-- {
+		b := (c-1)*cb + (c-1)%cb
+		desc = append(desc,
+			[4]byte{fzProgram, 0, b, fzFrontier}, [4]byte{fzErase, 1, b, 0},
+			[4]byte{fzRead, 0, b, 0})
+	}
+	for c := byte(0); c < nc; c++ {
+		desc = append(desc, [4]byte{fzRead, 0, c * cb, 0}, [4]byte{fzErase, 0, c*cb + c%cb, 0})
+	}
+	f.Add(seq(desc...))
+	// Chunks touched from both ends toward the middle, so that insertions
+	// land between listed chunks.
+	var inter [][4]byte
+	for lo, hi := byte(0), nc-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		for _, c := range []byte{lo, hi} {
+			inter = append(inter,
+				[4]byte{fzPreload, c % 2, c*cb + 1, 3}, [4]byte{fzProgram, c % 2, c*cb + 1, fzFrontier},
+				[4]byte{fzMultiPlane | 1<<3, 0, c * cb, fzFrontier})
+		}
+	}
+	for c := byte(0); c < nc; c++ {
+		inter = append(inter, [4]byte{fzRead, c % 2, c*cb + 1, 4}, [4]byte{fzRead, 1, c * cb, 0})
+	}
+	f.Add(seq(inter...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4*512 {
 			return
 		}
 		k := sim.NewKernel()
 		tim := ProfileExplore()
-		d, err := NewDie(k, 0, geo, tim, sim.NewRNG(3))
+		d, err := NewDie(k, 0, &geo, &tim, sim.NewRNG(3))
 		if err != nil {
 			t.Fatal(err)
 		}

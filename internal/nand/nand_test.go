@@ -3,6 +3,7 @@ package nand
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -12,7 +13,8 @@ func newTestDie(t *testing.T) (*sim.Kernel, *Die) {
 	k := sim.NewKernel()
 	tim := ProfileExplore()
 	tim.JitterPct = 0 // deterministic timing for assertions
-	d, err := NewDie(k, 0, SmallGeometry(), tim, sim.NewRNG(1))
+	geo := SmallGeometry()
+	d, err := NewDie(k, 0, &geo, &tim, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,8 @@ func TestJitterBounds(t *testing.T) {
 	k := sim.NewKernel()
 	tim := ProfileExplore()
 	tim.JitterPct = 0.05
-	d, err := NewDie(k, 0, SmallGeometry(), tim, sim.NewRNG(99))
+	geo := SmallGeometry()
+	d, err := NewDie(k, 0, &geo, &tim, sim.NewRNG(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +330,12 @@ func TestStateMachineShadowProperty(t *testing.T) {
 		k := sim.NewKernel()
 		tim := ProfileExplore()
 		tim.JitterPct = 0
-		d, err := NewDie(k, 0, SmallGeometry(), tim, sim.NewRNG(seed))
+		geo := SmallGeometry()
+		d, err := NewDie(k, 0, &geo, &tim, sim.NewRNG(seed))
 		if err != nil {
 			return false
 		}
 		rng := sim.NewRNG(seed)
-		geo := SmallGeometry()
 		type key struct{ p, b, pg int }
 		shadow := map[key]bool{}
 		nextPage := map[[2]int]int{}
@@ -444,19 +447,35 @@ func TestPreloadAdvancesWriteFrontier(t *testing.T) {
 }
 
 // chunksIn counts the materialised chunks of every plane of d, checking
-// that the die's block arrays hold exactly those chunks.
+// that each plane lists its chunks in strictly ascending chunk-index order,
+// that every die chunk number is named exactly once, and that the die's
+// block arrays hold exactly those chunks.
 func chunksIn(t *testing.T, d *Die) int {
 	t.Helper()
 	n := 0
+	seen := map[uint32]bool{}
 	for p := range d.planes {
-		for _, c := range d.planes[p].chunks {
-			if c != 0 {
-				n++
+		for i, e := range d.planes[p].chunks {
+			if i > 0 && e>>32 <= d.planes[p].chunks[i-1]>>32 {
+				t.Fatalf("plane %d lists chunk %d after chunk %d", p, e>>32, d.planes[p].chunks[i-1]>>32)
 			}
+			if int(e>>32)*chunkBlocks >= d.geo.BlocksPerPlane {
+				t.Fatalf("plane %d lists chunk %d outside the geometry", p, e>>32)
+			}
+			if seen[uint32(e)] {
+				t.Fatalf("die chunk %d is listed twice", uint32(e))
+			}
+			seen[uint32(e)] = true
+			n++
 		}
 	}
 	if len(d.next) != n*chunkBlocks || len(d.peDelta) != n*chunkBlocks || len(d.pages) != n*chunkBlocks*d.words {
 		t.Fatalf("block arrays hold %d blocks for %d chunks", len(d.next), n)
+	}
+	for dc := range seen {
+		if int(dc) >= n {
+			t.Fatalf("die chunk %d named, but only %d chunks are held", dc, n)
+		}
 	}
 	return n
 }
@@ -467,32 +486,38 @@ func TestLazyStateMemory(t *testing.T) {
 	// of untouched blocks allocate nothing.
 	k := sim.NewKernel()
 	geo := DefaultGeometry()
-	d, err := NewDie(k, 0, geo, ProfileExplore(), sim.NewRNG(1))
+	tim := ProfileExplore()
+	d, err := NewDie(k, 0, &geo, &tim, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for p := range d.planes {
 		if d.planes[p].chunks != nil {
-			t.Fatalf("fresh die materialised plane %d's chunk table", p)
+			t.Fatalf("fresh die materialised plane %d's chunk list", p)
 		}
+	}
+	if n := chunksIn(t, d); n != 0 {
+		t.Fatalf("fresh die holds %d chunks", n)
 	}
 	if _, err := d.Program(Addr{0, 100, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	k.RunAll()
-	if n := chunksIn(t, d); n != 1 || d.planes[0].chunks[100/chunkBlocks] == 0 {
-		t.Fatalf("programming block 100 materialised %d chunks, want only its own", n)
+	if _, ok := d.planes[0].find(100 / chunkBlocks); !ok || chunksIn(t, d) != 1 {
+		t.Fatalf("programming block 100 materialised %d chunks, want only its own", chunksIn(t, d))
 	}
 	if d.planes[1].chunks != nil {
-		t.Fatal("programming plane 0 materialised plane 1's chunk table")
+		t.Fatal("programming plane 0 materialised plane 1's chunk list")
 	}
 
 	last := geo.BlocksPerPlane - 1
 	untouched := []Addr{
 		{0, 101, 0},  // same chunk as block 100
+		{0, 96, 0},   // chunk just below block 100's
+		{0, 104, 0},  // chunk just above block 100's
 		{0, 500, 0},  // untouched chunk, materialised plane
 		{0, last, 0}, // last block of a materialised plane
-		{1, 100, 0},  // plane with no chunk table
+		{1, 100, 0},  // plane with no chunk list
 		{1, last, geo.PagesPerBlock - 1},
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -521,5 +546,91 @@ func TestLazyStateMemory(t *testing.T) {
 	}
 	if n := chunksIn(t, d); n != 1 {
 		t.Fatalf("queries materialised chunks: %d, want 1", n)
+	}
+}
+
+// blockStateBytes is the capacity, in bytes, of every slice that holds
+// d's block state: the planes' chunk lists and the die's block arrays.
+func blockStateBytes(d *Die) int {
+	n := cap(d.next)*int(unsafe.Sizeof(d.next[0])) +
+		cap(d.peDelta)*int(unsafe.Sizeof(d.peDelta[0])) +
+		cap(d.pages)*int(unsafe.Sizeof(d.pages[0]))
+	for p := range d.planes {
+		n += cap(d.planes[p].chunks) * int(unsafe.Sizeof(d.planes[p].chunks[0]))
+	}
+	return n
+}
+
+func TestBlockStateBytesSequentialWrite(t *testing.T) {
+	// Table III C8's sequential write fills one block per plane of each
+	// die with multi-plane programs; across 8192 dies, every byte of that
+	// state costs 8 KB of heap. At DefaultGeometry it is two 4-block chunks
+	// and two 8-byte list entries: 240 B.
+	const bound = 256
+	k := sim.NewKernel()
+	geo := DefaultGeometry()
+	tim := ProfileExplore()
+	d, err := NewDie(k, 0, &geo, &tim, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pg := 0; pg < geo.PagesPerBlock; pg++ {
+		if _, err := d.MultiPlaneProgram([]Addr{{0, 7, pg}, {1, 7, pg}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		k.RunAll()
+	}
+	if n := chunksIn(t, d); n != 2 {
+		t.Fatalf("one block on each of 2 planes materialised %d chunks, want 2", n)
+	}
+	got := blockStateBytes(d)
+	if got > bound {
+		t.Fatalf("block state of one block per plane holds %d B, want at most %d", got, bound)
+	}
+	t.Logf("block state of one block per plane: %d B", got)
+}
+
+// BenchmarkDieProgramRead programs a page on a touched block, then reads
+// it back, cycling over blocks spread across both planes so that each
+// lookup searches a plane's chunk list; a full block is erased in place.
+func BenchmarkDieProgramRead(b *testing.B) {
+	k := sim.NewKernel()
+	geo := DefaultGeometry()
+	tim := ProfileExplore()
+	d, err := NewDie(k, 0, &geo, &tim, sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var blocks []Addr
+	for p := 0; p < geo.PlanesPerDie; p++ {
+		for blk := 3; blk < geo.BlocksPerPlane; blk += 61 {
+			blocks = append(blocks, Addr{Plane: p, Block: blk})
+			if _, err := d.EraseBlock(p, blk, nil); err != nil {
+				b.Fatal(err)
+			}
+			k.RunAll()
+		}
+	}
+	done := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := &blocks[i%len(blocks)]
+		if a.Page == geo.PagesPerBlock {
+			if _, err := d.EraseBlock(a.Plane, a.Block, done); err != nil {
+				b.Fatal(err)
+			}
+			k.RunAll()
+			a.Page = 0
+		}
+		if _, err := d.Program(*a, done); err != nil {
+			b.Fatal(err)
+		}
+		k.RunAll()
+		if _, err := d.Read(*a, done); err != nil {
+			b.Fatal(err)
+		}
+		k.RunAll()
+		a.Page++
 	}
 }

@@ -4,9 +4,9 @@
 // queue, clock domains for cycle-edge alignment, and simple server/queue
 // primitives for modeling shared hardware resources.
 //
-// The event queue holds no pointers of its own: events live by value in a
-// binary heap on (at, seq), and events due at the current time skip the
-// heap for a FIFO lane. Scheduled work cannot be cancelled; models that
+// Events live by value in a binary heap on (at, seq), and events due at
+// the current time skip the heap for a FIFO lane; each event's one pointer
+// is its callback. Scheduled work cannot be cancelled; models that
 // need to wait on a resource queue a record behind a pre-bound callback
 // instead of allocating a closure per step.
 //

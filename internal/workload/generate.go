@@ -65,7 +65,9 @@ func (s Spec) Stream() (*Stream, error) {
 }
 
 // FromRequests compiles an explicit request list into a one-phase stream
-// that records every request and classifies nothing.
+// that records every request and classifies nothing. It is a test fixture:
+// the hostif and core tests drive the host players with literal request
+// lists through it, and no simulator path calls it.
 func FromRequests(reqs []trace.Request) *Stream {
 	return &Stream{srcs: []source{sliceSource{SliceStream: trace.NewSliceStream(reqs)}}, recs: []bool{true}, curRec: true}
 }
