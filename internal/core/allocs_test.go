@@ -9,20 +9,21 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDataPathAllocsPerCommand pins the heap allocations one host command
-// costs in ModeFull. Host commands travel as records (the host interface's
-// link and pull steps, the platform's per-command record with its two bound
-// steps and the CPU complex's per-core grant), and flash dispatch rides
-// pooled records (program, read, batch completion, ECC job), so what
-// remains is the command itself and its record; a closure chain creeping
-// back into any of those stages shows up here as extra allocations per
-// request. The Vertex case runs the mapper FTL with ECC on and a spare
-// area small enough that GC relocates about one page per three commands,
-// so the relocation prep, its read records and the ECC jobs are covered
-// too. Its bound is looser: each relocation keeps two hop closures, the
-// mapper returns a fresh op list per write, and the controller's op pool
-// and the read pool grow to the deep in-flight peak GC traffic builds. It
-// sits at the measured 9.4, so one more allocation per ten commands fails.
+// TestDataPathAllocsPerCommand pins the heap allocations and bytes one
+// host command costs in ModeFull. Host commands and the platform's
+// per-command records recycle through capped pools, the host interface's
+// link and pull steps and the CPU complex's per-core grant are bound once,
+// flash dispatch rides pooled records (program, read, batch completion, ECC
+// job) and the mapper reuses one op list, so what remains is pool warm-up
+// to the in-flight peak and the completion log behind the tail throughput;
+// a closure chain or an unpooled record creeping back into any stage shows
+// up here. The Vertex case runs the mapper FTL with ECC on and a spare area
+// small enough that GC relocates about one page per three commands, so the
+// relocation prep, its read records and the ECC jobs are covered too. Its
+// bound is looser: each relocation keeps two hop closures, and the
+// controller's op pool and the read pool grow to the deep in-flight peak GC
+// traffic builds. Measured: seq-write 1.0 mallocs and 83 B, rand-read 0.1
+// and 39 B, vertex-mapper-ecc 4.8 and 262 B per command.
 func TestDataPathAllocsPerCommand(t *testing.T) {
 	const reqs = 20000
 	vertex := config.Vertex()
@@ -33,15 +34,16 @@ func TestDataPathAllocsPerCommand(t *testing.T) {
 		name  string
 		cfg   config.Platform
 		w     workload.Spec
-		bound float64
+		bound float64 // mallocs per command
+		bytes float64 // bytes allocated per command
 	}{
-		{"seq-write", config.Default(), workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 28}, 6},
-		{"rand-read", config.Default(), workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 28}, 5},
+		{"seq-write", config.Default(), workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 28}, 1.5, 120},
+		{"rand-read", config.Default(), workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 28}, 0.5, 80},
 		{"vertex-mapper-ecc", vertex, workload.Spec{
 			Pattern: trace.RandWrite, WriteFrac: 0.7,
 			Skew:      workload.Skew{Kind: workload.SkewZipf, Theta: 0.9},
 			BlockSize: 4096, SpanBytes: 128 << 20,
-		}, 9.5},
+		}, 5.5, 320},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := Build(tc.cfg)
@@ -68,7 +70,10 @@ func TestDataPathAllocsPerCommand(t *testing.T) {
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / reqs
 			t.Logf("%s: %.1f mallocs, %.0f B per command (%d GC copies)", tc.name, per, bytes, res.GCCopies)
 			if per > tc.bound {
-				t.Fatalf("%s: %.1f mallocs per command, bound %g", tc.name, per, tc.bound)
+				t.Errorf("%s: %.1f mallocs per command, bound %g", tc.name, per, tc.bound)
+			}
+			if bytes > tc.bytes {
+				t.Errorf("%s: %.0f B per command, bound %g", tc.name, bytes, tc.bytes)
 			}
 		})
 	}

@@ -25,6 +25,7 @@ type mapperFTL struct {
 	g       ftl.Geometry
 	planes  int
 	logical int64
+	ops     []ftl.Op // mapperWrite's op list, reused by every write
 }
 
 // buildMapperFTL sizes the real FTL to the platform: one allocation unit per
@@ -76,13 +77,15 @@ func (f *mapperFTL) lpnOf(lba int64, pageBytes, pageOffset int) int64 {
 // stage reads the source page) and the user program. sp, when non-nil, is
 // the host command's span, threaded through the user program's batch so
 // FTL-mode writes get the same stage split as the WAF abstraction's. done
-// fires when the user program completes.
+// fires when the user program completes. The ops are used up before the
+// call returns, so every write reuses one op list.
 func (p *Platform) mapperWrite(lba int64, pageOffset int, sp *telemetry.Span, done func()) {
 	f := p.mapper
-	ops, err := f.m.Write(f.lpnOf(lba, p.pageBytes, pageOffset))
+	ops, err := f.m.AppendWrite(f.ops[:0], f.lpnOf(lba, p.pageBytes, pageOffset))
 	if err != nil {
 		panic(fmt.Sprintf("core: mapper write failed: %v", err))
 	}
+	f.ops = ops
 	p.stats.userPages++
 	for _, op := range ops {
 		gdie, a := f.place(op.Target)

@@ -123,6 +123,11 @@ type Platform struct {
 	readOps      sim.FreeList[readOp]
 	writeBatches sim.FreeList[writeBatch]
 
+	// Pooled command records (see command); liveRecs counts the records
+	// taken and not yet freed.
+	cmdRecs  sim.FreeList[command]
+	liveRecs int
+
 	// Bookkeeping.
 	flashWritesInFlight int
 	rng                 *sim.RNG
@@ -301,7 +306,8 @@ func Build(cfg config.Platform) (*Platform, error) {
 		return nil, err
 	}
 
-	p.programOps.Max, p.readOps.Max, p.writeBatches.Max = pooledFlashOps, pooledFlashOps, pooledFlashOps
+	p.programOps.Max, p.readOps.Max, p.writeBatches.Max = pooledRecords, pooledRecords, pooledRecords
+	p.cmdRecs.Max = pooledRecords
 	p.alloc = ctrl.NewPageAllocator(p.totalDies, p.geo)
 	p.pending = make([][]writePage, p.totalDies)
 	p.spanScratch = make([]*telemetry.Span, 0, p.geo.PlanesPerDie)
@@ -367,13 +373,15 @@ func (p *Platform) erase(gdie int, a nand.Addr) {
 	})
 }
 
-// pooledFlashOps bounds each flash dispatch pool (programOp, readOp,
-// writeBatch, eccJob). Steady traffic needs a few hundred records at most:
-// C8's sequential write peaks at 192 batch completions in flight. The WAF
+// pooledRecords bounds each of the platform's record pools: the flash
+// dispatch records (programOp, readOp, writeBatch, eccJob) and the command
+// records. Steady traffic needs a few hundred records at most: C8's
+// sequential write peaks at 192 batch completions in flight. The WAF
 // abstraction's injected GC traffic is not throttled, though, and a small
 // Table II point can queue thousands of relocation reads and programs at
-// once; keeping all of them would hold that peak to the end of the run.
-const pooledFlashOps = 256
+// once, as a deep NVMe window can queue thousands of commands; keeping all
+// of them would hold that peak to the end of the run.
+const pooledRecords = 256
 
 // flashPage names one physical page: a global die and an address on it.
 type flashPage struct {

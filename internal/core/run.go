@@ -211,7 +211,7 @@ func (p *Platform) playHost(mode Mode, start func(handler func(*hostif.Command),
 			errStalled, h.Stats.Completed, h.Outstanding())
 	}
 	res := Result{
-		MBps:          h.TailThroughputMBps(0.5),
+		MBps:          h.TailThroughputMBps(),
 		RampMBps:      h.ThroughputMBps(),
 		BytesMoved:    int64(h.Stats.BytesRead + h.Stats.BytesWritten),
 		Completed:     h.Stats.Completed,
@@ -276,7 +276,8 @@ func labeledPhases(profiles []telemetry.PhaseProfile, phases []workload.Spec) []
 }
 
 // handleCommand is the full command-processing path. Every command the
-// device processes runs as one command record (see command).
+// device processes runs as one command record (see command), which holds
+// the host command until its last step.
 func (p *Platform) handleCommand(cmd *hostif.Command, mode Mode) {
 	if mode == ModeHostIdeal {
 		p.Host.Complete(cmd)
@@ -284,7 +285,7 @@ func (p *Platform) handleCommand(cmd *hostif.Command, mode Mode) {
 	}
 	req := cmd.Req
 	p.maybeReclassify()
-	c := newCommand(p, cmd, mode)
+	c := p.newCommand(cmd, mode)
 	switch req.Op {
 	case trace.OpWrite:
 		c.write()
@@ -382,10 +383,15 @@ func (p *Platform) pagesOf(bytes int64) int {
 // dispatch on stage, which a step sets before it hands a callback on. A
 // command waits on one stage at a time; only a read's pages overlap, and
 // they share stPages, where stepFn means "page read" and windowFn "page
-// sent". The //ssdx:hotpath stage methods therefore allocate nothing, and
-// a command costs its record and two bound callbacks. The record dies with
-// its command; it is not pooled, because a pool would keep the in-flight
-// peak alive for the rest of the run.
+// sent". The //ssdx:hotpath stage methods therefore allocate nothing.
+//
+// Records recycle through a capped free list (Platform.cmdRecs) with their
+// callbacks bound, and each holds its host command (hostif.Interface.Hold)
+// from newCommand to its last step, because under the cache policy the
+// page programs still advance the command's span after Complete. The last
+// step calls free, which releases the host command and recycles the
+// record: bookkept; a host+DDR landed; an occupied with no page left to
+// program; the last programmed; the last pageSent.
 type command struct {
 	p     *Platform
 	cmd   *hostif.Command
@@ -420,11 +426,38 @@ const (
 	stPages                      // stepFn: one page read and decoded; windowFn: one page sent
 )
 
-// newCommand builds a command's record and binds its two callbacks.
-func newCommand(p *Platform, cmd *hostif.Command, mode Mode) *command {
-	c := &command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(cmd.Req.Bytes)}
-	c.stepFn, c.windowFn = c.step, c.window
+// newCommand takes a pooled command record, or builds one and binds its two
+// callbacks, and holds cmd for it.
+func (p *Platform) newCommand(cmd *hostif.Command, mode Mode) *command {
+	c := p.cmdRecs.Take()
+	if c == nil {
+		c = &command{p: p}
+		c.stepFn, c.windowFn = c.step, c.window
+	}
+	*c = command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(cmd.Req.Bytes), stepFn: c.stepFn, windowFn: c.windowFn}
+	p.Host.Hold(cmd)
+	p.liveRecs++
 	return c
+}
+
+// free ends a record at its command's last step: it releases the host
+// command and recycles the record. Freeing a record twice panics.
+//
+//ssdx:hotpath
+func (c *command) free() {
+	p := c.p
+	if c.cmd == nil {
+		freePanic()
+	}
+	p.Host.Release(c.cmd)
+	c.cmd, c.buf = nil, nil
+	p.liveRecs--
+	p.cmdRecs.Give(c)
+}
+
+// freePanic reports a twice-freed command record off the hot path.
+func freePanic() {
+	panic("core: command record freed twice")
 }
 
 // step continues a command after a func() callback.
@@ -476,6 +509,7 @@ func (c *command) bookkept() {
 		p.mapperTrim(req)
 	}
 	p.Host.Complete(c.cmd)
+	c.free()
 }
 
 // write: host DMA into DRAM (optionally through the host-side compressor),
@@ -596,6 +630,7 @@ func (c *command) landed() {
 	c.cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
 	if c.mode == ModeHostDDR {
 		p.Host.Complete(c.cmd)
+		c.free()
 		return
 	}
 	c.stage = stOccupied
@@ -603,17 +638,19 @@ func (c *command) landed() {
 }
 
 // occupied completes a cached write at DRAM landing (the caching buffer
-// policy) and issues the page programs.
+// policy), or a write compression absorbed entirely, and issues the page
+// programs.
 //
 //ssdx:hotpath
 func (c *command) occupied() {
 	p := c.p
 	c.remaining = c.flashPages
-	if p.Cfg.CachePolicy == "cache" {
+	if p.Cfg.CachePolicy == "cache" || c.remaining == 0 {
 		p.Host.Complete(c.cmd)
-	} else if c.remaining == 0 {
+	}
+	if c.remaining == 0 {
 		// Fully absorbed by compression debt.
-		p.Host.Complete(c.cmd)
+		c.free()
 		return
 	}
 	c.stage = stPrograms
@@ -636,9 +673,13 @@ func (c *command) programmed() {
 	p := c.p
 	p.writeCache.Release()
 	c.remaining--
-	if p.Cfg.CachePolicy != "cache" && c.remaining == 0 {
+	if c.remaining > 0 {
+		return
+	}
+	if p.Cfg.CachePolicy != "cache" {
 		p.Host.Complete(c.cmd)
 	}
+	c.free()
 }
 
 // read: firmware, channel read (NAND -> DRAM), ECC decode, host DMA out of
@@ -713,6 +754,7 @@ func (c *command) pageSent() {
 	c.remaining--
 	if c.remaining == 0 {
 		c.p.Host.Complete(c.cmd)
+		c.free()
 	}
 }
 

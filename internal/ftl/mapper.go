@@ -315,14 +315,18 @@ func (m *Mapper) maybeStaticWL(u int, ops []Op) []Op {
 
 // Write maps a logical page write, running garbage collection first when the
 // target unit's free pool is low. It returns the physical ops in execution
-// order (GC copies/erases, then the user program).
-func (m *Mapper) Write(lpn int64) ([]Op, error) {
+// order (GC copies/erases, then the user program) in a fresh slice.
+func (m *Mapper) Write(lpn int64) ([]Op, error) { return m.AppendWrite(nil, lpn) }
+
+// AppendWrite is Write appending the ops to ops, a slice the caller owns,
+// so a caller that uses the ops up before its next write can reuse one
+// slice for every write.
+func (m *Mapper) AppendWrite(ops []Op, lpn int64) ([]Op, error) {
 	if lpn < 0 || lpn >= m.logicalPages {
 		return nil, fmt.Errorf("ftl: lpn %d out of range", lpn)
 	}
 	u := m.nextUnit
 	m.nextUnit = (m.nextUnit + 1) % m.geo.Units
-	var ops []Op
 	ranGC := false
 	for len(m.units[u].freeBlocks) < m.gcFreeTarget {
 		before := len(ops)

@@ -22,6 +22,10 @@
 // the Interface for a single stream, on the queue's state otherwise) behind
 // steps bound once, so the player schedules no fresh closure per command.
 //
+// Commands recycle. The player owns each one from submission to the
+// completion capsule; the last owner's Release returns it to a capped free
+// list. A handler must not keep a *Command past Complete without a Hold.
+//
 // The SATA command-window limit is the microarchitectural mechanism behind
 // the paper's Fig. 3 finding: with a no-cache buffer policy the 32-command
 // window caps how much internal parallelism the drive can expose, flattening
@@ -151,7 +155,10 @@ func (c Config) IdealMBps(blockBytes int64, write bool) float64 {
 	return float64(blockBytes) / bottleneck.Seconds() / 1e6
 }
 
-// Command is one in-flight host command.
+// Command is one in-flight host command. Commands are recycled: the
+// interface owns one from submission until its completion capsule is sent,
+// and a handler that keeps a *Command past Complete must Hold it first and
+// Release it when done.
 type Command struct {
 	ID         int64
 	Queue      int // submission-queue (tenant) index; 0 for a single stream
@@ -172,7 +179,17 @@ type Command struct {
 	// wireData marks the command's current link transfer as its data
 	// (write data on rx, read data on tx) rather than its capsule.
 	wireData bool
+
+	// holds counts the command's owners: the player from submit to retire
+	// plus one per Hold. The last Release recycles the command.
+	holds int32
 }
+
+// pooledCommands bounds the interface's free list of commands. The player
+// takes one per submission and the device holds a few hundred at most in
+// steady state, while an NVMe window can put tens of thousands in flight at
+// once; keeping them all would hold that peak to the end of the run.
+const pooledCommands = 256
 
 // link is one direction of the host wire: a serial server and the commands
 // it carries. The server grants in Acquire order, and each grant's end
@@ -226,8 +243,9 @@ type Interface struct {
 	tx     *link          // device -> host (completions, read data)
 	window *sim.TokenGate // command queue depth
 
-	// The single-stream pull steps, bound once in New.
-	pullArriveFn, pullGrantFn func()
+	// The single-stream pull steps and the multi-queue dispatcher's grant,
+	// bound once in New.
+	pullArriveFn, pullGrantFn, dispatchGrantFn func()
 	// pulled is the single stream's one pending entry: pulled from the
 	// stream, waiting for its arrival time or for a window slot.
 	pulled sqEntry
@@ -246,10 +264,14 @@ type Interface struct {
 	dispatchArmed bool
 	readyBuf      []int
 
-	// completion log for steady-state (tail) throughput measurement
-	// (recorded commands only)
-	complTimes []sim.Time
-	complBytes []int64
+	// cmds recycles commands whose last owner released them; live counts
+	// the commands taken and not yet released.
+	cmds sim.FreeList[Command]
+	live int
+
+	// tail is the completion log behind the steady-state (tail) throughput
+	// (recorded commands only).
+	tail tailLog
 
 	// measured-window throughput anchors (recorded commands only)
 	mFirstSubmit  sim.Time
@@ -283,7 +305,8 @@ func New(k *sim.Kernel, cfg Config) (*Interface, error) {
 	i := &Interface{cfg: cfg, k: k, window: sim.NewTokenGate(k, cfg.QueueDepth)}
 	i.rx = newLink(k, cfg.Name+"-rx", i.rxEnd)
 	i.tx = newLink(k, cfg.Name+"-tx", i.txEnd)
-	i.pullArriveFn, i.pullGrantFn = i.pullArrive, i.pullGrant
+	i.pullArriveFn, i.pullGrantFn, i.dispatchGrantFn = i.pullArrive, i.pullGrant, i.dispatchGrant
+	i.cmds.Max = pooledCommands
 	return i, nil
 }
 
@@ -324,6 +347,39 @@ func (i *Interface) Config() Config { return i.cfg }
 
 // Outstanding reports commands inside the window.
 func (i *Interface) Outstanding() int { return i.outstanding }
+
+// Hold takes one more ownership of cmd, so that it outlives its completion:
+// a handler that keeps a *Command past Complete holds it and releases it
+// when done.
+//
+//ssdx:hotpath
+func (i *Interface) Hold(cmd *Command) { cmd.holds++ }
+
+// Release drops one ownership of cmd; the last one recycles the command.
+// Releasing a command more often than it was held (the player's own hold
+// included) panics.
+//
+//ssdx:hotpath
+func (i *Interface) Release(cmd *Command) {
+	cmd.holds--
+	if cmd.holds > 0 {
+		return
+	}
+	if cmd.holds < 0 {
+		releasePanic(cmd)
+	}
+	i.live--
+	i.cmds.Give(cmd)
+}
+
+// releasePanic reports an over-released command off the hot path.
+func releasePanic(cmd *Command) {
+	panic(fmt.Sprintf("hostif: command %d released more often than held", cmd.ID))
+}
+
+// LiveCommands reports how many commands are owned by the player or a
+// holder: 0 once a run has drained and every holder has released.
+func (i *Interface) LiveCommands() int { return i.live }
 
 // Run starts the trace player on a single stream: every request is pulled
 // through the command window, transferred over the wire and handed to
@@ -424,7 +480,12 @@ func (i *Interface) submit(q int, e sqEntry) {
 	if i.outstanding > i.Stats.QueuePeak {
 		i.Stats.QueuePeak = i.outstanding
 	}
-	cmd := &Command{ID: i.nextID, Queue: q, Phase: e.phase, Req: e.req, QueuedAt: e.queued, Record: e.record, winGen: e.winGen}
+	cmd := i.cmds.Take()
+	if cmd == nil {
+		cmd = new(Command)
+	}
+	*cmd = Command{ID: i.nextID, Queue: q, Phase: e.phase, Req: e.req, QueuedAt: e.queued, Record: e.record, winGen: e.winGen, holds: 1}
+	i.live++
 	cmd.Span.Start(e.queued)
 	// The window slot is granted: everything since the queue time was
 	// host-side queueing (window admission plus arrival backlog).
@@ -506,7 +567,8 @@ func (i *Interface) txEnd() {
 }
 
 // retire accounts a command whose completion capsule reached the host at
-// end, releases its window slot and resumes a stalled pull chain.
+// end, drops the player's hold on it, releases its window slot and resumes
+// a stalled pull chain.
 func (i *Interface) retire(cmd *Command, end sim.Time) {
 	cmd.CompleteAt = end
 	cmd.Span.Advance(telemetry.StageWire, end)
@@ -524,8 +586,7 @@ func (i *Interface) retire(cmd *Command, end sim.Time) {
 	}
 	qs := i.qs[cmd.Queue]
 	if cmd.Record && i.cmdInWindow(cmd) {
-		i.complTimes = append(i.complTimes, end)
-		i.complBytes = append(i.complBytes, cmd.Req.Bytes)
+		i.tail.add(end, cmd.Req.Bytes)
 		i.mLastComplete = end
 		qs.lastComplete = end
 		if cmd.Req.Op == trace.OpWrite || cmd.Req.Op == trace.OpRead {
@@ -544,6 +605,7 @@ func (i *Interface) retire(cmd *Command, end sim.Time) {
 	if qs.st.Phased() {
 		qs.phaseWins = observePhase(qs.phaseWins, cmd, end)
 	}
+	i.Release(cmd)
 	i.outstanding--
 	qs.outstanding--
 	qs.completed++
@@ -587,8 +649,7 @@ func (i *Interface) ThroughputMBps() float64 {
 // restarts the queue's own figures). The raw Stats counters and the
 // saturation detector keep covering the whole run.
 func (i *Interface) resetDriveWindow() {
-	i.complTimes = i.complTimes[:0]
-	i.complBytes = i.complBytes[:0]
+	i.tail = tailLog{}
 	i.mFirstSubmit, i.mLastComplete = 0, 0
 	i.mBytes = 0
 	i.mHasSubmit = false
@@ -640,32 +701,61 @@ func (i *Interface) LatencyPercentiles(ps ...float64) (mean sim.Time, out []sim.
 	return h.Mean(), out
 }
 
-// TailThroughputMBps measures throughput over the final (1-skip) fraction of
-// completions, excluding the ramp-up during which an empty write cache
-// absorbs traffic at wire speed. This is the steady-state figure the paper's
-// SSD columns report.
-func (i *Interface) TailThroughputMBps(skip float64) float64 {
-	n := len(i.complTimes)
-	if n < 2 {
-		return i.ThroughputMBps()
+// TailThroughputMBps measures throughput over the second half of the
+// measured window's completions, excluding the ramp-up during which an
+// empty write cache absorbs traffic at wire speed. This is the steady-state
+// figure the paper's SSD columns report. With fewer than two completions,
+// or none of them apart in time, it falls back to ThroughputMBps.
+func (i *Interface) TailThroughputMBps() float64 {
+	if mbps, ok := i.tail.mbps(); ok {
+		return mbps
 	}
-	if skip < 0 {
-		skip = 0
+	return i.ThroughputMBps()
+}
+
+// completion is one logged completion: its time and payload bytes.
+type completion struct {
+	at    sim.Time
+	bytes int64
+}
+
+// tailLog keeps the back half of a completion log: of n completions, those
+// from index k = min(n/2, n-2) onward, plus the byte sum of all but the
+// first of them. Each completion moves k on by at most one, so the log
+// drops at most one entry per completion and holds about n/2 of them.
+type tailLog struct {
+	log   sim.FIFO[completion] // completions k .. n-1
+	n     int                  // completions logged
+	bytes int64                // payload of completions k+1 .. n-1
+	last  sim.Time             // time of completion n-1
+}
+
+// add logs one completion.
+//
+//ssdx:hotpath
+func (t *tailLog) add(at sim.Time, bytes int64) {
+	if t.log.Len() > 0 {
+		t.bytes += bytes
 	}
-	if skip > 0.9 {
-		skip = 0.9
+	t.log.Push(completion{at: at, bytes: bytes})
+	t.n++
+	t.last = at
+	if k := min(t.n/2, t.n-2); t.n-t.log.Len() < k {
+		t.log.Pop()
+		t.bytes -= t.log.Front().bytes
 	}
-	k := int(float64(n) * skip)
-	if k >= n-1 {
-		k = n - 2
+}
+
+// mbps is the payload of completions k+1 .. n-1 over the time from
+// completion k to n-1; ok is false with fewer than two completions or a
+// zero interval.
+func (t *tailLog) mbps() (mbps float64, ok bool) {
+	if t.n < 2 {
+		return 0, false
 	}
-	var bytes int64
-	for _, b := range i.complBytes[k+1:] {
-		bytes += b
-	}
-	dur := i.complTimes[n-1] - i.complTimes[k]
+	dur := t.last - t.log.Front().at
 	if dur <= 0 {
-		return i.ThroughputMBps()
+		return 0, false
 	}
-	return float64(bytes) / dur.Seconds() / 1e6
+	return float64(t.bytes) / dur.Seconds() / 1e6, true
 }

@@ -235,12 +235,14 @@ func (qs *queueState) admit() {
 // acquisition at a time, with the queue chosen at grant time — so the
 // arbitration always sees the submission queues as they are when the slot
 // actually frees, not as they were when it was requested.
+//
+//ssdx:hotpath
 func (i *Interface) dispatch() {
 	if i.dispatchArmed || !i.anyReady() {
 		return
 	}
 	i.dispatchArmed = true
-	i.window.AcquireWhenFree(i.dispatchGrant)
+	i.window.AcquireWhenFree(i.dispatchGrantFn)
 }
 
 // anyReady reports whether any submission queue has a pending head.

@@ -98,7 +98,7 @@ func TestSingleStreamPhasedWindow(t *testing.T) {
 		WindowOps:      i.Latency().All().Ops,
 		ReadOps:        i.Latency().Read().Ops,
 		ThroughputMBps: i.ThroughputMBps(),
-		TailMBps:       i.TailThroughputMBps(0.5),
+		TailMBps:       i.TailThroughputMBps(),
 		Stages:         i.StageBreakdown(),
 		Phases:         i.QueuePhaseProfiles(0),
 	}

@@ -147,6 +147,7 @@ func (a *wrrArbiter) Pick(ready []int) int {
 			funded = append(funded, q)
 		}
 	}
+	a.urgentBuf = funded // keep the grown scratch for the next Pick
 	if len(funded) == 0 {
 		for i, w := range a.weights {
 			a.credits[i] = w

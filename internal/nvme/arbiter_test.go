@@ -121,6 +121,17 @@ func TestWRRConvergesToWeights(t *testing.T) {
 	}
 }
 
+// TestWRRPickAllocatesNothing checks that the WRR arbiter keeps its pick
+// scratch when no queue is urgent: it picks once per command on the
+// multi-queue host path.
+func TestWRRPickAllocatesNothing(t *testing.T) {
+	arb := NewArbiter(PolicyWRR, tenantsFor([]Class{ClassMedium, ClassHigh, ClassLow}, []int{1, 2, 4}))
+	ready := []int{0, 1, 2}
+	if n := testing.AllocsPerRun(1000, func() { arb.Pick(ready) }); n != 0 {
+		t.Fatalf("WRR Pick allocates %v times per call", n)
+	}
+}
+
 func BenchmarkArbiterPick(b *testing.B) {
 	tenants := tenantsFor(
 		[]Class{ClassUrgent, ClassHigh, ClassMedium, ClassMedium, ClassLow, ClassLow, ClassMedium, ClassHigh},

@@ -2,14 +2,15 @@ package sim
 
 // FreeList is the typed free list behind the platform's hot-path object
 // pools: DMA transfers and deliveries, DRAM requests, channel-controller
-// die ops, and the platform's flash dispatch records (program and read
-// dispatches, program-batch completions, ECC jobs) all recycle through one
-// so steady-state simulation paths stay allocation-free. A pooled record
-// binds its callbacks once, when it is built, and keeps them across
-// recycling. The zero value is ready to use. Kernel events need no pool
-// (they live by value in the event heap), and per-command records are
-// deliberately not pooled: a pool keeps a run's in-flight peak alive to the
-// end of the run.
+// die ops, the platform's flash dispatch records (program and read
+// dispatches, program-batch completions, ECC jobs), and the per-command
+// records (the host interface's commands and the platform's command
+// records) all recycle through one so steady-state simulation paths stay
+// allocation-free. A pooled record binds its callbacks once, when it is
+// built, and keeps them across recycling. The zero value is ready to use.
+// Kernel events need no pool (they live by value in the event heap). A
+// pool whose in-flight count follows a queue depth sets Max, because an
+// unbounded pool keeps a run's in-flight peak alive to the end of the run.
 type FreeList[T any] struct {
 	items []*T
 
