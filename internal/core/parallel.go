@@ -78,7 +78,7 @@ func (j *eccJob) grant(_, end sim.Time) {
 // ECC scheme "none"), named prefix+"ecc<i>".
 func (p *Platform) newECCPool(k *sim.Kernel, prefix string) *eccPool {
 	pool := &eccPool{k: k}
-	pool.jobs.Max = pooledRecords
+	pool.jobs.Max = sim.PoolCap
 	if p.scheme != nil {
 		for i := 0; i < p.Cfg.ECCEngines; i++ {
 			pool.engines = append(pool.engines, sim.NewServer(k, nil, fmt.Sprintf("%secc%d", prefix, i)))

@@ -118,10 +118,12 @@ type Platform struct {
 	addrScratch, eraseScratch []nand.Addr
 	spanScratch               []*telemetry.Span
 
-	// Pooled flash dispatch records (see program, readPage, issueWrite).
+	// Pooled flash dispatch records (see program, readPage, issueWrite,
+	// gcCopy).
 	programOps   sim.FreeList[programOp]
 	readOps      sim.FreeList[readOp]
 	writeBatches sim.FreeList[writeBatch]
+	gcReads      sim.FreeList[gcRead]
 
 	// Pooled command records (see command); liveRecs counts the records
 	// taken and not yet freed.
@@ -306,8 +308,8 @@ func Build(cfg config.Platform) (*Platform, error) {
 		return nil, err
 	}
 
-	p.programOps.Max, p.readOps.Max, p.writeBatches.Max = pooledRecords, pooledRecords, pooledRecords
-	p.cmdRecs.Max = pooledRecords
+	p.programOps.Max, p.readOps.Max, p.writeBatches.Max = sim.PoolCap, sim.PoolCap, sim.PoolCap
+	p.gcReads.Max, p.cmdRecs.Max = sim.PoolCap, sim.PoolCap
 	p.alloc = ctrl.NewPageAllocator(p.totalDies, p.geo)
 	p.pending = make([][]writePage, p.totalDies)
 	p.spanScratch = make([]*telemetry.Span, 0, p.geo.PlanesPerDie)
@@ -372,16 +374,6 @@ func (p *Platform) erase(gdie int, a nand.Addr) {
 		}
 	})
 }
-
-// pooledRecords bounds each of the platform's record pools: the flash
-// dispatch records (programOp, readOp, writeBatch, eccJob) and the command
-// records. Steady traffic needs a few hundred records at most: C8's
-// sequential write peaks at 192 batch completions in flight. The WAF
-// abstraction's injected GC traffic is not throttled, though, and a small
-// Table II point can queue thousands of relocation reads and programs at
-// once, as a deep NVMe window can queue thousands of commands; keeping all
-// of them would hold that peak to the end of the run.
-const pooledRecords = 256
 
 // flashPage names one physical page: a global die and an address on it.
 type flashPage struct {
@@ -728,22 +720,52 @@ func (p *Platform) issueBatch(gdie int) {
 // fresh page. The traffic rides the same channels, buses and ECC engines as
 // user traffic, which is exactly how the WAF abstraction injects FTL cost
 // without an FTL implementation. The read and its decode run on the source
-// channel; the relocated page rejoins the hub's per-die batch.
+// channel; the relocated page rejoins the hub's per-die batch when the
+// read completes (gcRead).
+//
+//ssdx:hotpath
 func (p *Platform) gcCopy() {
 	gdie := int(p.rng.Intn(p.totalDies))
 	if !p.hasWritten[gdie] {
 		return // nothing to relocate yet on this die
 	}
 	p.stats.gcCopies++
-	p.readPage(gdie, p.lastWritten[gdie], 0, nil, true, func() {
-		// GC programs join the same per-die multi-plane batches as user
-		// pages (real collectors relocate pages in bulk); they carry no
-		// span — no host command is waiting on them.
-		p.pending[gdie] = append(p.pending[gdie], writePage{gc: true})
-		if len(p.pending[gdie]) >= p.planeBatch {
-			p.issueBatch(gdie)
-		}
-	})
+	r := p.takeGCRead()
+	r.gdie = gdie
+	p.readPage(gdie, p.lastWritten[gdie], 0, nil, true, r.done)
+}
+
+// gcRead is one GC copy's source read in flight: the die whose batch the
+// relocated page joins. It recycles when the read completes.
+type gcRead struct {
+	p    *Platform
+	gdie int
+	done func()
+}
+
+// takeGCRead takes a pooled GC read, or builds one and binds its
+// completion.
+func (p *Platform) takeGCRead() *gcRead {
+	if r := p.gcReads.Take(); r != nil {
+		return r
+	}
+	r := &gcRead{p: p}
+	r.done = r.read
+	return r
+}
+
+// read adds the relocated page to its die's batch. GC programs join the
+// same per-die multi-plane batches as user pages (real collectors relocate
+// pages in bulk); they carry no span, as no host command waits on them.
+//
+//ssdx:hotpath
+func (r *gcRead) read() {
+	p, gdie := r.p, r.gdie
+	p.gcReads.Give(r)
+	p.pending[gdie] = append(p.pending[gdie], writePage{gc: true})
+	if len(p.pending[gdie]) >= p.planeBatch {
+		p.issueBatch(gdie)
+	}
 }
 
 // flushPartialBatches forces out every incomplete multi-plane group (end of

@@ -97,8 +97,9 @@ type Channel struct {
 	dieBusy []bool             // die interface occupied (RB# low or data cycles active)
 
 	// opPool recycles dieOps (with their owned address/span slices and
-	// pre-bound callbacks), keeping the steady-state program path
-	// allocation-free.
+	// bound callbacks), keeping the steady-state program path
+	// allocation-free. It keeps at most sim.PoolCap ops, so a burst of
+	// queued reads or GC traffic does not stay alive to the end of the run.
 	opPool sim.FreeList[dieOp]
 
 	// ONFI transport. Shared-bus: one server carries commands and data.
@@ -185,6 +186,7 @@ func New(k *sim.Kernel, id int, cfg Config, geo *nand.Geometry, tim *nand.Timing
 		slots = 6 * cfg.Dies()
 	}
 	ch.cache = sim.NewTokenGate(k, slots)
+	ch.opPool.Max = sim.PoolCap
 	return ch, nil
 }
 
@@ -267,29 +269,51 @@ const (
 	opErase
 )
 
+// opStep names the step a die op waits on next. Every op walks the steps
+// in this order, skipping those of other kinds: a write takes its SRAM
+// slot and prefetches its data (DRAM read, then AHB transfer into the
+// cache), a read takes its slot, and then each waits in the die queue for
+// its ONFI window (an erase starts there). After the window's end and the
+// array operation, a read still has its data-out window, the PP-DMA push
+// over the AHB and the landing in DRAM. The step says which of the op's
+// two callbacks comes next and what it does; a callback that arrives at
+// the wrong step panics.
+type opStep uint8
+
+const (
+	stepSlot     opStep = iota // stepFn: SRAM cache slot granted (writes, reads)
+	stepFetchBuf               // windowFn: prefetch DRAM read done (writes)
+	stepFetchDMA               // windowFn: prefetch AHB transfer done (writes)
+	stepGrant                  // windowFn: ONFI window granted (the op is issuable while it waits)
+	stepBus                    // stepFn: ONFI window over
+	stepArray                  // stepFn: array operation done
+	stepOutGrant               // windowFn: data-out window granted (reads)
+	stepOutBus                 // stepFn: data-out window over (reads)
+	stepPush                   // windowFn: PP-DMA push over the AHB done (reads)
+	stepLand                   // windowFn: page landed in DRAM (reads)
+)
+
 // dieOp is one queued die command. Writes prefetch their data into the SRAM
-// cache while queued (fetched); the die issues commands strictly in queue
-// order, which is how the command translator preserves host/FTL ordering.
-// addrs and spans are owned by the op (copied from the caller at submit), so
-// ops recycle through the channel pool without aliasing caller storage; the
-// on* callbacks are bound once per op object and survive recycling.
+// cache while queued; the die issues commands strictly in queue order,
+// which is how the command translator preserves host/FTL ordering. addrs
+// and spans are owned by the op (copied from the caller at submit), so ops
+// recycle through the channel pool without aliasing caller storage; the
+// three callbacks are bound once per op object and survive recycling.
 type dieOp struct {
-	ch  *Channel
-	die int
+	ch *Channel
 
-	kind      dieOpKind
-	addrs     []nand.Addr
-	bytes     int64 // total payload bytes
-	fetched   bool  // write prefetch (DRAM+AHB) complete
-	prepped   bool  // write prep stage (e.g. ECC encode) complete
-	slotReady bool  // read SRAM slot reserved
-	sensed    bool  // read array sense done (the next ONFI window is data-out)
-
-	// GC attribution: gcPages counts relocation pages riding a program
-	// batch (they get their own op kind in the utilization timeline);
-	// gcRead marks a relocation source read.
-	gcPages int
+	kind    dieOpKind
+	step    opStep
+	prepped bool // write prep stage (e.g. ECC encode) complete
+	// gcRead marks a relocation source read; gcPages counts the relocation
+	// pages riding a program batch (both get their own op kinds in the
+	// utilization timeline).
 	gcRead  bool
+	gcPages int
+	die     int
+
+	addrs []nand.Addr
+	bytes int64 // total payload bytes
 
 	// Stage attribution targets: span for reads, spans for the batched
 	// program path (one per page; entries may be nil for spanless pages such
@@ -303,22 +327,14 @@ type dieOp struct {
 	// its end event.
 	busStart, busEnd sim.Time
 
-	// Pre-bound callbacks, created once per op object so the steady-state
-	// program, read and erase paths never allocate. Each is one step that
-	// every op kind passing through it shares, dispatching on kind: the
-	// write prefetch runs DRAM then AHB (onBufDone, then onDMADone), a read
-	// pushes AHB then DRAM (onDMADone, then onBufDone); onGrant and
-	// onBusDone serve every ONFI window (a read's command cycles and its
-	// data-out, a program's data-in, an erase's command cycles), and
-	// onArrayDone ends every array operation.
-	onPrepReady func()
-	onSlotWrite func()
-	onSlotRead  func()
-	onBufDone   func(start, end sim.Time)
-	onDMADone   func(start, end sim.Time)
-	onGrant     func(start, end sim.Time)
-	onBusDone   func()
-	onArrayDone func()
+	// The op's callbacks, bound once per op object so the steady-state
+	// program, read and erase paths never allocate: prepFn ends a write's
+	// prep stage, the one step that runs alongside the others; stepFn
+	// (onStep) and windowFn (onWindow) serve every other step, dispatching
+	// on step.
+	prepFn   func()
+	stepFn   func()
+	windowFn func(start, end sim.Time)
 }
 
 // advance moves every attached span's watermark (nil entries skipped).
@@ -331,69 +347,109 @@ func (op *dieOp) advance(st telemetry.Stage, now sim.Time) {
 	}
 }
 
-// bind wires the op's reusable callbacks to its mutable fields.
-func (op *dieOp) bind() {
-	op.onPrepReady = func() {
-		// The prep stage is the write path's encode: charge the interval to
-		// the ECC stage for every page riding the batch.
-		op.advance(telemetry.StageECC, op.ch.k.Now())
-		op.prepped = true
-		op.ch.pump(op.die)
-	}
-	op.onSlotWrite = func() {
-		// Prefetch: DRAM read then AHB transfer into the SRAM cache.
-		off := int64(op.ch.ID) * op.bytes
-		op.ch.buf.Access(false, off, op.bytes, op.onBufDone)
-	}
-	op.onSlotRead = func() {
-		op.slotReady = true
-		op.ch.pump(op.die)
-	}
-	op.onBufDone = func(_, _ sim.Time) {
-		if op.kind == opRead {
-			op.ch.readLanded(op)
+// prepDone ends a write's prep stage, the batch's encode: charge the
+// interval to the ECC stage for every page riding the batch.
+//
+//ssdx:hotpath
+func (op *dieOp) prepDone() {
+	op.advance(telemetry.StageECC, op.ch.k.Now())
+	op.prepped = true
+	op.ch.pump(op.die)
+}
+
+// onStep runs the op's next untimed step: a slot grant, the end of an ONFI
+// window or the end of an array operation.
+//
+//ssdx:hotpath
+func (op *dieOp) onStep() {
+	ch := op.ch
+	switch op.step {
+	case stepSlot:
+		if op.kind == opWrite {
+			// Prefetch: DRAM read then AHB transfer into the SRAM cache.
+			op.step = stepFetchBuf
+			ch.buf.Access(false, int64(ch.ID)*op.bytes, op.bytes, op.windowFn)
 			return
 		}
-		if err := op.ch.ppDMA.Transfer(op.bytes, op.onDMADone); err != nil {
-			panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
-		}
-	}
-	op.onDMADone = func(_, _ sim.Time) {
-		if op.kind == opRead {
-			op.ch.buf.Access(true, int64(op.ch.ID)*op.bytes, op.bytes, op.onBufDone)
-			return
-		}
-		op.fetched = true
-		op.ch.pump(op.die)
-	}
-	op.onGrant = func(start, end sim.Time) {
-		op.busStart, op.busEnd = start, end
-		op.ch.k.At(end, op.onBusDone)
-	}
-	op.onBusDone = func() {
-		ch := op.ch
-		switch {
-		case op.kind == opErase:
-			ch.erase(op)
-		case op.kind == opRead && !op.sensed:
-			ch.sense(op)
-		case op.kind == opRead:
-			ch.readOut(op)
-		default:
-			ch.issueProgram(op)
-		}
-	}
-	op.onArrayDone = func() {
-		ch := op.ch
+		op.step = stepGrant
+		ch.pump(op.die)
+	case stepBus:
+		op.step = stepArray
 		switch op.kind {
+		case opWrite:
+			ch.issueProgram(op)
+		case opRead:
+			ch.sense(op)
+		default:
+			ch.erase(op)
+		}
+	case stepArray:
+		switch op.kind {
+		case opWrite:
+			ch.programmed(op)
 		case opRead:
 			ch.sensed(op)
-		case opErase:
-			ch.erased(op)
 		default:
-			ch.programmed(op)
+			ch.erased(op)
 		}
+	case stepOutBus:
+		ch.readOut(op)
+	default:
+		op.outOfOrder()
 	}
+}
+
+// onWindow runs the op's next timed step, given the window a server
+// granted it: the prefetch's DRAM read and AHB transfer, an ONFI window
+// (its end is the next step), or a read's push into DRAM and landing.
+//
+//ssdx:hotpath
+func (op *dieOp) onWindow(start, end sim.Time) {
+	ch := op.ch
+	switch op.step {
+	case stepFetchBuf:
+		op.step = stepFetchDMA
+		ch.transfer(op)
+	case stepFetchDMA:
+		op.step = stepGrant
+		ch.pump(op.die)
+	case stepGrant, stepOutGrant:
+		op.busStart, op.busEnd = start, end
+		if op.step == stepGrant {
+			op.step = stepBus
+		} else {
+			op.step = stepOutBus
+		}
+		ch.k.At(end, op.stepFn)
+	case stepPush:
+		op.step = stepLand
+		ch.buf.Access(true, int64(ch.ID)*op.bytes, op.bytes, op.windowFn)
+	case stepLand:
+		ch.readLanded(op)
+	default:
+		op.outOfOrder()
+	}
+}
+
+// outOfOrder panics on a callback that arrives at the wrong step.
+func (op *dieOp) outOfOrder() {
+	panic(fmt.Sprintf("ctrl: ch%d die%d: kind-%d op callback at step %d",
+		op.ch.ID, op.die, op.kind, op.step))
+}
+
+// transfer moves an op's payload over the PP-DMA's AHB master port: a
+// write's prefetch into the SRAM cache or a read's push into DRAM.
+//
+//ssdx:hotpath
+func (ch *Channel) transfer(op *dieOp) {
+	if err := ch.ppDMA.Transfer(op.bytes, op.windowFn); err != nil {
+		dmaPanic(err)
+	}
+}
+
+// dmaPanic reports a failed PP-DMA transfer off the hot path.
+func dmaPanic(err error) {
+	panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
 }
 
 // issueProgram issues a write op's program at the end of its ONFI data-in
@@ -402,7 +458,7 @@ func (op *dieOp) bind() {
 func (ch *Channel) issueProgram(op *dieOp) {
 	op.advance(telemetry.StageChan, op.busStart)
 	op.advance(telemetry.StageBus, op.busEnd)
-	dur, err := ch.dies[op.die].MultiPlaneProgram(op.addrs, op.onArrayDone)
+	dur, err := ch.dies[op.die].MultiPlaneProgram(op.addrs, op.stepFn)
 	if err != nil {
 		panic(fmt.Sprintf("ctrl: program failed on ch%d die%d %+v: %v",
 			ch.ID, op.die, op.addrs, err))
@@ -463,12 +519,13 @@ func (ch *Channel) getOp() *dieOp {
 		return op
 	}
 	op := &dieOp{ch: ch}
-	op.bind()
+	op.prepFn, op.stepFn, op.windowFn = op.prepDone, op.onStep, op.onWindow
 	return op
 }
 
 // putOp clears an op's per-command state (keeping its owned slices and bound
-// callbacks) and returns it to the pool.
+// callbacks) and returns it to the pool, which keeps at most sim.PoolCap
+// ops.
 //
 //ssdx:hotpath
 func (ch *Channel) putOp(op *dieOp) {
@@ -477,13 +534,9 @@ func (ch *Channel) putOp(op *dieOp) {
 	op.span = nil
 	op.done = nil
 	op.bytes = 0
-	op.fetched, op.prepped, op.slotReady, op.sensed = false, false, false, false
 	op.gcPages, op.gcRead = 0, false
 	ch.opPool.Give(op)
 }
-
-// writeReady reports whether a write op can issue to the die.
-func (op *dieOp) writeReady() bool { return op.fetched && op.prepped }
 
 // enqueue appends an op in command order and pumps the die.
 //
@@ -497,7 +550,8 @@ func (ch *Channel) enqueue(die int, op *dieOp) {
 }
 
 // pump starts the head-of-queue operation of a die when the die interface is
-// free (and, for writes, the data prefetch has landed in the SRAM cache).
+// free and the op is issuable: a read holds its SRAM slot, a write's data
+// prefetch has landed in the SRAM cache and its prep stage is done.
 //
 //ssdx:hotpath
 func (ch *Channel) pump(die int) {
@@ -505,11 +559,8 @@ func (ch *Channel) pump(die int) {
 		return
 	}
 	op := ch.dieQ[die].Front()
-	if op.kind == opWrite && !op.writeReady() {
-		return // prefetch/prep completion will re-pump
-	}
-	if op.kind == opRead && !op.slotReady {
-		return // SRAM slot grant will re-pump
+	if op.step != stepGrant || !op.prepped {
+		return // the slot grant, prefetch or prep completion will re-pump
 	}
 	ch.dieQ[die].Pop()
 	if ch.tr != nil {
@@ -521,9 +572,9 @@ func (ch *Channel) pump(die int) {
 		return
 	}
 	// Reads and erases open with command/address cycles, which in
-	// shared-bus mode ride the same bus as data; op.onBusDone continues
-	// with sense or erase at the end of the granted window.
-	ch.cmdBus.Acquire(ch.tim.CommandOverhead(), op.onGrant)
+	// shared-bus mode ride the same bus as data; the window's end step
+	// continues with sense or erase.
+	ch.cmdBus.Acquire(ch.tim.CommandOverhead(), op.windowFn)
 }
 
 // release frees the die interface and pumps the next queued op.
@@ -537,9 +588,9 @@ func (ch *Channel) release(die int) {
 //ssdx:hotpath
 func (ch *Channel) startWrite(die int, op *dieOp) {
 	// Command/address plus data-in cycles occupy the (gang-dependent) bus;
-	// op.onBusDone issues the program at the end of the granted window.
+	// the window's end step issues the program.
 	busTime := sim.Time(len(op.addrs))*ch.tim.CommandOverhead() + ch.tim.DataTransferTime(int(op.bytes))
-	ch.dataBus(die).Acquire(busTime, op.onGrant)
+	ch.dataBus(die).Acquire(busTime, op.windowFn)
 }
 
 // sense starts a read op's array sense once its command/address cycles
@@ -547,7 +598,7 @@ func (ch *Channel) startWrite(die int, op *dieOp) {
 func (ch *Channel) sense(op *dieOp) {
 	// Die-queue wait plus command/address cycles: channel stage.
 	ch.adv(op.span, telemetry.StageChan, ch.k.Now())
-	dur, err := ch.dies[op.die].Read(op.addrs[0], op.onArrayDone)
+	dur, err := ch.dies[op.die].Read(op.addrs[0], op.stepFn)
 	if err != nil {
 		panic(fmt.Sprintf("ctrl: read failed on ch%d die%d %+v: %v",
 			ch.ID, op.die, op.addrs[0], err))
@@ -573,18 +624,19 @@ func (ch *Channel) sense(op *dieOp) {
 //ssdx:hotpath
 func (ch *Channel) sensed(op *dieOp) {
 	ch.adv(op.span, telemetry.StageNAND, ch.k.Now())
-	op.sensed = true
-	ch.dataBus(op.die).Acquire(ch.tim.DataTransferTime(int(op.bytes)), op.onGrant)
+	op.step = stepOutGrant
+	ch.dataBus(op.die).Acquire(ch.tim.DataTransferTime(int(op.bytes)), op.windowFn)
 }
 
 // readOut frees the die at the end of a read's data-out window (the bus
 // stage) and has the PP-DMA push the page to DRAM over the AHB.
+//
+//ssdx:hotpath
 func (ch *Channel) readOut(op *dieOp) {
 	ch.adv(op.span, telemetry.StageBus, op.busEnd)
 	ch.release(op.die)
-	if err := ch.ppDMA.Transfer(op.bytes, op.onDMADone); err != nil {
-		panic(fmt.Sprintf("ctrl: DMA failed: %v", err))
-	}
+	op.step = stepPush
+	ch.transfer(op)
 }
 
 // readLanded retires a read op once its page has landed in DRAM (AHB DMA
@@ -607,7 +659,7 @@ func (ch *Channel) readLanded(op *dieOp) {
 // are done.
 func (ch *Channel) erase(op *dieOp) {
 	a := op.addrs[0]
-	dur, err := ch.dies[op.die].EraseBlock(a.Plane, a.Block, op.onArrayDone)
+	dur, err := ch.dies[op.die].EraseBlock(a.Plane, a.Block, op.stepFn)
 	if err != nil {
 		panic(fmt.Sprintf("ctrl: erase failed on ch%d die%d p%d b%d: %v",
 			ch.ID, op.die, a.Plane, a.Block, err))
@@ -664,7 +716,7 @@ func (ch *Channel) Program(die int, addrs []nand.Addr, pageBytes int, spans []*t
 	}
 	op := ch.getOp()
 	op.gcPages = gcPages
-	op.kind = opWrite
+	op.kind, op.step = opWrite, stepSlot
 	op.die = die
 	op.addrs = append(op.addrs[:0], addrs...)
 	op.spans = append(op.spans[:0], spans...)
@@ -675,11 +727,11 @@ func (ch *Channel) Program(die int, addrs []nand.Addr, pageBytes int, spans []*t
 	// enqueue operations on this die (e.g. a GC source read), and those
 	// must precede the dependent program in the command queue.
 	if prep != nil {
-		prep(op.onPrepReady)
+		prep(op.prepFn)
 	}
 	ch.enqueue(die, op)
-	// Prefetch: SRAM slot, DRAM read, AHB transfer; then mark data ready.
-	ch.cache.AcquireWhenFree(op.onSlotWrite)
+	// Prefetch: SRAM slot, DRAM read, AHB transfer; then the op is issuable.
+	ch.cache.AcquireWhenFree(op.stepFn)
 	return nil
 }
 
@@ -721,14 +773,14 @@ func (ch *Channel) Read(die int, addr nand.Addr, pageBytes int, sp *telemetry.Sp
 	}
 	op := ch.getOp()
 	op.gcRead = gc
-	op.kind = opRead
+	op.kind, op.step, op.prepped = opRead, stepSlot, true
 	op.die = die
 	op.addrs = append(op.addrs[:0], addr)
 	op.bytes = int64(pageBytes)
 	op.span = sp
 	op.done = done
 	ch.enqueue(die, op)
-	ch.cache.AcquireWhenFree(op.onSlotRead)
+	ch.cache.AcquireWhenFree(op.stepFn)
 	return nil
 }
 
@@ -738,7 +790,7 @@ func (ch *Channel) Erase(die, plane, block int, done func()) error {
 		return err
 	}
 	op := ch.getOp()
-	op.kind = opErase
+	op.kind, op.step, op.prepped = opErase, stepGrant, true
 	op.die = die
 	op.addrs = append(op.addrs[:0], nand.Addr{Plane: plane, Block: block})
 	op.done = done

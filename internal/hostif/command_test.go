@@ -3,6 +3,7 @@ package hostif
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -45,22 +46,28 @@ func (f *fullLog) tail(fallback float64) float64 {
 // every completion, that TailThroughputMBps is bit-identical to the
 // reference: through n = 0 to 3, over long runs, with runs of equal
 // timestamps (including a window whose completions all share one time),
-// mixed payload sizes and drive-window resets mid-run.
+// mixed payload sizes, drive-window resets mid-run, and gaps too wide for
+// the log's 32-bit gap store (random ones and ones either side of its
+// marker).
 func TestTailThroughputMatchesFullLog(t *testing.T) {
 	sizes := []int64{0, 512, 4096, 4096, 131072, 1 << 20}
+	boundary := []sim.Time{wideGap - 1, wideGap, wideGap + 1, 1 << 32, 1, 7}
 	for _, tc := range []struct {
-		name      string
-		n         int
-		pEqual    float64 // chance a completion shares the previous one's time
-		pReset    float64 // chance of a drive-window reset before a completion
-		maxStepNs int64
+		name    string
+		n       int
+		pEqual  float64 // chance a completion shares the previous one's time
+		pReset  float64 // chance of a drive-window reset before a completion
+		maxStep int64   // widest random gap, in ps
+		steps   []sim.Time
 	}{
-		{"short", 4, 0, 0, 5000},
-		{"long", 20000, 0.05, 0, 5000},
-		{"equal-times", 5000, 0.6, 0, 3},
-		{"all-equal", 50, 1, 0, 1},
-		{"resets", 20000, 0.2, 0.002, 5000},
-		{"frequent-resets", 3000, 0.3, 0.3, 100},
+		{"short", 4, 0, 0, 5000, nil},
+		{"long", 20000, 0.05, 0, 5000, nil},
+		{"equal-times", 5000, 0.6, 0, 3, nil},
+		{"all-equal", 50, 1, 0, 1, nil},
+		{"resets", 20000, 0.2, 0.002, 5000, nil},
+		{"frequent-resets", 3000, 0.3, 0.3, 100, nil},
+		{"wide-gaps", 20000, 0.05, 0.001, 1 << 34, nil},
+		{"gap-marker", 5000, 0.1, 0, 0, boundary},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(7, uint64(tc.n)))
@@ -87,7 +94,11 @@ func TestTailThroughputMatchesFullLog(t *testing.T) {
 					check(step)
 				}
 				if rng.Float64() >= tc.pEqual {
-					now += sim.Time(1 + rng.Int64N(tc.maxStepNs))
+					if tc.steps != nil {
+						now += tc.steps[rng.IntN(len(tc.steps))]
+					} else {
+						now += sim.Time(1 + rng.Int64N(tc.maxStep))
+					}
 				}
 				b := sizes[rng.IntN(len(sizes))]
 				i.tail.add(now, b)
@@ -98,6 +109,31 @@ func TestTailThroughputMatchesFullLog(t *testing.T) {
 				check(step)
 			}
 		})
+	}
+}
+
+// TestTailLogBytesPerCompletion bounds the live heap of the tail log after
+// 200,000 equal-size completions at 5 B per completion it still holds
+// (100,000 of them).
+func TestTailLogBytesPerCompletion(t *testing.T) {
+	const n = 200000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tl := new(tailLog)
+	now := sim.Time(0)
+	for j := 0; j < n; j++ {
+		now += sim.Time(1000 + j%7919)
+		tl.add(now, 4096)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := n - n/2
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(held)
+	runtime.KeepAlive(tl)
+	t.Logf("%.2f B per logged completion", per)
+	if per > 5 {
+		t.Fatalf("tail log holds %.2f B per logged completion, want at most 5", per)
 	}
 }
 

@@ -185,12 +185,6 @@ type Command struct {
 	holds int32
 }
 
-// pooledCommands bounds the interface's free list of commands. The player
-// takes one per submission and the device holds a few hundred at most in
-// steady state, while an NVMe window can put tens of thousands in flight at
-// once; keeping them all would hold that peak to the end of the run.
-const pooledCommands = 256
-
 // link is one direction of the host wire: a serial server and the commands
 // it carries. The server grants in Acquire order, and each grant's end
 // event fires no earlier than the previous grant's, so the commands finish
@@ -306,7 +300,7 @@ func New(k *sim.Kernel, cfg Config) (*Interface, error) {
 	i.rx = newLink(k, cfg.Name+"-rx", i.rxEnd)
 	i.tx = newLink(k, cfg.Name+"-tx", i.txEnd)
 	i.pullArriveFn, i.pullGrantFn, i.dispatchGrantFn = i.pullArrive, i.pullGrant, i.dispatchGrant
-	i.cmds.Max = pooledCommands
+	i.cmds.Max = sim.PoolCap
 	return i, nil
 }
 
@@ -711,51 +705,4 @@ func (i *Interface) TailThroughputMBps() float64 {
 		return mbps
 	}
 	return i.ThroughputMBps()
-}
-
-// completion is one logged completion: its time and payload bytes.
-type completion struct {
-	at    sim.Time
-	bytes int64
-}
-
-// tailLog keeps the back half of a completion log: of n completions, those
-// from index k = min(n/2, n-2) onward, plus the byte sum of all but the
-// first of them. Each completion moves k on by at most one, so the log
-// drops at most one entry per completion and holds about n/2 of them.
-type tailLog struct {
-	log   sim.FIFO[completion] // completions k .. n-1
-	n     int                  // completions logged
-	bytes int64                // payload of completions k+1 .. n-1
-	last  sim.Time             // time of completion n-1
-}
-
-// add logs one completion.
-//
-//ssdx:hotpath
-func (t *tailLog) add(at sim.Time, bytes int64) {
-	if t.log.Len() > 0 {
-		t.bytes += bytes
-	}
-	t.log.Push(completion{at: at, bytes: bytes})
-	t.n++
-	t.last = at
-	if k := min(t.n/2, t.n-2); t.n-t.log.Len() < k {
-		t.log.Pop()
-		t.bytes -= t.log.Front().bytes
-	}
-}
-
-// mbps is the payload of completions k+1 .. n-1 over the time from
-// completion k to n-1; ok is false with fewer than two completions or a
-// zero interval.
-func (t *tailLog) mbps() (mbps float64, ok bool) {
-	if t.n < 2 {
-		return 0, false
-	}
-	dur := t.last - t.log.Front().at
-	if dur <= 0 {
-		return 0, false
-	}
-	return float64(t.bytes) / dur.Seconds() / 1e6, true
 }

@@ -12,9 +12,10 @@ import (
 // //ssdx:hotpath (the span-batch program path, the kernel schedule/dispatch
 // machinery, arbiter picks): the simulator's throughput rests on these
 // running at 0 allocs/op, pinned at runtime by BenchmarkWriteSpanBatch,
-// BenchmarkKernelSchedule, BenchmarkServerAcquire, BenchmarkServerQueued,
-// BenchmarkTokenGateQueued, BenchmarkDRAMAccess, BenchmarkAHBTransfer,
-// BenchmarkDieProgramRead and BenchmarkHostCommandCycle.
+// BenchmarkChannelReadCycle, BenchmarkKernelSchedule,
+// BenchmarkServerAcquire, BenchmarkServerQueued, BenchmarkTokenGateQueued,
+// BenchmarkDRAMAccess, BenchmarkAHBTransfer, BenchmarkDieProgramRead and
+// BenchmarkHostCommandCycle.
 // The analyzer rejects the allocating constructs that have historically
 // crept in: fmt calls, map/slice composite literals and makes, closures
 // capturing locals, non-constant string concatenation, string<->[]byte

@@ -40,6 +40,18 @@ func (q *FIFO[T]) Front() T {
 	return q.buf[q.head]
 }
 
+// At returns a pointer to the i-th oldest element (0 is the front,
+// Len()-1 the back), for updating it in place. The pointer is valid until
+// the next Push.
+//
+//ssdx:hotpath
+func (q *FIFO[T]) At(i int) *T {
+	if i < 0 || i >= q.n {
+		panic("sim: FIFO index out of range")
+	}
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
+}
+
 // Pop removes and returns the oldest element. The queue must not be empty.
 //
 //ssdx:hotpath

@@ -5,7 +5,7 @@ import "testing"
 // TestFIFOOrderAcrossWrap drives a FIFO and a plain slice queue with the same
 // seeded push/pop mix. Pushes slightly outnumber pops, so the head wraps
 // round the ring many times and the ring grows while wrapped; every pop must
-// still return the oldest element.
+// still return the oldest element, and At must index from the front.
 func TestFIFOOrderAcrossWrap(t *testing.T) {
 	var q FIFO[int]
 	var ref []int
@@ -34,6 +34,11 @@ func TestFIFOOrderAcrossWrap(t *testing.T) {
 		}
 		if len(ref) > 0 && q.Front() != ref[0] {
 			t.Fatalf("step %d: Front %d, want %d", step, q.Front(), ref[0])
+		}
+		if len(ref) > 0 {
+			if i := step % len(ref); *q.At(i) != ref[i] {
+				t.Fatalf("step %d: At(%d) %d, want %d", step, i, *q.At(i), ref[i])
+			}
 		}
 	}
 	if !wrapped || !grewWrapped {

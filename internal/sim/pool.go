@@ -1,16 +1,27 @@
 package sim
 
+// PoolCap is the Max of every record pool whose in-flight count follows a
+// queue depth: the channel controller's die ops, the platform's flash
+// dispatch and command records and the host interface's commands. Steady
+// traffic needs a few hundred records at most (C8's sequential write peaks
+// at 192 batch completions in flight), while a deep NVMe window or the WAF
+// abstraction's unthrottled GC traffic can put thousands in flight at
+// once; keeping all of them would hold that peak to the end of the run.
+const PoolCap = 256
+
 // FreeList is the typed free list behind the platform's hot-path object
 // pools: DMA transfers and deliveries, DRAM requests, channel-controller
 // die ops, the platform's flash dispatch records (program and read
-// dispatches, program-batch completions, ECC jobs), and the per-command
-// records (the host interface's commands and the platform's command
-// records) all recycle through one so steady-state simulation paths stay
-// allocation-free. A pooled record binds its callbacks once, when it is
-// built, and keeps them across recycling. The zero value is ready to use.
-// Kernel events need no pool (they live by value in the event heap). A
-// pool whose in-flight count follows a queue depth sets Max, because an
-// unbounded pool keeps a run's in-flight peak alive to the end of the run.
+// dispatches, GC read completions, program-batch completions, ECC jobs),
+// and the per-command records (the host interface's commands and the
+// platform's command records) all recycle through one so steady-state
+// simulation paths stay allocation-free. A pooled record binds its
+// callbacks once, when it is built, and keeps them across recycling. The
+// zero value is ready to use. Kernel events need no pool (they live by
+// value in the event heap). A pool whose in-flight count follows a queue
+// depth sets Max (die ops, the flash dispatch and command records all use
+// PoolCap), because an unbounded pool keeps a run's in-flight peak alive
+// to the end of the run.
 type FreeList[T any] struct {
 	items []*T
 
