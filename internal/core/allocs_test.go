@@ -17,8 +17,8 @@ import (
 // batch completion, ECC job), a die op binds three callbacks and the
 // mapper reuses one op list, so what remains is pool warm-up to the
 // in-flight peak, rebuilding the records a burst holds beyond the pools'
-// cap (sim.PoolCap), and the 4-byte-per-completion log behind the tail
-// throughput; a closure chain or an unpooled record creeping back into
+// cap (sim.PoolCap), and the completion log behind the tail throughput
+// (4 B per completion at one request size); a closure chain or an unpooled record creeping back into
 // any stage shows up here. The WAF random-write case injects about three
 // GC copies per command, whose backlog runs thousands of reads and
 // programs deep. The Vertex case runs the mapper FTL with ECC on and a

@@ -46,12 +46,13 @@ func (f *fullLog) tail(fallback float64) float64 {
 // every completion, that TailThroughputMBps is bit-identical to the
 // reference: through n = 0 to 3, over long runs, with runs of equal
 // timestamps (including a window whose completions all share one time),
-// mixed payload sizes, drive-window resets mid-run, and gaps too wide for
-// the log's 32-bit gap store (random ones and ones either side of its
-// marker).
+// mixed payload sizes, drive-window resets mid-run, and gaps and sizes too
+// wide for the log's 32-bit fields (random gaps, and gaps and sizes either
+// side of its marker).
 func TestTailThroughputMatchesFullLog(t *testing.T) {
-	sizes := []int64{0, 512, 4096, 4096, 131072, 1 << 20}
-	boundary := []sim.Time{wideGap - 1, wideGap, wideGap + 1, 1 << 32, 1, 7}
+	mixed := []int64{0, 512, 4096, 4096, 131072, 1 << 20}
+	wideSizes := []int64{4096, 4096, 4096, wide - 1, wide, wide + 1, 1 << 33}
+	boundary := []sim.Time{wide - 1, wide, wide + 1, 1 << 32, 1, 7}
 	for _, tc := range []struct {
 		name    string
 		n       int
@@ -59,15 +60,17 @@ func TestTailThroughputMatchesFullLog(t *testing.T) {
 		pReset  float64 // chance of a drive-window reset before a completion
 		maxStep int64   // widest random gap, in ps
 		steps   []sim.Time
+		sizes   []int64 // payload sizes, drawn at random
 	}{
-		{"short", 4, 0, 0, 5000, nil},
-		{"long", 20000, 0.05, 0, 5000, nil},
-		{"equal-times", 5000, 0.6, 0, 3, nil},
-		{"all-equal", 50, 1, 0, 1, nil},
-		{"resets", 20000, 0.2, 0.002, 5000, nil},
-		{"frequent-resets", 3000, 0.3, 0.3, 100, nil},
-		{"wide-gaps", 20000, 0.05, 0.001, 1 << 34, nil},
-		{"gap-marker", 5000, 0.1, 0, 0, boundary},
+		{"short", 4, 0, 0, 5000, nil, mixed},
+		{"long", 20000, 0.05, 0, 5000, nil, mixed},
+		{"equal-times", 5000, 0.6, 0, 3, nil, mixed},
+		{"all-equal", 50, 1, 0, 1, nil, mixed},
+		{"resets", 20000, 0.2, 0.002, 5000, nil, mixed},
+		{"frequent-resets", 3000, 0.3, 0.3, 100, nil, mixed},
+		{"wide-gaps", 20000, 0.05, 0.001, 1 << 34, nil, mixed},
+		{"gap-marker", 5000, 0.1, 0, 0, boundary, mixed},
+		{"wide-sizes", 5000, 0.1, 0.001, 5000, nil, wideSizes},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(7, uint64(tc.n)))
@@ -100,7 +103,7 @@ func TestTailThroughputMatchesFullLog(t *testing.T) {
 						now += sim.Time(1 + rng.Int64N(tc.maxStep))
 					}
 				}
-				b := sizes[rng.IntN(len(sizes))]
+				b := tc.sizes[rng.IntN(len(tc.sizes))]
 				i.tail.add(now, b)
 				i.mLastComplete = now
 				i.mBytes += uint64(b)
@@ -112,28 +115,41 @@ func TestTailThroughputMatchesFullLog(t *testing.T) {
 	}
 }
 
-// TestTailLogBytesPerCompletion bounds the live heap of the tail log after
-// 200,000 equal-size completions at 5 B per completion it still holds
-// (100,000 of them).
+// TestTailLogBytesPerCompletion bounds the live heap of the tail log per
+// completion it still holds (100,000 of 200,000): at most 5 B when every
+// request has one size (a 4 B gap) and 16 B when each completion's size
+// differs from the one before (a 4 B gap and an 8 B run in a ring of
+// 131,072). A ring of 16 B time-and-size records holds 21 B in either case.
 func TestTailLogBytesPerCompletion(t *testing.T) {
 	const n = 200000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	tl := new(tailLog)
-	now := sim.Time(0)
-	for j := 0; j < n; j++ {
-		now += sim.Time(1000 + j%7919)
-		tl.add(now, 4096)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	held := n - n/2
-	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(held)
-	runtime.KeepAlive(tl)
-	t.Logf("%.2f B per logged completion", per)
-	if per > 5 {
-		t.Fatalf("tail log holds %.2f B per logged completion, want at most 5", per)
+	for _, tc := range []struct {
+		name  string
+		sizes []int64
+		max   float64
+	}{
+		{"equal-size", []int64{4096}, 5},
+		{"mixed-size", []int64{512, 4096, 8192, 16384, 65536, 131072, 1 << 20}, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tl := new(tailLog)
+			now := sim.Time(0)
+			for j := 0; j < n; j++ {
+				now += sim.Time(1000 + j%7919)
+				tl.add(now, tc.sizes[j%len(tc.sizes)])
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			held := n - n/2
+			per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(held)
+			runtime.KeepAlive(tl)
+			t.Logf("%.2f B per logged completion", per)
+			if per > tc.max {
+				t.Fatalf("tail log holds %.2f B per logged completion, want at most %g", per, tc.max)
+			}
+		})
 	}
 }
 
@@ -187,8 +203,9 @@ func TestCommandsRecycle(t *testing.T) {
 // BenchmarkHostCommandCycle plays one interface over a long stream with a
 // device that completes at once: every command runs submit, rx, Complete,
 // tx and retire. Commands recycle, so the cycle allocates nothing per
-// command; the tail log's ring doubles a few times over the run, which
-// rounds to 0 allocs/op on a long run.
+// command; the tail log takes one 4 KiB chunk of gaps per 2,048
+// completions (it holds half of them, and reuses each drained chunk),
+// which rounds to 0 allocs/op on a long run.
 func BenchmarkHostCommandCycle(b *testing.B) {
 	st, err := workload.Patterned(trace.SeqWrite, 4096, 1<<30, b.N, 0).Stream()
 	if err != nil {
