@@ -11,7 +11,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/ecc"
 	"repro/internal/ftl"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -235,65 +234,6 @@ func BenchmarkKernelEvents(b *testing.B) {
 	b.ResetTimer()
 	k.Schedule(0, pump)
 	k.RunAll()
-}
-
-// BenchmarkBCHEncode measures the real GF(2^14) t=40 encoder on 1 KiB.
-func BenchmarkBCHEncode(b *testing.B) {
-	bch, err := ecc.NewBCH(14, 8192, 40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 1024)
-	rng := sim.NewRNG(1)
-	for i := range data {
-		data[i] = byte(rng.Uint64())
-	}
-	b.SetBytes(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bch.Encode(data)
-	}
-}
-
-// BenchmarkBCHDecode40Errors measures full correction load.
-func BenchmarkBCHDecode40Errors(b *testing.B) {
-	bch, err := ecc.NewBCH(14, 8192, 40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := sim.NewRNG(2)
-	data := make([]byte, 1024)
-	for i := range data {
-		data[i] = byte(rng.Uint64())
-	}
-	parity := bch.Encode(data)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d := append([]byte(nil), data...)
-		p := append([]byte(nil), parity...)
-		for e := 0; e < 40; e++ {
-			bit := rng.Intn(8192)
-			d[bit/8] ^= 1 << (7 - uint(bit)%8)
-		}
-		b.StartTimer()
-		if _, err := bch.Decode(d, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGreedyWAFMonteCarlo measures the embedded WAF simulator.
-func BenchmarkGreedyWAFMonteCarlo(b *testing.B) {
-	p := ftl.DefaultMonteCarloParams(0.126)
-	p.Blocks = 128
-	p.WarmupWrites = 4 * 128 * 128
-	p.MeasureWrites = 2 * 128 * 128
-	for i := 0; i < b.N; i++ {
-		if _, err := ftl.MonteCarloWAF(p); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFirmwareResolve measures the real ARM firmware FTL lookup.

@@ -256,22 +256,6 @@ func (b *Bus) allocDelivery() *delivery {
 	return d
 }
 
-// TransferTime reports the uncontended duration of moving n bytes, useful
-// for analytic checks and tests.
-func (b *Bus) TransferTime(n int64) sim.Time {
-	var total int64
-	remaining := n
-	for remaining > 0 {
-		c := remaining
-		if c > b.cfg.MaxGrantBytes {
-			c = b.cfg.MaxGrantBytes
-		}
-		total += b.cfg.grantCycles(c)
-		remaining -= c
-	}
-	return b.clk.Cycles(total)
-}
-
 // kick grants the layer to the next pending master (round-robin).
 //
 //ssdx:hotpath

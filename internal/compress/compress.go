@@ -59,11 +59,6 @@ type Config struct {
 	MBps      float64 // engine throughput (hardware GZIP-class)
 }
 
-// DefaultGZIP models a hardware GZIP engine: 2:1 on typical data, 400 MB/s.
-func DefaultGZIP(p Placement) Config {
-	return Config{Placement: p, Ratio: 0.5, MBps: 400}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Placement == None {
@@ -161,42 +156,4 @@ func (e *Engine) Occupy(k *sim.Kernel, n int64, done func()) {
 func (e *Engine) Account(in, out int64) {
 	e.BytesIn += uint64(in)
 	e.BytesOut += uint64(out)
-}
-
-// MeasuredRatio reports achieved output/input so far.
-func (e *Engine) MeasuredRatio() float64 {
-	if e.BytesIn == 0 {
-		return 1
-	}
-	return float64(e.BytesOut) / float64(e.BytesIn)
-}
-
-// EstimateRatio estimates an achievable compression ratio for a buffer via
-// order-0 entropy — a cheap stand-in for profiling real workload data when
-// choosing the Ratio parameter.
-func EstimateRatio(data []byte) float64 {
-	if len(data) == 0 {
-		return 1
-	}
-	var hist [256]int
-	for _, b := range data {
-		hist[b]++
-	}
-	n := float64(len(data))
-	var bits float64
-	for _, c := range hist {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		bits -= p * math.Log2(p)
-	}
-	r := bits / 8
-	if r > 1 {
-		r = 1
-	}
-	if r < 0.05 {
-		r = 0.05 // header/format floor
-	}
-	return r
 }

@@ -38,7 +38,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestOutputBytes(t *testing.T) {
 	k := sim.NewKernel()
-	e, err := NewEngine(k, DefaultGZIP(ChannelWay))
+	e, err := NewEngine(k, Config{Placement: ChannelWay, Ratio: 0.5, MBps: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +72,15 @@ func TestProcessLatencyAndSerialization(t *testing.T) {
 	}
 	k.RunAll()
 	// 4096 B at 400 MB/s = 10.24 us per request, serialized.
-	want1 := sim.FromNanoseconds(4096.0 / 400e6 * 1e9)
+	want1 := 10240 * sim.Nanosecond
 	if ends[0] != want1 || ends[1] != 2*want1 {
 		t.Fatalf("latencies %v, want %v and %v", ends, want1, 2*want1)
 	}
 	if outs[0] != 2048 || outs[1] != 2048 {
 		t.Fatalf("outputs %v", outs)
 	}
-	if e.MeasuredRatio() != 0.5 {
-		t.Fatalf("measured ratio %v", e.MeasuredRatio())
+	if e.BytesIn != 8192 || e.BytesOut != 4096 {
+		t.Fatalf("bytes in/out %d/%d", e.BytesIn, e.BytesOut)
 	}
 }
 
@@ -102,41 +102,11 @@ func TestProcessDisabledImmediate(t *testing.T) {
 
 func TestProcessZeroBytes(t *testing.T) {
 	k := sim.NewKernel()
-	e, _ := NewEngine(k, DefaultGZIP(HostInterface))
+	e, _ := NewEngine(k, Config{Placement: HostInterface, Ratio: 0.5, MBps: 400})
 	fired := false
 	out := e.Process(k, 0, func() { fired = true })
 	k.RunAll()
 	if !fired || out != 0 {
 		t.Fatal("zero-byte process mishandled")
-	}
-}
-
-func TestEstimateRatio(t *testing.T) {
-	// Constant data compresses hard.
-	flat := make([]byte, 4096)
-	if r := EstimateRatio(flat); r > 0.1 {
-		t.Fatalf("flat data ratio %v", r)
-	}
-	// Uniform random data doesn't compress.
-	rng := sim.NewRNG(1)
-	rnd := make([]byte, 4096)
-	for i := range rnd {
-		rnd[i] = byte(rng.Uint64())
-	}
-	if r := EstimateRatio(rnd); r < 0.9 {
-		t.Fatalf("random data ratio %v", r)
-	}
-	// Text-like data lands in between.
-	text := []byte("the quick brown fox jumps over the lazy dog ")
-	var doc []byte
-	for i := 0; i < 50; i++ {
-		doc = append(doc, text...)
-	}
-	r := EstimateRatio(doc)
-	if r <= 0.1 || r >= 0.9 {
-		t.Fatalf("text ratio %v", r)
-	}
-	if EstimateRatio(nil) != 1 {
-		t.Fatal("empty buffer")
 	}
 }

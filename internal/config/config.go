@@ -15,6 +15,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/ftl"
+	"repro/internal/nand"
 )
 
 // Platform is the complete parameter set of one simulated SSD.
@@ -218,7 +221,29 @@ func (p Platform) Validate() error {
 	if p.MapperBlocksPerUnit < 0 {
 		return fmt.Errorf("config: negative mapper block restriction")
 	}
+	if p.FTLMode == "mapper" {
+		if err := ftl.CheckSpace(p.MapperGeometry()); err != nil {
+			return fmt.Errorf("config: mapper FTL: %w", err)
+		}
+	}
 	return nil
+}
+
+// MapperGeometry sizes the real FTL to the platform: one allocation unit per
+// plane, MapperBlocksPerUnit blocks each (every block of the plane when 0),
+// and a logical space that holds back SpareFactor of the raw pages.
+func (p Platform) MapperGeometry() (ftl.Geometry, int64) {
+	geo := nand.DefaultGeometry()
+	blocks := geo.BlocksPerPlane
+	if p.MapperBlocksPerUnit > 0 && p.MapperBlocksPerUnit < blocks {
+		blocks = p.MapperBlocksPerUnit
+	}
+	g := ftl.Geometry{
+		Units:         p.TotalDies() * geo.PlanesPerDie,
+		BlocksPerUnit: blocks,
+		PagesPerBlock: geo.PagesPerBlock,
+	}
+	return g, int64(float64(g.TotalPages()) * (1 - p.SpareFactor))
 }
 
 // TotalDies returns the die count of the platform.

@@ -28,20 +28,10 @@ type mapperFTL struct {
 	ops     []ftl.Op // mapperWrite's op list, reused by every write
 }
 
-// buildMapperFTL sizes the real FTL to the platform: one allocation unit per
-// plane, logical space set by the configured spare factor.
+// buildMapperFTL builds the real FTL at the size config.MapperGeometry
+// gives the platform.
 func (p *Platform) buildMapperFTL() error {
-	units := p.totalDies * p.geo.PlanesPerDie
-	blocks := p.geo.BlocksPerPlane
-	if p.Cfg.MapperBlocksPerUnit > 0 && p.Cfg.MapperBlocksPerUnit < blocks {
-		blocks = p.Cfg.MapperBlocksPerUnit
-	}
-	g := ftl.Geometry{
-		Units:         units,
-		BlocksPerUnit: blocks,
-		PagesPerBlock: p.geo.PagesPerBlock,
-	}
-	logical := int64(float64(g.TotalPages()) * (1 - p.Cfg.SpareFactor))
+	g, logical := p.Cfg.MapperGeometry()
 	m, err := ftl.NewMapper(g, logical)
 	if err != nil {
 		return fmt.Errorf("core: mapper FTL: %w", err)

@@ -217,3 +217,36 @@ func TestFirmwareCPUModelWrites(t *testing.T) {
 		t.Fatalf("firmware write run: %+v", res)
 	}
 }
+
+// TestMapperValidateMatchesBuild checks that config.Validate accepts a
+// mapper platform exactly when Build can build it, over a grid of spare
+// factors and managed blocks per unit on both sides of the mapper's
+// two-spare-blocks-per-unit rule.
+func TestMapperValidateMatchesBuild(t *testing.T) {
+	accepted, rejected := 0, 0
+	for _, blocks := range []int{1, 2, 3, 4, 8, 16, 32} {
+		for _, spare := range []float64{0.05, 0.126, 0.3, 0.5, 0.7} {
+			cfg := config.Vertex()
+			cfg.FTLMode = "mapper"
+			cfg.MapperBlocksPerUnit = blocks
+			cfg.SpareFactor = spare
+			verr := cfg.Validate()
+			_, berr := Build(cfg)
+			if (verr == nil) != (berr == nil) {
+				t.Errorf("blocks %d, spare %v: Validate %v, Build %v", blocks, spare, verr, berr)
+			}
+			if verr == nil {
+				accepted++
+				continue
+			}
+			rejected++
+			cfg.FTLMode = "waf"
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("blocks %d, spare %v: rejected for more than the mapper: %v", blocks, spare, err)
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("grid is one-sided: %d accepted, %d rejected", accepted, rejected)
+	}
+}

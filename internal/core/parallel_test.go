@@ -189,21 +189,21 @@ func TestParallelDeterminism(t *testing.T) {
 		mode Mode
 	}{
 		{"seqwrite-waf-c3", preset("t3:C3"),
-			workload.Patterned(trace.SeqWrite, 4096, 1<<26, 600, 7), ModeFull},
+			workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 600, Seed: 7}, ModeFull},
 		{"randwrite-waf-c4", preset("t3:C4"),
-			workload.Patterned(trace.RandWrite, 4096, 1<<24, 400, 11), ModeFull},
+			workload.Spec{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 400, Seed: 11}, ModeFull},
 		{"randread-waf-c4", preset("t3:C4"),
-			workload.Patterned(trace.RandRead, 4096, 1<<24, 400, 13), ModeFull},
+			workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 400, Seed: 13}, ModeFull},
 		{"seqwrite-vertex-ecc", preset("vertex"),
-			workload.Patterned(trace.SeqWrite, 4096, 1<<26, 400, 17), ModeFull},
+			workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 400, Seed: 17}, ModeFull},
 		{"randwrite-mapper-c3", mapperCfg("t3:C3"),
-			workload.Patterned(trace.RandWrite, 4096, 1<<22, 400, 19), ModeFull},
+			workload.Spec{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 1 << 22, Requests: 400, Seed: 19}, ModeFull},
 		{"drain-write-c4", preset("t3:C4"),
-			workload.Patterned(trace.SeqWrite, 4096, 1<<24, 256, 23), ModeDDRFlash},
+			workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 256, Seed: 23}, ModeDDRFlash},
 		{"replay-mixed-c4", preset("t3:C4"),
 			workload.Spec{TracePath: replayPath}, ModeFull},
 		{"drain-read-c4", preset("t3:C4"),
-			workload.Patterned(trace.SeqRead, 4096, 1<<24, 256, 31), ModeDDRFlash},
+			workload.Spec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 256, Seed: 31}, ModeDDRFlash},
 		// Mixed traffic on the mapper FTL: reads of written pages resolve
 		// through the map to flash, the rest zero-fill from the map.
 		{"mixed-mapper-c3", mapperCfg("t3:C3"),
@@ -236,7 +236,7 @@ func TestParallelModeRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Parallel = true
-	w := workload.Patterned(trace.SeqWrite, 4096, 1<<26, 500, 7)
+	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 500, Seed: 7}
 	res, err := RunWorkload(cfg, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)

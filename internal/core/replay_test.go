@@ -155,7 +155,7 @@ func TestBrokenReplayPhaseFailsRun(t *testing.T) {
 	}
 	w := workload.Spec{Phases: []workload.Spec{
 		{TracePath: path, SpanBytes: 1 << 22},
-		workload.Patterned(trace.SeqWrite, 4096, 1<<22, 200, 1),
+		workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 22, Requests: 200, Seed: 1},
 	}}
 	if _, err := p.Run(w, ModeFull); err == nil || !strings.Contains(err.Error(), "workload stream") {
 		t.Fatalf("Run error = %v, want the replay phase's parse error", err)

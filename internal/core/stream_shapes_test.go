@@ -48,7 +48,7 @@ func TestStreamShapesGolden(t *testing.T) {
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 22, Requests: 300, Seed: 43,
 	})
 	synth := func(p trace.Pattern, n int, seed uint64) workload.Spec {
-		return workload.Patterned(p, 4096, 1<<22, n, seed)
+		return workload.Spec{Pattern: p, BlockSize: 4096, SpanBytes: 1 << 22, Requests: n, Seed: seed}
 	}
 	open := synth(trace.RandRead, 300, 47)
 	open.WriteFrac = 0.3

@@ -165,7 +165,7 @@ func TestLoadStore(t *testing.T) {
 	if m.R[2] != 42 || m.R[3] != 42 || m.R[5] != 0xAB {
 		t.Fatalf("mem ops: %v", m.R[2:6])
 	}
-	if w, _ := m.ReadWord(0x1000); w != 42 {
+	if w := m.word(0x1000); w != 42 {
 		t.Fatalf("mem content %d", w)
 	}
 }
@@ -181,8 +181,7 @@ func TestPostIndexAndWriteback(t *testing.T) {
 	if m.R[0] != 0x2008 {
 		t.Fatalf("writeback r0 = %#x", m.R[0])
 	}
-	w1, _ := m.ReadWord(0x2000)
-	w2, _ := m.ReadWord(0x2008)
+	w1, w2 := m.word(0x2000), m.word(0x2008)
 	if w1 != 7 || w2 != 7 {
 		t.Fatalf("stores landed at %d %d", w1, w2)
 	}
@@ -400,8 +399,8 @@ func TestArithmeticProperty(t *testing.T) {
             swi #0
         `, func(m *Machine) {
 			m.R[7] = 0x1000
-			m.WriteWord(0x1000, uint32(a))
-			m.WriteWord(0x1004, uint32(b))
+			m.putWord(0x1000, uint32(a))
+			m.putWord(0x1004, uint32(b))
 		})
 		ua, ub := uint32(a), uint32(b)
 		return m.R[2] == ua+ub && m.R[3] == ua-ub && m.R[4] == ua^ub &&

@@ -242,7 +242,7 @@ func NewFirmwareFTL(logicalPages int64, units, pagesPerUnit int) (*FirmwareFTL, 
 	}
 	// Initialise table to the invalid marker and allocators to unit bases.
 	for i := int64(0); i < logicalPages; i++ {
-		m.putWord(tableBase+uint32(4*i), 0xFFFFFFFF)
+		m.putWord(tableBase+uint32(4*i), InvalidPPN)
 	}
 	for u := 0; u < units; u++ {
 		m.putWord(allocBase+uint32(4*u), uint32(u*pagesPerUnit))

@@ -70,23 +70,6 @@ func (m *Machine) word(addr uint32) uint32 {
 		uint32(m.mem[addr+2])<<16 | uint32(m.mem[addr+3])<<24
 }
 
-// ReadWord reads a word from SRAM with bounds checking (for tests/host).
-func (m *Machine) ReadWord(addr uint32) (uint32, error) {
-	if int(addr)+4 > len(m.mem) || addr%4 != 0 {
-		return 0, ErrMemFault
-	}
-	return m.word(addr), nil
-}
-
-// WriteWord writes a word into SRAM with bounds checking (for tests/host).
-func (m *Machine) WriteWord(addr, v uint32) error {
-	if int(addr)+4 > len(m.mem) || addr%4 != 0 {
-		return ErrMemFault
-	}
-	m.putWord(addr, v)
-	return nil
-}
-
 // condPassed evaluates a condition code against the flags.
 func (m *Machine) condPassed(cond uint32) bool {
 	switch cond {

@@ -61,7 +61,7 @@ func TestSingleAccessTiming(t *testing.T) {
 	}
 	// 4 KiB at 1600 MB/s peak is 2.56 us; with activate overheads the
 	// service time must be between peak-rate time and 2x peak-rate time.
-	lo := sim.FromNanoseconds(4096.0 / 1.6)
+	lo := 2560 * sim.Nanosecond
 	hi := 2 * lo
 	if d := end - start; d < lo || d > hi {
 		t.Fatalf("4KiB write took %v, want in [%v, %v]", d, lo, hi)

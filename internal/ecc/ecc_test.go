@@ -1,225 +1,9 @@
 package ecc
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/sim"
 )
-
-func TestGFBasics(t *testing.T) {
-	g, err := NewGF(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N != 8191 {
-		t.Fatalf("field size %d", g.N)
-	}
-	// alpha^N == 1
-	if g.Pow(g.N) != 1 {
-		t.Fatalf("alpha^N != 1")
-	}
-	// Multiplicative inverse property.
-	for _, a := range []uint16{1, 2, 3, 100, 8000} {
-		if g.Mul(a, g.Inv(a)) != 1 {
-			t.Fatalf("a * a^-1 != 1 for %d", a)
-		}
-	}
-	// Distributivity spot check via quick.
-	f := func(x, y, z uint16) bool {
-		a, b, c := x%uint16(g.N+1), y%uint16(g.N+1), z%uint16(g.N+1)
-		return g.Mul(a, b^c) == g.Mul(a, b)^g.Mul(a, c)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGFUnsupportedDegree(t *testing.T) {
-	if _, err := NewGF(7); err == nil {
-		t.Fatal("expected unsupported degree error")
-	}
-}
-
-func TestMinimalPolynomialRoots(t *testing.T) {
-	g, _ := NewGF(10)
-	for _, i := range []int{1, 3, 5, 7} {
-		mp := g.minimalPolynomial(i)
-		// alpha^i must be a root: evaluate bit poly at alpha^i.
-		var acc uint16
-		x := g.Pow(i)
-		for d := 63; d >= 0; d-- {
-			acc = g.Mul(acc, x)
-			if mp&(1<<uint(d)) != 0 {
-				acc ^= 1
-			}
-		}
-		if acc != 0 {
-			t.Fatalf("alpha^%d not a root of its minimal polynomial %x", i, mp)
-		}
-	}
-}
-
-func newSmallBCH(t *testing.T) *BCH {
-	t.Helper()
-	// 512-bit payload, t=8, GF(2^10): n = 512+80 = 592 <= 1023.
-	b, err := NewBCH(10, 512, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func TestBCHDimensions(t *testing.T) {
-	b := newSmallBCH(t)
-	if b.ParityBits() != 80 { // m*t = 10*8 when all cosets are full
-		t.Fatalf("parity bits %d", b.ParityBits())
-	}
-	if b.CodewordBits() != 592 {
-		t.Fatalf("codeword bits %d", b.CodewordBits())
-	}
-	if b.ParityBytes() != 10 {
-		t.Fatalf("parity bytes %d", b.ParityBytes())
-	}
-}
-
-func TestBCHNoErrors(t *testing.T) {
-	b := newSmallBCH(t)
-	rng := sim.NewRNG(1)
-	data := randBytes(rng, 64)
-	parity := b.Encode(data)
-	orig := append([]byte(nil), data...)
-	n, err := b.Decode(data, parity)
-	if err != nil || n != 0 {
-		t.Fatalf("clean decode: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(data, orig) {
-		t.Fatalf("clean decode modified data")
-	}
-}
-
-func TestBCHCorrectsUpToT(t *testing.T) {
-	b := newSmallBCH(t)
-	rng := sim.NewRNG(2)
-	for trial := 0; trial < 20; trial++ {
-		data := randBytes(rng, 64)
-		orig := append([]byte(nil), data...)
-		parity := b.Encode(data)
-		origParity := append([]byte(nil), parity...)
-
-		nErr := 1 + rng.Intn(b.T)
-		flipped := flipRandomBits(rng, data, parity, b, nErr)
-
-		n, err := b.Decode(data, parity)
-		if err != nil {
-			t.Fatalf("trial %d: decode failed with %d errors: %v", trial, flipped, err)
-		}
-		if n != flipped {
-			t.Fatalf("trial %d: corrected %d, injected %d", trial, n, flipped)
-		}
-		if !bytes.Equal(data, orig) || !bytes.Equal(parity, origParity) {
-			t.Fatalf("trial %d: data not restored", trial)
-		}
-	}
-}
-
-func TestBCHDetectsBeyondT(t *testing.T) {
-	b := newSmallBCH(t)
-	rng := sim.NewRNG(3)
-	detected := 0
-	const trials = 10
-	for trial := 0; trial < trials; trial++ {
-		data := randBytes(rng, 64)
-		parity := b.Encode(data)
-		flipRandomBits(rng, data, parity, b, b.T+3)
-		if _, err := b.Decode(data, parity); err != nil {
-			detected++
-		}
-	}
-	// Beyond-capability patterns are usually detected (miscorrection is
-	// possible but rare); require a solid majority.
-	if detected < trials*7/10 {
-		t.Fatalf("only %d/%d overload cases detected", detected, trials)
-	}
-}
-
-func TestBCHParityErrorsCorrected(t *testing.T) {
-	b := newSmallBCH(t)
-	rng := sim.NewRNG(4)
-	data := randBytes(rng, 64)
-	parity := b.Encode(data)
-	origParity := append([]byte(nil), parity...)
-	// Flip bits only in parity.
-	parity[0] ^= 0x80
-	parity[5] ^= 0x01
-	n, err := b.Decode(data, parity)
-	if err != nil || n != 2 {
-		t.Fatalf("parity-error decode: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(parity, origParity) {
-		t.Fatalf("parity not restored")
-	}
-}
-
-func TestBCHNANDScaleCode(t *testing.T) {
-	// The production code: 1 KiB sectors, t=40, GF(2^14), as in the
-	// paper's refs [22][23].
-	b, err := NewBCH(14, 8192, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ParityBits() != 14*40 {
-		t.Fatalf("parity bits %d", b.ParityBits())
-	}
-	rng := sim.NewRNG(5)
-	data := randBytes(rng, 1024)
-	orig := append([]byte(nil), data...)
-	parity := b.Encode(data)
-	flipRandomBits(rng, data, parity, b, 40)
-	n, err := b.Decode(data, parity)
-	if err != nil || n != 40 {
-		t.Fatalf("t=40 decode: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(data, orig) {
-		t.Fatalf("data not restored at full correction load")
-	}
-}
-
-func TestBCHRejectsOversizedCode(t *testing.T) {
-	if _, err := NewBCH(10, 1024, 8); err == nil { // 1024+80 > 1023
-		t.Fatal("oversized code accepted")
-	}
-	if _, err := NewBCH(10, 512, 0); err == nil {
-		t.Fatal("t=0 accepted")
-	}
-	if _, err := NewBCH(10, 0, 4); err == nil {
-		t.Fatal("empty payload accepted")
-	}
-}
-
-// Property: encode-corrupt-decode restores the payload for any error count
-// within capability.
-func TestBCHRoundTripProperty(t *testing.T) {
-	b := newSmallBCH(t)
-	f := func(seed uint64, k uint8) bool {
-		rng := sim.NewRNG(seed)
-		nErr := int(k) % (b.T + 1) // 0..T
-		data := randBytes(rng, 64)
-		orig := append([]byte(nil), data...)
-		parity := b.Encode(data)
-		flipped := flipRandomBits(rng, data, parity, b, nErr)
-		n, err := b.Decode(data, parity)
-		if err != nil {
-			return false
-		}
-		return n == flipped && bytes.Equal(data, orig)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestLatencyModels(t *testing.T) {
 	for _, lm := range []LatencyModel{BitSerialLatency(), ByteParallelLatency()} {
@@ -349,84 +133,28 @@ func TestBinomialTail(t *testing.T) {
 	}
 }
 
-// --- helpers ---
-
-func randBytes(rng *sim.RNG, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(rng.Uint64())
-	}
-	return b
-}
-
-// flipRandomBits flips nErr distinct random bits across data+parity,
-// returning the number flipped.
-func flipRandomBits(rng *sim.RNG, data, parity []byte, b *BCH, nErr int) int {
-	total := b.DataBits + b.ParityBits()
-	seen := map[int]bool{}
-	for len(seen) < nErr {
-		i := rng.Intn(total)
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		if i < b.DataBits {
-			data[i/8] ^= 1 << (7 - uint(i)%8)
-		} else {
-			p := i - b.DataBits
-			parity[p/8] ^= 1 << (7 - uint(p)%8)
-		}
-	}
-	return len(seen)
-}
-
-// TestTableStrengthSufficientForRBER cross-validates the adaptive table
-// against the real codec: at each wear bucket, inject errors at the expected
-// count for that wear's RBER and verify the table's chosen strength corrects
-// them. This grounds the parametric latency scheme in functional reality.
+// TestTableStrengthSufficientForRBER checks that the table provisions for
+// tail events: at each wear point the expected raw bit-error count of a
+// codeword sits within the strength the table chooses.
 func TestTableStrengthSufficientForRBER(t *testing.T) {
-	if testing.Short() {
-		t.Skip("codec construction is slow in short mode")
-	}
+	const codewordBits = 512 + 80
+	rber := func(w float64) float64 { return 2e-4 * math.Exp(3.0*w) }
 	tbl, err := BuildCorrectionTable(TableParams{
-		CodewordBits: 512 + 80, // match the small test codec
+		CodewordBits: codewordBits,
 		TMax:         8,
 		TStep:        2,
 		TargetCFR:    1e-12,
 		Buckets:      8,
-		RBER:         func(w float64) float64 { return 2e-4 * math.Exp(3.0*w) },
+		RBER:         rber,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := sim.NewRNG(42)
 	for _, wear := range []float64{0.1, 0.6, 0.95} {
 		tw := tbl.At(wear)
-		b, err := NewBCH(10, 512, tw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rber := 2e-4 * math.Exp(3.0*wear)
-		expected := int(rber * float64(b.CodewordBits()))
-		if expected < 1 {
-			expected = 1
-		}
-		// The table provisions for tail events, so the expected error
-		// count must sit comfortably within the chosen strength.
+		expected := max(int(rber(wear)*codewordBits), 1)
 		if expected > tw {
 			t.Fatalf("wear %v: expected %d errors exceeds chosen t=%d", wear, expected, tw)
-		}
-		for trial := 0; trial < 5; trial++ {
-			data := randBytes(rng, 64)
-			orig := append([]byte(nil), data...)
-			parity := b.Encode(data)
-			flipRandomBits(rng, data, parity, b, expected)
-			if _, err := b.Decode(data, parity); err != nil {
-				t.Fatalf("wear %v t=%d: decode failed at expected load: %v", wear, tw, err)
-			}
-			if !bytes.Equal(data, orig) {
-				t.Fatalf("wear %v: data not restored", wear)
-			}
 		}
 	}
 }

@@ -1,3 +1,9 @@
+// Package ecc implements the SSD's error-correction subsystem. The paper
+// treats ECC as a parametric time-delay component (§III-D2) whose encode and
+// decode latencies — not its logic — shape SSD performance, and compares a
+// fixed 40-bit BCH against an adaptive BCH whose correction strength follows
+// a static P/E-cycle table (§IV-B, refs [22][23]). This package provides
+// those latency schemes and the correction table; it models no codec logic.
 package ecc
 
 import (

@@ -111,20 +111,30 @@ type Mapper struct {
 	Stats Stats
 }
 
+// CheckSpace reports whether a Mapper can expose logicalPages of geo: the
+// geometry must be valid and leave two blocks per unit of spare space beyond
+// the data, the reserve garbage collection runs on. NewMapper applies it,
+// and config.Validate applies it to a platform before anything is built.
+func CheckSpace(geo Geometry, logicalPages int64) error {
+	if err := geo.Validate(); err != nil {
+		return err
+	}
+	if logicalPages < 1 {
+		return errors.New("ftl: need at least one logical page")
+	}
+	minSpare := int64(geo.Units) * int64(geo.PagesPerBlock) * 2
+	if logicalPages > geo.TotalPages()-minSpare {
+		return fmt.Errorf("ftl: logical space %d too large for raw %d (need %d spare pages)",
+			logicalPages, geo.TotalPages(), minSpare)
+	}
+	return nil
+}
+
 // NewMapper builds a mapper exposing logicalPages of the geometry's raw
 // space; the remainder is over-provisioning for GC.
 func NewMapper(geo Geometry, logicalPages int64) (*Mapper, error) {
-	if err := geo.Validate(); err != nil {
+	if err := CheckSpace(geo, logicalPages); err != nil {
 		return nil, err
-	}
-	if logicalPages < 1 {
-		return nil, errors.New("ftl: need at least one logical page")
-	}
-	// Require spare space: at least one free block per unit beyond data.
-	minSpare := int64(geo.Units) * int64(geo.PagesPerBlock) * 2
-	if logicalPages > geo.TotalPages()-minSpare {
-		return nil, fmt.Errorf("ftl: logical space %d too large for raw %d (need %d spare pages)",
-			logicalPages, geo.TotalPages(), minSpare)
 	}
 	m := &Mapper{geo: geo, logicalPages: logicalPages, gcFreeTarget: 2, WLThreshold: 16}
 	m.l2p = make([]PPN, logicalPages)
@@ -155,9 +165,6 @@ func NewMapper(geo Geometry, logicalPages int64) (*Mapper, error) {
 
 // Geometry returns the managed geometry.
 func (m *Mapper) Geometry() Geometry { return m.geo }
-
-// LogicalPages returns the exposed logical capacity in pages.
-func (m *Mapper) LogicalPages() int64 { return m.logicalPages }
 
 // SpareFactor reports the over-provisioning fraction.
 func (m *Mapper) SpareFactor() float64 {
@@ -382,30 +389,4 @@ func (m *Mapper) MeasuredWAF() float64 {
 		return 0
 	}
 	return float64(m.Stats.PhysPrograms) / float64(m.Stats.UserWrites)
-}
-
-// MaxPE returns the highest erase count across blocks (wear-leveling metric).
-func (m *Mapper) MaxPE() int {
-	max := 0
-	for u := range m.pe {
-		for _, c := range m.pe[u] {
-			if c > max {
-				max = c
-			}
-		}
-	}
-	return max
-}
-
-// MinPE returns the lowest erase count across blocks.
-func (m *Mapper) MinPE() int {
-	min := int(^uint(0) >> 1)
-	for u := range m.pe {
-		for _, c := range m.pe[u] {
-			if c < min {
-				min = c
-			}
-		}
-	}
-	return min
 }

@@ -9,8 +9,6 @@ package ftl
 import (
 	"errors"
 	"math"
-
-	"repro/internal/sim"
 )
 
 // GreedyWAF returns the analytic steady-state write amplification of greedy
@@ -21,6 +19,10 @@ import (
 // (u - 1)/ln(u) = 1 - sf (the occupancy equals the mean valid fraction of
 // blocks between the greedy victim's u and 1), and each reclaim of a block
 // frees (1-u) of its pages, so WAF = 1/(1-u).
+//
+// This is the "reconfigurable WAF algorithm based on greedy policy [5]" the
+// paper embeds in the validated instance; the page-mapped Mapper, run under
+// uniform random writes, is the check on it.
 func GreedyWAF(sf float64) (float64, error) {
 	if sf <= 0 || sf >= 1 {
 		return 0, errors.New("ftl: spare factor must be in (0, 1)")
@@ -45,145 +47,6 @@ func GreedyWAF(sf float64) (float64, error) {
 // SequentialWAF is the write amplification of strictly sequential traffic:
 // greedy collection always finds fully-invalid blocks, so no copies occur.
 const SequentialWAF = 1.0
-
-// MonteCarloParams configures the embedded greedy-GC simulator, the
-// "reconfigurable WAF algorithm based on greedy policy [5]" the paper embeds
-// in the validated instance.
-type MonteCarloParams struct {
-	Blocks        int
-	PagesPerBlock int
-	SpareFactor   float64 // fraction of raw pages not exposed to the host
-	GCFreeTarget  int     // reclaim when free blocks drop below this
-	WarmupWrites  int64   // writes before measurement starts
-	MeasureWrites int64   // measured writes
-	Seed          uint64
-}
-
-// DefaultMonteCarloParams returns a configuration that converges to within
-// a few percent of the analytic model in well under a second.
-func DefaultMonteCarloParams(sf float64) MonteCarloParams {
-	return MonteCarloParams{
-		Blocks:        512,
-		PagesPerBlock: 128,
-		SpareFactor:   sf,
-		GCFreeTarget:  4,
-		WarmupWrites:  6 * 512 * 128,
-		MeasureWrites: 4 * 512 * 128,
-		Seed:          1,
-	}
-}
-
-// MonteCarloWAF simulates greedy garbage collection under uniform random
-// writes and returns the measured write amplification.
-func MonteCarloWAF(p MonteCarloParams) (float64, error) {
-	if p.Blocks < 8 || p.PagesPerBlock < 1 {
-		return 0, errors.New("ftl: monte carlo needs >= 8 blocks")
-	}
-	if p.SpareFactor <= 0 || p.SpareFactor >= 1 {
-		return 0, errors.New("ftl: spare factor must be in (0, 1)")
-	}
-	if p.GCFreeTarget < 1 {
-		p.GCFreeTarget = 1
-	}
-	totalPages := int64(p.Blocks) * int64(p.PagesPerBlock)
-	logicalPages := int64(float64(totalPages) * (1 - p.SpareFactor))
-	if logicalPages < 1 {
-		return 0, errors.New("ftl: no logical space")
-	}
-
-	rng := sim.NewRNG(p.Seed)
-	// State: per-block valid count; L2P as flat slice of physical page ids;
-	// physical page -> logical (for GC copy-back), -1 when invalid.
-	valid := make([]int, p.Blocks)
-	l2p := make([]int64, logicalPages)
-	p2l := make([]int64, totalPages)
-	for i := range l2p {
-		l2p[i] = -1
-	}
-	for i := range p2l {
-		p2l[i] = -1
-	}
-	freeBlocks := make([]int, p.Blocks)
-	for i := range freeBlocks {
-		freeBlocks[i] = p.Blocks - 1 - i // pop from the back
-	}
-	var active = -1
-	var activeNext int
-	var userWrites, physWrites int64
-	measuring := false
-
-	writePage := func(lpn int64) {
-		// Invalidate the old location.
-		if old := l2p[lpn]; old >= 0 {
-			valid[old/int64(p.PagesPerBlock)]--
-			p2l[old] = -1
-		}
-		if active == -1 || activeNext == p.PagesPerBlock {
-			if len(freeBlocks) == 0 {
-				panic("ftl: free block pool exhausted")
-			}
-			active = freeBlocks[len(freeBlocks)-1]
-			freeBlocks = freeBlocks[:len(freeBlocks)-1]
-			activeNext = 0
-		}
-		ppn := int64(active)*int64(p.PagesPerBlock) + int64(activeNext)
-		activeNext++
-		l2p[lpn] = ppn
-		p2l[ppn] = lpn
-		valid[active]++
-		if measuring {
-			physWrites++
-		}
-	}
-
-	gc := func() {
-		// Greedy victim: fewest valid pages, excluding the active block.
-		victim, best := -1, p.PagesPerBlock+1
-		inFree := make(map[int]bool, len(freeBlocks))
-		for _, b := range freeBlocks {
-			inFree[b] = true
-		}
-		for b := 0; b < p.Blocks; b++ {
-			if b == active || inFree[b] {
-				continue
-			}
-			if valid[b] < best {
-				victim, best = b, valid[b]
-			}
-		}
-		if victim == -1 {
-			panic("ftl: no GC victim")
-		}
-		base := int64(victim) * int64(p.PagesPerBlock)
-		for i := 0; i < p.PagesPerBlock; i++ {
-			if lpn := p2l[base+int64(i)]; lpn >= 0 {
-				writePage(lpn) // copy-back counts as physical write
-			}
-		}
-		valid[victim] = 0
-		freeBlocks = append(freeBlocks, victim)
-	}
-
-	total := p.WarmupWrites + p.MeasureWrites
-	for w := int64(0); w < total; w++ {
-		if w == p.WarmupWrites {
-			measuring = true
-			userWrites, physWrites = 0, 0
-		}
-		for len(freeBlocks) < p.GCFreeTarget {
-			gc()
-		}
-		lpn := rng.Int63n(logicalPages)
-		writePage(lpn)
-		if measuring {
-			userWrites++
-		}
-	}
-	if userWrites == 0 {
-		return 0, errors.New("ftl: no measured writes")
-	}
-	return float64(physWrites) / float64(userWrites), nil
-}
 
 // Model is the WAF abstraction consumed by the platform: per user page
 // write it reports how many extra page copies (GC read+program pairs) and

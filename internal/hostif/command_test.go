@@ -162,7 +162,7 @@ func TestCommandsRecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := workload.Patterned(trace.SeqWrite, 4096, 1<<24, 600, 0).Stream()
+	st, err := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 600}.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCommandsRecycle(t *testing.T) {
 // completions (it holds half of them, and reuses each drained chunk),
 // which rounds to 0 allocs/op on a long run.
 func BenchmarkHostCommandCycle(b *testing.B) {
-	st, err := workload.Patterned(trace.SeqWrite, 4096, 1<<30, b.N, 0).Stream()
+	st, err := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 30, Requests: b.N}.Stream()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -681,20 +681,6 @@ func (i *Interface) Latency() *workload.Collector {
 	return c
 }
 
-// LatencyPercentiles returns the mean and the given percentiles (0-100) of
-// command latency across all op classes, from the fixed-memory histogram.
-func (i *Interface) LatencyPercentiles(ps ...float64) (mean sim.Time, out []sim.Time) {
-	out = make([]sim.Time, len(ps))
-	h := i.Latency().AllHistogram()
-	if h.Count() == 0 {
-		return 0, out
-	}
-	for j, p := range ps {
-		out[j] = h.Quantile(p / 100)
-	}
-	return h.Mean(), out
-}
-
 // TailThroughputMBps measures throughput over the second half of the
 // measured window's completions, excluding the ramp-up during which an
 // empty write cache absorbs traffic at wire speed. This is the steady-state

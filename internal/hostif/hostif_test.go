@@ -140,7 +140,7 @@ func TestTracePlayerRunsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := workload.Patterned(trace.SeqWrite, 4096, 1<<20, 100, 0).Stream()
+	st, err := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 100}.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTracePlayerRunsAll(t *testing.T) {
 func TestHostIdealThroughputMatchesAnalytic(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<24, 2000, 0).Stream()
+	st, _ := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 2000}.Stream()
 	i.Run(st, instantDevice(k, i), nil)
 	k.RunAll()
 	got := i.ThroughputMBps()
@@ -176,7 +176,7 @@ func TestHostIdealThroughputMatchesAnalytic(t *testing.T) {
 func TestReadsUseTxWire(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	st, _ := workload.Patterned(trace.SeqRead, 4096, 1<<24, 500, 0).Stream()
+	st, _ := workload.Spec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 500}.Stream()
 	i.Run(st, instantDevice(k, i), nil)
 	k.RunAll()
 	if i.Stats.BytesRead != 500*4096 {
@@ -192,7 +192,7 @@ func TestReadsUseTxWire(t *testing.T) {
 func TestQueueWindowLimitsOutstanding(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<24, 200, 0).Stream()
+	st, _ := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 200}.Stream()
 	// Slow device: commands pile up at the window.
 	live, livePeak := 0, 0
 	i.Run(st, func(c *Command) {
@@ -224,7 +224,7 @@ func TestQueueDepthThroughputWall(t *testing.T) {
 	run := func(cfg Config) float64 {
 		k := sim.NewKernel()
 		i, _ := New(k, cfg)
-		st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<26, 3000, 0).Stream()
+		st, _ := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 3000}.Stream()
 		i.Run(st, func(c *Command) {
 			// 3 ms device latency, unlimited concurrency (512 dies).
 			k.Schedule(3*sim.Millisecond, func() { i.Complete(c) })
@@ -310,23 +310,22 @@ func TestRunValidation(t *testing.T) {
 func TestLatencyPercentiles(t *testing.T) {
 	k := sim.NewKernel()
 	i, _ := New(k, SATA2())
-	st, _ := workload.Patterned(trace.SeqWrite, 4096, 1<<24, 200, 0).Stream()
+	st, _ := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 200}.Stream()
 	i.Run(st, func(c *Command) {
 		k.Schedule(100*sim.Microsecond, func() { i.Complete(c) })
 	}, nil)
 	k.RunAll()
-	mean, pct := i.LatencyPercentiles(50, 99)
-	if mean < 100*sim.Microsecond {
-		t.Fatalf("mean latency %v below device latency", mean)
+	all := i.Latency().All()
+	if all.MeanUS < 100 {
+		t.Fatalf("mean latency %v us below device latency", all.MeanUS)
 	}
-	if pct[0] > pct[1] {
-		t.Fatalf("p50 %v > p99 %v", pct[0], pct[1])
+	if all.P50US > all.P99US {
+		t.Fatalf("p50 %v us > p99 %v us", all.P50US, all.P99US)
 	}
 	// Empty interface: zeroes, no panic.
 	j, _ := New(sim.NewKernel(), SATA2())
-	m, ps := j.LatencyPercentiles(99)
-	if m != 0 || ps[0] != 0 {
-		t.Fatalf("empty percentiles %v %v", m, ps)
+	if e := j.Latency().All(); e.MeanUS != 0 || e.P99US != 0 {
+		t.Fatalf("empty percentiles %+v", e)
 	}
 }
 
@@ -376,14 +375,14 @@ func TestOpenLoopLatencyIncludesQueueWait(t *testing.T) {
 		k.Schedule(sim.Millisecond, func() { i.Complete(c) })
 	}, nil)
 	k.RunAll()
-	mean, pct := i.LatencyPercentiles(100)
+	all := i.Latency().All()
 	// First request: ~1 ms service. Second: ~1 ms window wait + ~1 ms
 	// service. Mean ~1.5 ms, max ~2 ms.
-	if mean < 1400*sim.Microsecond {
-		t.Fatalf("mean %v does not include window queueing", mean)
+	if all.MeanUS < 1400 {
+		t.Fatalf("mean %v us does not include window queueing", all.MeanUS)
 	}
-	if pct[0] < 1900*sim.Microsecond {
-		t.Fatalf("max latency %v does not include window queueing", pct[0])
+	if all.MaxUS < 1900 {
+		t.Fatalf("max latency %v us does not include window queueing", all.MaxUS)
 	}
 }
 
@@ -404,9 +403,8 @@ func TestOpenLoopLatencyIncludesArrivalBacklog(t *testing.T) {
 		k.Schedule(sim.Millisecond, func() { i.Complete(c) })
 	}, nil)
 	k.RunAll()
-	_, pct := i.LatencyPercentiles(100)
 	// Third completion at ~3 ms, arrival 10us: latency ~3 ms.
-	if pct[0] < 2900*sim.Microsecond {
-		t.Fatalf("max latency %v does not include the arrival backlog", pct[0])
+	if worst := i.Latency().All().MaxUS; worst < 2900 {
+		t.Fatalf("max latency %v us does not include the arrival backlog", worst)
 	}
 }

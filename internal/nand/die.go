@@ -193,9 +193,6 @@ func (d *Die) Timing() Timing { return *d.tim }
 // (the RB# pin in ONFI terms).
 func (d *Die) Ready() bool { return d.k.Now() >= d.busyUntil }
 
-// ReadyAt returns the time at which the die becomes ready.
-func (d *Die) ReadyAt() sim.Time { return d.busyUntil }
-
 // jitter applies the profile's uniform timing variability.
 func (d *Die) jitter(t sim.Time) sim.Time {
 	if d.tim.JitterPct <= 0 || d.rng == nil {
@@ -233,11 +230,6 @@ func (d *Die) AvgWear() float64 {
 func (d *Die) SetWear(w float64) {
 	d.basePE = int64(w * float64(d.tim.RatedPE))
 	clear(d.peDelta)
-}
-
-// RBERAt returns the raw bit error rate of a block at its current wear.
-func (d *Die) RBERAt(planeIdx, blockIdx int) float64 {
-	return d.tim.RBER(d.wear(d.block(planeIdx, blockIdx)))
 }
 
 // begin marks the die busy for dur and schedules done at completion. A

@@ -374,8 +374,8 @@ func FuzzDie(f *testing.F) {
 				t.Fatalf("step %d (op %#x at %+v): die returned %v, %v; reference %v, %v",
 					step, op, a, got, gotErr, want, wantErr)
 			}
-			if d.ReadyAt() != ref.busyUntil {
-				t.Fatalf("step %d: die ready at %v, reference %v", step, d.ReadyAt(), ref.busyUntil)
+			if d.busyUntil != ref.busyUntil {
+				t.Fatalf("step %d: die ready at %v, reference %v", step, d.busyUntil, ref.busyUntil)
 			}
 			if got, want := d.AvgWear(), ref.avgWear(); got != want {
 				t.Fatalf("step %d: AvgWear %v, reference %v", step, got, want)

@@ -33,19 +33,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// PagesPerDie returns the total page count of a die.
-func (g Geometry) PagesPerDie() int64 {
-	return int64(g.PlanesPerDie) * int64(g.BlocksPerPlane) * int64(g.PagesPerBlock)
-}
-
-// DieBytes returns user capacity of one die.
-func (g Geometry) DieBytes() int64 {
-	return g.PagesPerDie() * int64(g.PageBytes)
-}
-
-// RawPageBytes returns page size including the spare area.
-func (g Geometry) RawPageBytes() int { return g.PageBytes + g.SpareBytes }
-
 // Addr identifies a page within a die.
 type Addr struct {
 	Plane int
@@ -115,11 +102,6 @@ func (t Timing) DataTransferTime(n int) sim.Time {
 // CommandOverhead returns bus occupancy for a command+address sequence.
 func (t Timing) CommandOverhead() sim.Time {
 	return 2*t.CmdCycle + sim.Time(t.AddrBytes)*t.AddrCycle
-}
-
-// BusMBps reports the raw interface data rate in MB/s.
-func (t Timing) BusMBps() float64 {
-	return float64(sim.Second) / float64(t.DataCycle) / 1e6
 }
 
 // RBER returns the raw bit error rate at normalised wear w (clamped to

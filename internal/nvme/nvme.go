@@ -251,15 +251,6 @@ func (s TenantSet) Layout() []int64 {
 	return bases
 }
 
-// TotalSpan returns the drive span covered by every namespace.
-func (s TenantSet) TotalSpan() int64 {
-	var total int64
-	for _, t := range s.Tenants {
-		total += t.NSBytes()
-	}
-	return total
-}
-
 // RandomWrites reports whether any tenant's write traffic addresses randomly
 // — the conservative input to the WAF abstraction. Interleaving multiple
 // sequential streams also breaks drive-level sequentiality, so any mix of

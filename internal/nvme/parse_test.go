@@ -179,8 +179,8 @@ func TestLayoutAndSpans(t *testing.T) {
 			t.Errorf("base[%d] = %d, want %d", i, bases[i], w)
 		}
 	}
-	if got := set.TotalSpan(); got != 7<<20 {
-		t.Errorf("TotalSpan = %d, want %d", got, 7<<20)
+	if end := bases[2]*trace.SectorSize + set.Tenants[2].NSBytes(); end != 7<<20 {
+		t.Errorf("layout ends at %d, want %d", end, 7<<20)
 	}
 	if !set.RandomWrites() {
 		t.Error("two writing tenants must classify as random at drive level")

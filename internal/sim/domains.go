@@ -139,9 +139,6 @@ func NewDomainSet(n int, lookahead Time) *DomainSet {
 // Domain returns domain i.
 func (ds *DomainSet) Domain(i int) *Domain { return ds.domains[i] }
 
-// Domains returns the number of domains.
-func (ds *DomainSet) Domains() int { return len(ds.domains) }
-
 // Stop makes Run return at the next window barrier. Called from a domain's
 // executing event, it lets the current window complete on every domain, so
 // a stopped run still ends on a barrier.

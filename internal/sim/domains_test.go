@@ -180,7 +180,7 @@ func BenchmarkDomainSet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		const look = 100 * Nanosecond
 		ds := NewDomainSet(8, look)
-		for d := 0; d < ds.Domains(); d++ {
+		for d := 0; d < len(ds.domains); d++ {
 			dom := ds.Domain(d)
 			var tick func()
 			n := 0
@@ -190,7 +190,7 @@ func BenchmarkDomainSet(b *testing.B) {
 					return
 				}
 				if n%8 == 0 {
-					to := ds.Domain((dom.ID() + 1) % ds.Domains())
+					to := ds.Domain((dom.ID() + 1) % len(ds.domains))
 					dom.Post(to, look, func() {})
 				}
 				dom.K.Schedule(10*Nanosecond, tick)

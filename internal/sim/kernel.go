@@ -70,9 +70,6 @@ func (t Time) String() string {
 	}
 }
 
-// FromNanoseconds converts a float nanosecond quantity to Time.
-func FromNanoseconds(ns float64) Time { return Time(ns * float64(Nanosecond)) }
-
 // FromMicroseconds converts a float microsecond quantity to Time.
 func FromMicroseconds(us float64) Time { return Time(us * float64(Microsecond)) }
 
@@ -259,9 +256,6 @@ func (k *Kernel) atReserved(t Time, seq uint64, fn func()) {
 	k.queue.push(event{at: t, seq: seq, fn: fn})
 }
 
-// Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.queue) + k.lane.Len() }
-
 // NextAt returns the timestamp of the earliest pending event, or MaxTime
 // when the queue is empty. The domain coordinator uses it to compute the
 // global lower bound a conservative window starts from. Reserved slots that
@@ -346,9 +340,6 @@ func NewClock(name string, mhz float64) *Clock {
 	}
 	return &Clock{Period: Time(float64(Second) / (mhz * 1e6)), Name: name}
 }
-
-// FreqMHz returns the clock frequency in MHz.
-func (c *Clock) FreqMHz() float64 { return 1e-6 * float64(Second) / float64(c.Period) }
 
 // NextEdge returns the first clock edge at or after t.
 func (c *Clock) NextEdge(t Time) Time {

@@ -148,9 +148,6 @@ func TestClockEdges(t *testing.T) {
 	if got := c.Cycles(3); got != 15*Nanosecond {
 		t.Fatalf("cycles: %v", got)
 	}
-	if got := c.FreqMHz(); got < 199.9 || got > 200.1 {
-		t.Fatalf("freq %v", got)
-	}
 }
 
 func TestClockEdgeProperty(t *testing.T) {
@@ -264,8 +261,8 @@ func TestTokenGate(t *testing.T) {
 	if peak != 2 {
 		t.Fatalf("peak concurrency %d, want 2", peak)
 	}
-	if g.Held() != 0 {
-		t.Fatalf("tokens leaked: %d", g.Held())
+	if g.held != 0 {
+		t.Fatalf("tokens leaked: %d", g.held)
 	}
 	if g.Acquired != 6 {
 		t.Fatalf("acquired %d", g.Acquired)
@@ -570,8 +567,8 @@ func BenchmarkTokenGateQueued(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.AcquireWhenFree(nop)
-		if g.Waiting() >= 256 {
-			for g.Waiting() > 0 {
+		if g.waiters.Len() >= 256 {
+			for g.waiters.Len() > 0 {
 				g.Release()
 			}
 			k.RunAll()

@@ -216,12 +216,3 @@ func (g *TokenGate) Release() {
 	}
 	g.held--
 }
-
-// Held reports current holders.
-func (g *TokenGate) Held() int { return g.held }
-
-// Capacity reports the gate capacity.
-func (g *TokenGate) Capacity() int { return g.cap }
-
-// Waiting reports queued waiters.
-func (g *TokenGate) Waiting() int { return g.waiters.Len() }

@@ -13,7 +13,6 @@ package telemetry
 type Backlog struct {
 	n                        float64
 	sumX, sumY, sumXX, sumXY float64 // x: arrival (s), y: lag (s)
-	maxLagUS                 float64
 }
 
 // SatGrowthThreshold is the backlog growth rate above which a run is
@@ -38,13 +37,7 @@ func (b *Backlog) Observe(arrivalUS, lagUS float64) {
 	b.sumY += y
 	b.sumXX += x * x
 	b.sumXY += x * y
-	if lagUS > b.maxLagUS {
-		b.maxLagUS = lagUS
-	}
 }
-
-// MaxLagUS reports the worst arrival lag seen, in microseconds.
-func (b *Backlog) MaxLagUS() float64 { return b.maxLagUS }
 
 // Growth returns the fitted backlog growth rate d(lag)/d(time)
 // (dimensionless). Zero when fewer than two distinct arrival times were

@@ -95,9 +95,6 @@ func (o Op) String() string {
 	return "?"
 }
 
-// gcOp reports whether the op is garbage-collection work.
-func (o Op) gcOp() bool { return o == OpGCRead || o == OpGCProgram }
-
 // Options configures a Tracer.
 type Options struct {
 	// Events enables the raw event buffer needed for Perfetto export.

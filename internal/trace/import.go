@@ -41,20 +41,6 @@ func (f Format) String() string {
 	return "?"
 }
 
-// ParseFormat decodes a format name ("auto" is not a format: use
-// DetectFormat / ParseReaderAuto).
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "canonical", "native", "":
-		return FormatCanonical, nil
-	case "blktrace", "blkparse":
-		return FormatBlktrace, nil
-	case "msr", "msrc", "msr-cambridge":
-		return FormatMSR, nil
-	}
-	return 0, fmt.Errorf("trace: unknown trace format %q", s)
-}
-
 // ParseReaderFormat wraps r in a streaming parser for the given dialect.
 func ParseReaderFormat(r io.Reader, f Format) *Reader {
 	sc := bufio.NewScanner(r)

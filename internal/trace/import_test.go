@@ -134,15 +134,3 @@ func TestImportErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestParseFormatRoundTrip(t *testing.T) {
-	for f := FormatCanonical; f < numFormats; f++ {
-		got, err := ParseFormat(f.String())
-		if err != nil || got != f {
-			t.Errorf("format %v does not round-trip: %v %v", f, got, err)
-		}
-	}
-	if _, err := ParseFormat("vhd"); err == nil {
-		t.Error("ParseFormat accepted unknown format")
-	}
-}

@@ -179,6 +179,3 @@ func (c *Collector) Write() LatStats { return c.write.Stats() }
 
 // All summarises latency across every op class.
 func (c *Collector) All() LatStats { return c.all.Stats() }
-
-// AllHistogram exposes the combined distribution for direct quantile reads.
-func (c *Collector) AllHistogram() *Histogram { return &c.all }

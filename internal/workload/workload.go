@@ -253,12 +253,6 @@ type Spec struct {
 // DefaultBlockSize is the 4 KB payload used throughout the paper.
 const DefaultBlockSize = trace.DefaultBlockSize
 
-// Patterned is the common constructor: one of the paper's four IOZone
-// patterns at the given shape.
-func Patterned(p trace.Pattern, blockBytes, spanBytes int64, requests int, seed uint64) Spec {
-	return Spec{Pattern: p, BlockSize: blockBytes, SpanBytes: spanBytes, Requests: requests, Seed: seed}
-}
-
 // Validate checks the spec (and every phase) for consistency.
 func (s Spec) Validate() error { return s.validate(true) }
 
@@ -300,9 +294,6 @@ func (s Spec) validate(allowPhases bool) error {
 	}
 	return s.Arrival.Validate()
 }
-
-// mixed reports whether the spec draws per-request directions.
-func (s Spec) mixed() bool { return s.WriteFrac > 0 && s.WriteFrac < 1 }
 
 // randomAddr reports whether the spec addresses randomly (base pattern or
 // skew-forced).

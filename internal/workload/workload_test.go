@@ -605,7 +605,7 @@ func TestFailedPhaseEndsChain(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0 W 0 4096\nnot a line\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Spec{Phases: []Spec{{TracePath: path}, Patterned(trace.SeqRead, 4096, 1<<20, 5, 1)}}.Stream()
+	st, err := Spec{Phases: []Spec{{TracePath: path}, Spec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 5, Seed: 1}}}.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
