@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,11 +61,11 @@ func runCore(t *testing.T, cfg config.Platform, w workload.Spec, mode Mode, shar
 	return res, buf.Bytes()
 }
 
-// runDigest is the SHA-256 of a run's Result JSON followed by its Perfetto
-// bytes. The event counts are scrubbed (eventsLine pins them on a line of
-// their own), and so is the workload label: the replay case's label names a
-// temporary file.
-func runDigest(t *testing.T, res Result, perfetto []byte) string {
+// resultJSON renders a run's Result for its "<key>/result" golden line,
+// indented so that stored sides diff field by field. The event counts are
+// scrubbed (eventsLine pins them on a line of their own), and so is the
+// workload label: the replay case's label names a temporary file.
+func resultJSON(t *testing.T, res Result) []byte {
 	t.Helper()
 	res.Workload = ""
 	res.Events = 0
@@ -73,14 +75,11 @@ func runDigest(t *testing.T, res Result, perfetto []byte) string {
 		u.Profile.KernelEvents = 0
 		res.Utilization = &u
 	}
-	js, err := json.Marshal(res)
+	js, err := json.MarshalIndent(res, "", "\t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	h.Write(js)
-	h.Write(perfetto)
-	return hex.EncodeToString(h.Sum(nil))
+	return js
 }
 
 // eventsLine renders a run's event counts — the Result's and the
@@ -93,20 +92,161 @@ func eventsLine(res Result) string {
 	return fmt.Sprintf("result=%d profile=%d", res.Events, profile)
 }
 
-// checkGolden records a run's digest under key and its event counts under
-// key+"/events", and compares both with the committed golden.
+// checkGolden records a run's Result and Perfetto trace hashes under
+// key+"/result" and key+"/trace" and its event counts under key+"/events",
+// and compares all three with the committed golden. A hash mismatch names
+// the first differing Result field or trace record (see explainMismatch).
 func checkGolden(t *testing.T, golden, got map[string]string, key string, res Result, perfetto []byte) {
 	t.Helper()
-	for _, kv := range [][2]string{
-		{key, runDigest(t, res, perfetto)},
-		{key + "/events", eventsLine(res)},
+	for _, side := range []struct {
+		suffix string
+		data   []byte
+	}{
+		{"/result", resultJSON(t, res)},
+		{"/trace", perfetto},
 	} {
-		got[kv[0]] = kv[1]
-		if !*updateGolden && golden[kv[0]] != kv[1] {
-			t.Errorf("%s: %s, golden %s (re-run with -update only if the change is intended)",
-				kv[0], kv[1], golden[kv[0]])
+		k, sum := key+side.suffix, sha256Hex(side.data)
+		got[k] = sum
+		switch {
+		case *updateGolden:
+		case golden[k] == sum:
+			storeSide(t, sum, side.data)
+		default:
+			t.Errorf("%s: %s, golden %s (re-run with -update only if the change is intended)\n%s",
+				k, sum, golden[k], explainMismatch(t, side.suffix, golden[k], side.data))
 		}
 	}
+	k, line := key+"/events", eventsLine(res)
+	got[k] = line
+	if !*updateGolden && golden[k] != line {
+		t.Errorf("%s: %s, golden %s (re-run with -update only if the change is intended)", k, line, golden[k])
+	}
+}
+
+// sha256Hex is the hex SHA-256 of b.
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// goldenStore is where matched golden sides are kept, gzipped, each in a
+// file named by its hash, so a later mismatch can be diffed against the run the golden
+// was written from. It lives in the system temp directory and outlasts the
+// test run (t.TempDir does not).
+func goldenStore() string { return filepath.Join(os.TempDir(), "ssdx-golden") }
+
+// storeSide keeps data in the golden store under its hash, unless a file of
+// that name is already there. Writes go through a rename, so concurrent
+// test binaries never see a partial file. A store that cannot be written
+// only costs the diagnostic.
+func storeSide(t *testing.T, sum string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(goldenStore(), sum)
+	if _, err := os.Stat(path); err == nil {
+		return path
+	}
+	if err := os.MkdirAll(goldenStore(), 0o755); err != nil {
+		t.Logf("golden store: %v", err)
+		return ""
+	}
+	f, err := os.CreateTemp(goldenStore(), sum+".*")
+	if err != nil {
+		t.Logf("golden store: %v", err)
+		return ""
+	}
+	zw := gzip.NewWriter(f)
+	_, werr := zw.Write(data)
+	for _, c := range []io.Closer{zw, f} {
+		if cerr := c.Close(); werr == nil {
+			werr = cerr
+		}
+	}
+	if werr == nil {
+		werr = os.Rename(f.Name(), path)
+	}
+	if werr != nil {
+		os.Remove(f.Name())
+		t.Logf("golden store: %v", werr)
+		return ""
+	}
+	return path
+}
+
+// explainMismatch stores the side a run produced and, when the store still
+// holds the side the golden was written from, names the first Result field
+// (suffix "/result") or Perfetto record ("/trace") where the two differ.
+func explainMismatch(t *testing.T, suffix, want string, data []byte) string {
+	t.Helper()
+	gotPath := storeSide(t, sha256Hex(data), data)
+	ref, err := readStored(want)
+	if err != nil {
+		return fmt.Sprintf("\tthis run: %s; no stored side for the golden hash "+
+			"(run the test on the code that wrote the golden to keep one)", gotPath)
+	}
+	what, gotLines, refLines := "trace record", strings.Split(string(data), "\n"), strings.Split(string(ref), "\n")
+	if suffix == "/result" {
+		what, gotLines, refLines = "Result field", flattenJSON(t, data), flattenJSON(t, ref)
+	}
+	i := 0
+	for i < len(gotLines) && i < len(refLines) && gotLines[i] == refLines[i] {
+		i++
+	}
+	at := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(end)"
+	}
+	return fmt.Sprintf("\tthis run: %s\n\tgolden:   %s\n\tfirst differing %s (#%d):\n\t  this run: %s\n\t  golden:   %s",
+		gotPath, filepath.Join(goldenStore(), want), what, i, at(gotLines), at(refLines))
+}
+
+// readStored returns the side stored under hash sum.
+func readStored(sum string) ([]byte, error) {
+	f, err := os.Open(filepath.Join(goldenStore(), sum))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(zr)
+}
+
+// flattenJSON lists a JSON document's leaves as "path = value" lines, in
+// sorted key order, so two documents compare field by field.
+func flattenJSON(t *testing.T, data []byte) []string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			keys := make([]string, 0, len(v))
+			for k := range v {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				walk(path+"."+k, v[k])
+			}
+		case []any:
+			for i, e := range v {
+				walk(fmt.Sprintf("%s[%d]", path, i), e)
+			}
+		default:
+			js, _ := json.Marshal(v)
+			out = append(out, path+" = "+string(js))
+		}
+	}
+	walk("", v)
+	return out
 }
 
 // readDigests loads a digest golden: one "<key> <hex>" pair per line.
