@@ -130,9 +130,7 @@ type Master struct {
 type xfer struct {
 	m         *Master
 	remaining int64
-	first     sim.Time
-	haveFirst bool
-	done      func(start, end sim.Time)
+	done      func()
 }
 
 // delivery is one granted chunk awaiting its completion event. The state
@@ -141,10 +139,9 @@ type xfer struct {
 // previous chunk's completion callback has run. fire is pre-bound so pooled
 // deliveries never need a fresh closure.
 type delivery struct {
-	x          *xfer
-	start, end sim.Time
-	last       bool
-	fire       func()
+	x    *xfer
+	last bool
+	fire func()
 }
 
 // NewBus builds the interconnect.
@@ -201,9 +198,9 @@ func (b *Bus) Utilization(now sim.Time) float64 {
 // Transfer moves `bytes` across the interconnect on behalf of m. The move is
 // split into grant-sized chunks, each individually arbitrated (so long
 // transfers cannot starve other masters — the round-robin property the paper
-// highlights). done, if non-nil, fires once at the final completion with
-// the overall [start, end] window.
-func (m *Master) Transfer(bytes int64, done func(start, end sim.Time)) error {
+// highlights). done, if non-nil, runs once, at the end of the final
+// chunk's window. Grant windows are observable only through Bus.OnGrant.
+func (m *Master) Transfer(bytes int64, done func()) error {
 	if bytes <= 0 {
 		return errors.New("amba: transfer of non-positive size")
 	}
@@ -233,22 +230,18 @@ func (b *Bus) allocDelivery() *delivery {
 	}
 	d := &delivery{}
 	d.fire = func() {
-		x, start, end, last := d.x, d.start, d.end, d.last
+		x, last := d.x, d.last
 		d.x = nil
 		b.delPool.Give(d)
-		if !x.haveFirst {
-			x.first, x.haveFirst = start, true
-		}
 		l := x.m.layer
 		if last {
 			// Recycle before the callback: it may start a new transfer, and
 			// everything it needs is already copied out.
-			first, done := x.first, x.done
+			done := x.done
 			x.m, x.done = nil, nil
-			x.haveFirst = false
 			b.xferPool.Give(x)
 			if done != nil {
-				done(first, end)
+				done()
 			}
 		}
 		l.kick()
@@ -305,7 +298,7 @@ func (l *layer) kick() {
 	chosen.Grants++
 	chosen.Bytes += uint64(nb)
 	d := l.bus.allocDelivery()
-	d.x, d.start, d.end, d.last = x, start, end, x.remaining == 0
+	d.x, d.last = x, x.remaining == 0
 	l.bus.k.At(end, d.fire)
 }
 

@@ -60,8 +60,15 @@ func TestSingleTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var start, end sim.Time
-	if err := m.Transfer(4096, func(s, e sim.Time) { start, end = s, e }); err != nil {
+	// The transfer's window runs from its first grant's start to the end
+	// of its last, where done runs.
+	start, end := sim.Time(-1), sim.Time(-1)
+	b.OnGrant = func(_ int, s, _ sim.Time) {
+		if start < 0 {
+			start = s
+		}
+	}
+	if err := m.Transfer(4096, func() { end = k.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	k.RunAll()
@@ -100,8 +107,8 @@ func TestTwoMastersShareBandwidth(t *testing.T) {
 	m2, _ := b.AttachMaster("flash-dma")
 	const total = 1 << 20
 	var e1, e2 sim.Time
-	m1.Transfer(total, func(_, e sim.Time) { e1 = e })
-	m2.Transfer(total, func(_, e sim.Time) { e2 = e })
+	m1.Transfer(total, func() { e1 = k.Now() })
+	m2.Transfer(total, func() { e2 = k.Now() })
 	k.RunAll()
 	solo := b.TransferTime(total)
 	// Interleaved grants: both finish in ~2x the solo time.
@@ -127,8 +134,8 @@ func TestRoundRobinNoStarvation(t *testing.T) {
 	// Heavy master queues a large transfer first; light master's small
 	// transfer must not wait for all of it.
 	var heavyEnd, lightEnd sim.Time
-	heavy.Transfer(1<<20, func(_, e sim.Time) { heavyEnd = e })
-	light.Transfer(1024, func(_, e sim.Time) { lightEnd = e })
+	heavy.Transfer(1<<20, func() { heavyEnd = k.Now() })
+	light.Transfer(1024, func() { lightEnd = k.Now() })
 	k.RunAll()
 	if lightEnd >= heavyEnd {
 		t.Fatalf("light transfer starved: light %v heavy %v", lightEnd, heavyEnd)
@@ -150,8 +157,8 @@ func TestMultiLayerParallelism(t *testing.T) {
 	m2, _ := b.AttachMaster("b") // layer 1
 	const total = 1 << 20
 	var e1, e2 sim.Time
-	m1.Transfer(total, func(_, e sim.Time) { e1 = e })
-	m2.Transfer(total, func(_, e sim.Time) { e2 = e })
+	m1.Transfer(total, func() { e1 = k.Now() })
+	m2.Transfer(total, func() { e2 = k.Now() })
 	k.RunAll()
 	solo := b.TransferTime(total)
 	// On separate layers both complete in ~solo time.
@@ -233,7 +240,7 @@ func TestFairShareProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Transfer(per, func(_, e sim.Time) { ends[i] = e })
+			m.Transfer(per, func() { ends[i] = k.Now() })
 		}
 		k.RunAll()
 		solo := b.TransferTime(per)
@@ -300,7 +307,7 @@ func BenchmarkAHBTransfer(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	done := func(_, _ sim.Time) {}
+	done := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -145,11 +145,7 @@ func (e *Engine) Occupy(k *sim.Kernel, n int64, done func()) {
 		}
 		return
 	}
-	e.srv.Acquire(e.latency(n), func(_, end sim.Time) {
-		if done != nil {
-			k.At(end, done)
-		}
-	})
+	e.srv.Acquire(e.latency(n), done)
 }
 
 // Account records input/output volume (pairs with Occupy).

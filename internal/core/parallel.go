@@ -43,42 +43,12 @@ type eccPool struct {
 	k       *sim.Kernel
 	engines []*sim.Server
 	next    int
-	jobs    sim.FreeList[eccJob]
-}
-
-// eccJob is one engine grant in flight: the continuation to schedule at the
-// end of the granted window. It recycles at the grant.
-type eccJob struct {
-	ep      *eccPool
-	done    func()
-	granted func(start, end sim.Time)
-}
-
-// takeJob takes a pooled ECC job, or builds one and binds its grant.
-func (ep *eccPool) takeJob() *eccJob {
-	if j := ep.jobs.Take(); j != nil {
-		return j
-	}
-	j := &eccJob{ep: ep}
-	j.granted = j.grant
-	return j
-}
-
-// grant schedules the job's continuation at the end of its window.
-//
-//ssdx:hotpath
-func (j *eccJob) grant(_, end sim.Time) {
-	ep, done := j.ep, j.done
-	j.done = nil
-	ep.jobs.Give(j)
-	ep.k.At(end, done)
 }
 
 // newECCPool builds the configured number of engines on kernel k (none with
 // ECC scheme "none"), named prefix+"ecc<i>".
 func (p *Platform) newECCPool(k *sim.Kernel, prefix string) *eccPool {
 	pool := &eccPool{k: k}
-	pool.jobs.Max = sim.PoolCap
 	if p.scheme != nil {
 		for i := 0; i < p.Cfg.ECCEngines; i++ {
 			pool.engines = append(pool.engines, sim.NewServer(k, nil, fmt.Sprintf("%secc%d", prefix, i)))
@@ -98,9 +68,7 @@ func (ep *eccPool) run(lat sim.Time, done func()) {
 	}
 	e := ep.engines[ep.next]
 	ep.next = (ep.next + 1) % len(ep.engines)
-	j := ep.takeJob()
-	j.done = done
-	e.Acquire(lat, j.granted)
+	e.Acquire(lat, done)
 }
 
 // eccFor returns the ECC pool that serves channel ch: the hub pool on the

@@ -377,13 +377,13 @@ func (p *Platform) pagesOf(bytes int64) int {
 // command is the device-side record of one host command: the state its
 // write or read path carries from stage to stage, and the stage steps. The
 // record hands itself on through two callbacks bound once, when it is
-// built: stepFn for every func() continuation (firmware cost paid, cache
-// token, compressor done, page programmed, page read) and windowFn for
-// every func(start, end) one (host DMA, DRAM access, page sent). Both
-// dispatch on stage, which a step sets before it hands a callback on. A
-// command waits on one stage at a time; only a read's pages overlap, and
-// they share stPages, where stepFn means "page read" and windowFn "page
-// sent". The //ssdx:hotpath stage methods therefore allocate nothing.
+// built: stepFn for every continuation but one (firmware cost paid, cache
+// token, compressor done, host DMA, DRAM access, page programmed, page
+// read), dispatching on stage, which a step sets before it hands stepFn
+// on, and sentFn for a read's "page sent". A command waits on one stage at
+// a time; only a read's pages overlap under stPages, where a page read and
+// a page sent may both be pending, so the two need callbacks of their own.
+// The //ssdx:hotpath stage methods therefore allocate nothing.
 //
 // Records recycle through a capped free list (Platform.cmdRecs) with their
 // callbacks bound, and each holds its host command (hostif.Interface.Hold)
@@ -405,25 +405,24 @@ type command struct {
 	chanBytes  int64        // bytes through the channel-side compressor
 	buf        *dram.Buffer // the DRAM buffer a write lands in
 
-	stepFn   func()
-	windowFn func(start, end sim.Time)
+	stepFn, sentFn func()
 }
 
 // cmdStage names what a command's pending callbacks continue with.
 type cmdStage uint8
 
 const (
-	stWriteCPU   cmdStage = iota // stepFn: firmware cost paid (write)
-	stReadCPU                    // stepFn: firmware cost paid (read)
-	stBookkeep                   // stepFn: firmware cost paid (trim, flush)
-	stCompress                   // stepFn: host-side compressor done
-	stToken                      // stepFn: one more write-cache page held
-	stToDRAM                     // windowFn: host DMA across the AHB done
-	stLanded                     // windowFn: write data landed in DRAM
-	stOccupied                   // stepFn: channel-side compressor done
-	stPrograms                   // stepFn: one page program retired
-	stBufferRead                 // windowFn: host+DDR read out of DRAM done
-	stPages                      // stepFn: one page read and decoded; windowFn: one page sent
+	stWriteCPU   cmdStage = iota // firmware cost paid (write)
+	stReadCPU                    // firmware cost paid (read)
+	stBookkeep                   // firmware cost paid (trim, flush)
+	stCompress                   // host-side compressor done
+	stToken                      // one more write-cache page held
+	stToDRAM                     // host DMA across the AHB done
+	stLanded                     // write data landed in DRAM
+	stOccupied                   // channel-side compressor done
+	stPrograms                   // one page program retired
+	stBufferRead                 // host+DDR read out of DRAM done
+	stPages                      // one page read and decoded (sentFn: one page sent)
 )
 
 // newCommand takes a pooled command record, or builds one and binds its two
@@ -432,9 +431,9 @@ func (p *Platform) newCommand(cmd *hostif.Command, mode Mode) *command {
 	c := p.cmdRecs.Take()
 	if c == nil {
 		c = &command{p: p}
-		c.stepFn, c.windowFn = c.step, c.window
+		c.stepFn, c.sentFn = c.step, c.pageSent
 	}
-	*c = command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(cmd.Req.Bytes), stepFn: c.stepFn, windowFn: c.windowFn}
+	*c = command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(cmd.Req.Bytes), stepFn: c.stepFn, sentFn: c.sentFn}
 	p.Host.Hold(cmd)
 	p.liveRecs++
 	return c
@@ -460,7 +459,7 @@ func freePanic() {
 	panic("core: command record freed twice")
 }
 
-// step continues a command after a func() callback.
+// step continues a command at its stage.
 //
 //ssdx:hotpath
 func (c *command) step() {
@@ -475,29 +474,19 @@ func (c *command) step() {
 		c.compressed()
 	case stToken:
 		c.token()
-	case stOccupied:
-		c.occupied()
-	case stPrograms:
-		c.programmed()
-	case stPages:
-		c.pageRead()
-	}
-}
-
-// window continues a command after a func(start, end) callback.
-//
-//ssdx:hotpath
-func (c *command) window(_, _ sim.Time) {
-	switch c.stage {
 	case stToDRAM:
 		c.dmaDone()
 	case stLanded:
 		c.landed()
+	case stOccupied:
+		c.occupied()
+	case stPrograms:
+		c.programmed()
 	case stBufferRead:
 		c.stage = stPages
 		c.send(c.cmd.Req.Bytes)
 	case stPages:
-		c.pageSent()
+		c.pageRead()
 	}
 }
 
@@ -607,7 +596,7 @@ func (c *command) admitted() {
 //ssdx:hotpath
 func (c *command) moveToDRAM() {
 	c.stage = stToDRAM
-	if err := c.p.hostDMA.Transfer(c.ddrBytes, c.windowFn); err != nil {
+	if err := c.p.hostDMA.Transfer(c.ddrBytes, c.stepFn); err != nil {
 		dmaPanic(err)
 	}
 }
@@ -617,7 +606,7 @@ func (c *command) moveToDRAM() {
 //ssdx:hotpath
 func (c *command) dmaDone() {
 	c.stage = stLanded
-	c.buf.Access(true, c.cmd.Req.LBA*trace.SectorSize, c.ddrBytes, c.windowFn)
+	c.buf.Access(true, c.cmd.Req.LBA*trace.SectorSize, c.ddrBytes, c.stepFn)
 }
 
 // landed completes a host+DDR write, or passes the data through the
@@ -703,7 +692,7 @@ func (c *command) readAfterCPU() {
 	if c.mode == ModeHostDDR {
 		c.remaining = 1
 		c.stage = stBufferRead
-		p.DRAM.ForChannel(0).Access(false, req.LBA*trace.SectorSize, req.Bytes, c.windowFn)
+		p.DRAM.ForChannel(0).Access(false, req.LBA*trace.SectorSize, req.Bytes, c.stepFn)
 		return
 	}
 	c.remaining = c.pages
@@ -741,7 +730,7 @@ func (c *command) pageRead() {
 //
 //ssdx:hotpath
 func (c *command) send(n int64) {
-	if err := c.p.hostDMA.Transfer(n, c.windowFn); err != nil {
+	if err := c.p.hostDMA.Transfer(n, c.sentFn); err != nil {
 		dmaPanic(err)
 	}
 }

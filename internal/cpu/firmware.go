@@ -70,16 +70,9 @@ func (c Config) Validate() error {
 // how per-command CPU cost becomes an IOPS ceiling.
 type Complex struct {
 	cfg   Config
-	k     *sim.Kernel
 	clk   *sim.Clock
 	cores []*sim.Server
 	next  int
-
-	// done holds, per core, the callbacks of the tasks awaiting their
-	// grant. A core is a serial server that grants in Acquire order, so
-	// the core's one pre-bound grant function pops its FIFO's head.
-	done    []sim.FIFO[func()]
-	grantFn []func(start, end sim.Time)
 
 	TasksRun    uint64
 	CyclesSpent int64
@@ -90,11 +83,9 @@ func NewComplex(k *sim.Kernel, cfg Config) (*Complex, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Complex{cfg: cfg, k: k, clk: sim.NewClock("cpu", cfg.ClockMHz)}
-	c.done = make([]sim.FIFO[func()], cfg.Cores)
+	c := &Complex{cfg: cfg, clk: sim.NewClock("cpu", cfg.ClockMHz)}
 	for i := 0; i < cfg.Cores; i++ {
 		c.cores = append(c.cores, sim.NewServer(k, c.clk, fmt.Sprintf("core%d", i)))
-		c.grantFn = append(c.grantFn, func(_, end sim.Time) { c.grant(i, end) })
 	}
 	return c, nil
 }
@@ -121,17 +112,7 @@ func (c *Complex) Exec(cycles int64, done func()) {
 	c.next = (c.next + 1) % len(c.cores)
 	c.TasksRun++
 	c.CyclesSpent += cycles
-	c.done[i].Push(done)
-	c.cores[i].Acquire(c.clk.Cycles(cycles), c.grantFn[i])
-}
-
-// grant schedules the oldest waiting task of core i to complete at end.
-//
-//ssdx:hotpath
-func (c *Complex) grant(i int, end sim.Time) {
-	if done := c.done[i].Pop(); done != nil {
-		c.k.At(end, done)
-	}
+	c.cores[i].Acquire(c.clk.Cycles(cycles), done)
 }
 
 // Utilization averages core busy fractions.

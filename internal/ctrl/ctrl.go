@@ -275,22 +275,21 @@ const (
 // cache), a read takes its slot, and then each waits in the die queue for
 // its ONFI window (an erase starts there). After the window's end and the
 // array operation, a read still has its data-out window, the PP-DMA push
-// over the AHB and the landing in DRAM. The step says which of the op's
-// two callbacks comes next and what it does; a callback that arrives at
-// the wrong step panics.
+// over the AHB and the landing in DRAM. The step says what the op's
+// callback does when it arrives; a callback that arrives at a step with
+// none pending panics.
 type opStep uint8
 
 const (
-	stepSlot     opStep = iota // stepFn: SRAM cache slot granted (writes, reads)
-	stepFetchBuf               // windowFn: prefetch DRAM read done (writes)
-	stepFetchDMA               // windowFn: prefetch AHB transfer done (writes)
-	stepGrant                  // windowFn: ONFI window granted (the op is issuable while it waits)
-	stepBus                    // stepFn: ONFI window over
-	stepArray                  // stepFn: array operation done
-	stepOutGrant               // windowFn: data-out window granted (reads)
-	stepOutBus                 // stepFn: data-out window over (reads)
-	stepPush                   // windowFn: PP-DMA push over the AHB done (reads)
-	stepLand                   // windowFn: page landed in DRAM (reads)
+	stepSlot     opStep = iota // SRAM cache slot granted (writes, reads)
+	stepFetchBuf               // prefetch DRAM read done (writes)
+	stepFetchDMA               // prefetch AHB transfer done (writes)
+	stepGrant                  // issuable, waiting in the die queue: no callback pending
+	stepBus                    // ONFI window over
+	stepArray                  // array operation done
+	stepOutBus                 // data-out window over (reads)
+	stepPush                   // PP-DMA push over the AHB done (reads)
+	stepLand                   // page landed in DRAM (reads)
 )
 
 // dieOp is one queued die command. Writes prefetch their data into the SRAM
@@ -298,7 +297,7 @@ const (
 // which is how the command translator preserves host/FTL ordering. addrs
 // and spans are owned by the op (copied from the caller at submit), so ops
 // recycle through the channel pool without aliasing caller storage; the
-// three callbacks are bound once per op object and survive recycling.
+// two callbacks are bound once per op object and survive recycling.
 type dieOp struct {
 	ch *Channel
 
@@ -323,18 +322,11 @@ type dieOp struct {
 
 	done func()
 
-	// busStart/busEnd hold the granted ONFI window between a bus grant and
-	// its end event.
-	busStart, busEnd sim.Time
-
 	// The op's callbacks, bound once per op object so the steady-state
 	// program, read and erase paths never allocate: prepFn ends a write's
 	// prep stage, the one step that runs alongside the others; stepFn
-	// (onStep) and windowFn (onWindow) serve every other step, dispatching
-	// on step.
-	prepFn   func()
-	stepFn   func()
-	windowFn func(start, end sim.Time)
+	// (onStep) serves every other step, dispatching on step.
+	prepFn, stepFn func()
 }
 
 // advance moves every attached span's watermark (nil entries skipped).
@@ -357,8 +349,9 @@ func (op *dieOp) prepDone() {
 	op.ch.pump(op.die)
 }
 
-// onStep runs the op's next untimed step: a slot grant, the end of an ONFI
-// window or the end of an array operation.
+// onStep runs the op's next step when the one it waits on ends: a slot
+// grant, the prefetch's DRAM read or AHB transfer, an ONFI window, an
+// array operation, or a read's push into DRAM and landing.
 //
 //ssdx:hotpath
 func (op *dieOp) onStep() {
@@ -368,9 +361,15 @@ func (op *dieOp) onStep() {
 		if op.kind == opWrite {
 			// Prefetch: DRAM read then AHB transfer into the SRAM cache.
 			op.step = stepFetchBuf
-			ch.buf.Access(false, int64(ch.ID)*op.bytes, op.bytes, op.windowFn)
+			ch.buf.Access(false, int64(ch.ID)*op.bytes, op.bytes, op.stepFn)
 			return
 		}
+		op.step = stepGrant
+		ch.pump(op.die)
+	case stepFetchBuf:
+		op.step = stepFetchDMA
+		ch.transfer(op)
+	case stepFetchDMA:
 		op.step = stepGrant
 		ch.pump(op.die)
 	case stepBus:
@@ -394,36 +393,9 @@ func (op *dieOp) onStep() {
 		}
 	case stepOutBus:
 		ch.readOut(op)
-	default:
-		op.outOfOrder()
-	}
-}
-
-// onWindow runs the op's next timed step, given the window a server
-// granted it: the prefetch's DRAM read and AHB transfer, an ONFI window
-// (its end is the next step), or a read's push into DRAM and landing.
-//
-//ssdx:hotpath
-func (op *dieOp) onWindow(start, end sim.Time) {
-	ch := op.ch
-	switch op.step {
-	case stepFetchBuf:
-		op.step = stepFetchDMA
-		ch.transfer(op)
-	case stepFetchDMA:
-		op.step = stepGrant
-		ch.pump(op.die)
-	case stepGrant, stepOutGrant:
-		op.busStart, op.busEnd = start, end
-		if op.step == stepGrant {
-			op.step = stepBus
-		} else {
-			op.step = stepOutBus
-		}
-		ch.k.At(end, op.stepFn)
 	case stepPush:
 		op.step = stepLand
-		ch.buf.Access(true, int64(ch.ID)*op.bytes, op.bytes, op.windowFn)
+		ch.buf.Access(true, int64(ch.ID)*op.bytes, op.bytes, op.stepFn)
 	case stepLand:
 		ch.readLanded(op)
 	default:
@@ -442,7 +414,7 @@ func (op *dieOp) outOfOrder() {
 //
 //ssdx:hotpath
 func (ch *Channel) transfer(op *dieOp) {
-	if err := ch.ppDMA.Transfer(op.bytes, op.windowFn); err != nil {
+	if err := ch.ppDMA.Transfer(op.bytes, op.stepFn); err != nil {
 		dmaPanic(err)
 	}
 }
@@ -454,10 +426,12 @@ func dmaPanic(err error) {
 
 // issueProgram issues a write op's program at the end of its ONFI data-in
 // window. Everything up to the bus grant was die-queue wait (channel
-// stage); the granted window itself is ONFI occupancy (bus stage).
+// stage); the granted window itself, which the unclocked bus opened
+// programBusTime before now, is ONFI occupancy (bus stage).
 func (ch *Channel) issueProgram(op *dieOp) {
-	op.advance(telemetry.StageChan, op.busStart)
-	op.advance(telemetry.StageBus, op.busEnd)
+	now := ch.k.Now()
+	op.advance(telemetry.StageChan, now-ch.programBusTime(op))
+	op.advance(telemetry.StageBus, now)
 	dur, err := ch.dies[op.die].MultiPlaneProgram(op.addrs, op.stepFn)
 	if err != nil {
 		panic(fmt.Sprintf("ctrl: program failed on ch%d die%d %+v: %v",
@@ -519,7 +493,7 @@ func (ch *Channel) getOp() *dieOp {
 		return op
 	}
 	op := &dieOp{ch: ch}
-	op.prepFn, op.stepFn, op.windowFn = op.prepDone, op.onStep, op.onWindow
+	op.prepFn, op.stepFn = op.prepDone, op.onStep
 	return op
 }
 
@@ -574,7 +548,8 @@ func (ch *Channel) pump(die int) {
 	// Reads and erases open with command/address cycles, which in
 	// shared-bus mode ride the same bus as data; the window's end step
 	// continues with sense or erase.
-	ch.cmdBus.Acquire(ch.tim.CommandOverhead(), op.windowFn)
+	op.step = stepBus
+	ch.cmdBus.Acquire(ch.tim.CommandOverhead(), op.stepFn)
 }
 
 // release frees the die interface and pumps the next queued op.
@@ -589,8 +564,16 @@ func (ch *Channel) release(die int) {
 func (ch *Channel) startWrite(die int, op *dieOp) {
 	// Command/address plus data-in cycles occupy the (gang-dependent) bus;
 	// the window's end step issues the program.
-	busTime := sim.Time(len(op.addrs))*ch.tim.CommandOverhead() + ch.tim.DataTransferTime(int(op.bytes))
-	ch.dataBus(die).Acquire(busTime, op.windowFn)
+	op.step = stepBus
+	ch.dataBus(die).Acquire(ch.programBusTime(op), op.stepFn)
+}
+
+// programBusTime is a write op's ONFI window: command/address cycles per
+// page plus the data-in transfer.
+//
+//ssdx:hotpath
+func (ch *Channel) programBusTime(op *dieOp) sim.Time {
+	return sim.Time(len(op.addrs))*ch.tim.CommandOverhead() + ch.tim.DataTransferTime(int(op.bytes))
 }
 
 // sense starts a read op's array sense once its command/address cycles
@@ -624,8 +607,8 @@ func (ch *Channel) sense(op *dieOp) {
 //ssdx:hotpath
 func (ch *Channel) sensed(op *dieOp) {
 	ch.adv(op.span, telemetry.StageNAND, ch.k.Now())
-	op.step = stepOutGrant
-	ch.dataBus(op.die).Acquire(ch.tim.DataTransferTime(int(op.bytes)), op.windowFn)
+	op.step = stepOutBus
+	ch.dataBus(op.die).Acquire(ch.tim.DataTransferTime(int(op.bytes)), op.stepFn)
 }
 
 // readOut frees the die at the end of a read's data-out window (the bus
@@ -633,7 +616,7 @@ func (ch *Channel) sensed(op *dieOp) {
 //
 //ssdx:hotpath
 func (ch *Channel) readOut(op *dieOp) {
-	ch.adv(op.span, telemetry.StageBus, op.busEnd)
+	ch.adv(op.span, telemetry.StageBus, ch.k.Now())
 	ch.release(op.die)
 	op.step = stepPush
 	ch.transfer(op)

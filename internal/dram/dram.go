@@ -117,16 +117,14 @@ type Buffer struct {
 	OnServe func(write bool, start, end sim.Time)
 }
 
-// req is one queued access. start/end hold the granted service window and
-// fire is the request's pre-bound completion callback, both filled at serve
-// time so pooled requests never need a fresh closure.
+// req is one queued access. fire is the request's completion callback,
+// bound once so pooled requests never need a fresh closure.
 type req struct {
-	write      bool
-	addr       int64
-	bytes      int64
-	done       func(start, end sim.Time)
-	start, end sim.Time
-	fire       func()
+	write bool
+	addr  int64
+	bytes int64
+	done  func()
+	fire  func()
 }
 
 // New builds a buffer device.
@@ -151,12 +149,13 @@ func New(k *sim.Kernel, id int, cfg Config) (*Buffer, error) {
 // Config returns the buffer configuration.
 func (b *Buffer) Config() Config { return b.cfg }
 
-// Access queues a read or write of length bytes starting at addr. done is
-// invoked at data completion with the service window. Addresses wrap at
+// Access queues a read or write of length bytes starting at addr. done, if
+// non-nil, runs at data completion, the end of the service window; the
+// window itself is observable only through OnServe. Addresses wrap at
 // capacity (the buffer is a ring in cache mode).
 //
 //ssdx:hotpath
-func (b *Buffer) Access(write bool, addr int64, bytes int64, done func(start, end sim.Time)) error {
+func (b *Buffer) Access(write bool, addr int64, bytes int64, done func()) error {
 	if bytes <= 0 {
 		return errors.New("dram: access of non-positive size")
 	}
@@ -178,11 +177,11 @@ func (b *Buffer) allocReq() *req {
 	}
 	r := &req{}
 	r.fire = func() {
-		done, start, end := r.done, r.start, r.end
+		done := r.done
 		r.done = nil
 		b.free.Give(r)
 		if done != nil {
-			done(start, end)
+			done()
 		}
 		b.kick()
 	}
@@ -216,7 +215,6 @@ func (b *Buffer) kick() {
 		b.Stats.Reads++
 		b.Stats.BytesRead += uint64(r.bytes)
 	}
-	r.start, r.end = start, end
 	b.k.At(end, r.fire)
 }
 

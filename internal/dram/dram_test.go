@@ -51,11 +51,15 @@ func TestPeakBandwidth(t *testing.T) {
 
 func TestSingleAccessTiming(t *testing.T) {
 	k, b := newBuf(t)
-	var start, end sim.Time
-	if err := b.Access(true, 0, 4096, func(s, e sim.Time) { start, end = s, e }); err != nil {
+	var start, end, doneAt sim.Time
+	b.OnServe = func(_ bool, s, e sim.Time) { start, end = s, e }
+	if err := b.Access(true, 0, 4096, func() { doneAt = k.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	k.RunAll()
+	if doneAt != end {
+		t.Fatalf("done ran at %v, window ends at %v", doneAt, end)
+	}
 	if end <= start {
 		t.Fatalf("empty service window [%v, %v]", start, end)
 	}
@@ -88,10 +92,17 @@ func TestSequentialRowHits(t *testing.T) {
 func TestReadPaysCASLatency(t *testing.T) {
 	k, b := newBuf(t)
 	var wDur, rDur sim.Time
-	b.Access(true, 0, 16, func(s, e sim.Time) { wDur = e - s })
+	b.OnServe = func(write bool, s, e sim.Time) {
+		if write {
+			wDur = e - s
+		} else {
+			rDur = e - s
+		}
+	}
+	b.Access(true, 0, 16, nil)
 	k.RunAll()
 	// Same row now open; read of the same burst adds CL.
-	b.Access(false, 0, 16, func(s, e sim.Time) { rDur = e - s })
+	b.Access(false, 0, 16, nil)
 	k.RunAll()
 	if rDur <= 0 || wDur <= 0 {
 		t.Fatalf("durations %v %v", wDur, rDur)
@@ -106,11 +117,12 @@ func TestFCFSOrderAndSerialization(t *testing.T) {
 	k, b := newBuf(t)
 	var order []int
 	var windows [][2]sim.Time
+	var ends []sim.Time
+	b.OnServe = func(_ bool, s, e sim.Time) { windows = append(windows, [2]sim.Time{s, e}) }
 	for i := 0; i < 4; i++ {
-		i := i
-		b.Access(true, int64(i)*1<<20, 4096, func(s, e sim.Time) {
+		b.Access(true, int64(i)*1<<20, 4096, func() {
 			order = append(order, i)
-			windows = append(windows, [2]sim.Time{s, e})
+			ends = append(ends, k.Now())
 		})
 	}
 	k.RunAll()
@@ -122,6 +134,11 @@ func TestFCFSOrderAndSerialization(t *testing.T) {
 	for i := 1; i < len(windows); i++ {
 		if windows[i][0] < windows[i-1][1] {
 			t.Fatalf("overlapping windows %v", windows)
+		}
+	}
+	for i, w := range windows {
+		if ends[i] != w[1] {
+			t.Fatalf("access %d done at %v, its window %v", i, ends[i], w)
 		}
 	}
 }
@@ -210,11 +227,13 @@ func TestServiceTimeProperty(t *testing.T) {
 		n := int64(nBlocks%32+1) * 512
 		var d1, d2 sim.Time
 		var s1 sim.Time
-		b.Access(true, 0, n, func(s, e sim.Time) { s1, d1 = s, e-s })
+		b.OnServe = func(_ bool, s, e sim.Time) { s1, d1 = s, e-s }
+		b.Access(true, 0, n, nil)
 		k.RunAll()
 		k2 := sim.NewKernel()
 		b2, _ := New(k2, 0, DDR2_800x16(64<<20))
-		b2.Access(true, 0, 2*n, func(s, e sim.Time) { d2 = e - s })
+		b2.OnServe = func(_ bool, s, e sim.Time) { d2 = e - s }
+		b2.Access(true, 0, 2*n, nil)
 		k2.RunAll()
 		if s1%b.clk.Period != 0 {
 			return false
@@ -248,15 +267,20 @@ func TestMixedTrafficProperty(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		var last sim.Time
 		ordered := true
+		b.OnServe = func(_ bool, s, e sim.Time) {
+			if s < last || e <= s {
+				ordered = false
+			}
+			last = e
+		}
 		for i := 0; i < 40; i++ {
 			write := rng.Bool(0.5)
 			addr := rng.Int63n(32 << 20)
 			size := int64(rng.Intn(8)+1) * 512
-			b.Access(write, addr, size, func(s, e sim.Time) {
-				if s < last {
+			b.Access(write, addr, size, func() {
+				if k.Now() != last {
 					ordered = false
 				}
-				last = e
 			})
 		}
 		k.RunAll()
@@ -276,7 +300,7 @@ func BenchmarkDRAMAccess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nop := func(_, _ sim.Time) {}
+	nop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -111,19 +111,21 @@ func checkServe(t *testing.T, cfg Config, ops []serveOp) {
 		t.Fatal(err)
 	}
 	ref := newRefModel(cfg, b.clk.Period)
+	var start, end, doneAt sim.Time
+	b.OnServe = func(_ bool, s, e sim.Time) { start, end = s, e }
+	done := func() { doneAt = k.Now() }
 	for i, op := range ops {
-		var start, end sim.Time
 		at := k.Now() + op.gap
 		k.At(at, func() {
-			if err := b.Access(op.write, op.addr, op.bytes, func(s, e sim.Time) { start, end = s, e }); err != nil {
+			if err := b.Access(op.write, op.addr, op.bytes, done); err != nil {
 				t.Fatal(err)
 			}
 		})
 		k.RunAll()
 		wantStart, wantEnd := ref.access(b.clk, at, op.write, op.addr, op.bytes)
-		if start != wantStart || end != wantEnd {
-			t.Fatalf("op %d %+v: window [%d, %d], reference [%d, %d] (config %+v)",
-				i, op, start, end, wantStart, wantEnd, cfg)
+		if start != wantStart || end != wantEnd || doneAt != wantEnd {
+			t.Fatalf("op %d %+v: window [%d, %d] done at %d, reference [%d, %d] (config %+v)",
+				i, op, start, end, doneAt, wantStart, wantEnd, cfg)
 		}
 		if b.Stats != ref.stats {
 			t.Fatalf("op %d %+v: stats %+v, reference %+v (config %+v)", i, op, b.Stats, ref.stats, cfg)

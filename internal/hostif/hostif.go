@@ -15,9 +15,9 @@
 //
 // Commands travel as records, not closure chains. Each wire direction is a
 // serial link: its server grants in Acquire order and its end events fire in
-// grant order, so one FIFO of *Command and two pre-bound steps (the grant,
-// which schedules the end event, and the end) carry every transfer, and the
-// command itself records whether the transfer is its data or its capsule.
+// grant order, so one FIFO of *Command and one pre-bound end step carry
+// every transfer, and the command itself records whether the transfer is
+// its data or its capsule.
 // Each pull chain keeps its one pending submission-queue entry in place (on
 // the Interface for a single stream, on the queue's state otherwise) behind
 // steps bound once, so the player schedules no fresh closure per command.
@@ -191,18 +191,14 @@ type Command struct {
 // in the order they were sent and one FIFO holds them all.
 type link struct {
 	srv     *sim.Server
-	k       *sim.Kernel
 	sending sim.FIFO[*Command] // sent, end event not yet fired
-	grantFn func(start, end sim.Time)
 	endFn   func()
 }
 
 // newLink builds a link on a fresh server named name; end lands each
 // transfer, oldest first.
 func newLink(k *sim.Kernel, name string, end func()) *link {
-	l := &link{srv: sim.NewServer(k, nil, name), k: k, endFn: end}
-	l.grantFn = l.grant
-	return l
+	return &link{srv: sim.NewServer(k, nil, name), endFn: end}
 }
 
 // send queues cmd for a transfer occupying the link for dur.
@@ -210,13 +206,8 @@ func newLink(k *sim.Kernel, name string, end func()) *link {
 //ssdx:hotpath
 func (l *link) send(cmd *Command, dur sim.Time) {
 	l.sending.Push(cmd)
-	l.srv.Acquire(dur, l.grantFn)
+	l.srv.Acquire(dur, l.endFn)
 }
-
-// grant schedules the end of a granted transfer.
-//
-//ssdx:hotpath
-func (l *link) grant(_, end sim.Time) { l.k.At(end, l.endFn) }
 
 // Stats aggregates interface activity.
 type Stats struct {

@@ -172,18 +172,23 @@ func TestServerSerialization(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, nil, "ecc")
 	var windows [][2]Time
+	var ends []Time
+	s.OnServe = func(start, end Time) { windows = append(windows, [2]Time{start, end}) }
 	for i := 0; i < 3; i++ {
-		s.Acquire(10*Nanosecond, func(start, end Time) {
-			windows = append(windows, [2]Time{start, end})
-		})
+		s.Acquire(10*Nanosecond, func() { ends = append(ends, k.Now()) })
 	}
 	k.RunAll()
-	if len(windows) != 3 {
-		t.Fatalf("served %d", len(windows))
+	if len(windows) != 3 || len(ends) != 3 {
+		t.Fatalf("served %d, %d done", len(windows), len(ends))
 	}
 	for i := 1; i < len(windows); i++ {
 		if windows[i][0] < windows[i-1][1] {
 			t.Fatalf("overlapping service windows: %v", windows)
+		}
+	}
+	for i, w := range windows {
+		if ends[i] != w[1] {
+			t.Fatalf("done %d ran at %v, its window %v", i, ends[i], w)
 		}
 	}
 	if windows[2][1] != 30*Nanosecond {
@@ -191,21 +196,21 @@ func TestServerSerialization(t *testing.T) {
 	}
 }
 
-// TestServerZeroDurationGrants stacks several grants whose start events are
-// pending at once: zero-duration requests leave the server free at the same
-// instant, so each Acquire is granted before any start event fires. Every
-// callback must still see its own window, in arrival order.
+// TestServerZeroDurationGrants stacks several grants whose done callbacks
+// are pending at once: zero-duration requests leave the server free at the
+// same instant, so each Acquire is granted before any done runs. Every
+// done must still run at its own window's end, in arrival order.
 func TestServerZeroDurationGrants(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, nil, "cpu")
 	var got []string
 	for i, dur := range []Time{0, 0, 0, 5 * Nanosecond} {
-		s.Acquire(dur, func(start, end Time) {
-			got = append(got, fmt.Sprintf("%d:%v-%v", i, start, end))
+		s.Acquire(dur, func() {
+			got = append(got, fmt.Sprintf("%d:%v", i, k.Now()))
 		})
 	}
 	k.RunAll()
-	want := []string{"0:0ps-0ps", "1:0ps-0ps", "2:0ps-0ps", "3:0ps-5.000ns"}
+	want := []string{"0:0ps", "1:0ps", "2:0ps", "3:5.000ns"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("grants %v, want %v", got, want)
 	}
@@ -215,20 +220,24 @@ func TestServerClockAlignment(t *testing.T) {
 	k := NewKernel()
 	clk := NewClock("bus", 200) // 5 ns
 	s := NewServer(k, clk, "bus")
-	var start Time
+	var start, end Time
+	s.OnServe = func(st, _ Time) { start = st }
 	k.Schedule(7*Nanosecond, func() {
-		s.Acquire(5*Nanosecond, func(st, _ Time) { start = st })
+		s.Acquire(5*Nanosecond, func() { end = k.Now() })
 	})
 	k.RunAll()
-	if start != 10*Nanosecond {
-		t.Fatalf("grant not aligned to clock edge: %v", start)
+	if start != 10*Nanosecond || end != 15*Nanosecond {
+		t.Fatalf("grant not aligned to clock edge: window [%v, %v)", start, end)
 	}
 }
 
 func TestServerUtilization(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, nil, "u")
-	s.Acquire(25*Nanosecond, func(_, _ Time) {})
+	if u := s.Utilization(0); u != 0 {
+		t.Fatalf("utilization at time 0 is %v, want 0", u)
+	}
+	s.Acquire(25*Nanosecond, nil)
 	k.Schedule(100*Nanosecond, func() {}) // extend the run
 	k.RunAll()
 	u := s.Utilization(k.Now())
@@ -543,7 +552,7 @@ func BenchmarkKernelSchedule(b *testing.B) {
 func BenchmarkServerAcquire(b *testing.B) {
 	k := NewKernel()
 	s := NewServer(k, nil, "bench")
-	nop := func(_, _ Time) {}
+	nop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

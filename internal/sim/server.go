@@ -12,12 +12,7 @@ type Server struct {
 
 	busyUntil Time
 	queue     FIFO[serverReq] // waiting requests
-	// granted holds the service windows whose start event has not fired
-	// yet. Start events fire in grant order, so one pre-bound fireFn pops
-	// them, and with kickFn (the shared release callback) it keeps the
-	// acquire path allocation-free.
-	granted        FIFO[serverGrant]
-	fireFn, kickFn func()
+	kickFn    func()          // the release callback, bound once
 
 	// The release at busyUntil only matters when a request waits for it, so
 	// a grant reserves its kernel seq (relSeq) instead of queueing it, and
@@ -40,37 +35,32 @@ type Server struct {
 
 // serverReq is one waiting acquisition.
 type serverReq struct {
-	dur Time
-	fn  func(start, end Time)
-}
-
-// serverGrant is one granted acquisition with its service window.
-type serverGrant struct {
-	fn         func(start, end Time)
-	start, end Time
+	dur  Time
+	done func()
 }
 
 // NewServer builds a server bound to kernel k. clock may be nil for an
 // unclocked (purely latency-based) resource.
 func NewServer(k *Kernel, clock *Clock, name string) *Server {
 	s := &Server{k: k, clock: clock, name: name}
-	s.fireFn, s.kickFn = s.fire, s.kick
+	s.kickFn = s.kick
 	return s
 }
 
 // Name returns the server's diagnostic name.
 func (s *Server) Name() string { return s.name }
 
-// Acquire requests exclusive use of the resource for dur. fn is invoked when
-// service *starts*, with the service window [start, end); the resource is
-// released automatically at end. Requests are served in arrival order.
+// Acquire requests exclusive use of the resource for dur. Requests are
+// served in arrival order; the resource is released at the end of the
+// window and done, if non-nil, runs then, after the release has granted the
+// next waiter. The window itself is observable only through OnServe.
 //
 //ssdx:hotpath
-func (s *Server) Acquire(dur Time, fn func(start, end Time)) {
+func (s *Server) Acquire(dur Time, done func()) {
 	if dur < 0 {
 		dur = 0
 	}
-	s.queue.Push(serverReq{dur: dur, fn: fn})
+	s.queue.Push(serverReq{dur: dur, done: done})
 	if s.queue.Len() > s.QueuePeak {
 		s.QueuePeak = s.queue.Len()
 	}
@@ -110,25 +100,21 @@ func (s *Server) kick() {
 	if s.OnServe != nil {
 		s.OnServe(start, end)
 	}
-	s.granted.Push(serverGrant{fn: req.fn, start: start, end: end})
-	s.k.At(start, s.fireFn)
+	// The release comes first at end, so done is queued after it: behind
+	// the same-time-lane kick of a zero-length window, or behind the
+	// reserved seq otherwise.
 	if end <= now {
 		s.k.At(end, s.kickFn) // same-time lane: no seq to reserve
-		return
+	} else {
+		s.relSeq = s.k.reserve(end)
+		s.relQueued = s.queue.Len() > 0
+		if s.relQueued {
+			s.k.atReserved(end, s.relSeq, s.kickFn)
+		}
 	}
-	s.relSeq = s.k.reserve(end)
-	s.relQueued = s.queue.Len() > 0
-	if s.relQueued {
-		s.k.atReserved(end, s.relSeq, s.kickFn)
+	if req.done != nil {
+		s.k.At(end, req.done)
 	}
-}
-
-// fire delivers the oldest granted request's service window.
-//
-//ssdx:hotpath
-func (s *Server) fire() {
-	g := s.granted.Pop()
-	g.fn(g.start, g.end)
 }
 
 // QueueLen reports the number of waiting requests (not counting in-service).

@@ -7,33 +7,27 @@ import (
 
 // eagerServer is the reference for Server's lazy release: the same grant
 // logic, but every grant that ends later than now queues its release event
-// at once, as Server did before it reserved seqs. It counts those releases
-// and the ones some request waited for (queued while the grant held the
-// server); the rest are the no-op events the lazy server never queues.
+// at once, as Server did before it reserved seqs, with the holder's done
+// queued right behind it. It counts those releases and the ones some
+// request waited for (queued while the grant held the server); the rest
+// are the no-op events the lazy server never queues.
 type eagerServer struct {
-	k              *Kernel
-	clock          *Clock
-	busyUntil      Time
-	queue          FIFO[serverReq]
-	granted        FIFO[serverGrant]
-	fireFn, kickFn func()
+	k         *Kernel
+	clock     *Clock
+	busyUntil Time
+	queue     FIFO[serverReq]
+	OnServe   func(start, end Time)
 
 	waited            bool // a request waited behind the current grant
 	releases, awaited int
 }
 
 func newEagerServer(k *Kernel, clock *Clock) *eagerServer {
-	s := &eagerServer{k: k, clock: clock}
-	s.fireFn = func() {
-		g := s.granted.Pop()
-		g.fn(g.start, g.end)
-	}
-	s.kickFn = s.kick
-	return s
+	return &eagerServer{k: k, clock: clock}
 }
 
-func (s *eagerServer) Acquire(dur Time, fn func(start, end Time)) {
-	s.queue.Push(serverReq{dur: max(dur, 0), fn: fn})
+func (s *eagerServer) Acquire(dur Time, done func()) {
+	s.queue.Push(serverReq{dur: max(dur, 0), done: done})
 	if s.busyUntil > s.k.Now() && !s.waited {
 		s.waited = true
 		s.awaited++
@@ -56,9 +50,11 @@ func (s *eagerServer) kick() {
 	}
 	end := start + req.dur
 	s.busyUntil = end
-	s.granted.Push(serverGrant{fn: req.fn, start: start, end: end})
-	s.k.At(start, s.fireFn)
-	s.k.At(end, s.kickFn)
+	s.OnServe(start, end)
+	s.k.At(end, s.kick)
+	if req.done != nil {
+		s.k.At(end, req.done)
+	}
 	if end > now {
 		s.releases++
 		s.waited = s.queue.Len() > 0
@@ -70,17 +66,19 @@ func (s *eagerServer) kick() {
 
 // acquirer is what the scenario drives: Server or the eager reference.
 type acquirer interface {
-	Acquire(dur Time, fn func(start, end Time))
+	Acquire(dur Time, done func())
 }
 
 // serverScenario is one random Acquire pattern on two servers sharing a
 // kernel, one of them clocked when clocked is set. Times sit on a coarse
 // grid, so arrivals often land exactly at a busyUntil, and several land at
-// the same time; durations include zero. Grant callbacks re-acquire from
-// inside the window (an arrival while busy), schedule a re-acquire or a
-// plain event at the window's end, or do nothing. The kernel runs in
-// paused steps of Run(until), with an outside Acquire at each pause, then
-// to completion. The log records every callback in firing order.
+// the same time; durations include zero. Done callbacks, which run at the
+// window's end after the release has granted the next waiter, re-acquire
+// at once (an arrival while busy unless nothing waited), schedule a
+// re-acquire or a plain event in the same-time lane, or do nothing. The
+// kernel runs in paused steps of Run(until), with an outside Acquire at
+// each pause, then to completion. The log records every granted window and
+// every callback in firing order.
 type serverScenario struct {
 	k   *Kernel
 	rng *RNG
@@ -100,10 +98,14 @@ func runServerScenario(seed uint64, clocked, lazy bool) (log []string, now Time,
 	}
 	var eager [2]*eagerServer
 	for i, c := range []*Clock{clk, nil} {
+		onServe := func(start, end Time) { sc.note(fmt.Sprintf("serve on s%d [%v, %v)", i, start, end)) }
 		if lazy {
-			sc.srv[i] = NewServer(k, c, fmt.Sprintf("s%d", i))
+			s := NewServer(k, c, fmt.Sprintf("s%d", i))
+			s.OnServe = onServe
+			sc.srv[i] = s
 		} else {
 			eager[i] = newEagerServer(k, c)
+			eager[i].OnServe = onServe
 			sc.srv[i] = eager[i]
 		}
 	}
@@ -144,21 +146,21 @@ func (sc *serverScenario) acquire() {
 	if !r.Bool(0.25) {
 		dur = Time(1+r.Intn(6)) * Nanosecond
 	}
-	sc.srv[which].Acquire(dur, func(start, end Time) {
-		sc.note(fmt.Sprintf("grant %d on s%d [%v, %v)", id, which, start, end))
+	sc.srv[which].Acquire(dur, func() {
+		sc.note(fmt.Sprintf("end %d on s%d", id, which))
 		switch r.Intn(5) {
 		case 0:
-			sc.acquire() // arrives while busy (unless dur is zero)
+			sc.acquire() // arrives while busy if the release granted a waiter
 		case 1:
-			sc.k.At(end, sc.acquire) // arrives at busyUntil
+			sc.k.Schedule(0, sc.acquire) // arrives behind the same-time lane
 		case 2:
-			sc.k.At(end, func() { sc.note(fmt.Sprintf("done %d", id)) })
+			sc.k.Schedule(0, func() { sc.note(fmt.Sprintf("after %d", id)) })
 		}
 	})
 }
 
 // TestServerLazyReleaseMatchesEager drives Server and the eager reference
-// with the same random Acquire patterns: the grant windows, the callback
+// with the same random Acquire patterns: the granted windows, the callback
 // order and the final time must be identical, and the lazy kernel must
 // execute exactly the releases nobody waited for fewer events.
 func TestServerLazyReleaseMatchesEager(t *testing.T) {
@@ -189,15 +191,16 @@ func TestServerLazyReleaseMatchesEager(t *testing.T) {
 	}
 }
 
-// BenchmarkServerQueued measures the reserved-seq release: every Acquire
-// but the first is made from the previous grant's callback, while the
-// server is busy, so each one queues the release its grant reserved.
+// BenchmarkServerQueued measures the reserved-seq release. Two requests
+// start the chain, so one always waits: each later Acquire is made from a
+// done callback while the next grant holds the server, and queues the
+// release that grant reserved.
 func BenchmarkServerQueued(b *testing.B) {
 	k := NewKernel()
 	s := NewServer(k, nil, "bench")
 	n := 0
-	var next func(_, _ Time)
-	next = func(_, _ Time) {
+	var next func()
+	next = func() {
 		if n < b.N {
 			n++
 			s.Acquire(Nanosecond, next)
@@ -205,6 +208,7 @@ func BenchmarkServerQueued(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	s.Acquire(Nanosecond, next)
 	s.Acquire(Nanosecond, next)
 	k.RunAll()
 }
