@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,43 @@ func TestMapperRandomWAFMatchesModel(t *testing.T) {
 			t.Fatalf("spare %v: mapper WAF %v vs analytic %v (rel %v)", spare, waf, an, rel)
 		}
 	}
+}
+
+// TestMapperGCTerminates drives a geometry CheckSpace accepts but whose
+// units drift apart under round-robin placement: after a sequential fill,
+// uniform random writes leave one unit with nothing but fully valid blocks.
+// Every write must return, with at most a unit's worth of ops, and the
+// write that finds its unit full must fail with an error naming the unit
+// instead of collecting it forever.
+func TestMapperGCTerminates(t *testing.T) {
+	g := Geometry{Units: 64, BlocksPerUnit: 8, PagesPerBlock: 128}
+	logical := int64(float64(g.TotalPages()) * (1 - 0.3))
+	m, err := NewMapper(g, logical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lpn := int64(0); lpn < logical; lpn++ {
+		if _, err := m.Write(lpn); err != nil {
+			t.Fatalf("sequential fill, lpn %d: %v", lpn, err)
+		}
+	}
+	rng := sim.NewRNG(7)
+	maxOps := g.BlocksPerUnit*(g.PagesPerBlock+1) + 1
+	var ops []Op
+	for i := int64(0); i < 3*logical; i++ {
+		ops, err = m.AppendWrite(ops[:0], rng.Int63n(logical))
+		if err != nil {
+			if !strings.Contains(err.Error(), "out of space") {
+				t.Fatalf("random write %d: %v", i, err)
+			}
+			t.Logf("random write %d of %d: %v", i, 3*logical, err)
+			return
+		}
+		if len(ops) > maxOps {
+			t.Fatalf("random write %d emitted %d ops, more than a unit holds (%d)", i, len(ops), maxOps)
+		}
+	}
+	t.Fatalf("%d random writes went through; the geometry no longer fills a unit", 3*logical)
 }
 
 // Shadow-model property: after any random mix of writes and trims, every

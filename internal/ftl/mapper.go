@@ -227,8 +227,12 @@ func (m *Mapper) bind(lpn int64, p PPN) {
 }
 
 // gcUnit reclaims one block in unit u using greedy victim selection,
-// appending the required physical ops.
-func (m *Mapper) gcUnit(u int, ops []Op) []Op {
+// appending the required physical ops. A round whose greedy victim is
+// fully valid gains no free page: it frees one block and uses one. If the
+// active block, which then joins the candidates, holds no invalid page
+// either, the next round finds the unit exactly as this one did, and so
+// would every round after it; gcUnit reports the unit full instead.
+func (m *Mapper) gcUnit(u int, ops []Op) ([]Op, error) {
 	us := &m.units[u]
 	// Greedy victim: fewest valid pages; ties broken toward the
 	// least-worn block so reclamation wear spreads evenly.
@@ -243,7 +247,10 @@ func (m *Mapper) gcUnit(u int, ops []Op) []Op {
 		}
 	}
 	if victim == -1 {
-		return ops
+		return ops, nil
+	}
+	if best == m.geo.PagesPerBlock && (us.activeBlock == -1 || m.valid[u][us.activeBlock] == us.nextPage) {
+		return ops, fmt.Errorf("ftl: unit %d out of space", u)
 	}
 	// Relocate valid pages within the same unit.
 	for pg := 0; pg < m.geo.PagesPerBlock; pg++ {
@@ -264,7 +271,7 @@ func (m *Mapper) gcUnit(u int, ops []Op) []Op {
 		m.Stats.PhysPrograms++
 		ops = append(ops, Op{Kind: OpCopy, Target: dst, Source: src})
 	}
-	return m.recycle(u, victim, ops)
+	return m.recycle(u, victim, ops), nil
 }
 
 // recycle erases block b of unit u, whose valid pages have been relocated,
@@ -337,7 +344,10 @@ func (m *Mapper) AppendWrite(ops []Op, lpn int64) ([]Op, error) {
 	ranGC := false
 	for len(m.units[u].freeBlocks) < m.gcFreeTarget {
 		before := len(ops)
-		ops = m.gcUnit(u, ops)
+		var err error
+		if ops, err = m.gcUnit(u, ops); err != nil {
+			return nil, err
+		}
 		if len(ops) == before {
 			break // nothing reclaimable
 		}
