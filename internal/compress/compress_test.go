@@ -110,3 +110,25 @@ func TestProcessZeroBytes(t *testing.T) {
 		t.Fatal("zero-byte process mishandled")
 	}
 }
+
+// BenchmarkCompressOccupy measures the channel-side compressor's occupancy
+// path, up to 256 writes queued on the engine: the engine runs the
+// caller's own callback at the end of each window, so the steady state is
+// 0 allocs/op.
+func BenchmarkCompressOccupy(b *testing.B) {
+	k := sim.NewKernel()
+	e, err := NewEngine(k, Config{Placement: ChannelWay, Ratio: 0.5, MBps: 400})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nop := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Occupy(k, 4096, nop)
+		if e.srv.QueueLen() >= 256 {
+			k.RunAll()
+		}
+	}
+	k.RunAll()
+}

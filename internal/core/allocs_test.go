@@ -12,10 +12,12 @@ import (
 // TestDataPathAllocsPerCommand pins the heap allocations and bytes one
 // host command costs in ModeFull. Host commands and the platform's
 // per-command records recycle through capped pools, the host interface's
-// link and pull steps and the CPU complex's per-core grant are bound once,
-// flash dispatch rides pooled records (program, read, GC read completion,
-// batch completion, ECC job), a die op binds three callbacks and the
-// mapper reuses one op list, so what remains is pool warm-up to the
+// link and pull steps are bound once, every timed resource (CPU cores, ECC
+// engines, the compressor, the AHB, DRAM) runs the caller's own bound
+// callback at its window's end, flash dispatch rides pooled records
+// (program, read, GC read completion, batch completion), a die op binds
+// two callbacks and the mapper reuses one op list, so what remains is pool
+// warm-up to the
 // in-flight peak, rebuilding the records a burst holds beyond the pools'
 // cap (sim.PoolCap), and the completion log behind the tail throughput
 // (4 B per completion at one request size); a closure chain or an unpooled record creeping back into
@@ -24,15 +26,20 @@ import (
 // programs deep. The Vertex case runs the mapper FTL with ECC on and a
 // spare area small enough that GC relocates about one page per three
 // commands, so the relocation prep, its read records and the ECC jobs are
-// covered too; each relocation keeps two hop closures. Measured per
-// command: seq-write 0.71 mallocs and 52 B, rand-read 0.07 and 15 B,
-// waf-rand-write 4.1 and 206 B, vertex-mapper-ecc 3.5 and 197 B.
+// covered too; each relocation keeps two hop closures. The
+// compress-seq-write case runs the channel-side compressor, whose Occupy
+// once built a closure per write (1.71 mallocs and 76 B per command).
+// Measured per command: seq-write and compress-seq-write 0.66 mallocs and
+// 50 B, rand-read 0.07 and 15 B, waf-rand-write 3.7 and 193 B,
+// vertex-mapper-ecc 3.1 and 185 B.
 func TestDataPathAllocsPerCommand(t *testing.T) {
 	const reqs = 20000
 	vertex := config.Vertex()
 	vertex.FTLMode = "mapper"
 	vertex.MapperBlocksPerUnit = 3
 	vertex.SpareFactor = 0.67
+	compressed := config.Default()
+	compressed.CompressPlacement = "channel"
 	for _, tc := range []struct {
 		name  string
 		cfg   config.Platform
@@ -41,6 +48,7 @@ func TestDataPathAllocsPerCommand(t *testing.T) {
 		bytes float64 // bytes allocated per command
 	}{
 		{"seq-write", config.Default(), workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 28}, 0.8, 60},
+		{"compress-seq-write", compressed, workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 28}, 0.8, 60},
 		{"rand-read", config.Default(), workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 28}, 0.5, 25},
 		{"waf-rand-write", config.Default(), workload.Spec{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 1 << 28}, 5, 250},
 		{"vertex-mapper-ecc", vertex, workload.Spec{
