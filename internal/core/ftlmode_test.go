@@ -175,6 +175,53 @@ func TestMapperModeTrim(t *testing.T) {
 	}
 }
 
+// TestMapperTrimExtent trims the first of two written pages: the trim
+// unmaps exactly the pages its command spans, so reading both back touches
+// flash once, for the second page. The commands arrive 10 ms apart, so
+// each one finishes before the next starts.
+func TestMapperTrimExtent(t *testing.T) {
+	p, err := Build(mapperCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := int64(p.pageBytes)
+	reqs := []trace.Request{
+		{ArrivalUS: 1, Op: trace.OpWrite, LBA: 0, Bytes: 2 * page},
+		{ArrivalUS: 10000, Op: trace.OpTrim, LBA: 0, Bytes: page},
+		{ArrivalUS: 20000, Op: trace.OpRead, LBA: 0, Bytes: 2 * page},
+	}
+	res, err := replayList(t, p, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 3 {
+		t.Fatalf("completed %d", res.Completed)
+	}
+	f := p.mapper
+	for i, want := range []bool{false, true} {
+		if _, mapped := f.m.Read(f.lpnOf(0, p.pageBytes, i)); mapped != want {
+			t.Errorf("page %d mapped = %v after a one-page trim, want %v", i, mapped, want)
+		}
+	}
+	if res.FlashReads != 1 {
+		t.Fatalf("%d flash reads, want 1 (page 0 trimmed, page 1 still mapped)", res.FlashReads)
+	}
+}
+
+// TestMapperLPNWraps checks lpnOf at the end of the logical space: a page
+// landing exactly on it wraps to logical page 0, and the page before it
+// stays in place.
+func TestMapperLPNWraps(t *testing.T) {
+	const pageBytes = 4096
+	f := &mapperFTL{logical: 10}
+	lba := 9 * pageBytes / trace.SectorSize // logical page 9, the last one
+	for off, want := range []int64{9, 0, 1} {
+		if got := f.lpnOf(int64(lba), pageBytes, off); got != want {
+			t.Errorf("page %d of a request at logical page 9: lpn %d, want %d", off, got, want)
+		}
+	}
+}
+
 func TestFirmwareCPUModel(t *testing.T) {
 	// Real firmware execution must behave like a working platform and
 	// show the same qualitative random-read CPU wall as the parametric

@@ -125,6 +125,26 @@ func TestSortByRank(t *testing.T) {
 	}
 }
 
+// TestSortByRankWithinRank orders one rank's points against their input
+// order: by the first objective, best first, and by input order only where
+// that objective ties.
+func TestSortByRankWithinRank(t *testing.T) {
+	objs := mustObjectives(t, "mbps,latency")
+	evals := fixture([][3]float64{
+		{100, 5, 0},  // rank 0, worst mbps
+		{200, 8, 0},  // rank 0, ties point 3 on mbps
+		{300, 10, 0}, // rank 0, best mbps
+		{200, 8, 0},
+	})
+	var got []int64
+	for _, ev := range SortByRank(evals, objs) {
+		got = append(got, ev.Point.Index)
+	}
+	if want := []int64{2, 1, 3, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
 func TestParseObjectives(t *testing.T) {
 	objs, err := ParseObjectives("mbps, latency ,waf")
 	if err != nil {
