@@ -27,9 +27,8 @@ import (
 // spare area small enough that GC relocates about one page per three
 // commands, so the relocation prep, its read records and the ECC jobs are
 // covered too; each relocation keeps two hop closures. The
-// compress-seq-write case runs the channel-side compressor, whose Occupy
-// once built a closure per write (1.71 mallocs and 76 B per command).
-// Measured per command: seq-write and compress-seq-write 0.66 mallocs and
+// compress-seq-write case runs every write through the channel-side
+// compressor's occupancy path. Measured per command: seq-write and compress-seq-write 0.66 mallocs and
 // 50 B, rand-read 0.07 and 15 B, waf-rand-write 3.7 and 193 B,
 // vertex-mapper-ecc 3.1 and 185 B.
 func TestDataPathAllocsPerCommand(t *testing.T) {

@@ -541,14 +541,16 @@ func (ch *Channel) pump(die int) {
 		ch.tr.Depth(ch.dieRes[die], ch.dieQ[die].Len(), ch.k.Now())
 	}
 	ch.dieBusy[die] = true
+	op.step = stepBus
 	if op.kind == opWrite {
-		ch.startWrite(die, op)
+		// Command/address plus data-in cycles occupy the (gang-dependent)
+		// bus; the window's end step issues the program.
+		ch.dataBus(die).Acquire(ch.programBusTime(op), op.stepFn)
 		return
 	}
 	// Reads and erases open with command/address cycles, which in
 	// shared-bus mode ride the same bus as data; the window's end step
 	// continues with sense or erase.
-	op.step = stepBus
 	ch.cmdBus.Acquire(ch.tim.CommandOverhead(), op.stepFn)
 }
 
@@ -558,14 +560,6 @@ func (ch *Channel) pump(die int) {
 func (ch *Channel) release(die int) {
 	ch.dieBusy[die] = false
 	ch.pump(die)
-}
-
-//ssdx:hotpath
-func (ch *Channel) startWrite(die int, op *dieOp) {
-	// Command/address plus data-in cycles occupy the (gang-dependent) bus;
-	// the window's end step issues the program.
-	op.step = stepBus
-	ch.dataBus(die).Acquire(ch.programBusTime(op), op.stepFn)
 }
 
 // programBusTime is a write op's ONFI window: command/address cycles per
