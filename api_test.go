@@ -15,6 +15,24 @@ import (
 	"repro/internal/trace"
 )
 
+// generate materialises w's whole request stream.
+func generate(t testing.TB, w Workload) []trace.Request {
+	t.Helper()
+	st, err := w.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var reqs []trace.Request
+	for req, ok := st.Next(); ok; req, ok = st.Next() {
+		reqs = append(reqs, req)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
 func TestPresetsResolve(t *testing.T) {
 	for _, name := range []string{"default", "vertex", "t2:C1", "t2:C10", "t3:C1", "t3:C8"} {
 		cfg, err := Preset(name)
@@ -44,7 +62,7 @@ func TestNewWorkloadValidates(t *testing.T) {
 
 func TestRunEndToEnd(t *testing.T) {
 	w, _ := NewWorkload("SW", 4096, 1<<26, 2000)
-	res, err := Run(DefaultConfig(), w, ModeFull)
+	res, err := Point{Config: DefaultConfig(), Workload: w, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +106,7 @@ func TestTraceFileWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
 	w, _ := NewWorkload("SW", 4096, 1<<24, 1500)
-	reqs, err := w.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := generate(t, w)
 	if err := WriteTraceFile(path, reqs); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +134,7 @@ func replayFile(t *testing.T, cfg Config, path string) (Result, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run(cfg, Workload{TracePath: path, ReplaySeqWrites: !info.RandomWrites}, ModeFull)
+	return Point{Config: cfg, Workload: Workload{TracePath: path, ReplaySeqWrites: !info.RandomWrites}, Mode: ModeFull}.Run(nil)
 }
 
 // replayList writes a request list as a trace file and replays it.
@@ -135,7 +150,7 @@ func replayList(t *testing.T, cfg Config, reqs []trace.Request) (Result, error) 
 func TestRunTraceClassifiesPattern(t *testing.T) {
 	// A random-write trace must engage the WAF abstraction; sequential not.
 	wr, _ := NewWorkload("RW", 4096, 1<<26, 1200)
-	randReqs, _ := wr.Generate()
+	randReqs := generate(t, wr)
 	res, err := replayList(t, VertexConfig(), randReqs)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +159,7 @@ func TestRunTraceClassifiesPattern(t *testing.T) {
 		t.Fatalf("random trace WAF %.2f", res.WAF)
 	}
 	ws, _ := NewWorkload("SW", 4096, 1<<26, 1200)
-	seqReqs, _ := ws.Generate()
+	seqReqs := generate(t, ws)
 	res, err = replayList(t, VertexConfig(), seqReqs)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +210,7 @@ func TestDSEHarnessSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := DesignSpaceExploration("sata2", 0.02)
+	rows, err := DesignSpaceExplorationShape("sata2", 0.02, "sw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +228,7 @@ func TestDSEHarnessSmall(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	WriteDSETable(&sb, "sata2", rows)
+	WriteDSEShapeTable(&sb, "sata2", "sequential write 4KB", rows)
 	if !strings.Contains(sb.String(), "C10") {
 		t.Fatalf("table rendering")
 	}
@@ -294,7 +309,7 @@ func TestMixedZipfOpenLoopEndToEnd(t *testing.T) {
 	if w.Arrival, err = ParseArrival("poisson:20000"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(DefaultConfig(), w, ModeFull)
+	res, err := Point{Config: DefaultConfig(), Workload: w, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +389,7 @@ func TestWorkloadShapeSweep(t *testing.T) {
 func TestPhasedWorkloadEndToEnd(t *testing.T) {
 	pre, _ := NewWorkload("SW", 4096, 1<<24, 600)
 	measure, _ := NewWorkload("RR", 4096, 1<<24, 600)
-	res, err := Run(DefaultConfig(), Workload{Phases: []Workload{pre, measure}}, ModeFull)
+	res, err := Point{Config: DefaultConfig(), Workload: Workload{Phases: []Workload{pre, measure}}, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,14 +407,11 @@ func TestStreamedReplayEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
 	w, _ := NewWorkload("SW", 4096, 1<<24, 800)
-	reqs, err := w.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := generate(t, w)
 	if err := WriteTraceFile(path, reqs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(DefaultConfig(), Workload{TracePath: path, SpanBytes: 1 << 24}, ModeFull)
+	res, err := Point{Config: DefaultConfig(), Workload: Workload{TracePath: path, SpanBytes: 1 << 24}, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,13 +429,13 @@ func TestPreconditionThenOpenLoopPacing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CachePolicy = "nocache"
 	pre, _ := NewWorkload("SW", 4096, 1<<24, 4000)
-	preOnly, err := Run(cfg, pre, ModeFull)
+	preOnly, err := Point{Config: cfg, Workload: pre, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	measure, _ := NewWorkload("RR", 4096, 1<<24, 200)
 	measure.Arrival, _ = ParseArrival("poisson:2000") // 200 reqs over ~100 ms
-	res, err := Run(cfg, Workload{Phases: []Workload{pre, measure}}, ModeFull)
+	res, err := Point{Config: cfg, Workload: Workload{Phases: []Workload{pre, measure}}, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,11 +458,11 @@ func TestReplayWithoutSpan(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
 	w, _ := NewWorkload("SR", 4096, 1<<24, 64)
-	reqs, _ := w.Generate()
+	reqs := generate(t, w)
 	if err := WriteTraceFile(path, reqs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(DefaultConfig(), Workload{TracePath: path}, ModeFull)
+	res, err := Point{Config: DefaultConfig(), Workload: Workload{TracePath: path}, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatalf("bare replay without SpanBytes: %v", err)
 	}
@@ -458,7 +470,7 @@ func TestReplayWithoutSpan(t *testing.T) {
 		t.Fatalf("completed %d of 64 replayed reads", res.Completed)
 	}
 	pre, _ := NewWorkload("SW", 4096, 1<<24, 10)
-	res, err = Run(DefaultConfig(), Workload{Phases: []Workload{pre, {TracePath: path}}}, ModeFull)
+	res, err = Point{Config: DefaultConfig(), Workload: Workload{Phases: []Workload{pre, {TracePath: path}}}, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatalf("phased replay without SpanBytes: %v", err)
 	}
@@ -473,7 +485,7 @@ func TestScanTraceFileClassifies(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
 	w, _ := NewWorkload("SW", 4096, 1<<24, 500)
-	reqs, _ := w.Generate()
+	reqs := generate(t, w)
 	if err := WriteTraceFile(path, reqs); err != nil {
 		t.Fatal(err)
 	}
@@ -485,9 +497,9 @@ func TestScanTraceFileClassifies(t *testing.T) {
 		t.Fatalf("scan: %+v", info)
 	}
 	// Streaming replay with the sequential hint keeps the WAF at 1.
-	res, err := Run(DefaultConfig(), Workload{
+	res, err := Point{Config: DefaultConfig(), Workload: Workload{
 		TracePath: path, SpanBytes: 1 << 24, ReplaySeqWrites: !info.RandomWrites,
-	}, ModeFull)
+	}, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +514,7 @@ func TestWriteOnlyReplayWithoutSpan(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.trace")
 	w, _ := NewWorkload("SW", 4096, 1<<24, 300)
-	reqs, _ := w.Generate()
+	reqs := generate(t, w)
 	if err := WriteTraceFile(path, reqs); err != nil {
 		t.Fatal(err)
 	}
@@ -510,9 +522,9 @@ func TestWriteOnlyReplayWithoutSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(DefaultConfig(), Workload{
+	res, err := Point{Config: DefaultConfig(), Workload: Workload{
 		TracePath: path, ReplaySeqWrites: !info.RandomWrites,
-	}, ModeFull)
+	}, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/dse"
 	"repro/internal/ftl"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -61,7 +62,7 @@ func BenchmarkFig2Validation(b *testing.B) {
 // BenchmarkFig3SATA regenerates the SATA II design-point exploration.
 func BenchmarkFig3SATA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := DesignSpaceExploration("sata2", 0.05)
+		rows, err := DesignSpaceExplorationShape("sata2", 0.05, "sw")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func BenchmarkFig3SATA(b *testing.B) {
 // BenchmarkFig4PCIe regenerates the PCIe/NVMe exploration.
 func BenchmarkFig4PCIe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := DesignSpaceExploration("pcie-g2x8", 0.05)
+		rows, err := DesignSpaceExplorationShape("pcie-g2x8", 0.05, "sw")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func BenchmarkFig6SimSpeed(b *testing.B) {
 		for _, cfg := range cfgs {
 			w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096,
 				SpanBytes: 1 << 28, Requests: 600, Seed: 7}
-			res, err := core.RunWorkload(cfg, w, core.ModeFull)
+			res, err := dse.Point{Config: cfg, Workload: w, Mode: core.ModeFull}.Run(nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -129,7 +130,7 @@ func benchRun(b *testing.B, cfg config.Platform, pat trace.Pattern, reqs int, mo
 	var last float64
 	for i := 0; i < b.N; i++ {
 		w := workload.Spec{Pattern: pat, BlockSize: 4096, SpanBytes: 1 << 28, Requests: reqs, Seed: 7}
-		res, err := core.RunWorkload(cfg, w, mode)
+		res, err := dse.Point{Config: cfg, Workload: w, Mode: mode}.Run(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -258,9 +257,10 @@ func main() {
 			fatal(err)
 		}
 	}
-	printTable(evals, objs, *front)
+	sorted, ranks := ssdx.SortByParetoRank(evals, objs)
+	printTable(sorted, ranks, *front)
 	if *traceOut != "" {
-		if err := traceBest(evals, objs, *traceOut); err != nil {
+		if err := traceBest(sorted, *traceOut); err != nil {
 			fatal(err)
 		}
 	}
@@ -271,10 +271,10 @@ func main() {
 
 // traceBest re-runs the sweep's best-ranked successful point with full event
 // tracing and writes its Perfetto/Chrome trace-event JSON — the "now show me
-// why" step after a sweep picks a design.
-func traceBest(evals []ssdx.Eval, objs []ssdx.Objective, path string) error {
+// why" step after a sweep picks a design. sorted is the rank-sorted sweep.
+func traceBest(sorted []ssdx.Eval, path string) error {
 	var best *ssdx.Eval
-	for _, ev := range ssdx.SortByParetoRank(evals, objs) {
+	for _, ev := range sorted {
 		if !ev.Failed() && !ev.Pruned {
 			best = &ev
 			break
@@ -284,12 +284,9 @@ func traceBest(evals []ssdx.Eval, objs []ssdx.Objective, path string) error {
 		return fmt.Errorf("-trace-out: no successful evaluation to trace")
 	}
 	var tracer *ssdx.Tracer
-	var err error
-	if len(best.Point.Tenants) > 0 {
-		_, tracer, err = ssdx.TraceRunTenants(best.Point.Config, best.Point.TenantSet(), best.Point.Mode)
-	} else {
-		_, tracer, err = ssdx.TraceRun(best.Point.Config, best.Point.Workload, best.Point.Mode)
-	}
+	_, err := best.Point.Run(func(p *ssdx.Platform) {
+		tracer = p.EnableTracing(ssdx.TraceOptions{Events: true})
+	})
 	if err != nil {
 		return fmt.Errorf("-trace-out: re-running p%04d: %w", best.Point.Index, err)
 	}
@@ -302,38 +299,11 @@ func traceBest(evals []ssdx.Eval, objs []ssdx.Objective, path string) error {
 	return nil
 }
 
-// printTable renders the rank-sorted sweep (or just the front) to stdout.
-// The quadratic non-dominated sort runs once; rows order by (rank, first
-// objective, input order) like ssdx.SortByParetoRank.
-func printTable(evals []ssdx.Eval, objs []ssdx.Objective, frontOnly bool) {
-	ranks := ssdx.ParetoRanks(evals, objs)
-	score := func(i int) float64 {
-		v := objs[0].Value(evals[i].Result)
-		if !objs[0].Maximize {
-			return -v
-		}
-		return v
-	}
-	order := make([]int, len(evals))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		i, j := order[x], order[y]
-		ri, rj := ranks[i], ranks[j]
-		if ri < 0 || rj < 0 { // failed evals last
-			return rj < 0 && ri >= 0
-		}
-		if ri != rj {
-			return ri < rj
-		}
-		if si, sj := score(i), score(j); si != sj {
-			return si > sj
-		}
-		return i < j
-	})
+// printTable renders the rank-sorted sweep (or just the front) to stdout;
+// ranks holds each sorted evaluation's dominance rank.
+func printTable(sorted []ssdx.Eval, ranks []int, frontOnly bool) {
 	tenanted := false
-	for _, ev := range evals {
+	for _, ev := range sorted {
 		if len(ev.Point.Tenants) > 0 {
 			tenanted = true
 			break
@@ -345,8 +315,8 @@ func printTable(evals []ssdx.Eval, objs []ssdx.Objective, frontOnly bool) {
 		fmt.Printf(" %8s", "fairness")
 	}
 	fmt.Println()
-	for _, i := range order {
-		ev, r := evals[i], ranks[i]
+	for i, ev := range sorted {
+		r := ranks[i]
 		if frontOnly && r != 0 {
 			continue
 		}

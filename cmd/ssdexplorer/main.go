@@ -70,10 +70,10 @@ func main() {
 		fatal(err)
 	}
 
-	// Tracing and live metrics build the platform explicitly so the
-	// instruments outlive the run: -trace-out needs the raw event buffer,
-	// -utilization only aggregates, -status scrapes the registry while the
-	// simulation executes.
+	// The instruments attach to the platform before the run and outlive
+	// it: -trace-out needs the raw event buffer, -utilization only
+	// aggregates, -status scrapes the registry while the simulation
+	// executes.
 	tracing := *utilFlag || *traceOut != ""
 	var reg *ssdx.MetricsRegistry
 	if *statusAddr != "" {
@@ -92,30 +92,8 @@ func main() {
 		}
 		p.EnableMetrics(reg)
 	}
-	runWorkload := func(w ssdx.Workload) (ssdx.Result, error) {
-		if !tracing && reg == nil {
-			return ssdx.Run(cfg, w, m)
-		}
-		p, err := ssdx.Build(cfg)
-		if err != nil {
-			return ssdx.Result{}, err
-		}
-		instrument(p)
-		return p.Run(w, m)
-	}
-	runTenants := func(set ssdx.TenantSet) (ssdx.Result, error) {
-		if !tracing && reg == nil {
-			return ssdx.RunTenants(cfg, set, m)
-		}
-		p, err := ssdx.Build(cfg)
-		if err != nil {
-			return ssdx.Result{}, err
-		}
-		instrument(p)
-		return p.RunTenants(set, m)
-	}
 
-	var res ssdx.Result
+	pt := ssdx.Point{Config: cfg, Mode: m}
 	switch {
 	case *tenantSpec != "":
 		if *phasesSpec != "" || *tracePath != "" || *mix != 0 || *skew != "" || *arrival != "" || *precond > 0 {
@@ -129,32 +107,20 @@ func main() {
 		if set.Policy, err = ssdx.ParseQoSPolicy(*arbPolicy); err != nil {
 			fatal(err)
 		}
-		res, err = runTenants(set)
-		if err != nil {
-			fatal(err)
-		}
+		pt.Tenants, pt.Policy = set.Tenants, set.Policy
 	case *tracePath != "":
 		// Single-pass streaming replay: no pre-scan. Each read preloads its
 		// page on first touch, and the platform adapts the WAF abstraction
 		// to the stream's windowed write classification while the file
 		// plays.
-		var err error
-		res, err = runWorkload(ssdx.Workload{TracePath: *tracePath})
-		if err != nil {
-			fatal(err)
-		}
+		pt.Workload = ssdx.Workload{TracePath: *tracePath}
 	case *phasesSpec != "":
 		if *mix != 0 || *skew != "" || *arrival != "" || *precond > 0 {
 			fatal(fmt.Errorf("-phases cannot be combined with -mix/-skew/-arrival/-precondition; set those per phase in the spec (e.g. %q)",
 				"8000xRR,mix=0.3,skew=zipf:0.9,arrival=poisson:30000,record"))
 		}
 		base := ssdx.Workload{BlockSize: *block, SpanBytes: *span, Seed: *seed}
-		w, err := ssdx.ParsePhases(*phasesSpec, base)
-		if err != nil {
-			fatal(err)
-		}
-		res, err = runWorkload(w)
-		if err != nil {
+		if pt.Workload, err = ssdx.ParsePhases(*phasesSpec, base); err != nil {
 			fatal(err)
 		}
 	default:
@@ -181,10 +147,11 @@ func main() {
 			}
 			w = ssdx.Workload{Phases: []ssdx.Workload{pre, measure}}
 		}
-		res, err = runWorkload(w)
-		if err != nil {
-			fatal(err)
-		}
+		pt.Workload = w
+	}
+	res, err := pt.Run(instrument)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Println(res)

@@ -19,7 +19,7 @@ func main() {
 
 	// Host envelope: the best the interface alone can do.
 	base, _ := ssdx.Preset("t2:C1")
-	ideal, err := ssdx.Run(base, w, ssdx.ModeHostIdeal)
+	ideal, err := ssdx.Point{Config: base, Workload: w, Mode: ssdx.ModeHostIdeal}.Run(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		drain, err := ssdx.Run(cfg, w, ssdx.ModeDDRFlash)
+		drain, err := ssdx.Point{Config: cfg, Workload: w, Mode: ssdx.ModeDDRFlash}.Run(nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := ssdx.Run(cfg, w, ssdx.ModeFull)
+		full, err := ssdx.Point{Config: cfg, Workload: w, Mode: ssdx.ModeFull}.Run(nil)
 		if err != nil {
 			log.Fatal(err)
 		}

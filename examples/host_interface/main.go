@@ -27,7 +27,7 @@ func main() {
 			}
 			cfg.HostIF = host
 			cfg.CachePolicy = "nocache" // expose the queue-depth wall
-			res, err := ssdx.Run(cfg, w, ssdx.ModeFull)
+			res, err := ssdx.Point{Config: cfg, Workload: w, Mode: ssdx.ModeFull}.Run(nil)
 			if err != nil {
 				log.Fatal(err)
 			}

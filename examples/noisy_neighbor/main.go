@@ -29,12 +29,13 @@ func main() {
 
 	fmt.Printf("%-8s %14s %14s %14s %10s %10s\n",
 		"policy", "victim p99 us", "victim mean us", "victim MB/s", "noisy MB/s", "fairness")
+	pt := ssdx.Point{Config: cfg, Tenants: set.Tenants, Mode: ssdx.ModeFull}
 	for _, arb := range []string{"rr", "wrr", "prio"} {
-		set.Policy, err = ssdx.ParseQoSPolicy(arb)
+		pt.Policy, err = ssdx.ParseQoSPolicy(arb)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := ssdx.RunTenants(cfg, set, ssdx.ModeFull)
+		res, err := pt.Run(nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func main() {
 	for _, m := range []ssdx.Mode{
 		ssdx.ModeHostIdeal, ssdx.ModeHostDDR, ssdx.ModeDDRFlash, ssdx.ModeFull,
 	} {
-		res, err := ssdx.Run(cfg, w, m)
+		res, err := ssdx.Point{Config: cfg, Workload: w, Mode: m}.Run(nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// A full-platform run exposes microarchitectural detail.
-	res, err := ssdx.Run(cfg, w, ssdx.ModeFull)
+	res, err := ssdx.Point{Config: cfg, Workload: w, Mode: ssdx.ModeFull}.Run(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

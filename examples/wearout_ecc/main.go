@@ -30,11 +30,11 @@ func main() {
 			cfg.ECCEngines = 1
 			cfg.ECCLatency = "bit-serial"
 			cfg.Wear = wear
-			r, err := ssdx.Run(cfg, read, ssdx.ModeFull)
+			r, err := ssdx.Point{Config: cfg, Workload: read, Mode: ssdx.ModeFull}.Run(nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			wres, err := ssdx.Run(cfg, write, ssdx.ModeFull)
+			wres, err := ssdx.Point{Config: cfg, Workload: write, Mode: ssdx.ModeFull}.Run(nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -50,7 +50,7 @@ func Fig2Validation(scale float64) ([]Fig2Row, error) {
 		w := workload.Spec{
 			Pattern: pat, BlockSize: 4096, SpanBytes: 1 << 28, Requests: reqs, Seed: 7,
 		}
-		res, err := core.RunWorkload(config.Vertex(), w, core.ModeFull)
+		res, err := dse.Point{Config: config.Vertex(), Workload: w, Mode: core.ModeFull}.Run(nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %v: %w", pat, err)
 		}
@@ -98,14 +98,6 @@ func expRunner() *dse.Runner {
 	return &dse.Runner{Cache: expCache, Metrics: expMetrics}
 }
 
-// DesignSpaceExploration reproduces Fig. 3 (host = "sata2") or Fig. 4
-// (host = "pcie-g2x8"): sequential 4 KB writes over the Table II design
-// points, measured in all five breakdown columns. The ten configurations
-// times five columns run as one parallel sweep on the dse engine.
-func DesignSpaceExploration(host string, scale float64) ([]DSERow, error) {
-	return DesignSpaceExplorationShape(host, scale, "sw")
-}
-
 // ShapeWorkload resolves a figure-harness workload shape: beyond the
 // paper's SW-only sweep, "mixed" and "zipf" re-run the same hardware space
 // under a mixed random 50/50 workload and a zipfian read-mostly one, so the
@@ -130,10 +122,13 @@ func ShapeWorkload(shape string) (workload.Spec, string, error) {
 	return workload.Spec{}, "", fmt.Errorf("ssdx: unknown workload shape %q (have sw, mixed, zipf)", shape)
 }
 
-// DesignSpaceExplorationShape runs the Fig. 3/4 sweep under the given
-// workload shape. The DDR+FLASH drain column exists only for the plain
-// sequential-write shape (the drain mode measures closed-loop synthetic
-// patterns); other shapes report it as NaN and the table renders a dash.
+// DesignSpaceExplorationShape reproduces Fig. 3 (host = "sata2") or Fig. 4
+// (host = "pcie-g2x8") under the given workload shape; shape "sw" is the
+// paper's sequential 4 KB writes. The ten Table II configurations times
+// five breakdown columns run as one parallel sweep on the dse engine. The
+// DDR+FLASH drain column exists only for the plain sequential-write shape
+// (the drain mode measures closed-loop synthetic patterns); other shapes
+// report it as NaN and the table renders a dash.
 func DesignSpaceExplorationShape(host string, scale float64, shape string) ([]DSERow, error) {
 	w, _, err := ShapeWorkload(shape)
 	if err != nil {
@@ -301,7 +296,7 @@ func speedRow(cfg config.Platform, reqs int) (SpeedRow, error) {
 	w := workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 28, Requests: reqs, Seed: 7,
 	}
-	res, err := core.RunWorkload(cfg, w, core.ModeFull)
+	res, err := dse.Point{Config: cfg, Workload: w, Mode: core.ModeFull}.Run(nil)
 	if err != nil {
 		return SpeedRow{}, fmt.Errorf("simspeed %s: %w", cfg.Name, err)
 	}
@@ -340,11 +335,6 @@ func WriteFig2Table(w io.Writer, rows []Fig2Row) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-4s %12.1f %12.1f %+8.1f\n", r.Pattern, r.RefMBps, r.SimMBps, r.ErrPct)
 	}
-}
-
-// WriteDSETable renders a Fig. 3 / Fig. 4 table (the paper's SW shape).
-func WriteDSETable(w io.Writer, host string, rows []DSERow) {
-	WriteDSEShapeTable(w, host, "sequential write 4KB", rows)
 }
 
 // WriteDSEShapeTable renders a Fig. 3 / Fig. 4 style table under an

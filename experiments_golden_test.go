@@ -48,21 +48,21 @@ func TestFigureTablesGolden(t *testing.T) {
 		t.Skip("short mode: full Table II sweeps")
 	}
 	t.Run("fig3_sata2", func(t *testing.T) {
-		rows, err := DesignSpaceExploration("sata2", goldenScale)
+		rows, err := DesignSpaceExplorationShape("sata2", goldenScale, "sw")
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		WriteDSETable(&b, "sata2", rows)
+		WriteDSEShapeTable(&b, "sata2", "sequential write 4KB", rows)
 		goldenCompare(t, "fig3_sata2.golden", b.String())
 	})
 	t.Run("fig4_pcie", func(t *testing.T) {
-		rows, err := DesignSpaceExploration("pcie-g2x8", goldenScale)
+		rows, err := DesignSpaceExplorationShape("pcie-g2x8", goldenScale, "sw")
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		WriteDSETable(&b, "pcie-g2x8", rows)
+		WriteDSEShapeTable(&b, "pcie-g2x8", "sequential write 4KB", rows)
 		goldenCompare(t, "fig4_pcie-g2x8.golden", b.String())
 	})
 	t.Run("fig5_wearout", func(t *testing.T) {

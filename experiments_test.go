@@ -67,7 +67,7 @@ func TestWriteDSETableGolden(t *testing.T) {
 		},
 	}
 	var b strings.Builder
-	WriteDSETable(&b, "sata2", rows)
+	WriteDSEShapeTable(&b, "sata2", "sequential write 4KB", rows)
 	want := "" +
 		"# sequential write 4KB, host=sata2 (MB/s)\n" +
 		"cfg   topology                        DDR+FLASH  SSD cache SSD no-cache  HOST ideal   HOST+DDR\n" +

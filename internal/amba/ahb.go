@@ -57,11 +57,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// PeakMBps is the raw data bandwidth of one layer (no protocol overhead).
-func (c Config) PeakMBps() float64 {
-	return c.ClockMHz * 1e6 * float64(c.BusBytes) / 1e6
-}
-
 // grantCycles returns the bus occupancy in cycles to move n bytes in one
 // grant: data beats plus one pipelined address cycle per burst plus one
 // arbitration/handover cycle.

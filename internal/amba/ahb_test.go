@@ -23,8 +23,9 @@ func TestConfig(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.PeakMBps() != 800 {
-		t.Fatalf("peak %v, want 800 MB/s for 32-bit @ 200 MHz", c.PeakMBps())
+	// Raw data bandwidth of one layer, no protocol overhead.
+	if peak := c.ClockMHz * float64(c.BusBytes); peak != 800 {
+		t.Fatalf("peak %v, want 800 MB/s for 32-bit @ 200 MHz", peak)
 	}
 	bad := c
 	bad.Layers = 0
@@ -78,8 +79,9 @@ func TestSingleTransfer(t *testing.T) {
 	}
 	// Effective bandwidth must be below peak but above 90% of it.
 	mbps := 4096 / (end - start).Seconds() / 1e6
-	if mbps < 0.9*b.Config().PeakMBps() || mbps >= b.Config().PeakMBps() {
-		t.Fatalf("effective bandwidth %v MB/s vs peak %v", mbps, b.Config().PeakMBps())
+	peak := b.Config().ClockMHz * float64(b.Config().BusBytes)
+	if mbps < 0.9*peak || mbps >= peak {
+		t.Fatalf("effective bandwidth %v MB/s vs peak %v", mbps, peak)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func TestDrainReadMode(t *testing.T) {
 	cfg := config.Default()
 	w := workload.Spec{Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 4000, Seed: 7}
-	res, err := RunWorkload(cfg, w, ModeDDRFlash)
+	res, err := runWorkload(cfg, w, ModeDDRFlash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestDrainReadMode(t *testing.T) {
 		t.Fatalf("read drain %+v", res)
 	}
 	// Read drain must beat write drain (tREAD << tPROG).
-	wr, err := RunWorkload(cfg, workload.Spec{
+	wr, err := runWorkload(cfg, workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 4000, Seed: 7,
 	}, ModeDDRFlash)
 	if err != nil {
@@ -39,11 +39,11 @@ func TestQueueDepthOverride(t *testing.T) {
 	shallow := deep
 	shallow.QueueDepth = 1
 	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 600, Seed: 7}
-	d, err := RunWorkload(deep, w, ModeFull)
+	d, err := runWorkload(deep, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := RunWorkload(shallow, w, ModeFull)
+	s, err := runWorkload(shallow, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,13 @@ func TestMultiLayerAHBRaisesPCIeCeiling(t *testing.T) {
 	base, _ := config.Preset("t2:C10")
 	base.HostIF = "pcie-g2x8"
 	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 30, Requests: 12000, Seed: 7}
-	one, err := RunWorkload(base, w, ModeFull)
+	one, err := runWorkload(base, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	multi := base
 	multi.AHBLayers = 4
-	four, err := RunWorkload(multi, w, ModeFull)
+	four, err := runWorkload(multi, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMultiLayerAHBRaisesPCIeCeiling(t *testing.T) {
 // NAND traffic together, lifting flash-bound writes like channel placement.
 func TestHostCompressionPlacement(t *testing.T) {
 	base, _ := config.Preset("t2:C1")
-	plain, err := RunWorkload(base, workload.Spec{
+	plain, err := runWorkload(base, workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 27, Requests: 8000, Seed: 7,
 	}, ModeFull)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestHostCompressionPlacement(t *testing.T) {
 	comp := base
 	comp.CompressPlacement = "host"
 	comp.CompressRatio = 0.5
-	boosted, err := RunWorkload(comp, workload.Spec{
+	boosted, err := runWorkload(comp, workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 27, Requests: 8000, Seed: 7,
 	}, ModeFull)
 	if err != nil {
@@ -107,14 +107,14 @@ func TestHostCompressionPlacement(t *testing.T) {
 // no-cache policy shows much higher write latency than caching.
 func TestLatencyReporting(t *testing.T) {
 	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 2000, Seed: 7}
-	cached, err := RunWorkload(config.Vertex(), w, ModeFull)
+	cached, err := runWorkload(config.Vertex(), w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nc := config.Vertex()
 	nc.CachePolicy = "nocache"
 	nc.MultiPlane = false
-	uncached, err := RunWorkload(nc, workload.Spec{
+	uncached, err := runWorkload(nc, workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 800, Seed: 7,
 	}, ModeFull)
 	if err != nil {
@@ -144,11 +144,11 @@ func TestDeterminism(t *testing.T) {
 		t.Skip("short mode")
 	}
 	w := workload.Spec{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 3000, Seed: 11}
-	a, err := RunWorkload(config.Vertex(), w, ModeFull)
+	a, err := runWorkload(config.Vertex(), w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkload(config.Vertex(), w, ModeFull)
+	b, err := runWorkload(config.Vertex(), w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}

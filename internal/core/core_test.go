@@ -6,15 +6,52 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/hostif"
+	"repro/internal/nvme"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// runWorkload builds a platform from cfg and runs w on it in mode.
+func runWorkload(cfg config.Platform, w workload.Spec, mode Mode) (Result, error) {
+	p, err := Build(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return p.Run(w, mode)
+}
+
+// runTenantWorkload builds a platform from cfg and runs set on it in mode.
+func runTenantWorkload(cfg config.Platform, set nvme.TenantSet, mode Mode) (Result, error) {
+	p, err := Build(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return p.RunTenants(set, mode)
+}
+
+// generate materialises w's whole request stream.
+func generate(t testing.TB, w workload.Spec) []trace.Request {
+	t.Helper()
+	st, err := w.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var reqs []trace.Request
+	for req, ok := st.Next(); ok; req, ok = st.Next() {
+		reqs = append(reqs, req)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
 
 // run4k is a helper running a 4 KB workload on a config.
 func run4k(t *testing.T, cfg config.Platform, pat trace.Pattern, reqs int, mode Mode) Result {
 	t.Helper()
 	w := workload.Spec{Pattern: pat, BlockSize: 4096, SpanBytes: 1 << 28, Requests: reqs, Seed: 7}
-	res, err := RunWorkload(cfg, w, mode)
+	res, err := runWorkload(cfg, w, mode)
 	if err != nil {
 		t.Fatalf("%v %v: %v", pat, mode, err)
 	}
@@ -207,8 +244,11 @@ func TestWriteLargelyECCInsensitive(t *testing.T) {
 func TestHostIdealMatchesAnalytic(t *testing.T) {
 	cfg := config.Default()
 	res := run4k(t, cfg, trace.SeqWrite, 4000, ModeHostIdeal)
-	p, _ := Build(cfg)
-	want := p.Host.Config().IdealMBps(4096, true)
+	hcfg, err := hostif.Parse(cfg.HostIF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hcfg.IdealMBps(4096, true)
 	if res.MBps < want*0.95 || res.MBps > want*1.05 {
 		t.Fatalf("host ideal %.1f vs analytic %.1f", res.MBps, want)
 	}
@@ -240,10 +280,7 @@ func TestHostDDRModeStopsAtDRAM(t *testing.T) {
 // which never reach flash, program none.
 func TestReadsPreloadOnFirstTouch(t *testing.T) {
 	w := workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 30, Requests: 64, Seed: 7}
-	reqs, err := w.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := generate(t, w)
 	for _, mode := range []Mode{ModeFull, ModeHostIdeal, ModeHostDDR} {
 		p, err := Build(config.Default())
 		if err != nil {

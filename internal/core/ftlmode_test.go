@@ -35,7 +35,7 @@ func replayList(t *testing.T, p *Platform, reqs []trace.Request) (Result, error)
 
 func TestMapperModeSequential(t *testing.T) {
 	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 6000, Seed: 7}
-	res, err := RunWorkload(mapperCfg(), w, ModeFull)
+	res, err := runWorkload(mapperCfg(), w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMapperModeRandomGC(t *testing.T) {
 	// force real garbage collection.
 	cfg := mapperCfg()
 	w := workload.Spec{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 96 << 20, Requests: 40000, Seed: 7}
-	res, err := RunWorkload(cfg, w, ModeFull)
+	res, err := runWorkload(cfg, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMapperModeRandomGC(t *testing.T) {
 		t.Fatalf("measured WAF %.2f under random overwrites", res.WAF)
 	}
 	// Random throughput must fall below sequential (GC steals bandwidth).
-	seq, err := RunWorkload(mapperCfg(), workload.Spec{
+	seq, err := runWorkload(mapperCfg(), workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 25, Requests: 40000, Seed: 7,
 	}, ModeFull)
 	if err != nil {
@@ -111,11 +111,8 @@ func TestMapperModeReadAfterWrite(t *testing.T) {
 // reports the write amplification the FTL measured, not the WAF
 // abstraction's constant for the scanned write pattern.
 func TestRunRequestsMapperWAF(t *testing.T) {
-	reqs, err := workload.Spec{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 120 << 20,
-		Requests: 40000, Seed: 7}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := generate(t, workload.Spec{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 120 << 20,
+		Requests: 40000, Seed: 7})
 	p, err := Build(mapperCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -149,29 +146,6 @@ func TestMapperModeUnwrittenReadZeroFill(t *testing.T) {
 	}
 	if res.FlashReads != 0 {
 		t.Fatalf("zero-fill read touched flash %d times", res.FlashReads)
-	}
-}
-
-func TestMapperModeTrim(t *testing.T) {
-	p, err := Build(mapperCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []trace.Request{
-		{Op: trace.OpWrite, LBA: 0, Bytes: 4096},
-		{Op: trace.OpTrim, LBA: 0, Bytes: 4096},
-		{Op: trace.OpRead, LBA: 0, Bytes: 4096},
-	}
-	res, err := replayList(t, p, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 3 {
-		t.Fatalf("completed %d", res.Completed)
-	}
-	// Post-trim read is zero-fill: exactly zero flash reads.
-	if res.FlashReads != 0 {
-		t.Fatalf("trimmed page still mapped (%d flash reads)", res.FlashReads)
 	}
 }
 
@@ -229,7 +203,7 @@ func TestFirmwareCPUModel(t *testing.T) {
 	cfg := config.Vertex()
 	cfg.CPUModel = "firmware"
 	w := workload.Spec{Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 4000, Seed: 7}
-	fw, err := RunWorkload(cfg, w, ModeFull)
+	fw, err := runWorkload(cfg, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +217,7 @@ func TestFirmwareCPUModel(t *testing.T) {
 	// random-map cost (flat table in SRAM vs. modelled table walk), so
 	// firmware-mode random reads run faster.
 	cfg2 := config.Vertex()
-	par, err := RunWorkload(cfg2, w, ModeFull)
+	par, err := runWorkload(cfg2, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +230,7 @@ func TestFirmwareCPUModelWrites(t *testing.T) {
 	cfg := config.Vertex()
 	cfg.CPUModel = "firmware"
 	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 3000, Seed: 7}
-	res, err := RunWorkload(cfg, w, ModeFull)
+	res, err := runWorkload(cfg, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}

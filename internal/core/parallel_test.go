@@ -377,7 +377,7 @@ func TestParallelModeRuns(t *testing.T) {
 	}
 	cfg.Parallel = true
 	w := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 500, Seed: 7}
-	res, err := RunWorkload(cfg, w, ModeFull)
+	res, err := runWorkload(cfg, w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func runQoS(t *testing.T, policy nvme.Policy, scale int) Result {
 	cfg := config.Default()
 	cfg.QueueDepth = 8          // a tight shared window makes arbitration the bottleneck
 	cfg.CachePolicy = "nocache" // writes hold window slots for their flash time
-	res, err := RunTenantWorkload(cfg, noisyNeighborSet(policy, scale), ModeFull)
+	res, err := runTenantWorkload(cfg, noisyNeighborSet(policy, scale), ModeFull)
 	if err != nil {
 		t.Fatalf("%v run: %v", policy, err)
 	}
@@ -154,7 +154,7 @@ func TestTenantPhaseWindows(t *testing.T) {
 			{Name: "plain", Workload: plain},
 		},
 	}
-	res, err := RunTenantWorkload(config.Default(), set, ModeFull)
+	res, err := runTenantWorkload(config.Default(), set, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestJainFairness(t *testing.T) {
 
 // TestRunTenantsRejectsDrainMode pins the mode restriction.
 func TestRunTenantsRejectsDrainMode(t *testing.T) {
-	if _, err := RunTenantWorkload(config.Default(), noisyNeighborSet(nvme.PolicyRR, 1), ModeDDRFlash); err == nil {
+	if _, err := runTenantWorkload(config.Default(), noisyNeighborSet(nvme.PolicyRR, 1), ModeDDRFlash); err == nil {
 		t.Error("ddr+flash mode must reject multi-queue scenarios")
 	}
 }

@@ -14,10 +14,7 @@ import (
 // writeTrace materialises a synthetic spec as a trace file.
 func writeTrace(t testing.TB, spec workload.Spec) string {
 	t.Helper()
-	reqs, err := spec.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := generate(t, spec)
 	return writeTraceReqs(t, reqs)
 }
 
@@ -60,7 +57,7 @@ func BenchmarkReplayDispatch(b *testing.B) {
 			cfg.Parallel = bc.parallel
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := RunWorkload(cfg, workload.Spec{TracePath: path}, ModeFull)
+				res, err := runWorkload(cfg, workload.Spec{TracePath: path}, ModeFull)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -85,7 +82,7 @@ func TestReplayAdaptiveWAF(t *testing.T) {
 	seqPath := writeTrace(t, mk(trace.SeqWrite))
 	randPath := writeTrace(t, mk(trace.RandWrite))
 
-	seqRes, err := RunWorkload(config.Default(), workload.Spec{TracePath: seqPath}, ModeFull)
+	seqRes, err := runWorkload(config.Default(), workload.Spec{TracePath: seqPath}, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +90,7 @@ func TestReplayAdaptiveWAF(t *testing.T) {
 		t.Errorf("sequential replay WAF = %v, want ~1 plus only the pre-flip warm-up residue", seqRes.WAF)
 	}
 
-	randRes, err := RunWorkload(config.Default(), workload.Spec{TracePath: randPath}, ModeFull)
+	randRes, err := runWorkload(config.Default(), workload.Spec{TracePath: randPath}, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +108,7 @@ func TestReplayAdaptiveWAF(t *testing.T) {
 	// An explicit override always pins the model: no reclassification.
 	cfg := config.Default()
 	cfg.WAFOverride = 2.5
-	overRes, err := RunWorkload(cfg, workload.Spec{TracePath: seqPath}, ModeFull)
+	overRes, err := runWorkload(cfg, workload.Spec{TracePath: seqPath}, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +123,7 @@ func TestReplayLazyPreload(t *testing.T) {
 	path := writeTrace(t, workload.Spec{
 		Pattern: trace.RandRead, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 300, Seed: 11,
 	})
-	res, err := RunWorkload(config.Default(), workload.Spec{TracePath: path}, ModeFull)
+	res, err := runWorkload(config.Default(), workload.Spec{TracePath: path}, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}

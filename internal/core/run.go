@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/hostif"
 	"repro/internal/nand"
@@ -814,14 +813,4 @@ func (p *Platform) runDrain(w workload.Spec) (Result, error) {
 		mbps = float64(bytes) / now.Seconds() / 1e6
 	}
 	return Result{MBps: mbps, BytesMoved: bytes, Completed: uint64(completed)}, nil
-}
-
-// RunWorkload is the one-shot convenience: build a platform from cfg and
-// run the workload in the given mode.
-func RunWorkload(cfg config.Platform, w workload.Spec, mode Mode) (Result, error) {
-	p, err := Build(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.Run(w, mode)
 }

@@ -43,7 +43,7 @@ func TestPhaseRecordCombinations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunWorkload(config.Default(), phasePair(preReqs, measReqs, tc.preRec, tc.measRec), ModeFull)
+			res, err := runWorkload(config.Default(), phasePair(preReqs, measReqs, tc.preRec, tc.measRec), ModeFull)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestPhaseRecordCombinations(t *testing.T) {
 // byte equal in op count to the measure phase, with zero precondition
 // (write) ops leaking in.
 func TestMeasureWindowExcludesPrecondition(t *testing.T) {
-	res, err := RunWorkload(config.Default(), phasePair(400, 250, false, true), ModeFull)
+	res, err := runWorkload(config.Default(), phasePair(400, 250, false, true), ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRecordWindowResetsBetweenMeasuredPhases(t *testing.T) {
 		mk(trace.SeqWrite, 100, false),
 		mk(trace.SeqRead, 75, true),
 	}}
-	res, err := RunWorkload(config.Default(), w, ModeFull)
+	res, err := runWorkload(config.Default(), w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestStageSumsMatchEndToEnd(t *testing.T) {
 	}
 	for name, w := range workloads {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunWorkload(config.Default(), w, ModeFull)
+			res, err := runWorkload(config.Default(), w, ModeFull)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestSaturationDetection(t *testing.T) {
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 1200, Seed: 7,
 	}
 
-	closed, err := RunWorkload(config.Default(), base, ModeFull)
+	closed, err := runWorkload(config.Default(), base, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSaturationDetection(t *testing.T) {
 	run := func(rate float64) Result {
 		w := base
 		w.Arrival = workload.Arrival{Kind: workload.ArrivalPoisson, RateIOPS: rate}
-		res, err := RunWorkload(config.Default(), w, ModeFull)
+		res, err := runWorkload(config.Default(), w, ModeFull)
 		if err != nil {
 			t.Fatalf("poisson %.0f: %v", rate, err)
 		}
@@ -220,7 +220,7 @@ func TestZeroLengthMeasurePhaseRejected(t *testing.T) {
 	if err := w.Validate(); err == nil {
 		t.Fatal("zero-length measure phase accepted")
 	}
-	if _, err := RunWorkload(config.Default(), w, ModeFull); err == nil {
+	if _, err := runWorkload(config.Default(), w, ModeFull); err == nil {
 		t.Fatal("zero-length measure phase ran")
 	}
 }

@@ -39,7 +39,7 @@ func TestTenantReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := config.Default()
 			cfg.Parallel = parallel
-			res, err := RunTenantWorkload(cfg, set, ModeFull)
+			res, err := runTenantWorkload(cfg, set, ModeFull)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestTenantReplayEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTenantWorkload(config.Default(), set, ModeFull)
+	res, err := runTenantWorkload(config.Default(), set, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTenantReplayOversizedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunTenantWorkload(config.Default(), set, ModeFull)
+	_, err = runTenantWorkload(config.Default(), set, ModeFull)
 	if err == nil {
 		t.Fatal("oversized tenant trace did not error")
 	}
@@ -158,7 +158,7 @@ func TestReplayNeverWrittenReads(t *testing.T) {
 		cfg.FTLMode = "mapper"
 		cfg.MapperBlocksPerUnit = 6
 		cfg.SpareFactor = 0.45
-		res, err := RunWorkload(cfg, workload.Spec{TracePath: path}, ModeFull)
+		res, err := runWorkload(cfg, workload.Spec{TracePath: path}, ModeFull)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestReplayNeverWrittenReads(t *testing.T) {
 	})
 
 	t.Run("span", func(t *testing.T) {
-		res, err := RunWorkload(config.Default(), workload.Spec{TracePath: path}, ModeFull)
+		res, err := runWorkload(config.Default(), workload.Spec{TracePath: path}, ModeFull)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/hostif"
 	"repro/internal/nvme"
 	"repro/internal/telemetry"
@@ -163,14 +162,4 @@ func fairnessOf(tenants []TenantResult) float64 {
 		xs[i] = t.MBps / float64(t.Weight)
 	}
 	return JainFairness(xs)
-}
-
-// RunTenantWorkload is the one-shot convenience: build a platform from cfg
-// and run the tenant scenario in the given mode.
-func RunTenantWorkload(cfg config.Platform, set nvme.TenantSet, mode Mode) (Result, error) {
-	p, err := Build(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.RunTenants(set, mode)
 }

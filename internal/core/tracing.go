@@ -91,9 +91,6 @@ func traceDRAM(rec *evtrace.Tracer, b *dram.Buffer) {
 	}
 }
 
-// Tracer returns the attached event tracer (nil when tracing is off).
-func (p *Platform) Tracer() *evtrace.Tracer { return p.tracer }
-
 // utilizationReport folds the tracer's aggregates into a report at the
 // kernel's current time, stamping the simulator self-profile. wallSeconds
 // may be zero (deterministic contexts leave wall-clock fields unset).

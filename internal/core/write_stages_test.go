@@ -50,7 +50,7 @@ func TestWriteStageSumInvariant(t *testing.T) {
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunWorkload(tc.cfg, tc.w, ModeFull)
+			res, err := runWorkload(tc.cfg, tc.w, ModeFull)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestWriteStageSplitDistinct(t *testing.T) {
 	cfg := config.Vertex() // ECC enabled: the encode prep is a real stage
 	cfg.CachePolicy = "nocache"
 	cfg.MultiPlane = false
-	res, err := RunWorkload(cfg, workload.Spec{
+	res, err := runWorkload(cfg, workload.Spec{
 		Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 600, Seed: 7,
 	}, ModeFull)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestWriteStageSplitDistinct(t *testing.T) {
 // BOTH phases' stage breakdowns — the unrecorded precondition included —
 // with each phase's stage means summing to that phase's end-to-end mean.
 func TestPhaseProfilesPerPhase(t *testing.T) {
-	res, err := RunWorkload(config.Default(), phasePair(300, 200, false, true), ModeFull)
+	res, err := runWorkload(config.Default(), phasePair(300, 200, false, true), ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPhaseProfilesPerPhase(t *testing.T) {
 		t.Error("precondition phase has no DRAM attribution")
 	}
 	// Single-phase runs carry no profiles — Stages covers them.
-	single, err := RunWorkload(config.Default(), workload.Spec{
+	single, err := runWorkload(config.Default(), workload.Spec{
 		Pattern: trace.SeqRead, BlockSize: 4096, SpanBytes: 1 << 26, Requests: 200, Seed: 7,
 	}, ModeFull)
 	if err != nil {
@@ -161,7 +161,7 @@ func TestPhaseProfilesSurviveWindowResets(t *testing.T) {
 		mk(trace.SeqWrite, 100, false),
 		mk(trace.SeqRead, 75, true),
 	}}
-	res, err := RunWorkload(config.Default(), w, ModeFull)
+	res, err := runWorkload(config.Default(), w, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestTenantPhaseProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTenantWorkload(config.Default(), set, ModeFull)
+	res, err := runTenantWorkload(config.Default(), set, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +213,14 @@ func TestSyntheticPhaseWAFShift(t *testing.T) {
 			{Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 1 << 25, Requests: overwrite, Seed: 7},
 		}}
 	}
-	shifted, err := RunWorkload(config.Default(), mkPhases(2000, 2000), ModeFull)
+	shifted, err := runWorkload(config.Default(), mkPhases(2000, 2000), ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The fill half must run at the sequential model (no GC), the overwrite
 	// half at the random model, so the observed amplification sits strictly
 	// between 1 and the steady-state random constant.
-	randOnly, err := RunWorkload(config.Default(), workload.Spec{
+	randOnly, err := runWorkload(config.Default(), workload.Spec{
 		Pattern: trace.RandWrite, BlockSize: 4096, SpanBytes: 1 << 25, Requests: 2000, Seed: 7,
 	}, ModeFull)
 	if err != nil {

@@ -442,12 +442,3 @@ func (m *Machine) Run(maxCycles int64) (int64, error) {
 	}
 	return m.Cycles - startCycles, nil
 }
-
-// Reset clears registers, flags and counters (memory is preserved so
-// firmware images survive).
-func (m *Machine) Reset() {
-	m.R = [16]uint32{}
-	m.N, m.Z, m.C, m.V = false, false, false, false
-	m.Cycles, m.Steps = 0, 0
-	m.halted = false
-}

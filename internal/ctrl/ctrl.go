@@ -216,12 +216,6 @@ func (ch *Channel) SetTracer(tr *evtrace.Tracer) {
 	}
 }
 
-// Config returns the channel configuration.
-func (ch *Channel) Config() Config { return ch.cfg }
-
-// Dies returns the number of dies on the channel.
-func (ch *Channel) Dies() int { return len(ch.dies) }
-
 // Die returns die d (for wear setup and assertions).
 func (ch *Channel) Die(d int) *nand.Die { return ch.dies[d] }
 
@@ -230,15 +224,6 @@ func (ch *Channel) SetWear(w float64) {
 	for _, d := range ch.dies {
 		d.SetWear(w)
 	}
-}
-
-// AvgWear reports the mean die wear.
-func (ch *Channel) AvgWear() float64 {
-	var t float64
-	for _, d := range ch.dies {
-		t += d.AvgWear()
-	}
-	return t / float64(len(ch.dies))
 }
 
 // wayOf maps a die index to its way.

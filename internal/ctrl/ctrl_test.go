@@ -306,7 +306,9 @@ func TestCacheSlotsThrottleInFlight(t *testing.T) {
 func TestSetWear(t *testing.T) {
 	r := newRig(t, Config{Ways: 2, DiesPerWay: 1}, nand.ProfileExplore())
 	r.ch.SetWear(0.7)
-	if w := r.ch.AvgWear(); w < 0.69 || w > 0.71 {
-		t.Fatalf("avg wear %v", w)
+	for d, die := range r.ch.dies {
+		if w := die.AvgWear(); w < 0.69 || w > 0.71 {
+			t.Fatalf("die %d avg wear %v", d, w)
+		}
 	}
 }

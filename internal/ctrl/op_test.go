@@ -25,7 +25,7 @@ func TestOpPoolCapped(t *testing.T) {
 	tim := nand.ProfileExplore()
 	r := newRig(t, Config{Ways: 2, DiesPerWay: 2}, tim)
 	a := nand.Addr{Block: 3, Page: 1}
-	for d := 0; d < r.ch.Dies(); d++ {
+	for d := 0; d < len(r.ch.dies); d++ {
 		if err := r.ch.Die(d).Preload(a); err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestOpPoolCapped(t *testing.T) {
 	const reads = 10000
 	done := 0
 	for i := 0; i < reads; i++ {
-		if err := r.ch.Read(i%r.ch.Dies(), a, 4096, nil, false, func() { done++ }); err != nil {
+		if err := r.ch.Read(i%len(r.ch.dies), a, 4096, nil, false, func() { done++ }); err != nil {
 			t.Fatal(err)
 		}
 	}

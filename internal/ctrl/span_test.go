@@ -188,7 +188,7 @@ func writeSpanLap(tb testing.TB, r *rig, batches [][]nand.Addr, cursor *int, spa
 // (keeping the die's lazily-allocated page state warm).
 func eraseDie(tb testing.TB, r *rig) {
 	tb.Helper()
-	geo := r.ch.Die(0).Geometry()
+	geo := nand.SmallGeometry() // every rig builds its dies on it
 	for p := 0; p < geo.PlanesPerDie; p++ {
 		for b := 0; b < geo.BlocksPerPlane; b++ {
 			if err := r.ch.Erase(0, p, b, nil); err != nil {

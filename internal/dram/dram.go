@@ -73,11 +73,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// PeakMBps is the theoretical interface bandwidth.
-func (c Config) PeakMBps() float64 {
-	return c.ClockMHz * 1e6 * 2 * float64(c.BusBytes) / 1e6
-}
-
 // BurstBytes is the data moved per burst.
 func (c Config) BurstBytes() int64 { return int64(c.BurstLen) * int64(c.BusBytes) }
 
@@ -145,9 +140,6 @@ func New(k *sim.Kernel, id int, cfg Config) (*Buffer, error) {
 	}
 	return b, nil
 }
-
-// Config returns the buffer configuration.
-func (b *Buffer) Config() Config { return b.cfg }
 
 // Access queues a read or write of length bytes starting at addr. done, if
 // non-nil, runs at data completion, the end of the service window; the
@@ -332,17 +324,6 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 	return t
 }
 
-// QueueLen reports waiting requests.
-func (b *Buffer) QueueLen() int { return b.queue.Len() }
-
-// Utilization is busy time over elapsed time.
-func (b *Buffer) Utilization(now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(b.Stats.BusyTime) / float64(now)
-}
-
 // Pool is the set of DRAM buffers in a platform; the number of buffers is a
 // first-class design-space parameter in the paper (Table II: N-DDR-buf).
 // Buffers are assigned to channels round-robin.
@@ -369,20 +350,4 @@ func NewPool(k *sim.Kernel, n int, cfg Config) (*Pool, error) {
 // ForChannel returns the buffer serving channel ch (round-robin mapping).
 func (p *Pool) ForChannel(ch int) *Buffer {
 	return p.Buffers[ch%len(p.Buffers)]
-}
-
-// TotalStats sums stats across the pool.
-func (p *Pool) TotalStats() Stats {
-	var s Stats
-	for _, b := range p.Buffers {
-		s.Reads += b.Stats.Reads
-		s.Writes += b.Stats.Writes
-		s.BytesRead += b.Stats.BytesRead
-		s.BytesWrite += b.Stats.BytesWrite
-		s.RowHits += b.Stats.RowHits
-		s.RowMisses += b.Stats.RowMisses
-		s.Refreshes += b.Stats.Refreshes
-		s.BusyTime += b.Stats.BusyTime
-	}
-	return s
 }

@@ -228,7 +228,7 @@ func TestServeMatchesReference(t *testing.T) {
 			TRP:           rng.Intn(8),
 			TWR:           rng.Intn(8),
 			TRFC:          rng.Intn(100),
-			TREFI:         rng.Range(10*sim.Nanosecond, 20*sim.Microsecond),
+			TREFI:         10*sim.Nanosecond + sim.Time(rng.Int63n(int64(20*sim.Microsecond-10*sim.Nanosecond)+1)),
 			CapacityBytes: capacity,
 		}
 		ops := make([]serveOp, 20)
@@ -239,7 +239,7 @@ func TestServeMatchesReference(t *testing.T) {
 				bytes: int64(rng.Intn(8192) + 1),
 			}
 			if rng.Bool(0.3) {
-				ops[i].gap = rng.Range(0, 500*sim.Microsecond)
+				ops[i].gap = sim.Time(rng.Int63n(int64(500*sim.Microsecond) + 1))
 			}
 		}
 		checkServe(t, cfg, ops)

@@ -35,7 +35,7 @@ func TestWarmCacheResweepRunsZeroSimulations(t *testing.T) {
 		Cache:   cache,
 		Evaluate: func(pt Point) (core.Result, error) {
 			sims.Add(1)
-			return core.RunWorkload(pt.Config, pt.Workload, pt.Mode)
+			return pt.Run(nil)
 		},
 	}
 	cold, err := r.Run(context.Background(), pts)

@@ -220,8 +220,10 @@ func Ranks(evals []Eval, objs []Objective) []int {
 
 // SortByRank orders evaluations by dominance rank, breaking ties with the
 // first objective (best first) and then input order. Failed evaluations
-// sort last. The returned slice is fresh; evals is not modified.
-func SortByRank(evals []Eval, objs []Objective) []Eval {
+// sort last. It also returns each sorted evaluation's rank (Ranks in the
+// sorted order), so callers that print ranks run the quadratic sort once.
+// The returned slices are fresh; evals is not modified.
+func SortByRank(evals []Eval, objs []Objective) ([]Eval, []int) {
 	ranks := Ranks(evals, objs)
 	idx := make([]int, len(evals))
 	for i := range idx {
@@ -249,8 +251,9 @@ func SortByRank(evals []Eval, objs []Objective) []Eval {
 		return i < j
 	})
 	out := make([]Eval, len(evals))
+	outRanks := make([]int, len(evals))
 	for k, i := range idx {
-		out[k] = evals[i]
+		out[k], outRanks[k] = evals[i], ranks[i]
 	}
-	return out
+	return out, outRanks
 }

@@ -113,15 +113,27 @@ func TestSortByRank(t *testing.T) {
 		{90, 30, 0},  // rank 2 (still dominated by point 0 after peeling)
 	})
 	evals = append(evals, Eval{Point: Point{Index: 4}, Err: "boom"})
-	sorted := SortByRank(evals, objs)
+	// Rank 0 first (mbps 300 before 100), then rank 1, rank 2, failed last.
+	checkSortByRank(t, evals, objs, []int64{1, 2, 0, 3, 4})
+}
+
+// checkSortByRank asserts SortByRank's order by point index, and that the
+// ranks it returns are Ranks in that order.
+func checkSortByRank(t *testing.T, evals []Eval, objs []Objective, want []int64) {
+	t.Helper()
+	sorted, sortedRanks := SortByRank(evals, objs)
+	ranks := Ranks(evals, objs)
 	var got []int64
+	var wantRanks []int
 	for _, ev := range sorted {
 		got = append(got, ev.Point.Index)
+		wantRanks = append(wantRanks, ranks[ev.Point.Index])
 	}
-	// Rank 0 first (mbps 300 before 100), then rank 1, rank 2, failed last.
-	want := []int64{1, 2, 0, 3, 4}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(sortedRanks, wantRanks) {
+		t.Fatalf("returned ranks = %v, want Ranks in sorted order %v", sortedRanks, wantRanks)
 	}
 }
 
@@ -136,13 +148,7 @@ func TestSortByRankWithinRank(t *testing.T) {
 		{300, 10, 0}, // rank 0, best mbps
 		{200, 8, 0},
 	})
-	var got []int64
-	for _, ev := range SortByRank(evals, objs) {
-		got = append(got, ev.Point.Index)
-	}
-	if want := []int64{2, 1, 3, 0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
+	checkSortByRank(t, evals, objs, []int64{2, 1, 3, 0})
 }
 
 func TestParseObjectives(t *testing.T) {

@@ -65,7 +65,7 @@ type Runner struct {
 	Cache *Cache
 
 	// Evaluate computes one point. nil selects the real simulator
-	// (core.RunWorkload). Tests and dry runs substitute stubs.
+	// (Point.Run). Tests and dry runs substitute stubs.
 	Evaluate func(Point) (core.Result, error)
 
 	// OnProgress, when set, is called after each completed evaluation with
@@ -154,11 +154,7 @@ func (r *Runner) Run(ctx context.Context, pts []Point) ([]Eval, error) {
 	if evaluate == nil {
 		utilization := r.Utilization
 		reg := r.Metrics
-		evaluate = func(pt Point) (core.Result, error) {
-			p, err := core.Build(pt.Config)
-			if err != nil {
-				return core.Result{}, err
-			}
+		setup := func(p *core.Platform) {
 			if utilization {
 				// Aggregates only: sweeps need busy fractions and GC shares,
 				// not raw event buffers per point.
@@ -167,11 +163,8 @@ func (r *Runner) Run(ctx context.Context, pts []Point) ([]Eval, error) {
 			// Concurrent platforms share the registry's counters; registration
 			// is idempotent so every worker converges on the same series.
 			p.EnableMetrics(reg)
-			if len(pt.Tenants) > 0 {
-				return p.RunTenants(pt.TenantSet(), pt.Mode)
-			}
-			return p.Run(pt.Workload, pt.Mode)
 		}
+		evaluate = func(pt Point) (core.Result, error) { return pt.Run(setup) }
 	}
 
 	evals := make([]Eval, len(pts))

@@ -58,8 +58,8 @@ type Space struct {
 
 	// Multi-tenant axes. A non-empty TenantMixes axis switches the swept
 	// points to the NVMe-style multi-queue front end: each mix is a full
-	// tenant roster (per-queue workloads, weights, classes), evaluated via
-	// core.RunTenantWorkload instead of the single-stream path, and the
+	// tenant roster (per-queue workloads, weights, classes), which
+	// Point.Run plays instead of the single-stream workload, and the
 	// Policies axis sweeps the arbitration mechanism across mixes. The
 	// single-workload axes (Patterns, BlockSizes, ...) are ignored for
 	// tenant points — each tenant already carries its own workload.
@@ -271,6 +271,24 @@ type Point struct {
 // TenantSet assembles the point's multi-queue scenario.
 func (pt Point) TenantSet() nvme.TenantSet {
 	return nvme.TenantSet{Tenants: pt.Tenants, Policy: pt.Policy}
+}
+
+// Run builds a fresh platform from the point's configuration, hands it to
+// setup (nil means none) to attach instruments, and plays the tenant set
+// when Tenants is set, the workload otherwise. It is the one way a design
+// point runs; platforms are single-use, and Run hides that.
+func (pt Point) Run(setup func(*core.Platform)) (core.Result, error) {
+	p, err := core.Build(pt.Config)
+	if err != nil {
+		return core.Result{}, err
+	}
+	if setup != nil {
+		setup(p)
+	}
+	if len(pt.Tenants) > 0 {
+		return p.RunTenants(pt.TenantSet(), pt.Mode)
+	}
+	return p.Run(pt.Workload, pt.Mode)
 }
 
 // Key returns the content hash of the point — a digest of the complete

@@ -29,8 +29,8 @@ func TestLatencyModels(t *testing.T) {
 
 func TestFixedScheme(t *testing.T) {
 	s := FixedBCH{T: 40, Lat: BitSerialLatency()}
-	if s.CorrectionAt(0) != 40 || s.CorrectionAt(1) != 40 {
-		t.Fatalf("fixed scheme must ignore wear")
+	if s.EncodeLatency(0) != s.Lat.Encode(40) || s.EncodeLatency(1) != s.Lat.Encode(40) {
+		t.Fatalf("fixed scheme must encode at t=40 whatever the wear")
 	}
 	if s.DecodeLatency(0) != s.DecodeLatency(1) {
 		t.Fatalf("fixed scheme latency must be wear-independent")

@@ -8,7 +8,6 @@ package ecc
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -67,9 +66,6 @@ func ByteParallelLatency() LatencyModel {
 // Scheme selects the correction strength used for a page written at a given
 // wear level and exposes the resulting latencies.
 type Scheme interface {
-	Name() string
-	// CorrectionAt returns the BCH t applied at normalised wear w.
-	CorrectionAt(w float64) int
 	// EncodeLatency and DecodeLatency report engine occupancy per codeword
 	// group (one page).
 	EncodeLatency(w float64) sim.Time
@@ -81,12 +77,6 @@ type FixedBCH struct {
 	T   int
 	Lat LatencyModel
 }
-
-// Name implements Scheme.
-func (f FixedBCH) Name() string { return fmt.Sprintf("fixed-bch-%d", f.T) }
-
-// CorrectionAt implements Scheme.
-func (f FixedBCH) CorrectionAt(float64) int { return f.T }
 
 // EncodeLatency implements Scheme.
 func (f FixedBCH) EncodeLatency(float64) sim.Time { return f.Lat.Encode(f.T) }
@@ -102,12 +92,6 @@ type AdaptiveBCH struct {
 	Table CorrectionTable
 	Lat   LatencyModel
 }
-
-// Name implements Scheme.
-func (a AdaptiveBCH) Name() string { return "adaptive-bch" }
-
-// CorrectionAt implements Scheme.
-func (a AdaptiveBCH) CorrectionAt(w float64) int { return a.Table.At(w) }
 
 // EncodeLatency implements Scheme.
 func (a AdaptiveBCH) EncodeLatency(w float64) sim.Time { return a.Lat.Encode(a.Table.At(w)) }

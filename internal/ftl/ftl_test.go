@@ -140,7 +140,7 @@ func TestMapperStriping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, _, _ := m.Geometry().Decompose(ops[0].Target)
+		u, _, _ := m.geo.Decompose(ops[0].Target)
 		units[u] = true
 	}
 	if len(units) != 4 {

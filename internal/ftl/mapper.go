@@ -163,14 +163,6 @@ func NewMapper(geo Geometry, logicalPages int64) (*Mapper, error) {
 	return m, nil
 }
 
-// Geometry returns the managed geometry.
-func (m *Mapper) Geometry() Geometry { return m.geo }
-
-// SpareFactor reports the over-provisioning fraction.
-func (m *Mapper) SpareFactor() float64 {
-	return 1 - float64(m.logicalPages)/float64(m.geo.TotalPages())
-}
-
 // popFreeBlock takes the lowest-wear free block of a unit (dynamic wear
 // leveling: fresh data lands on the least-cycled blocks).
 func (m *Mapper) popFreeBlock(u int) int {

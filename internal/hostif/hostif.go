@@ -327,9 +327,6 @@ func cmdOp(op trace.Op) evtrace.Op {
 	return evtrace.OpBusy
 }
 
-// Config returns the interface configuration.
-func (i *Interface) Config() Config { return i.cfg }
-
 // Outstanding reports commands inside the window.
 func (i *Interface) Outstanding() int { return i.outstanding }
 

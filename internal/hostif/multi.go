@@ -322,10 +322,6 @@ func (i *Interface) cmdInWindow(cmd *Command) bool {
 	return cmd.winGen == i.qs[cmd.Queue].winGen
 }
 
-// NumQueues reports the number of submission queues (1 for a single
-// stream, 0 before Run or RunMulti).
-func (i *Interface) NumQueues() int { return len(i.qs) }
-
 // QueueLatency exposes queue q's per-op-class latency collector.
 func (i *Interface) QueueLatency(q int) *workload.Collector { return &i.qs[q].lat }
 

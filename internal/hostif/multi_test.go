@@ -100,8 +100,8 @@ func TestRunMultiCompletesEveryQueue(t *testing.T) {
 	if got := i.Latency().All().Ops; got != 75 {
 		t.Errorf("merged collector has %d ops, want 75", got)
 	}
-	if i.NumQueues() != 3 {
-		t.Errorf("NumQueues = %d", i.NumQueues())
+	if len(i.qs) != 3 {
+		t.Errorf("%d queues, want 3", len(i.qs))
 	}
 }
 

@@ -183,12 +183,6 @@ func (d *Die) peOf(h int) int64 {
 	return d.basePE + d.peDelta[h]
 }
 
-// Geometry returns the die geometry.
-func (d *Die) Geometry() Geometry { return *d.geo }
-
-// Timing returns the die timing profile.
-func (d *Die) Timing() Timing { return *d.tim }
-
 // Ready reports whether the die can accept a new array operation now
 // (the RB# pin in ONFI terms).
 func (d *Die) Ready() bool { return d.k.Now() >= d.busyUntil }

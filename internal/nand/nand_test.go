@@ -205,7 +205,7 @@ func TestSetWear(t *testing.T) {
 	if d.BlockPE(0, 0) != 1500 {
 		t.Fatalf("block PE %d", d.BlockPE(0, 0))
 	}
-	if d.RBERAt(0, 0) <= d.Timing().RBER0 {
+	if d.RBERAt(0, 0) <= d.tim.RBER0 {
 		t.Fatalf("RBER did not rise with wear")
 	}
 }
@@ -516,7 +516,7 @@ func TestLazyStateMemory(t *testing.T) {
 			if pe := d.BlockPE(a.Plane, a.Block); pe != 0 {
 				t.Fatalf("untouched %+v has %d P/E cycles", a, pe)
 			}
-			if r := d.RBERAt(a.Plane, a.Block); r != d.Timing().RBER0 {
+			if r := d.RBERAt(a.Plane, a.Block); r != d.tim.RBER0 {
 				t.Fatalf("untouched %+v RBER %v", a, r)
 			}
 			// A rejected program looks its block up without touching it.

@@ -9,8 +9,6 @@ package nvme
 type Arbiter interface {
 	// Pick chooses among the ready queue indices. ready is never empty.
 	Pick(ready []int) int
-	// Name identifies the policy for labels and exports.
-	Name() string
 }
 
 // NewArbiter builds the arbiter for a policy over the given tenants.
@@ -101,8 +99,6 @@ type rrArbiter struct {
 	b  burster
 }
 
-func (a *rrArbiter) Name() string { return PolicyRR.String() }
-
 //ssdx:hotpath
 func (a *rrArbiter) Pick(ready []int) int { return a.b.pick(ready, &a.rr) }
 
@@ -123,8 +119,6 @@ type wrrArbiter struct {
 
 	urgentBuf, weightedBuf []int // reusable Pick scratch
 }
-
-func (a *wrrArbiter) Name() string { return PolicyWRR.String() }
 
 //ssdx:hotpath
 func (a *wrrArbiter) Pick(ready []int) int {
@@ -169,8 +163,6 @@ type prioArbiter struct {
 
 	buf []int // reusable Pick scratch
 }
-
-func (a *prioArbiter) Name() string { return PolicyPrio.String() }
 
 //ssdx:hotpath
 func (a *prioArbiter) Pick(ready []int) int {

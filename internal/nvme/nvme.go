@@ -269,34 +269,11 @@ func (s TenantSet) RandomWrites() bool {
 	return writers > 1
 }
 
-// Open reports whether any tenant declares an open-loop arrival process.
-func (s TenantSet) Open() bool {
-	for _, t := range s.Tenants {
-		if t.Workload.OpenLoop() {
-			return true
-		}
-	}
-	return false
-}
-
 // TotalRequests sums the tenants' request counts (-1 if any is unknown).
 func (s TenantSet) TotalRequests() int {
 	total := 0
 	for _, t := range s.Tenants {
 		n := t.Workload.TotalRequests()
-		if n < 0 {
-			return -1
-		}
-		total += n
-	}
-	return total
-}
-
-// TotalBytes sums the tenants' data volumes (-1 if any is unknown).
-func (s TenantSet) TotalBytes() int64 {
-	var total int64
-	for _, t := range s.Tenants {
-		n := t.Workload.TotalBytes()
 		if n < 0 {
 			return -1
 		}

@@ -53,9 +53,6 @@ func (s TenantSet) Compile() (*Queues, error) {
 	return q, nil
 }
 
-// Set returns the tenant set the queues were compiled from.
-func (q *Queues) Set() TenantSet { return q.set }
-
 // NumQueues implements hostif.MultiSource.
 func (q *Queues) NumQueues() int { return len(q.streams) }
 

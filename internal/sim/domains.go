@@ -40,9 +40,6 @@ type Domain struct {
 	out []message
 }
 
-// ID returns the domain's index within its set.
-func (d *Domain) ID() int { return d.id }
-
 // Post schedules fn on the target domain at the sender's current time plus
 // delay. Posting to the sender's own domain is an ordinary local Schedule;
 // posting to another domain requires delay >= the set's lookahead (the
@@ -81,7 +78,6 @@ type DomainSet struct {
 	domains   []*Domain
 	lookahead Time
 
-	stopped bool
 	scratch []message // barrier merge buffer, reused across windows
 
 	// metrics, when non-nil, mirrors coordinator activity into live
@@ -139,11 +135,6 @@ func NewDomainSet(n int, lookahead Time) *DomainSet {
 // Domain returns domain i.
 func (ds *DomainSet) Domain(i int) *Domain { return ds.domains[i] }
 
-// Stop makes Run return at the next window barrier. Called from a domain's
-// executing event, it lets the current window complete on every domain, so
-// a stopped run still ends on a barrier.
-func (ds *DomainSet) Stop() { ds.stopped = true }
-
 // Executed sums delivered events across every domain's kernel.
 func (ds *DomainSet) Executed() uint64 {
 	var n uint64
@@ -166,15 +157,14 @@ func (ds *DomainSet) Now() Time {
 }
 
 // Run advances every domain until no events and no undelivered messages
-// remain, or until Stop. It returns the final set-wide time. The loop per
-// window: find the global minimum next-event time T, run every domain with
+// remain. It returns the final set-wide time. The loop per window: find the
+// global minimum next-event time T, run every domain with
 // work before T+lookahead (idle domains are skipped — their clocks lag, but
 // message injection uses absolute times so they catch up on first contact),
 // then merge and deliver the window's cross-domain messages. With busy/idle
 // counters bound, each phase is bracketed with wall-clock stamps; with
 // metrics off the loop takes no timestamps.
 func (ds *DomainSet) Run() Time {
-	ds.stopped = false
 	var busy, idle *metrics.Counter
 	if m := ds.metrics; m != nil {
 		busy, idle = m.BusyNS, m.IdleNS
@@ -189,7 +179,7 @@ func (ds *DomainSet) Run() Time {
 		c.Add(uint64(now.Sub(last)))
 		last = now
 	}
-	for !ds.stopped {
+	for {
 		t := MaxTime
 		for _, d := range ds.domains {
 			if at := d.K.NextAt(); at < t {

@@ -98,28 +98,6 @@ func TestDomainPostBelowLookaheadPanics(t *testing.T) {
 	}
 }
 
-// TestDomainStopMidWindow checks Stop semantics: the window in which Stop
-// fires still completes on every domain, and later windows never start.
-func TestDomainStopMidWindow(t *testing.T) {
-	ds := NewDomainSet(2, 100*Nanosecond)
-	var sameWindow, laterWindow bool
-	ds.Domain(0).K.Schedule(10*Nanosecond, func() { ds.Stop() })
-	ds.Domain(1).K.Schedule(20*Nanosecond, func() { sameWindow = true })
-	ds.Domain(1).K.Schedule(10*Microsecond, func() { laterWindow = true })
-	ds.Run()
-	if !sameWindow {
-		t.Error("same-window event skipped after Stop")
-	}
-	if laterWindow {
-		t.Error("event in a later window ran after Stop")
-	}
-	// A fresh Run resumes the remaining events.
-	ds.Run()
-	if !laterWindow {
-		t.Error("resumed Run dropped pending events")
-	}
-}
-
 // TestDomainMessageOrdering pins the deterministic merge: same-timestamp
 // messages deliver in (sender id, send order), before later timestamps.
 func TestDomainMessageOrdering(t *testing.T) {
@@ -190,7 +168,7 @@ func BenchmarkDomainSet(b *testing.B) {
 					return
 				}
 				if n%8 == 0 {
-					to := ds.Domain((dom.ID() + 1) % len(ds.domains))
+					to := ds.Domain((dom.id + 1) % len(ds.domains))
 					dom.Post(to, look, func() {})
 				}
 				dom.K.Schedule(10*Nanosecond, tick)

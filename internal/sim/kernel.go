@@ -169,7 +169,6 @@ type Kernel struct {
 	queue    eventHeap
 	lane     FIFO[func()] // events at now, in scheduling order
 	reserved Time         // latest time a seq was reserved for
-	stopped  bool
 
 	// Executed counts delivered events; used by the simulation-speed
 	// experiment (Fig. 6) and by sanity limits in tests.
@@ -270,12 +269,8 @@ func (k *Kernel) NextAt() Time {
 	return MaxTime
 }
 
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events until both queues drain, until an event beyond
-// `until` would fire, or until Stop is called. It returns the simulation
-// time at exit. Events scheduled exactly at `until` are executed. Time never
+// Run executes events until both queues drain or until an event beyond
+// `until` would fire. It returns the simulation time at exit. Events scheduled exactly at `until` are executed. Time never
 // runs backwards: with until before Now, Run fires nothing and returns Now.
 //
 // Each step fires the heap's top if it is due now (it was scheduled before
@@ -284,11 +279,10 @@ func (k *Kernel) Stop() { k.stopped = true }
 //
 //ssdx:hotpath
 func (k *Kernel) Run(until Time) Time {
-	k.stopped = false
 	if until < k.now {
 		return k.now
 	}
-	for !k.stopped {
+	for {
 		var fn func()
 		switch {
 		case len(k.queue) > 0 && k.queue[0].at == k.now:
@@ -319,11 +313,9 @@ func (k *Kernel) Run(until Time) Time {
 		}
 		fn()
 	}
-	k.flushEvents()
-	return k.now
 }
 
-// RunAll executes events until the queue drains or Stop is called.
+// RunAll executes events until the queue drains.
 func (k *Kernel) RunAll() Time { return k.Run(MaxTime) }
 
 // Clock describes a clock domain: models align resource grants to its edges

@@ -48,15 +48,6 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Range returns a uniform Time in [lo, hi]. If hi <= lo it returns lo.
-func (r *RNG) Range(lo, hi Time) Time {
-	if hi <= lo {
-		return lo
-	}
-	span := int64(hi - lo + 1)
-	return lo + Time(r.Int63n(span))
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p

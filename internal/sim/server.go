@@ -117,9 +117,6 @@ func (s *Server) kick() {
 	}
 }
 
-// QueueLen reports the number of waiting requests (not counting in-service).
-func (s *Server) QueueLen() int { return s.queue.Len() }
-
 // Utilization returns busy-time divided by total elapsed time at `now`.
 func (s *Server) Utilization(now Time) float64 {
 	if now <= 0 {

@@ -153,9 +153,6 @@ func (r *Recorder) Merge(other *Recorder) {
 	}
 }
 
-// Stage summarises one stage's distribution.
-func (r *Recorder) Stage(st Stage) workload.LatStats { return r.stages[st].Stats() }
-
 // Breakdown snapshots every stage's summary.
 func (r *Recorder) Breakdown() Breakdown {
 	var b Breakdown

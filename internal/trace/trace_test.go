@@ -235,8 +235,16 @@ func TestWorkloadProperty(t *testing.T) {
 
 func TestTotalBytes(t *testing.T) {
 	w := WorkloadSpec{Pattern: SeqWrite, BlockSize: 4096, SpanBytes: 1 << 20, Requests: 256}
-	if w.TotalBytes() != 1<<20 {
-		t.Fatalf("TotalBytes = %d", w.TotalBytes())
+	reqs, err := w.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, r := range reqs {
+		total += r.Bytes
+	}
+	if total != 1<<20 {
+		t.Fatalf("generated %d bytes, want 1 MiB", total)
 	}
 }
 

@@ -116,17 +116,3 @@ func (w WorkloadSpec) Generate() ([]Request, error) {
 	}
 	return reqs, nil
 }
-
-// Stream is a convenience wrapper generating the workload into a SliceStream.
-func (w WorkloadSpec) Stream() (*SliceStream, error) {
-	reqs, err := w.Generate()
-	if err != nil {
-		return nil, err
-	}
-	return NewSliceStream(reqs), nil
-}
-
-// TotalBytes returns the volume of data moved by the workload.
-func (w WorkloadSpec) TotalBytes() int64 {
-	return int64(w.Requests) * w.BlockSize
-}

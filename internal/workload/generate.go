@@ -89,24 +89,6 @@ func (s Spec) source() (source, error) {
 	return g, nil
 }
 
-// Generate materialises the whole stream as a slice — a convenience for
-// trace-file writing and tests; the platform itself always streams.
-func (s Spec) Generate() ([]trace.Request, error) {
-	st, err := s.Stream()
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	reqs := make([]trace.Request, 0, max(s.TotalRequests(), 0))
-	for req, ok := st.Next(); ok; req, ok = st.Next() {
-		reqs = append(reqs, req)
-	}
-	if err := st.Err(); err != nil {
-		return nil, err
-	}
-	return reqs, nil
-}
-
 // source is one phase of a Stream: a Generator that may hold an external
 // resource (Close) and may end early on a read or parse error (Err).
 type source interface {

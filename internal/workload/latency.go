@@ -73,9 +73,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
 // Mean returns the exact mean observation.
 func (h *Histogram) Mean() sim.Time {
 	if h.n == 0 {
@@ -83,9 +80,6 @@ func (h *Histogram) Mean() sim.Time {
 	}
 	return h.sum / sim.Time(h.n)
 }
-
-// Max returns the exact largest observation.
-func (h *Histogram) Max() sim.Time { return h.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) to within the bucket
 // resolution; the top bucket reports the exact maximum.

@@ -14,8 +14,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	for v := int64(0); v < 32; v++ {
 		h.Record(sim.Time(v))
 	}
-	if h.Count() != 32 || h.Max() != 31 {
-		t.Fatalf("count %d max %v", h.Count(), h.Max())
+	if h.n != 32 || h.max != 31 {
+		t.Fatalf("count %d max %v", h.n, h.max)
 	}
 	if got := h.Quantile(0); got != 0 {
 		t.Fatalf("q0 = %v", got)

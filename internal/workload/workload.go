@@ -342,9 +342,6 @@ func (s Spec) RandomWrites() bool {
 // the shape whose WAF model adapts to the stream's windowed classification.
 func (s Spec) HasReplay() bool { return s.anyPhase(func(ph Spec) bool { return ph.TracePath != "" }) }
 
-// OpenLoop reports whether any phase declares an open-loop arrival process.
-func (s Spec) OpenLoop() bool { return s.anyPhase(func(ph Spec) bool { return ph.Arrival.Open() }) }
-
 // sumPhases totals one per-phase count over the chain; -1 when any phase
 // replays a trace file (unknown until streamed).
 func (s Spec) sumPhases(count func(ph Spec) int64) int64 {

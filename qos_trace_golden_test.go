@@ -44,7 +44,7 @@ func TestQoSIsolationTraceGolden(t *testing.T) {
 	victimP99 := map[QoSPolicy]float64{}
 	for _, policy := range []QoSPolicy{PolicyRR, PolicyWRR, PolicyPrio} {
 		set.Policy = policy
-		res, err := RunTenants(cfg, set, ModeFull)
+		res, err := Point{Config: cfg, Tenants: set.Tenants, Policy: set.Policy, Mode: ModeFull}.Run(nil)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}

@@ -12,7 +12,7 @@
 //
 //	cfg := ssdx.VertexConfig()
 //	w, _ := ssdx.NewWorkload("SW", 4096, 1<<28, 12000)
-//	res, _ := ssdx.Run(cfg, w, ssdx.ModeFull)
+//	res, _ := ssdx.Point{Config: cfg, Workload: w, Mode: ssdx.ModeFull}.Run(nil)
 //	fmt.Println(res)
 package ssdx
 
@@ -163,15 +163,9 @@ func ParsePhases(s string, base Workload) (Workload, error) { return workload.Pa
 func FormatPhases(w Workload) string { return workload.FormatPhases(w) }
 
 // NewGenerator compiles a workload into its pull-based request stream (the
-// same phase chain Run plays), for callers that write a trace file or drive
-// their own player.
+// same phase chain Point.Run plays), for callers that write a trace file or
+// drive their own player.
 func NewGenerator(w Workload) (Generator, error) { return w.Generator() }
-
-// Run builds a fresh platform from cfg and executes the workload in the
-// given measurement mode. Platforms are single-use; Run hides that.
-func Run(cfg Config, w Workload, mode Mode) (Result, error) {
-	return core.RunWorkload(cfg, w, mode)
-}
 
 // Platform is a compiled simulation instance: single-use, with component
 // access and opt-in instruments (EnableTracing, EnableMetrics).
@@ -256,13 +250,6 @@ func FormatTenants(set TenantSet) string { return nvme.FormatTenants(set) }
 // ParseQoSPolicy decodes "rr", "wrr" or "prio".
 func ParseQoSPolicy(s string) (QoSPolicy, error) { return nvme.ParsePolicy(s) }
 
-// RunTenants builds a fresh platform from cfg and executes the multi-queue
-// scenario in the given measurement mode. The Result carries per-tenant
-// latency/stage breakdowns, slowdowns and Jain's fairness index.
-func RunTenants(cfg Config, set TenantSet, mode Mode) (Result, error) {
-	return core.RunTenantWorkload(cfg, set, mode)
-}
-
 // JainFairness computes Jain's fairness index over arbitrary shares.
 func JainFairness(xs []float64) float64 { return core.JainFairness(xs) }
 
@@ -310,8 +297,9 @@ func ParetoFront(evals []Eval, objs []Objective) []Eval { return dse.Front(evals
 func ParetoRanks(evals []Eval, objs []Objective) []int { return dse.Ranks(evals, objs) }
 
 // SortByParetoRank orders evaluations by dominance rank, best designs
-// first; failed evaluations sort last.
-func SortByParetoRank(evals []Eval, objs []Objective) []Eval {
+// first; failed evaluations sort last. It also returns each sorted
+// evaluation's rank (-1 for a failed one).
+func SortByParetoRank(evals []Eval, objs []Objective) ([]Eval, []int) {
 	return dse.SortByRank(evals, objs)
 }
 
@@ -357,30 +345,6 @@ type UtilizationReport = evtrace.Report
 
 // ResourceUtil is one resource's row of a UtilizationReport.
 type ResourceUtil = evtrace.ResourceUtil
-
-// TraceRun builds a platform, enables tracing with raw event capture, runs
-// the workload and returns both the result (carrying Result.Utilization) and
-// the tracer, ready for Tracer.WritePerfetto.
-func TraceRun(cfg Config, w Workload, mode Mode) (Result, *Tracer, error) {
-	p, err := core.Build(cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	tr := p.EnableTracing(TraceOptions{Events: true})
-	res, err := p.Run(w, mode)
-	return res, tr, err
-}
-
-// TraceRunTenants is TraceRun for a multi-queue tenant scenario.
-func TraceRunTenants(cfg Config, set TenantSet, mode Mode) (Result, *Tracer, error) {
-	p, err := core.Build(cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	tr := p.EnableTracing(TraceOptions{Events: true})
-	res, err := p.RunTenants(set, mode)
-	return res, tr, err
-}
 
 // --- fleet observability -----------------------------------------------------
 //
@@ -474,4 +438,14 @@ func JournalCompletedKeys(entries []JournalEntry) map[string]bool {
 // pull-only: Generator, the trace streams and the write classifier lost
 // their rewind, the slice stream its remaining-count accessor, and the
 // one-shot stream scan folded into ScanTraceFile.
-const Version = "1.11.0"
+// 1.12.0 removed the one-shot runners Run, RunTenants, TraceRun and
+// TraceRunTenants: a design point runs through Point.Run, whose setup
+// callback attaches tracing or metrics to the platform before the run.
+// It also removed DesignSpaceExploration and WriteDSETable (use
+// DesignSpaceExplorationShape with shape "sw" and WriteDSEShapeTable with
+// label "sequential write 4KB"), Workload's Generate (NewGenerator streams
+// the same requests) and its open-loop predicate, TenantSet's open-loop
+// and total-bytes predicates, and Platform's tracer accessor
+// (EnableTracing returns the tracer). SortByParetoRank also returns the
+// sorted evaluations' ranks.
+const Version = "1.12.0"

@@ -55,7 +55,7 @@ func TestUtilizationAgreesWithDieWatermarks(t *testing.T) {
 	var sumWatermark float64
 	dies := 0
 	for ci, ch := range p.Channels {
-		for d := 0; d < ch.Dies(); d++ {
+		for d := 0; d < p.Cfg.Ways*p.Cfg.DiesPerWay; d++ {
 			st := ch.Die(d).Stats
 			if got := st.ReadTime + st.ProgramTime + st.EraseTime; got != st.BusyTime {
 				t.Errorf("ch%d die%d: per-kind busy %v != total busy %v", ci, d, got, st.BusyTime)
@@ -156,7 +156,10 @@ func TestPerfettoExportGoldenDeterminism(t *testing.T) {
 	}
 	w.Seed = 7
 	export := func() string {
-		_, tr, err := TraceRun(cfg, w, ModeFull)
+		var tr *Tracer
+		_, err := Point{Config: cfg, Workload: w, Mode: ModeFull}.Run(func(p *Platform) {
+			tr = p.EnableTracing(TraceOptions{Events: true})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +191,10 @@ func TestNoisyNeighborPerfettoValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	set.Policy = PolicyPrio
-	res, tr, err := TraceRunTenants(cfg, set, ModeFull)
+	var tr *Tracer
+	res, err := Point{Config: cfg, Tenants: set.Tenants, Policy: set.Policy, Mode: ModeFull}.Run(func(p *Platform) {
+		tr = p.EnableTracing(TraceOptions{Events: true})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestWriteBreakdownGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Seed = 7
-	res, err := Run(cfg, w, ModeFull)
+	res, err := Point{Config: cfg, Workload: w, Mode: ModeFull}.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
