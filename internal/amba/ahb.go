@@ -81,12 +81,15 @@ type Bus struct {
 
 	layers  []*layer
 	masters []*Master
+	full    sim.Time // a full chunk's (MaxGrantBytes) window
 
 	xferPool sim.FreeList[xfer]     // recycled Transfer state (hot-path allocation control)
 	delPool  sim.FreeList[delivery] // recycled per-grant delivery records
 
 	// OnGrant, when set, observes every granted occupancy window with the
 	// serving layer's index. Tracing hook: nil by default, one branch cost.
+	// Set it before the first Transfer: while it is set, every chunk is
+	// granted on its own (see layer.run).
 	OnGrant func(layer int, start, end sim.Time)
 }
 
@@ -101,7 +104,24 @@ type layer struct {
 	// the arbiter finds the next requester a word at a time instead of
 	// asking every master.
 	ready []uint64
+	// run is the transfer the layer serves as one kernel chain, if any.
+	run   run
 	Stats Stats
+}
+
+// run is a whole transfer granted at once. When the chosen master is the
+// only one ready, each chunk's delivery would only grant the same master's
+// next chunk, so those deliveries ride the kernel's chain as pure ticks and
+// the last chunk's delivery is the chain's final event. The grant applies
+// the whole transfer (the pop, the ready bit, busyUntil and the stats) up
+// front; any Transfer on the layer cuts the run first (cut), which puts the
+// per-chunk state back as it stands at the cut, so arbitration carries on
+// exactly as if every chunk had been granted on its own.
+type run struct {
+	d     *delivery // the last chunk's delivery, the chain's event; nil: no run
+	start sim.Time  // the first chunk's grant
+	n     int64     // chunks
+	bytes int64     // the transfer's size
 }
 
 // Master is an attach point for a DMA engine or CPU port.
@@ -145,6 +165,7 @@ func NewBus(k *sim.Kernel, cfg Config) (*Bus, error) {
 		return nil, err
 	}
 	b := &Bus{cfg: cfg, k: k, clk: sim.NewClock("ahb", cfg.ClockMHz)}
+	b.full = b.clk.Cycles(cfg.grantCycles(cfg.MaxGrantBytes))
 	for i := 0; i < cfg.Layers; i++ {
 		b.layers = append(b.layers, &layer{bus: b, idx: i})
 	}
@@ -199,6 +220,9 @@ func (m *Master) Transfer(bytes int64, done func()) error {
 	if bytes <= 0 {
 		return errors.New("amba: transfer of non-positive size")
 	}
+	if m.layer.run.d != nil {
+		m.layer.cut()
+	}
 	x := m.bus.allocXfer()
 	x.m = m
 	x.remaining = bytes
@@ -226,9 +250,12 @@ func (b *Bus) allocDelivery() *delivery {
 	d := &delivery{}
 	d.fire = func() {
 		x, last := d.x, d.last
+		l := x.m.layer
+		if l.run.d == d {
+			l.run.d = nil // the run's final event: the chain is spent
+		}
 		d.x = nil
 		b.delPool.Give(d)
-		l := x.m.layer
 		if last {
 			// Recycle before the callback: it may start a new transfer, and
 			// everything it needs is already copied out.
@@ -269,6 +296,9 @@ func (l *layer) kick() {
 	nb := x.remaining
 	if nb > l.bus.cfg.MaxGrantBytes {
 		nb = l.bus.cfg.MaxGrantBytes
+		if l.bus.OnGrant == nil && l.onlyReady(j) && l.startRun(chosen, j, x, now) {
+			return
+		}
 	}
 	x.remaining -= nb
 	if x.remaining == 0 {
@@ -281,7 +311,10 @@ func (l *layer) kick() {
 	}
 
 	start := l.bus.clk.NextEdge(now)
-	dur := l.bus.clk.Cycles(l.bus.cfg.grantCycles(nb))
+	dur := l.bus.full
+	if nb < l.bus.cfg.MaxGrantBytes {
+		dur = l.bus.clk.Cycles(l.bus.cfg.grantCycles(nb))
+	}
 	end := start + dur
 	l.busyUntil = end
 	l.Stats.Grants++
@@ -295,6 +328,79 @@ func (l *layer) kick() {
 	d := l.bus.allocDelivery()
 	d.x, d.last = x, x.remaining == 0
 	l.bus.k.At(end, d.fire)
+}
+
+// onlyReady reports whether slot j is the only one with pending work.
+//
+//ssdx:hotpath
+func (l *layer) onlyReady(j int) bool {
+	for w, b := range l.ready {
+		if w == j>>6 {
+			b &^= 1 << (j & 63)
+		}
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// startRun grants the whole of x, which needs more than one chunk, as a
+// run, and reports false, changing nothing, when the kernel's chain is
+// taken (by another layer's run).
+//
+//ssdx:hotpath
+func (l *layer) startRun(m *Master, j int, x *xfer, now sim.Time) bool {
+	b := l.bus
+	g := b.cfg.MaxGrantBytes
+	n := (x.remaining + g - 1) / g
+	start := b.clk.NextEdge(now)
+	end := start + sim.Time(n-1)*b.full + b.clk.Cycles(b.cfg.grantCycles(x.remaining-(n-1)*g))
+	d := b.allocDelivery()
+	if !b.k.StartChain(start+b.full, b.full, int(n-1), end, d.fire) {
+		b.delPool.Give(d)
+		return false
+	}
+	d.x, d.last = x, true
+	l.run = run{d: d, start: start, n: n, bytes: x.remaining}
+	x.remaining = 0
+	m.pending.Pop()
+	if m.pending.Len() == 0 {
+		l.ready[j>>6] &^= 1 << (j & 63)
+	}
+	l.busyUntil = end
+	l.Stats.Grants += uint64(n)
+	l.Stats.Bytes += uint64(l.run.bytes)
+	l.Stats.BusyTime += end - start
+	m.Grants += uint64(n)
+	m.Bytes += uint64(l.run.bytes)
+	return true
+}
+
+// cut ends the layer's run at its pending chunk boundary: the chunk then
+// in flight gets a real delivery event, under the seq the chain gave it,
+// and the transfer's remaining chunks go back to the per-chunk arbiter.
+//
+//ssdx:hotpath
+func (l *layer) cut() {
+	r := l.run
+	l.run.d = nil
+	granted := int64(l.bus.k.CutChain(r.d.fire)) + 1
+	if granted == r.n {
+		return // the last chunk is in flight: the state is already exact
+	}
+	x, m := r.d.x, r.d.x.m
+	r.d.last = false
+	x.remaining = r.bytes - granted*l.bus.cfg.MaxGrantBytes
+	m.pending.PushFront(x)
+	l.ready[m.slot>>6] |= 1 << (m.slot & 63)
+	busy := r.start + sim.Time(granted)*l.bus.full
+	l.Stats.Grants -= uint64(r.n - granted)
+	l.Stats.Bytes -= uint64(x.remaining)
+	l.Stats.BusyTime -= l.busyUntil - busy
+	m.Grants -= uint64(r.n - granted)
+	m.Bytes -= uint64(x.remaining)
+	l.busyUntil = busy
 }
 
 // nextReady returns the first slot at or after first whose master has

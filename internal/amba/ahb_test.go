@@ -1,6 +1,7 @@
 package amba
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -290,6 +291,124 @@ func TestNextReadyMatchesScan(t *testing.T) {
 	}
 }
 
+// ahbScript is one random multi-master Transfer script. Arrivals come
+// from outside events on the full-chunk grid, so many land exactly on a
+// chunk boundary, some before and some after that boundary's delivery,
+// from same-time lane events, and from done callbacks at a transfer's end.
+type ahbScript struct {
+	k       *sim.Kernel
+	bus     *Bus
+	rng     *sim.RNG
+	masters []*Master
+	log     []string
+	n       int // transfers so far
+
+	runs, cuts int // with OnGrant nil: runs seen after a Transfer, Transfers that cut one
+}
+
+const ahbScriptTransfers = 300
+
+func runAHBScript(t *testing.T, seed uint64, layers int, observe bool) *ahbScript {
+	t.Helper()
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	cfg.Layers = layers
+	bus, err := NewBus(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observe {
+		bus.OnGrant = func(int, sim.Time, sim.Time) {}
+	}
+	sc := &ahbScript{k: k, bus: bus, rng: sim.NewRNG(seed)}
+	for i := 0; i < 2*layers+1; i++ {
+		m, err := bus.AttachMaster("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.masters = append(sc.masters, m)
+	}
+	full := bus.clk.Cycles(cfg.grantCycles(cfg.MaxGrantBytes))
+	for i := 0; i < 60; i++ {
+		at := sim.Time(sc.rng.Intn(80)) * full
+		if sc.rng.Bool(0.2) {
+			at += sim.Time(sc.rng.Intn(int(full)))
+		}
+		k.At(at, sc.transfer)
+	}
+	k.RunAll()
+	return sc
+}
+
+// transfer starts one transfer of a random size on a random master.
+func (sc *ahbScript) transfer() {
+	if sc.n >= ahbScriptTransfers {
+		return
+	}
+	sc.n++
+	id, r := sc.n, sc.rng
+	m := sc.masters[r.Intn(len(sc.masters))]
+	size := int64(1+r.Intn(6)) * 1024
+	if r.Bool(0.3) {
+		size = int64(1 + r.Intn(5000))
+	}
+	if m.layer.run.d != nil {
+		sc.cuts++
+	}
+	if err := m.Transfer(size, func() {
+		sc.log = append(sc.log, fmt.Sprintf("%d done at %v", id, sc.k.Now()))
+		switch r.Intn(4) {
+		case 0:
+			sc.transfer()
+		case 1:
+			sc.k.Schedule(0, sc.transfer)
+		}
+	}); err != nil {
+		panic(err)
+	}
+	if m.layer.run.d != nil {
+		sc.runs++
+	}
+}
+
+// TestRunsMatchPerChunkGrants runs each script twice: with OnGrant nil, so
+// uncontended transfers ride the kernel chain, and with a no-op OnGrant,
+// which grants every chunk on its own. Done order and times, layer and
+// master counters and the executed event count must be identical.
+func TestRunsMatchPerChunkGrants(t *testing.T) {
+	runs, cuts := 0, 0
+	for seed := uint64(1); seed <= 30; seed++ {
+		for _, layers := range []int{1, 2} {
+			name := fmt.Sprintf("seed%d/layers%d", seed, layers)
+			got := runAHBScript(t, seed, layers, false)
+			want := runAHBScript(t, seed, layers, true)
+			if fmt.Sprint(got.log) != fmt.Sprint(want.log) {
+				t.Fatalf("%s: done log\n%v\nper-chunk\n%v", name, got.log, want.log)
+			}
+			if got.k.Now() != want.k.Now() || got.k.Executed != want.k.Executed {
+				t.Fatalf("%s: ended at %v after %d events, per-chunk at %v after %d",
+					name, got.k.Now(), got.k.Executed, want.k.Now(), want.k.Executed)
+			}
+			for i, l := range got.bus.layers {
+				if l.Stats != want.bus.layers[i].Stats {
+					t.Fatalf("%s: layer %d stats %+v, per-chunk %+v", name, i, l.Stats, want.bus.layers[i].Stats)
+				}
+			}
+			for i, m := range got.masters {
+				if w := want.masters[i]; m.Grants != w.Grants || m.Bytes != w.Bytes {
+					t.Fatalf("%s: master %d moved %d B in %d grants, per-chunk %d B in %d",
+						name, i, m.Bytes, m.Grants, w.Bytes, w.Grants)
+				}
+			}
+			runs += got.runs
+			cuts += got.cuts
+		}
+	}
+	if runs == 0 || cuts == 0 {
+		t.Fatalf("the scripts started %d runs and cut %d: the run path went unexercised", runs, cuts)
+	}
+}
+
 // BenchmarkAHBTransfer measures the arbitrated transfer path with 33
 // masters on one layer (Table III C8's host DMA plus 32 channel DMAs),
 // every master keeping transfers queued: pooled transfers and deliveries,
@@ -320,5 +439,35 @@ func BenchmarkAHBTransfer(b *testing.B) {
 			k.RunAll()
 		}
 	}
+	k.RunAll()
+}
+
+// BenchmarkAHBTransferRun measures the uncontended transfer path: one
+// master, each 4 KiB transfer started from the previous one's done, so
+// every transfer is granted as one run whose chunk deliveries are chain
+// ticks. The steady state is 0 allocs/op.
+func BenchmarkAHBTransferRun(b *testing.B) {
+	k := sim.NewKernel()
+	bus, err := NewBus(k, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := bus.AttachMaster("m")
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := 0
+	var next func()
+	next = func() {
+		if n < b.N {
+			n++
+			if err := m.Transfer(4096, next); err != nil {
+				panic(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	next()
 	k.RunAll()
 }

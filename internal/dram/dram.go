@@ -220,30 +220,33 @@ func (b *Buffer) kick() {
 // runs of them are jumped in closed form — open-row hits until the next
 // refresh falls due, and catch-up refreshes while the refresh schedule lags
 // t. Row ends, partial bursts, row misses and the bursts that cross the end
-// of capacity take the per-burst step.
+// of capacity take the per-burst step. The walk keeps the bank, row and
+// offset in the row beside the address and steps them on, so it divides
+// only to bound a run and when the address wraps at capacity.
 //
 //ssdx:hotpath
 func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
-	c := b.cfg
+	c := &b.cfg
 	period := b.clk.Period
 	banks := int64(c.Banks)
 	burst := c.BurstBytes()
 	// A full burst moves BurstLen transfers, two per clock; reads pay CL first.
-	full := sim.Time((c.BurstLen+1)/2) * period
+	data := sim.Time((c.BurstLen+1)/2) * period
+	cas := sim.Time(0)
 	if !r.write {
-		full += sim.Time(c.CL) * period
+		cas = sim.Time(c.CL) * period
 	}
+	full := data + cas
 	addr := r.addr
+	off, bank, row := b.locate(addr)
 	remaining := r.bytes
 	for remaining > 0 {
-		rowIdx := addr / c.RowBytes
-		bank := int(rowIdx % banks)
-		row := rowIdx / banks
-		rowRemain := c.RowBytes - addr%c.RowBytes
+		rowRemain := c.RowBytes - off
 
 		// Full bursts that start in this row before its last burst, and
-		// below capacity (a burst past the end wraps to another row).
-		k := min((rowRemain-1)/burst, remaining/burst, (c.CapacityBytes-1-addr)/burst+1)
+		// below capacity (a burst past the end wraps to another row). Floor
+		// is monotone, so one division bounds all three.
+		k := min(rowRemain-1, remaining, c.CapacityBytes-1-addr+burst) / burst
 		if k > 0 {
 			if t >= b.nextRefresh {
 				// Catch-up: each burst here pays a refresh, which closes every
@@ -265,9 +268,10 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 				}
 				b.openRow[bank] = row
 			} else if b.openRow[bank] == row {
-				// Open-row hits until the next refresh falls due.
-				if full > 0 {
-					k = min(k, int64((b.nextRefresh-t+full-1)/full))
+				// Open-row hits until the next refresh falls due: the bursts
+				// that start before it.
+				if full > 0 && t+sim.Time(k-1)*full >= b.nextRefresh {
+					k = int64((b.nextRefresh - t + full - 1) / full)
 				}
 				t += sim.Time(k) * full
 				b.Stats.RowHits += uint64(k)
@@ -275,8 +279,13 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 				k = 0
 			}
 			if k > 0 {
-				addr = (addr + k*burst) % c.CapacityBytes
 				remaining -= k * burst
+				if addr += k * burst; addr >= c.CapacityBytes {
+					addr %= c.CapacityBytes
+					off, bank, row = b.locate(addr)
+				} else {
+					off += k * burst // a run ends before its row does
+				}
 				continue
 			}
 		}
@@ -305,23 +314,41 @@ func (b *Buffer) serve(t sim.Time, r *req) sim.Time {
 		// writes pay write-recovery at the tail (approximated per burst
 		// only when the row will close, folded here as amortised cost 0 —
 		// the dominant term is the data transfer itself).
-		if !r.write {
-			t += sim.Time(c.CL) * period
-		}
 		n := min(burst, rowRemain, remaining) // a burst walk stays in its row
-		transfers := (n + int64(c.BusBytes) - 1) / int64(c.BusBytes)
-		clocks := (transfers + 1) / 2 // DDR: 2 transfers per clock
-		t += sim.Time(clocks) * period
+		if n == burst {
+			t += full
+		} else {
+			transfers := (n + int64(c.BusBytes) - 1) / int64(c.BusBytes)
+			t += cas + sim.Time((transfers+1)/2)*period // DDR: 2 transfers per clock
+		}
 		if r.write && n == rowRemain {
 			// Write recovery before a subsequent activate on this bank is
 			// charged when the row is eventually closed; approximate by a
 			// single tWR at the end of the request's last burst in a row.
 			t += sim.Time(c.TWR) * period
 		}
-		addr = (addr + n) % c.CapacityBytes
 		remaining -= n
+		if addr += n; addr >= c.CapacityBytes {
+			addr %= c.CapacityBytes
+			off, bank, row = b.locate(addr)
+		} else if off += n; off == c.RowBytes {
+			off = 0
+			if bank++; bank == banks {
+				bank, row = 0, row+1
+			}
+		}
 	}
 	return t
+}
+
+// locate splits addr into its offset in its row, its bank and its row in
+// that bank.
+//
+//ssdx:hotpath
+func (b *Buffer) locate(addr int64) (off, bank, row int64) {
+	rowIdx := addr / b.cfg.RowBytes
+	banks := int64(b.cfg.Banks)
+	return addr % b.cfg.RowBytes, rowIdx % banks, rowIdx / banks
 }
 
 // Pool is the set of DRAM buffers in a platform; the number of buffers is a

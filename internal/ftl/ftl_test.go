@@ -366,6 +366,48 @@ func TestMapperGCOpOrdering(t *testing.T) {
 	}
 }
 
+// TestMapperFailedWriteReturnsAppliedOps makes a write whose first GC
+// round erases a block and whose second finds the unit full: a mapper of
+// four one-page blocks holding two logical pages, told to keep all four
+// free. The failed write must still return the erase it applied to the
+// mapping, so flash can follow it, and must leave the written page mapped
+// where it was.
+func TestMapperFailedWriteReturnsAppliedOps(t *testing.T) {
+	g := Geometry{Units: 1, BlocksPerUnit: 4, PagesPerBlock: 1}
+	m, err := NewMapper(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flash := newFlashModel(g)
+	for _, lpn := range []int64{0, 1, 1} { // the second write of lpn 1 leaves a stale page
+		ops, err := m.Write(lpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flash.apply(t, ops, lpn)
+	}
+	m.gcFreeTarget = g.BlocksPerUnit
+	old := m.l2p[1]
+	ops, err := m.Write(1)
+	if err == nil || !strings.Contains(err.Error(), "out of space") {
+		t.Fatalf("write into a full unit: ops %v, error %v", ops, err)
+	}
+	if len(ops) != 1 || ops[0].Kind != OpErase {
+		t.Fatalf("failed write returned ops %v, want the erase of the stale page's block", ops)
+	}
+	if m.l2p[1] != old {
+		t.Fatalf("failed write moved lpn 1 from %d to %d", old, m.l2p[1])
+	}
+	flash.apply(t, ops, 1)
+	flash.check(t, m)
+	m.gcFreeTarget = 2
+	if ops, err = m.Write(1); err != nil {
+		t.Fatalf("write after the target is restored: %v", err)
+	}
+	flash.apply(t, ops, 1)
+	flash.check(t, m)
+}
+
 func TestMapperValidation(t *testing.T) {
 	g := smallGeo()
 	if _, err := NewMapper(g, 0); err == nil {

@@ -327,9 +327,15 @@ func (m *Mapper) Write(lpn int64) ([]Op, error) { return m.AppendWrite(nil, lpn)
 // AppendWrite is Write appending the ops to ops, a slice the caller owns,
 // so a caller that uses the ops up before its next write can reuse one
 // slice for every write.
+//
+// A write that fails still returns ops, holding every op it applied to the
+// mapping before it failed: the relocations and erases of the GC rounds
+// that ran before a unit turned out full. The backend must run them for
+// flash to match the map. The write itself is not applied: lpn keeps its
+// old mapping.
 func (m *Mapper) AppendWrite(ops []Op, lpn int64) ([]Op, error) {
 	if lpn < 0 || lpn >= m.logicalPages {
-		return nil, fmt.Errorf("ftl: lpn %d out of range", lpn)
+		return ops, fmt.Errorf("ftl: lpn %d out of range", lpn)
 	}
 	u := m.nextUnit
 	m.nextUnit = (m.nextUnit + 1) % m.geo.Units
@@ -338,7 +344,7 @@ func (m *Mapper) AppendWrite(ops []Op, lpn int64) ([]Op, error) {
 		before := len(ops)
 		var err error
 		if ops, err = m.gcUnit(u, ops); err != nil {
-			return nil, err
+			return ops, err
 		}
 		if len(ops) == before {
 			break // nothing reclaimable
@@ -348,11 +354,11 @@ func (m *Mapper) AppendWrite(ops []Op, lpn int64) ([]Op, error) {
 	if ranGC && m.WLThreshold > 0 {
 		ops = m.maybeStaticWL(u, ops)
 	}
-	m.invalidate(lpn)
 	dst := m.allocate(u)
 	if dst == InvalidPPN {
-		return nil, errors.New("ftl: out of space")
+		return ops, errors.New("ftl: out of space")
 	}
+	m.invalidate(lpn)
 	m.bind(lpn, dst)
 	m.Stats.UserWrites++
 	m.Stats.PhysPrograms++

@@ -8,8 +8,11 @@ import "testing"
 // mapped logical pages and valid physical pages, each block's valid count
 // must match the pages mapped into it, and free blocks must hold none. A
 // write returns either its ops, bounded by one unit's pages and blocks and
-// ending in the program of the written page, or an error; a trim unmaps
-// exactly its page.
+// ending in the program of the written page, or an error beside the GC ops
+// it applied before failing, and the written page keeps its mapping; a
+// trim unmaps exactly its page. Every returned op is applied to a model of
+// flash, which programs only erased pages and must hold each mapped page's
+// data where the map points.
 //
 // The first five bytes pick the geometry, the logical size and the static
 // wear-leveling threshold; every later pair of bytes is one operation.
@@ -34,22 +37,31 @@ func FuzzMapper(f *testing.F) {
 		}
 		m.WLThreshold = int(data[4] % 4)
 		ref := make([]bool, logical) // ref[lpn]: the page holds data
+		flash := newFlashModel(geo)
 		checkMapper(t, m, ref)
 		ops := data[5:]
 		for i := 0; i+1 < len(ops); i += 2 {
 			lpn := int64(ops[i+1]) % logical
 			switch ops[i] % 4 {
 			case 0, 1:
+				old := m.l2p[lpn]
 				out, err := m.Write(lpn)
+				flash.apply(t, out, lpn)
 				if err != nil {
-					if out != nil {
-						t.Fatalf("op %d: write of lpn %d returned ops beside %v", i/2, lpn, err)
+					// The unit is full. The platform fails the run here, but
+					// the mapper must stay consistent for the next write.
+					for _, op := range out {
+						if op.Kind == OpProgram {
+							t.Fatalf("op %d: write of lpn %d failed (%v) but programmed %+v", i/2, lpn, err, op)
+						}
 					}
-					// The unit is full; the platform fails the run here.
-					return
+					if m.l2p[lpn] != old {
+						t.Fatalf("op %d: failed write of lpn %d moved it from %d to %d", i/2, lpn, old, m.l2p[lpn])
+					}
+				} else {
+					checkWriteOps(t, m, lpn, out)
+					ref[lpn] = true
 				}
-				checkWriteOps(t, m, lpn, out)
-				ref[lpn] = true
 			case 2:
 				before := append([]PPN(nil), m.l2p...)
 				if err := m.Trim(lpn); err != nil {
@@ -71,8 +83,62 @@ func FuzzMapper(f *testing.F) {
 				}
 			}
 			checkMapper(t, m, ref)
+			flash.check(t, m)
 		}
 	})
+}
+
+// flashModel is what flash holds after the ops a Mapper returned: the
+// logical page whose data each physical page holds, -1 for erased.
+type flashModel struct {
+	geo  Geometry
+	data []int64
+}
+
+func newFlashModel(geo Geometry) *flashModel {
+	f := &flashModel{geo: geo, data: make([]int64, geo.TotalPages())}
+	for i := range f.data {
+		f.data[i] = -1
+	}
+	return f
+}
+
+// apply runs the ops of a write of lpn. Programs and copies must target
+// erased pages, and a copy's source must hold data.
+func (f *flashModel) apply(t *testing.T, ops []Op, lpn int64) {
+	t.Helper()
+	for _, op := range ops {
+		switch op.Kind {
+		case OpErase:
+			for p := op.Target; p < op.Target+PPN(f.geo.PagesPerBlock); p++ {
+				f.data[p] = -1
+			}
+			continue
+		case OpCopy:
+			if f.data[op.Source] < 0 {
+				t.Fatalf("copy %+v reads an erased page", op)
+			}
+		}
+		if f.data[op.Target] >= 0 {
+			t.Fatalf("op %+v programs a page holding lpn %d", op, f.data[op.Target])
+		}
+		if op.Kind == OpCopy {
+			f.data[op.Target] = f.data[op.Source]
+		} else {
+			f.data[op.Target] = lpn
+		}
+	}
+}
+
+// check fails unless every mapped logical page's data is where the map
+// points.
+func (f *flashModel) check(t *testing.T, m *Mapper) {
+	t.Helper()
+	for lpn, p := range m.l2p {
+		if p != InvalidPPN && f.data[p] != int64(lpn) {
+			t.Fatalf("lpn %d maps to %d, which holds lpn %d on flash", lpn, p, f.data[p])
+		}
+	}
 }
 
 // checkWriteOps checks one successful write's ops: at most one unit's worth

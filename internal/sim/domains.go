@@ -79,6 +79,7 @@ type DomainSet struct {
 	lookahead Time
 
 	scratch []message // barrier merge buffer, reused across windows
+	next    []Time    // each domain's NextAt at the window's start
 
 	// metrics, when non-nil, mirrors coordinator activity into live
 	// counters. Bound via SetMetrics before Run.
@@ -125,7 +126,7 @@ func NewDomainSet(n int, lookahead Time) *DomainSet {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: non-positive lookahead %v (conservative windows need width)", lookahead))
 	}
-	ds := &DomainSet{lookahead: lookahead}
+	ds := &DomainSet{lookahead: lookahead, next: make([]Time, n)}
 	for i := 0; i < n; i++ {
 		ds.domains = append(ds.domains, &Domain{ds: ds, id: i, K: NewKernel()})
 	}
@@ -180,11 +181,13 @@ func (ds *DomainSet) Run() Time {
 		last = now
 	}
 	for {
+		// No domain's kernel changes while another runs (messages wait in
+		// the senders' buffers for the barrier), so each domain's next
+		// event time is read once per window.
 		t := MaxTime
-		for _, d := range ds.domains {
-			if at := d.K.NextAt(); at < t {
-				t = at
-			}
+		for i, d := range ds.domains {
+			ds.next[i] = d.K.NextAt()
+			t = min(t, ds.next[i])
 		}
 		if t == MaxTime {
 			break
@@ -196,8 +199,8 @@ func (ds *DomainSet) Run() Time {
 		if timed {
 			lap(idle)
 		}
-		for _, d := range ds.domains {
-			if d.K.NextAt() <= horizon {
+		for i, d := range ds.domains {
+			if ds.next[i] <= horizon {
 				d.K.Run(horizon)
 			}
 		}

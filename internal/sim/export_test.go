@@ -1,4 +1,11 @@
 package sim
 
-// Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.queue) + k.lane.Len() }
+// Pending reports the number of queued events, a pending chain counting as
+// one.
+func (k *Kernel) Pending() int {
+	n := len(k.queue) + k.lane.Len()
+	if k.chain.fn != nil {
+		n++
+	}
+	return n
+}

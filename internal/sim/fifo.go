@@ -29,6 +29,19 @@ func (q *FIFO[T]) Push(v T) {
 	q.n++
 }
 
+// PushFront puts v back at the head, ahead of every queued element: the
+// undo of a Pop.
+//
+//ssdx:hotpath
+func (q *FIFO[T]) PushFront(v T) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = v
+	q.n++
+}
+
 // Front returns the oldest element without removing it. The queue must not
 // be empty.
 //

@@ -5,7 +5,8 @@ import "testing"
 // TestFIFOOrderAcrossWrap drives a FIFO and a plain slice queue with the same
 // seeded push/pop mix. Pushes slightly outnumber pops, so the head wraps
 // round the ring many times and the ring grows while wrapped; every pop must
-// still return the oldest element, and At must index from the front.
+// still return the oldest element, and At must index from the front. A few
+// PushFront calls put elements back at the head.
 func TestFIFOOrderAcrossWrap(t *testing.T) {
 	var q FIFO[int]
 	var ref []int
@@ -13,7 +14,12 @@ func TestFIFOOrderAcrossWrap(t *testing.T) {
 	wrapped, grewWrapped := false, false
 	next := 0
 	for step := 0; step < 20000; step++ {
-		if len(ref) == 0 || rng.Intn(100) < 55 {
+		if r := rng.Intn(100); r < 5 {
+			// PushFront puts an element ahead of every queued one, growing
+			// the ring when it is full.
+			q.PushFront(-step)
+			ref = append([]int{-step}, ref...)
+		} else if len(ref) == 0 || r < 58 {
 			if q.n == len(q.buf) && q.head != 0 {
 				grewWrapped = true
 			}

@@ -10,12 +10,20 @@
 // need to wait on a resource queue a record behind a pre-bound callback
 // instead of allocating a closure per step.
 //
-// An event that may turn out to be a no-op need not be queued at all: a
-// model can reserve the seq it would have had and queue it later, under
-// that seq, only once it has work to do. The heap's (at, seq) order is
-// total, so the late push fires exactly where the early one would have.
-// Server's release is the one such event: it is queued only when a request
-// waits for it.
+// Run fires a due heap event in place: the event stays at the heap's root
+// while its callback runs, the callback's first heap push replaces it and
+// sifts down, and the root is popped only if the callback pushed nothing.
+// The heap's (at, seq) order is total, so the pop sequence is the one a
+// pop-then-push kernel would produce, at one sift instead of two.
+//
+// An event whose only work is to queue its successor need not fire at all.
+// A kernel holds at most one chain: a run of pure ticks at fixed intervals,
+// each standing for such an event, then one real event. A tick fires in the
+// (at, seq) order the event it stands for would have had, counts in
+// Executed and takes the seq that event would have handed to its successor,
+// so a chain is exact; CutChain turns the pending tick back into a real
+// event when the model needs the successor after all. The AHB bus serves an
+// uncontended multi-chunk transfer as one chain.
 package sim
 
 import (
@@ -112,37 +120,44 @@ func (h *eventHeap) push(e event) {
 	*h = q
 }
 
-// pop removes and returns the least event, refilling the root from the
-// bottom and sifting it down. The heap must not be empty.
+// pop removes the least event, refilling the root from the bottom and
+// sifting it down. The heap must not be empty.
 //
 //ssdx:hotpath
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() {
 	q := *h
-	top := q[0]
 	n := len(q) - 1
 	last := q[n]
 	q[n] = event{} // drop the callback so it can be collected
 	q = q[:n]
 	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && before(&q[r], &q[c]) {
-				c = r
-			}
-			if !before(&q[c], &last) {
-				break
-			}
-			q[i] = q[c]
-			i = c
-		}
-		q[i] = last
+		q.siftDown(last)
 	}
 	*h = q
-	return top
+}
+
+// siftDown puts e at the root, whose old entry is discarded, and sifts it
+// down to restore the heap order. The heap must not be empty.
+//
+//ssdx:hotpath
+func (h eventHeap) siftDown(e event) {
+	n := len(h)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(&h[r], &h[c]) {
+			c = r
+		}
+		if !before(&h[c], &e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // Kernel is the discrete-event simulation engine. It is not safe for
@@ -150,28 +165,28 @@ func (h *eventHeap) pop() event {
 // what makes the platform deterministic (the paper's SystemC kernel has the
 // same property for a fixed process ordering).
 //
-// Pending events sit in two queues. Events for a later time go to the heap.
-// Events for the current time (a zero or negative delay, or an absolute time
-// already reached) go to the same-time lane, a plain FIFO: they need no
-// sift, and they are about a third of all scheduling. The lane is exact. A
-// heap event at the current time was scheduled before time reached it, so
-// its seq is lower than that of any lane event, which was scheduled at the
-// current time; Run therefore fires heap events at now, then the lane, and
-// only then advances time.
-//
-// A reserved seq (see reserve) stands for an event that was never queued.
-// Run still lets time pass over it: when the queues run dry, time advances
-// to the latest reserved slot (capped at Run's horizon), as it would have
-// had the no-op event fired. Executed does not count such slots.
+// Pending events sit in two queues and the chain. Events for a later time go
+// to the heap. Events for the current time (a zero or negative delay, or an
+// absolute time already reached) go to the same-time lane, a plain FIFO:
+// they need no sift, and they are about a third of all scheduling. The lane
+// is exact. A heap event or chain tick at the current time was scheduled
+// before time reached it, so its seq is lower than that of any lane event,
+// which was scheduled at the current time; Run therefore fires heap events
+// and chain items at now, merged by seq, then the lane, and only then
+// advances time.
 type Kernel struct {
-	now      Time
-	seq      uint64
-	queue    eventHeap
-	lane     FIFO[func()] // events at now, in scheduling order
-	reserved Time         // latest time a seq was reserved for
+	now   Time
+	seq   uint64
+	queue eventHeap
+	lane  FIFO[func()] // events at now, in scheduling order
+	chain chain
 
-	// Executed counts delivered events; used by the simulation-speed
-	// experiment (Fig. 6) and by sanity limits in tests.
+	// firing is set while the callback of the heap's root runs; the first
+	// heap push replaces the root instead of growing the heap.
+	firing bool
+
+	// Executed counts delivered events, chain ticks included; used by the
+	// simulation-speed experiment (Fig. 6) and by sanity limits in tests.
 	Executed uint64
 
 	// Events, when non-nil, mirrors Executed into a live metrics counter so
@@ -183,6 +198,19 @@ type Kernel struct {
 
 	// flushedEvents is the Executed value already published to Events.
 	flushedEvents uint64
+}
+
+// chain is the kernel's one pending chain: left pure ticks, the first at
+// (at, seq) and the rest period apart, then the final event at end that
+// runs fn. Once the ticks are done, (at, seq) is the final event's key.
+type chain struct {
+	at     Time
+	seq    uint64
+	left   int // pure ticks still to fire
+	passed int // pure ticks fired
+	period Time
+	end    Time
+	fn     func() // nil when no chain is pending
 }
 
 // eventFlushBatch is how many executed events accumulate between live
@@ -228,54 +256,121 @@ func (k *Kernel) At(t Time, fn func()) {
 		k.lane.Push(fn)
 		return
 	}
-	k.queue.push(event{at: t, seq: k.seq, fn: fn})
+	k.push(event{at: t, seq: k.seq, fn: fn})
 	k.seq++
 }
 
-// reserve takes the seq an event at t (later than now) would get from At,
-// without queueing anything. The caller may queue the event later with
-// atReserved; if it never does, only the time t is kept, for Run.
+// push adds e to the heap, in the place of the root whose callback is
+// running if it is the callback's first push.
 //
 //ssdx:hotpath
-func (k *Kernel) reserve(t Time) uint64 {
-	seq := k.seq
-	k.seq++
-	if t > k.reserved {
-		k.reserved = t
+func (k *Kernel) push(e event) {
+	if k.firing {
+		k.firing = false
+		k.queue.siftDown(e)
+		return
 	}
-	return seq
+	k.queue.push(e)
 }
 
-// atReserved queues fn at time t under a seq taken from reserve(t). It must
-// be called before time passes t, so the event fires where an At(t, fn) in
-// reserve's place would have.
+// StartChain queues a chain: ticks pure ticks at first, first+period, …,
+// then fn at end. first must be later than now and end later than the last
+// tick (not before first when there is none), so every item of a chain is
+// later than the one that queued it, as a heap event is later than its
+// scheduler. The first tick takes the seq an At(first, …) in its place
+// would have, and each tick takes the next seq for its successor. It
+// returns false, and queues nothing, when the kernel already holds a
+// chain.
 //
 //ssdx:hotpath
-func (k *Kernel) atReserved(t Time, seq uint64, fn func()) {
-	k.queue.push(event{at: t, seq: seq, fn: fn})
+func (k *Kernel) StartChain(first, period Time, ticks int, end Time, fn func()) bool {
+	if k.chain.fn != nil {
+		return false
+	}
+	at := first
+	if ticks == 0 {
+		at = end
+	}
+	if fn == nil || first <= k.now || ticks < 0 || period <= 0 || end < first ||
+		ticks > 0 && end <= first+Time(ticks-1)*period {
+		panic("sim: invalid chain")
+	}
+	k.chain = chain{at: at, seq: k.seq, left: ticks, period: period, end: end, fn: fn}
+	k.seq++
+	return true
 }
 
-// NextAt returns the timestamp of the earliest pending event, or MaxTime
-// when the queue is empty. The domain coordinator uses it to compute the
-// global lower bound a conservative window starts from. Reserved slots that
-// were never queued hold no work and do not count.
+// CutChain ends the pending chain early and returns how many of its ticks
+// have fired. The pending tick becomes a real event running tick, under the
+// tick's own (at, seq); if every tick has fired, the final event is queued
+// as it is. Either way the chain's later ticks never happen: the caller
+// takes over what they stood for.
+//
+//ssdx:hotpath
+func (k *Kernel) CutChain(tick func()) int {
+	c := k.chain
+	if c.fn == nil {
+		panic("sim: no chain to cut")
+	}
+	k.chain = chain{}
+	fn := c.fn
+	if c.left > 0 {
+		fn = tick
+	}
+	k.push(event{at: c.at, seq: c.seq, fn: fn})
+	return c.passed
+}
+
+// fireChain fires the chain's pending item at now: a pure tick advances the
+// chain, the final event clears it and runs its callback.
+//
+//ssdx:hotpath
+func (k *Kernel) fireChain() {
+	c := &k.chain
+	if c.left == 0 {
+		fn := c.fn
+		*c = chain{}
+		fn()
+		return
+	}
+	c.left--
+	c.passed++
+	c.seq = k.seq
+	k.seq++
+	if c.left > 0 {
+		c.at += c.period
+	} else {
+		c.at = c.end
+	}
+}
+
+// NextAt returns the timestamp of the earliest pending event or chain item,
+// or MaxTime when nothing is pending. The domain coordinator uses it to
+// compute the global lower bound a conservative window starts from. Called
+// from a callback, it reports now: the firing event still holds the root.
 func (k *Kernel) NextAt() Time {
-	switch {
-	case k.lane.Len() > 0:
+	if k.lane.Len() > 0 {
 		return k.now
-	case len(k.queue) > 0:
-		return k.queue[0].at
 	}
-	return MaxTime
+	t := MaxTime
+	if len(k.queue) > 0 {
+		t = k.queue[0].at
+	}
+	if k.chain.fn != nil && k.chain.at < t {
+		t = k.chain.at
+	}
+	return t
 }
 
-// Run executes events until both queues drain or until an event beyond
-// `until` would fire. It returns the simulation time at exit. Events scheduled exactly at `until` are executed. Time never
-// runs backwards: with until before Now, Run fires nothing and returns Now.
+// Run executes events until nothing is pending or until an event beyond
+// `until` would fire. It returns the simulation time at exit. Events
+// scheduled exactly at `until` are executed. Time never runs backwards:
+// with until before Now, Run fires nothing and returns Now.
 //
-// Each step fires the heap's top if it is due now (it was scheduled before
-// any lane event), else the lane's head, and only when both hold nothing
-// for now does it advance time to the heap's top.
+// Each step fires the earlier by (at, seq) of the heap's root and the
+// chain's pending item if it is due now (it was scheduled before any lane
+// event), else the lane's head, and only when none is due now does it
+// advance time to the earliest of the two.
 //
 //ssdx:hotpath
 func (k *Kernel) Run(until Time) Time {
@@ -283,35 +378,57 @@ func (k *Kernel) Run(until Time) Time {
 		return k.now
 	}
 	for {
-		var fn func()
-		switch {
-		case len(k.queue) > 0 && k.queue[0].at == k.now:
-			fn = k.queue.pop().fn
-		case k.lane.Len() > 0:
-			fn = k.lane.Pop()
-		case len(k.queue) == 0:
-			// Let time pass over reserved slots still ahead, as their no-op
-			// events would have.
-			if k.reserved > k.now {
-				k.now = min(k.reserved, until)
+		c := &k.chain
+		pending := c.fn != nil || len(k.queue) > 0
+		fromChain := c.fn != nil && (len(k.queue) == 0 ||
+			c.at < k.queue[0].at || c.at == k.queue[0].at && c.seq < k.queue[0].seq)
+		var at Time
+		if fromChain {
+			at = c.at
+		} else if pending {
+			at = k.queue[0].at
+		}
+		if !pending || at > k.now {
+			if k.lane.Len() > 0 {
+				fn := k.lane.Pop()
+				k.count()
+				fn()
+				continue
 			}
-			k.flushEvents()
-			return k.now
-		case k.queue[0].at > until:
-			// Leave the event queued; advance time to the horizon so
-			// repeated Run calls behave like a paused simulation.
-			k.now = until
-			k.flushEvents()
-			return k.now
-		default:
-			e := k.queue.pop()
-			k.now, fn = e.at, e.fn
+			if !pending {
+				k.flushEvents()
+				return k.now
+			}
+			if at > until {
+				// Leave the event queued; advance time to the horizon so
+				// repeated Run calls behave like a paused simulation.
+				k.now = until
+				k.flushEvents()
+				return k.now
+			}
+			k.now = at
 		}
-		k.Executed++
-		if k.Events != nil && k.Executed-k.flushedEvents >= eventFlushBatch {
-			k.flushEvents()
+		k.count()
+		if fromChain {
+			k.fireChain()
+			continue
 		}
-		fn()
+		k.firing = true
+		k.queue[0].fn()
+		if k.firing {
+			k.firing = false
+			k.queue.pop()
+		}
+	}
+}
+
+// count tallies one delivered event, flushing the live counter in batches.
+//
+//ssdx:hotpath
+func (k *Kernel) count() {
+	k.Executed++
+	if k.Events != nil && k.Executed-k.flushedEvents >= eventFlushBatch {
+		k.flushEvents()
 	}
 }
 

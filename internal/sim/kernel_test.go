@@ -374,31 +374,94 @@ func TestKernelRunUntilNeverRewinds(t *testing.T) {
 	}
 }
 
-// refEvent is one pending event of the sorted-slice reference kernel. A
-// parent event's callback schedules one child event childIn after it fires
-// (childIn may be zero or negative, which clamps to the firing time).
+// refAction is what an event of TestKernelOrderMatchesReference does when it
+// fires. It is drawn from the event's id alone, so the kernel and the
+// reference, which create events in the same order, give each event the
+// same one: schedule children after the given delays (zero or negative
+// ones clamp to the firing time and go to the same-time lane), then maybe
+// start a chain or cut the pending one.
+type refAction struct {
+	children []Time
+	start    bool // start a chain: ticks ticks from now+first, period apart, then its event
+	cut      bool // cut the pending chain, if any
+	first    Time
+	period   Time
+	ticks    int
+	endIn    Time // the final event's delay after the last tick (after first if no ticks)
+}
+
+func actionFor(seed uint64, id int) refAction {
+	if id >= refActionsUpTo {
+		return refAction{}
+	}
+	r := NewRNG(seed<<20 | uint64(id))
+	a := refAction{children: make([]Time, [10]int{0, 0, 0, 0, 0, 1, 1, 1, 2, 2}[r.Intn(10)])}
+	for i := range a.children {
+		a.children[i] = Time(r.Intn(9)) - 2
+	}
+	switch r.Intn(10) {
+	case 0, 1:
+		a.start = true
+		a.first, a.period = Time(1+r.Intn(8)), Time(1+r.Intn(4))
+		a.ticks, a.endIn = r.Intn(5), Time(1+r.Intn(5))
+	case 2:
+		a.cut = true
+	}
+	return a
+}
+
+// refActionsUpTo bounds the events that act at all: a callback creates 0.9
+// events on average, so without a bound a seed could keep its kernels busy
+// for a long time.
+const refActionsUpTo = 4000
+
+// chainEnd returns the final event's time of the chain a starts at now.
+func (a refAction) chainEnd(now Time) Time {
+	last := now + a.first
+	if a.ticks > 0 {
+		last += Time(a.ticks-1) * a.period
+	}
+	return last + a.endIn
+}
+
+// refEvent is one pending event of the sorted-slice reference kernel: a
+// logged event with its id, or one tick of a chain, an ordinary event that
+// queues the next tick (left more follow it) or, after the last, the
+// chain's event.
 type refEvent struct {
-	at      Time
-	seq     uint64
-	id      int
-	parent  bool
-	childIn Time
+	at     Time
+	seq    uint64
+	id     int
+	tick   bool
+	left   int
+	period Time
+	end    Time
 }
 
 // refKernel is the reference for TestKernelOrderMatchesReference: pending
-// events in a slice, and Run fires the least (at, seq) by linear scan.
+// events in a slice, and Run fires the least (at, seq) by linear scan. It
+// has no chains: every tick is an event of its own.
 type refKernel struct {
-	pending []refEvent
-	now     Time
-	seq     uint64
-	created int   // events created so far; the next event's id
-	fired   []int // ids in fire order
+	seed     uint64
+	pending  []refEvent
+	now      Time
+	seq      uint64
+	created  int // events created so far; the next event's id
+	executed uint64
+	final    int // the pending chain's event id, -1 for none
+	passed   int // ticks of the pending chain fired so far
+	log      []string
 }
 
-func (r *refKernel) at(at Time, parent bool, childIn Time) {
-	r.pending = append(r.pending, refEvent{at: max(at, r.now), seq: r.seq, id: r.created, parent: parent, childIn: childIn})
+func (r *refKernel) push(e refEvent) {
+	e.at, e.seq = max(e.at, r.now), r.seq
 	r.seq++
+	r.pending = append(r.pending, e)
+}
+
+func (r *refKernel) newID() int {
 	r.created++
+	return r.created - 1
 }
 
 func (r *refKernel) run(until Time) Time {
@@ -419,43 +482,91 @@ func (r *refKernel) run(until Time) Time {
 		}
 		r.pending = append(r.pending[:m], r.pending[m+1:]...)
 		r.now = e.at
-		r.fired = append(r.fired, e.id)
-		if e.parent {
-			r.at(r.now+e.childIn, false, 0)
+		r.executed++
+		switch {
+		case e.tick && e.left > 0:
+			r.passed++
+			r.push(refEvent{at: r.now + e.period, tick: true, left: e.left - 1, period: e.period, end: e.end})
+		case e.tick:
+			r.passed++
+			r.push(refEvent{at: e.end, id: r.final})
+		default:
+			if e.id == r.final {
+				r.final = -1
+			}
+			r.fire(e.id)
 		}
 	}
 	return r.now
+}
+
+func (r *refKernel) fire(id int) {
+	r.log = append(r.log, fmt.Sprintf("%d@%d", id, r.now))
+	a := actionFor(r.seed, id)
+	for _, d := range a.children {
+		r.push(refEvent{at: r.now + d, id: r.newID()})
+	}
+	if a.start {
+		r.log = append(r.log, fmt.Sprintf("start %v", r.final < 0))
+		if r.final < 0 {
+			r.final, r.passed = r.newID(), 0
+			if a.ticks == 0 {
+				r.push(refEvent{at: a.chainEnd(r.now), id: r.final})
+			} else {
+				r.push(refEvent{at: r.now + a.first, tick: true, left: a.ticks - 1, period: a.period, end: a.chainEnd(r.now)})
+			}
+		}
+	}
+	if a.cut && r.final >= 0 {
+		r.log = append(r.log, fmt.Sprintf("cut %d", r.passed))
+		r.final = -1
+		id := r.newID()
+		for i := range r.pending {
+			if e := &r.pending[i]; e.tick {
+				*e = refEvent{at: e.at, seq: e.seq, id: id}
+			}
+		}
+	}
 }
 
 // TestKernelOrderMatchesReference runs random interleavings of At,
 // Schedule and Run(until) against a reference that keeps pending events in
 // a slice and always fires the least (at, seq). Events are scheduled in the
 // past, at the current time and later, from outside Run and from inside
-// callbacks: some callbacks schedule a child with a zero or negative delay,
-// so same-time lane events interleave with heap events at the same time.
-// Some Run calls ask for a horizon before the current time. Fire order, Run's return value and
-// Pending must all agree.
+// callbacks, which schedule zero, one or two children, some with a zero or
+// negative delay, so the heap's root fires in place while pushes replace
+// it, and same-time lane events interleave with heap events at the same
+// time. Callbacks also start, cut and complete chains, whose ticks the
+// reference fires as events of their own. Some Run calls ask for a horizon
+// before the current time. Fire order, Run's return value, Pending, NextAt
+// and Executed must all agree.
 func TestKernelOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		rng := NewRNG(seed)
 		k := NewKernel()
-		ref := &refKernel{}
+		ref := &refKernel{seed: seed, final: -1}
 		created := 0
-		var fired []int
-		var schedule func(at Time, parent bool, childIn Time)
-		schedule = func(at Time, parent bool, childIn Time) {
-			id := created
-			created++
-			fn := func() {
-				fired = append(fired, id)
-				if parent {
-					schedule(k.Now()+childIn, false, 0)
+		var log []string
+		var mk func(id int) func()
+		mk = func(id int) func() {
+			return func() {
+				log = append(log, fmt.Sprintf("%d@%d", id, k.Now()))
+				a := actionFor(seed, id)
+				for _, d := range a.children {
+					created++
+					k.At(k.Now()+d, mk(created-1))
 				}
-			}
-			if id%2 == 0 {
-				k.At(at, fn)
-			} else {
-				k.Schedule(at-k.Now(), fn)
+				if a.start {
+					ok := k.StartChain(k.Now()+a.first, a.period, a.ticks, a.chainEnd(k.Now()), mk(created))
+					log = append(log, fmt.Sprintf("start %v", ok))
+					if ok {
+						created++
+					}
+				}
+				if a.cut && k.chain.fn != nil {
+					created++
+					log = append(log, fmt.Sprintf("cut %d", k.CutChain(mk(created-1))))
+				}
 			}
 		}
 		for step := 0; step < 1000; step++ {
@@ -463,9 +574,14 @@ func TestKernelOrderMatchesReference(t *testing.T) {
 				// Sometimes in the past (clamped to now) or at a time
 				// already taken, so ties fall to seq.
 				at := ref.now + Time(rng.Intn(200)) - 3
-				parent, childIn := rng.Bool(0.3), Time(rng.Intn(6))-2
-				schedule(at, parent, childIn)
-				ref.at(at, parent, childIn)
+				fn := mk(created)
+				if created%2 == 0 {
+					k.At(at, fn)
+				} else {
+					k.Schedule(at-k.Now(), fn)
+				}
+				created++
+				ref.push(refEvent{at: at, id: ref.newID()})
 			} else {
 				until := ref.now + Time(rng.Intn(30)) - 3
 				if rng.Bool(0.1) {
@@ -479,14 +595,22 @@ func TestKernelOrderMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d pending of %d, reference %d of %d",
 					seed, step, k.Pending(), created, len(ref.pending), ref.created)
 			}
+			want := MaxTime
+			for _, e := range ref.pending {
+				want = min(want, e.at)
+			}
+			if got := k.NextAt(); got != want || k.Executed != ref.executed {
+				t.Fatalf("seed %d step %d: NextAt %d after %d events, reference %d after %d",
+					seed, step, got, k.Executed, want, ref.executed)
+			}
 		}
 		for k.Pending() > 0 {
 			if got, want := k.RunAll(), ref.run(MaxTime); got != want {
 				t.Fatalf("seed %d drain: RunAll = %d, reference %d", seed, got, want)
 			}
 		}
-		if fmt.Sprint(fired) != fmt.Sprint(ref.fired) {
-			t.Fatalf("seed %d: fire order\n%v\nreference\n%v", seed, fired, ref.fired)
+		if fmt.Sprint(log) != fmt.Sprint(ref.log) || k.Executed != ref.executed {
+			t.Fatalf("seed %d: %d events, fire order\n%v\nreference, %d events\n%v", seed, k.Executed, log, ref.executed, ref.log)
 		}
 	}
 }

@@ -12,14 +12,12 @@ type Server struct {
 
 	busyUntil Time
 	queue     FIFO[serverReq] // waiting requests
-	kickFn    func()          // the release callback, bound once
-
-	// The release at busyUntil only matters when a request waits for it, so
-	// a grant reserves its kernel seq (relSeq) instead of queueing it, and
-	// the first request to arrive while the server is busy queues it under
-	// that seq (relQueued). A release nobody waited for is never an event.
-	relSeq    uint64
-	relQueued bool
+	// dones holds the done of every granted window whose end event has not
+	// fired, oldest first. A request arriving at the very time a window ends
+	// may be granted before that window's end event fires, and zero-length
+	// windows stack up in the same-time lane, so several can be pending.
+	dones FIFO[func()]
+	endFn func() // the window-end callback, bound once
 
 	// Stats
 	Served    uint64
@@ -43,7 +41,7 @@ type serverReq struct {
 // unclocked (purely latency-based) resource.
 func NewServer(k *Kernel, clock *Clock, name string) *Server {
 	s := &Server{k: k, clock: clock, name: name}
-	s.kickFn = s.kick
+	s.endFn = s.windowEnd
 	return s
 }
 
@@ -64,18 +62,14 @@ func (s *Server) Acquire(dur Time, done func()) {
 	if s.queue.Len() > s.QueuePeak {
 		s.QueuePeak = s.queue.Len()
 	}
-	if s.busyUntil > s.k.Now() {
-		// Busy: the release at busyUntil grants the next request.
-		if !s.relQueued {
-			s.relQueued = true
-			s.k.atReserved(s.busyUntil, s.relSeq, s.kickFn)
-		}
-		return
-	}
 	s.kick()
 }
 
-// kick starts the next queued request if the resource is free.
+// kick starts the next queued request if the resource is free. Each grant
+// queues one event, at the window's end, that both releases the resource
+// and runs the holder's done: a release and a done queued one after the
+// other would be adjacent in (at, seq) order, so one event in their place
+// runs the same callbacks in the same order.
 //
 //ssdx:hotpath
 func (s *Server) kick() {
@@ -84,7 +78,7 @@ func (s *Server) kick() {
 	}
 	now := s.k.Now()
 	if s.busyUntil > now {
-		// Busy: the queued release will re-kick.
+		// Busy: the window's end event will re-kick.
 		return
 	}
 	req := s.queue.Pop()
@@ -100,20 +94,18 @@ func (s *Server) kick() {
 	if s.OnServe != nil {
 		s.OnServe(start, end)
 	}
-	// The release comes first at end, so done is queued after it: behind
-	// the same-time-lane kick of a zero-length window, or behind the
-	// reserved seq otherwise.
-	if end <= now {
-		s.k.At(end, s.kickFn) // same-time lane: no seq to reserve
-	} else {
-		s.relSeq = s.k.reserve(end)
-		s.relQueued = s.queue.Len() > 0
-		if s.relQueued {
-			s.k.atReserved(end, s.relSeq, s.kickFn)
-		}
-	}
-	if req.done != nil {
-		s.k.At(end, req.done)
+	s.dones.Push(req.done)
+	s.k.At(end, s.endFn)
+}
+
+// windowEnd ends the oldest granted window: it grants the next waiter, then
+// runs the finished holder's done.
+//
+//ssdx:hotpath
+func (s *Server) windowEnd() {
+	s.kick()
+	if done := s.dones.Pop(); done != nil {
+		done()
 	}
 }
 

@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// eagerServer is the reference for Server's lazy release: the same grant
-// logic, but every grant that ends later than now queues its release event
-// at once, as Server did before it reserved seqs, with the holder's done
-// queued right behind it. It counts those releases and the ones some
-// request waited for (queued while the grant held the server); the rest
-// are the no-op events the lazy server never queues.
+// eagerServer is the reference for Server's fused window end: the same
+// grant logic, but every grant queues its release event and, right behind
+// it, the holder's done, as two events. It counts its windows: the fused
+// server runs each window's release and done as one event.
 type eagerServer struct {
 	k         *Kernel
 	clock     *Clock
@@ -18,8 +16,7 @@ type eagerServer struct {
 	queue     FIFO[serverReq]
 	OnServe   func(start, end Time)
 
-	waited            bool // a request waited behind the current grant
-	releases, awaited int
+	windows int
 }
 
 func newEagerServer(k *Kernel, clock *Clock) *eagerServer {
@@ -28,10 +25,6 @@ func newEagerServer(k *Kernel, clock *Clock) *eagerServer {
 
 func (s *eagerServer) Acquire(dur Time, done func()) {
 	s.queue.Push(serverReq{dur: max(dur, 0), done: done})
-	if s.busyUntil > s.k.Now() && !s.waited {
-		s.waited = true
-		s.awaited++
-	}
 	s.kick()
 }
 
@@ -52,16 +45,8 @@ func (s *eagerServer) kick() {
 	s.busyUntil = end
 	s.OnServe(start, end)
 	s.k.At(end, s.kick)
-	if req.done != nil {
-		s.k.At(end, req.done)
-	}
-	if end > now {
-		s.releases++
-		s.waited = s.queue.Len() > 0
-		if s.waited {
-			s.awaited++
-		}
-	}
+	s.k.At(end, req.done)
+	s.windows++
 }
 
 // acquirer is what the scenario drives: Server or the eager reference.
@@ -89,7 +74,7 @@ type serverScenario struct {
 
 const scenarioAcquires = 400
 
-func runServerScenario(seed uint64, clocked, lazy bool) (log []string, now Time, executed uint64, unwaited int) {
+func runServerScenario(seed uint64, clocked, fused bool) (log []string, now Time, executed uint64, windows int) {
 	k := NewKernel()
 	sc := &serverScenario{k: k, rng: NewRNG(seed)}
 	var clk *Clock
@@ -99,7 +84,7 @@ func runServerScenario(seed uint64, clocked, lazy bool) (log []string, now Time,
 	var eager [2]*eagerServer
 	for i, c := range []*Clock{clk, nil} {
 		onServe := func(start, end Time) { sc.note(fmt.Sprintf("serve on s%d [%v, %v)", i, start, end)) }
-		if lazy {
+		if fused {
 			s := NewServer(k, c, fmt.Sprintf("s%d", i))
 			s.OnServe = onServe
 			sc.srv[i] = s
@@ -124,10 +109,10 @@ func runServerScenario(seed uint64, clocked, lazy bool) (log []string, now Time,
 	sc.note("end")
 	for _, s := range eager {
 		if s != nil {
-			unwaited += s.releases - s.awaited
+			windows += s.windows
 		}
 	}
-	return sc.log, k.Now(), k.Executed, unwaited
+	return sc.log, k.Now(), k.Executed, windows
 }
 
 func (sc *serverScenario) note(what string) {
@@ -159,15 +144,16 @@ func (sc *serverScenario) acquire() {
 	})
 }
 
-// TestServerLazyReleaseMatchesEager drives Server and the eager reference
+// TestServerFusedWindowMatchesEager drives Server and the eager reference
 // with the same random Acquire patterns: the granted windows, the callback
-// order and the final time must be identical, and the lazy kernel must
-// execute exactly the releases nobody waited for fewer events.
-func TestServerLazyReleaseMatchesEager(t *testing.T) {
+// order and the final time must be identical, and the fused server must
+// execute one event fewer per window than the reference's release and
+// done.
+func TestServerFusedWindowMatchesEager(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		for _, clocked := range []bool{false, true} {
 			name := fmt.Sprintf("seed%d/clocked=%v", seed, clocked)
-			wantLog, wantNow, wantExec, unwaited := runServerScenario(seed, clocked, false)
+			wantLog, wantNow, wantExec, windows := runServerScenario(seed, clocked, false)
 			gotLog, gotNow, gotExec, _ := runServerScenario(seed, clocked, true)
 			for i := range min(len(gotLog), len(wantLog)) {
 				if gotLog[i] != wantLog[i] {
@@ -180,21 +166,18 @@ func TestServerLazyReleaseMatchesEager(t *testing.T) {
 			if gotNow != wantNow {
 				t.Fatalf("%s: final time %v, eager reference %v", name, gotNow, wantNow)
 			}
-			if unwaited == 0 {
-				t.Fatalf("%s: no release went unwaited; the scenario does not exercise the elision", name)
-			}
-			if gotExec != wantExec-uint64(unwaited) {
-				t.Fatalf("%s: executed %d events, want eager %d minus %d unwaited releases",
-					name, gotExec, wantExec, unwaited)
+			if gotExec != wantExec-uint64(windows) {
+				t.Fatalf("%s: executed %d events, want eager %d minus its %d windows",
+					name, gotExec, wantExec, windows)
 			}
 		}
 	}
 }
 
-// BenchmarkServerQueued measures the reserved-seq release. Two requests
-// start the chain, so one always waits: each later Acquire is made from a
-// done callback while the next grant holds the server, and queues the
-// release that grant reserved.
+// BenchmarkServerQueued measures grants made by the window-end event. Two
+// requests start the chain, so one always waits: each later Acquire is
+// made from a done callback while the next grant holds the server, and the
+// next window's end event grants it.
 func BenchmarkServerQueued(b *testing.B) {
 	k := NewKernel()
 	s := NewServer(k, nil, "bench")
