@@ -273,29 +273,24 @@ func (k *Kernel) push(e event) {
 	k.queue.push(e)
 }
 
-// StartChain queues a chain: ticks pure ticks at first, first+period, …,
-// then fn at end. first must be later than now and end later than the last
-// tick (not before first when there is none), so every item of a chain is
-// later than the one that queued it, as a heap event is later than its
-// scheduler. The first tick takes the seq an At(first, …) in its place
-// would have, and each tick takes the next seq for its successor. It
-// returns false, and queues nothing, when the kernel already holds a
-// chain.
+// StartChain queues a chain: ticks (at least one) pure ticks at first,
+// first+period, …, then fn at end. first must be later than now and end
+// later than the last tick, so every item of a chain is later than the one
+// that queued it, as a heap event is later than its scheduler. The first
+// tick takes the seq an At(first, …) in its place would have, and each
+// tick takes the next seq for its successor. It returns false, and queues
+// nothing, when the kernel already holds a chain.
 //
 //ssdx:hotpath
 func (k *Kernel) StartChain(first, period Time, ticks int, end Time, fn func()) bool {
 	if k.chain.fn != nil {
 		return false
 	}
-	at := first
-	if ticks == 0 {
-		at = end
-	}
-	if fn == nil || first <= k.now || ticks < 0 || period <= 0 || end < first ||
-		ticks > 0 && end <= first+Time(ticks-1)*period {
+	if fn == nil || first <= k.now || ticks < 1 || period <= 0 ||
+		end <= first+Time(ticks-1)*period {
 		panic("sim: invalid chain")
 	}
-	k.chain = chain{at: at, seq: k.seq, left: ticks, period: period, end: end, fn: fn}
+	k.chain = chain{at: first, seq: k.seq, left: ticks, period: period, end: end, fn: fn}
 	k.seq++
 	return true
 }

@@ -387,7 +387,7 @@ type refAction struct {
 	first    Time
 	period   Time
 	ticks    int
-	endIn    Time // the final event's delay after the last tick (after first if no ticks)
+	endIn    Time // the final event's delay after the last tick
 }
 
 func actionFor(seed uint64, id int) refAction {
@@ -403,7 +403,7 @@ func actionFor(seed uint64, id int) refAction {
 	case 0, 1:
 		a.start = true
 		a.first, a.period = Time(1+r.Intn(8)), Time(1+r.Intn(4))
-		a.ticks, a.endIn = r.Intn(5), Time(1+r.Intn(5))
+		a.ticks, a.endIn = 1+r.Intn(4), Time(1+r.Intn(5))
 	case 2:
 		a.cut = true
 	}
@@ -417,11 +417,7 @@ const refActionsUpTo = 4000
 
 // chainEnd returns the final event's time of the chain a starts at now.
 func (a refAction) chainEnd(now Time) Time {
-	last := now + a.first
-	if a.ticks > 0 {
-		last += Time(a.ticks-1) * a.period
-	}
-	return last + a.endIn
+	return now + a.first + Time(a.ticks-1)*a.period + a.endIn
 }
 
 // refEvent is one pending event of the sorted-slice reference kernel: a
@@ -510,11 +506,7 @@ func (r *refKernel) fire(id int) {
 		r.log = append(r.log, fmt.Sprintf("start %v", r.final < 0))
 		if r.final < 0 {
 			r.final, r.passed = r.newID(), 0
-			if a.ticks == 0 {
-				r.push(refEvent{at: a.chainEnd(r.now), id: r.final})
-			} else {
-				r.push(refEvent{at: r.now + a.first, tick: true, left: a.ticks - 1, period: a.period, end: a.chainEnd(r.now)})
-			}
+			r.push(refEvent{at: r.now + a.first, tick: true, left: a.ticks - 1, period: a.period, end: a.chainEnd(r.now)})
 		}
 	}
 	if a.cut && r.final >= 0 {
