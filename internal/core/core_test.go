@@ -448,7 +448,7 @@ func TestTrimFlushHandled(t *testing.T) {
 	}
 	done := false
 	if err := p.Host.Run(workload.FromRequests(reqs), func(c *hostif.Command) {
-		p.handleCommand(c, ModeFull)
+		p.handleCommand(c)
 	}, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}

@@ -109,10 +109,13 @@ func (p *Platform) mapperRead(lba int64, pageOffset int) (gdie int, a nand.Addr,
 	return gdie, a, true
 }
 
-// mapperTrim unmaps the pages of a trim command.
+// mapperTrim unmaps the pages of a trim command. A page the mapper refuses
+// is a fault, as in mapperWrite: the unmap must not be skipped silently.
 func (p *Platform) mapperTrim(req trace.Request) {
 	f := p.mapper
 	for i := 0; i < p.pagesOf(req.Bytes); i++ {
-		_ = f.m.Trim(f.lpnOf(req.LBA, p.pageBytes, i))
+		if err := f.m.Trim(f.lpnOf(req.LBA, p.pageBytes, i)); err != nil {
+			panic(fmt.Sprintf("core: mapper trim failed: %v", err))
+		}
 	}
 }

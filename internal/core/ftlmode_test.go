@@ -182,6 +182,22 @@ func TestMapperTrimExtent(t *testing.T) {
 	}
 }
 
+// TestMapperTrimFaultPanics: a trim page the mapper refuses (here a
+// negative LBA, which lpnOf maps below logical page 0) is a fault, as a
+// refused write is, not an unmap skipped in silence.
+func TestMapperTrimFaultPanics(t *testing.T) {
+	p, err := Build(mapperCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("a refused trim page did not panic")
+		}
+	}()
+	p.mapperTrim(trace.Request{Op: trace.OpTrim, LBA: -8, Bytes: int64(p.pageBytes)})
+}
+
 // TestMapperLPNWraps checks lpnOf at the end of the logical space: a page
 // landing exactly on it wraps to logical page 0, and the page before it
 // stays in place.

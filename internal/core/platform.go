@@ -130,6 +130,13 @@ type Platform struct {
 	cmdRecs  sim.FreeList[command]
 	liveRecs int
 
+	// The hosted run's mode, and the commands waiting on firmware: one
+	// FIFO per CPU core and the core's task-end step, bound once in Build
+	// (see handleCommand).
+	mode     Mode
+	fwWait   []sim.FIFO[*hostif.Command]
+	fwDoneFn []func()
+
 	// Bookkeeping.
 	flashWritesInFlight int
 	rng                 *sim.RNG
@@ -274,6 +281,11 @@ func Build(cfg config.Platform) (*Platform, error) {
 	p.CPU, err = cpu.NewComplex(p.K, ccfg)
 	if err != nil {
 		return nil, err
+	}
+	p.fwWait = make([]sim.FIFO[*hostif.Command], len(p.CPU.Cores()))
+	p.fwDoneFn = make([]func(), len(p.fwWait))
+	for i := range p.fwDoneFn {
+		p.fwDoneFn[i] = func() { p.firmwareDone(i) }
 	}
 	if cfg.CPUModel == "firmware" {
 		// Real firmware execution: the ARMv4-subset FTL lookup routine

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/hostif"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -93,6 +95,52 @@ func TestCommandsComeBackAtDrain(t *testing.T) {
 				tc.check(t, res)
 			}
 		})
+	}
+}
+
+// TestFirmwareWaitPerCore: a command's record starts when its own firmware
+// task ends, on whichever core ran it. Two cores take the trims in turn;
+// core 0 gets the random ones, which cost several times more than core 1's
+// sequential ones, so core 1 ends its tasks first. Every command must
+// therefore spend at least its own task's time in the CPU stage, which a
+// command continued at another command's task end would not.
+func TestFirmwareWaitPerCore(t *testing.T) {
+	cfg := config.Default()
+	cfg.HostIF = "pcie-g2x8"
+	cfg.CPUCores = 2
+	p, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []trace.Request
+	lba := int64(0)
+	for j := 0; j < 64; j++ {
+		if j%2 == 0 && j > 0 {
+			lba += 1 << 20 // a jump: the firmware pays the random mapping cost
+		}
+		reqs = append(reqs, trace.Request{Op: trace.OpTrim, LBA: lba, Bytes: 4096})
+		lba += 8
+	}
+	var held []*hostif.Command
+	p.mode = ModeFull
+	if err := p.Host.Run(workload.FromRequests(reqs), func(c *hostif.Command) {
+		p.Host.Hold(c)
+		held = append(held, c)
+		p.handleCommand(c)
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	p.runKernel()
+	if len(held) != len(reqs) || p.Host.Stats.Completed != uint64(len(reqs)) {
+		t.Fatalf("%d of %d commands handled, %d completed", len(held), len(reqs), p.Host.Stats.Completed)
+	}
+	costs, clk := p.CPU.Config().Costs, p.CPU.Clock()
+	for j, c := range held {
+		own := clk.Cycles(costs.CommandCycles(j%2 == 0 && j > 0, 1))
+		if cpu := c.Span.Stage(telemetry.StageCPU); cpu < own {
+			t.Errorf("command %d spent %v in the CPU stage, less than its own task's %v", c.ID, cpu, own)
+		}
+		p.Host.Release(c)
 	}
 }
 

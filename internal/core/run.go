@@ -196,8 +196,8 @@ func (p *Platform) run(mode Mode, label string, requests int, measure func() (Re
 // completion, and a stream error (streamErr) or a stall fails the run.
 func (p *Platform) playHost(mode Mode, start func(handler func(*hostif.Command), onDrained func()) error, streamErr func() error) (Result, error) {
 	drained := false
-	handler := func(cmd *hostif.Command) { p.handleCommand(cmd, mode) }
-	if err := start(handler, func() { drained = true }); err != nil {
+	p.mode = mode
+	if err := start(p.handleCommand, func() { drained = true }); err != nil {
 		return Result{}, err
 	}
 	p.runKernel()
@@ -274,27 +274,41 @@ func labeledPhases(profiles []telemetry.PhaseProfile, phases []workload.Spec) []
 	return profiles
 }
 
-// handleCommand is the full command-processing path. Every command the
-// device processes runs as one command record (see command), which holds
-// the host command until its last step.
-func (p *Platform) handleCommand(cmd *hostif.Command, mode Mode) {
-	if mode == ModeHostIdeal {
+// handleCommand is the full command-processing path, in the run's mode
+// (p.mode). A command first pays its firmware cost: it waits for its core
+// as a bare host command on that core's FIFO, and its device record (see
+// command) is built only when the task ends (firmwareDone). A deep NVMe
+// window can put tens of thousands of commands behind one core, and this
+// way each holds no more than its host command there. Host+DDR mode skips
+// the firmware for reads and writes, which isolates the DMA+DRAM path like
+// the paper's SATA+DDR column, and builds the record at once.
+func (p *Platform) handleCommand(cmd *hostif.Command) {
+	if p.mode == ModeHostIdeal {
 		p.Host.Complete(cmd)
 		return
 	}
 	req := cmd.Req
 	p.maybeReclassify()
-	c := p.newCommand(cmd, mode)
-	switch req.Op {
-	case trace.OpWrite:
-		c.write()
-	case trace.OpRead:
-		c.read()
-	case trace.OpTrim, trace.OpFlush:
-		// Firmware bookkeeping; the real FTL also unmaps.
-		c.stage = stBookkeep
-		p.cpuCost(req, 1, c.stepFn)
+	pages := 1 // trim and flush: firmware bookkeeping (the real FTL also unmaps)
+	if req.Op == trace.OpWrite || req.Op == trace.OpRead {
+		if p.mode == ModeHostDDR {
+			p.newCommand(cmd).afterCPU()
+			return
+		}
+		pages = p.pagesOf(req.Bytes)
 	}
+	core := p.CPU.NextCore()
+	p.fwWait[core].Push(cmd)
+	p.cpuCost(req, pages, p.fwDoneFn[core])
+}
+
+// firmwareDone ends core's oldest firmware task. Each core ends its tasks
+// in the order they were queued, so the command at the head of its FIFO is
+// the one whose task ended: build its record and continue it.
+//
+//ssdx:hotpath
+func (p *Platform) firmwareDone(core int) {
+	p.newCommand(p.fwWait[core].Pop()).afterCPU()
 }
 
 // reclassifyEvery is how many commands elapse between looks at the replay
@@ -374,15 +388,17 @@ func (p *Platform) pagesOf(bytes int64) int {
 }
 
 // command is the device-side record of one host command: the state its
-// write or read path carries from stage to stage, and the stage steps. The
+// write or read path carries from stage to stage, and the stage steps. A
+// record starts when the command's firmware task ends (firmwareDone), or
+// at once for a host+DDR read or write, which pays no firmware cost. The
 // record hands itself on through two callbacks bound once, when it is
-// built: stepFn for every continuation but one (firmware cost paid, cache
-// token, compressor done, host DMA, DRAM access, page programmed, page
-// read), dispatching on stage, which a step sets before it hands stepFn
-// on, and sentFn for a read's "page sent". A command waits on one stage at
-// a time; only a read's pages overlap under stPages, where a page read and
-// a page sent may both be pending, so the two need callbacks of their own.
-// The //ssdx:hotpath stage methods therefore allocate nothing.
+// built: stepFn for every continuation but one (cache token, compressor
+// done, host DMA, DRAM access, page programmed, page read), dispatching on
+// stage, which a step sets before it hands stepFn on, and sentFn for a
+// read's "page sent". A command waits on one stage at a time; only a
+// read's pages overlap under stPages, where a page read and a page sent
+// may both be pending, so the two need callbacks of their own. The
+// //ssdx:hotpath stage methods therefore allocate nothing.
 //
 // Records recycle through a capped free list (Platform.cmdRecs) with their
 // callbacks bound, and each holds its host command (hostif.Interface.Hold)
@@ -394,7 +410,6 @@ func (p *Platform) pagesOf(bytes int64) int {
 type command struct {
 	p     *Platform
 	cmd   *hostif.Command
-	mode  Mode
 	stage cmdStage
 
 	pages      int          // flash pages the request spans
@@ -411,10 +426,7 @@ type command struct {
 type cmdStage uint8
 
 const (
-	stWriteCPU   cmdStage = iota // firmware cost paid (write)
-	stReadCPU                    // firmware cost paid (read)
-	stBookkeep                   // firmware cost paid (trim, flush)
-	stCompress                   // host-side compressor done
+	stCompress   cmdStage = iota // host-side compressor done
 	stToken                      // one more write-cache page held
 	stToDRAM                     // host DMA across the AHB done
 	stLanded                     // write data landed in DRAM
@@ -426,13 +438,13 @@ const (
 
 // newCommand takes a pooled command record, or builds one and binds its two
 // callbacks, and holds cmd for it.
-func (p *Platform) newCommand(cmd *hostif.Command, mode Mode) *command {
+func (p *Platform) newCommand(cmd *hostif.Command) *command {
 	c := p.cmdRecs.Take()
 	if c == nil {
 		c = &command{p: p}
 		c.stepFn, c.sentFn = c.step, c.pageSent
 	}
-	*c = command{p: p, cmd: cmd, mode: mode, pages: p.pagesOf(cmd.Req.Bytes), stepFn: c.stepFn, sentFn: c.sentFn}
+	*c = command{p: p, cmd: cmd, pages: p.pagesOf(cmd.Req.Bytes), stepFn: c.stepFn, sentFn: c.sentFn}
 	p.Host.Hold(cmd)
 	p.liveRecs++
 	return c
@@ -463,12 +475,6 @@ func freePanic() {
 //ssdx:hotpath
 func (c *command) step() {
 	switch c.stage {
-	case stWriteCPU:
-		c.writeAfterCPU()
-	case stReadCPU:
-		c.readAfterCPU()
-	case stBookkeep:
-		c.bookkept()
 	case stCompress:
 		c.compressed()
 	case stToken:
@@ -489,6 +495,21 @@ func (c *command) step() {
 	}
 }
 
+// afterCPU continues a new record once its command's firmware cost is
+// paid: a write or read moves its data, a trim or flush completes.
+//
+//ssdx:hotpath
+func (c *command) afterCPU() {
+	switch c.cmd.Req.Op {
+	case trace.OpWrite:
+		c.writeAfterCPU()
+	case trace.OpRead:
+		c.readAfterCPU()
+	default:
+		c.bookkept()
+	}
+}
+
 // bookkept completes a trim or flush once its firmware cost is paid.
 func (c *command) bookkept() {
 	p, req := c.p, c.cmd.Req
@@ -500,20 +521,11 @@ func (c *command) bookkept() {
 	c.free()
 }
 
-// write: host DMA into DRAM (optionally through the host-side compressor),
-// completion per buffer policy, then the flash flush path (channel-side
-// compressor, ECC encode, channel controller, NAND program).
-func (c *command) write() {
-	if c.mode == ModeHostDDR {
-		c.writeAfterCPU() // isolate the DMA path: no firmware cost
-		return
-	}
-	c.stage = stWriteCPU
-	c.p.cpuCost(c.cmd.Req, c.pages, c.stepFn)
-}
-
-// writeAfterCPU runs host-side compression, which shrinks everything
-// downstream of the host interface (AHB crossing, DRAM, NAND).
+// writeAfterCPU starts a write: host DMA into DRAM (optionally through the
+// host-side compressor), completion per buffer policy, then the flash
+// flush path (channel-side compressor, ECC encode, channel controller,
+// NAND program). It first runs host-side compression, which shrinks
+// everything downstream of the host interface (AHB crossing, DRAM, NAND).
 //
 //ssdx:hotpath
 func (c *command) writeAfterCPU() {
@@ -553,7 +565,7 @@ func (c *command) compressed() {
 		c.chanBytes = ddrBytes
 	}
 	c.buf = p.DRAM.ForChannel(int(p.stripe) % p.Cfg.Channels)
-	if c.mode == ModeHostDDR {
+	if c.p.mode == ModeHostDDR {
 		c.moveToDRAM()
 		return
 	}
@@ -616,7 +628,7 @@ func (c *command) dmaDone() {
 func (c *command) landed() {
 	p := c.p
 	c.cmd.Span.Advance(telemetry.StageDRAM, p.K.Now())
-	if c.mode == ModeHostDDR {
+	if c.p.mode == ModeHostDDR {
 		p.Host.Complete(c.cmd)
 		c.free()
 		return
@@ -670,25 +682,16 @@ func (c *command) programmed() {
 	c.free()
 }
 
-// read: firmware, channel read (NAND -> DRAM), ECC decode, host DMA out of
-// DRAM, completion (the host interface models the tx wire).
-func (c *command) read() {
-	if c.mode == ModeHostDDR {
-		c.readAfterCPU()
-		return
-	}
-	c.stage = stReadCPU
-	c.p.cpuCost(c.cmd.Req, c.pages, c.stepFn)
-}
-
-// readAfterCPU issues one flash read per page; in host+DDR mode it reads
-// the buffer instead (the DRAM-only path).
+// readAfterCPU starts a read: channel read (NAND -> DRAM), ECC decode,
+// host DMA out of DRAM, completion (the host interface models the tx
+// wire). It issues one flash read per page; in host+DDR mode it reads the
+// buffer instead (the DRAM-only path).
 //
 //ssdx:hotpath
 func (c *command) readAfterCPU() {
 	p, req := c.p, c.cmd.Req
 	c.cmd.Span.Advance(telemetry.StageCPU, p.K.Now())
-	if c.mode == ModeHostDDR {
+	if c.p.mode == ModeHostDDR {
 		c.remaining = 1
 		c.stage = stBufferRead
 		p.DRAM.ForChannel(0).Access(false, req.LBA*trace.SectorSize, req.Bytes, c.stepFn)

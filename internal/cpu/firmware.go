@@ -100,8 +100,14 @@ func (c *Complex) Clock() *sim.Clock { return c.clk }
 // diagnostics attach here).
 func (c *Complex) Cores() []*sim.Server { return c.cores }
 
+// NextCore reports the core the next Exec runs its task on.
+//
+//ssdx:hotpath
+func (c *Complex) NextCore() int { return c.next }
+
 // Exec schedules a firmware task of the given cycle cost on the next core
-// (round-robin); done fires when the task completes.
+// (round-robin); done fires when the task completes. Each core ends its
+// tasks in Exec order.
 //
 //ssdx:hotpath
 func (c *Complex) Exec(cycles int64, done func()) {

@@ -5,8 +5,10 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -198,6 +200,47 @@ func TestCommandsRecycle(t *testing.T) {
 		}
 	}()
 	i.Release(held[0])
+}
+
+// TestCommandSize pins the packed command: a deep NVMe window holds tens of
+// thousands at once, so each byte counts that many times over.
+func TestCommandSize(t *testing.T) {
+	if n := unsafe.Sizeof(Command{}); n > 176 {
+		t.Fatalf("hostif.Command is %d bytes, want at most 176", n)
+	}
+}
+
+// TestRecycledCommandIsReset: submit resets a recycled command field by
+// field, so no figure of its previous use (completion time, stage times,
+// holds) may reach the handler.
+func TestRecycledCommandIsReset(t *testing.T) {
+	k := sim.NewKernel()
+	i, err := New(k, SATA2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := workload.Spec{Pattern: trace.SeqWrite, BlockSize: 4096, SpanBytes: 1 << 24, Requests: 300}.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := i.Run(st, func(c *Command) {
+		if c.CompleteAt != 0 || c.holds != 1 || c.Span.Stage(telemetry.StageCPU) != 0 {
+			t.Fatalf("command %d arrived with stale state: %+v", c.ID, *c)
+		}
+		if c.SubmitAt == 0 || c.DataAt < c.SubmitAt || c.QueuedAt > c.SubmitAt {
+			t.Fatalf("command %d arrived with times %+v", c.ID, *c)
+		}
+		k.Schedule(sim.Microsecond, func() {
+			c.Span.Advance(telemetry.StageCPU, k.Now())
+			i.Complete(c)
+		})
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	k.RunAll()
+	if i.Stats.Completed != 300 {
+		t.Fatalf("completed %d of 300", i.Stats.Completed)
+	}
 }
 
 // BenchmarkHostCommandCycle plays one interface over a long stream with a

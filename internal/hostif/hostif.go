@@ -159,12 +159,14 @@ func (c Config) IdealMBps(blockBytes int64, write bool) float64 {
 // interface owns one from submission until its completion capsule is sent,
 // and a handler that keeps a *Command past Complete must Hold it first and
 // Release it when done.
+//
+// A deep NVMe window can hold tens of thousands of commands at once, so the
+// fields are ordered to pack: 176 bytes, one size class.
 type Command struct {
 	ID         int64
-	Queue      int // submission-queue (tenant) index; 0 for a single stream
-	Phase      int // workload phase the command was pulled in (0 for a plain spec's one-phase chain)
+	Queue      int32 // submission-queue (tenant) index; 0 for a single stream
+	Phase      int32 // workload phase the command was pulled in (0 for a plain spec's one-phase chain)
 	Req        trace.Request
-	Record     bool           // pulled inside the measured window
 	Span       telemetry.Span // per-stage latency timeline (watermark attribution)
 	QueuedAt   sim.Time       // released by the stream (its arrival time, or later)
 	SubmitAt   sim.Time       // command capsule fully received
@@ -176,13 +178,15 @@ type Command struct {
 	// reset opened a new one) must not leak into the new window's stats.
 	winGen uint32
 
-	// wireData marks the command's current link transfer as its data
-	// (write data on rx, read data on tx) rather than its capsule.
-	wireData bool
-
 	// holds counts the command's owners: the player from submit to retire
 	// plus one per Hold. The last Release recycles the command.
 	holds int32
+
+	Record bool // pulled inside the measured window
+
+	// wireData marks the command's current link transfer as its data
+	// (write data on rx, read data on tx) rather than its capsule.
+	wireData bool
 }
 
 // link is one direction of the host wire: a serial server and the commands
@@ -466,7 +470,11 @@ func (i *Interface) submit(q int, e sqEntry) {
 	if cmd == nil {
 		cmd = new(Command)
 	}
-	*cmd = Command{ID: i.nextID, Queue: q, Phase: e.phase, Req: e.req, QueuedAt: e.queued, Record: e.record, winGen: e.winGen, holds: 1}
+	// Reset a recycled command field by field: a struct literal would
+	// build the whole command and copy it in.
+	cmd.ID, cmd.Queue, cmd.Phase, cmd.Req = i.nextID, int32(q), int32(e.phase), e.req
+	cmd.QueuedAt, cmd.SubmitAt, cmd.DataAt, cmd.CompleteAt = e.queued, 0, 0, 0
+	cmd.winGen, cmd.holds, cmd.Record, cmd.wireData = e.winGen, 1, e.record, false
 	i.live++
 	cmd.Span.Start(e.queued)
 	// The window slot is granted: everything since the queue time was

@@ -36,15 +36,15 @@ type phaseWindow struct {
 func observePhase(wins []phaseWindow, cmd *Command, end sim.Time) []phaseWindow {
 	// Phases complete roughly in order: scan from the most recent. pos
 	// tracks the sorted insertion point in case the phase is absent.
-	pos := len(wins)
+	pos, phase := len(wins), int(cmd.Phase)
 	for i := len(wins) - 1; i >= 0; i-- {
-		if wins[i].idx == cmd.Phase {
+		if wins[i].idx == phase {
 			wins[i].lat.Record(cmd.Req.Op, end-cmd.QueuedAt)
 			wins[i].rec.Observe(&cmd.Span)
 			wins[i].recorded = wins[i].recorded || cmd.Record
 			return wins
 		}
-		if wins[i].idx < cmd.Phase {
+		if wins[i].idx < phase {
 			break
 		}
 		pos = i
@@ -57,7 +57,7 @@ func observePhase(wins []phaseWindow, cmd *Command, end sim.Time) []phaseWindow 
 		wins = wins[:phaseRingSize-1]
 		pos--
 	}
-	w := phaseWindow{idx: cmd.Phase, recorded: cmd.Record}
+	w := phaseWindow{idx: phase, recorded: cmd.Record}
 	w.lat.Record(cmd.Req.Op, end-cmd.QueuedAt)
 	w.rec.Observe(&cmd.Span)
 	wins = append(wins, phaseWindow{})

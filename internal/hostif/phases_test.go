@@ -14,7 +14,7 @@ import (
 // completion arrives after a later phase opened its window.
 func TestObservePhaseOutOfOrderCompletions(t *testing.T) {
 	done := func(phase int) *Command {
-		return &Command{Phase: phase, Req: trace.Request{Op: trace.OpWrite, Bytes: 4096}}
+		return &Command{Phase: int32(phase), Req: trace.Request{Op: trace.OpWrite, Bytes: 4096}}
 	}
 	var wins []phaseWindow
 	// Arrival order: 0, 2, 1 (phase 1's first completion is late), 2, 1, 0.

@@ -14,8 +14,8 @@ import (
 // running at 0 allocs/op, pinned at runtime by BenchmarkWriteSpanBatch,
 // BenchmarkChannelReadCycle, BenchmarkKernelSchedule,
 // BenchmarkServerAcquire, BenchmarkServerQueued, BenchmarkTokenGateQueued,
-// BenchmarkDRAMAccess, BenchmarkAHBTransfer, BenchmarkDieProgramRead and
-// BenchmarkHostCommandCycle.
+// BenchmarkDRAMAccess, BenchmarkAHBTransfer, BenchmarkDieProgramRead,
+// BenchmarkHostCommandCycle and BenchmarkFirmwareWait.
 // The analyzer rejects the allocating constructs that have historically
 // crept in: fmt calls, map/slice composite literals and makes, closures
 // capturing locals, non-constant string concatenation, string<->[]byte

@@ -53,7 +53,10 @@ func (a Addr) Check(g Geometry) error {
 // Timing captures the interface and array timing of a NAND component. The
 // bus-side values are consumed by the channel controller; the array-side
 // values drive the die state machine. Defaults follow the MLC device the
-// paper models: tPROG 900 µs–3 ms, tREAD 60 µs, tBERS 1–10 ms [20].
+// paper models: tPROG 900 µs–3 ms, tREAD 60 µs, tBERS 1–10 ms [20]. Its
+// methods take a pointer, because the controller and every die call them
+// per operation on one shared *Timing and a value receiver copies the
+// whole struct per call.
 type Timing struct {
 	// Array operation times (before wear/jitter adjustment).
 	TReadArray sim.Time // tR: array-to-register sense time
@@ -81,7 +84,7 @@ type Timing struct {
 }
 
 // Validate checks timing sanity.
-func (t Timing) Validate() error {
+func (t *Timing) Validate() error {
 	if t.TReadArray <= 0 || t.TProgLower <= 0 || t.TProgUpper < t.TProgLower {
 		return errors.New("nand: invalid array timing")
 	}
@@ -95,19 +98,19 @@ func (t Timing) Validate() error {
 }
 
 // DataTransferTime returns the channel-bus occupancy to move n bytes.
-func (t Timing) DataTransferTime(n int) sim.Time {
+func (t *Timing) DataTransferTime(n int) sim.Time {
 	return sim.Time(n) * t.DataCycle
 }
 
 // CommandOverhead returns bus occupancy for a command+address sequence.
-func (t Timing) CommandOverhead() sim.Time {
+func (t *Timing) CommandOverhead() sim.Time {
 	return 2*t.CmdCycle + sim.Time(t.AddrBytes)*t.AddrCycle
 }
 
 // RBER returns the raw bit error rate at normalised wear w (clamped to
 // [0, 1.2]; devices are usable slightly past rated endurance with degraded
 // reliability, which the adaptive-ECC experiment exercises).
-func (t Timing) RBER(w float64) float64 {
+func (t *Timing) RBER(w float64) float64 {
 	if w < 0 {
 		w = 0
 	}
@@ -120,7 +123,7 @@ func (t Timing) RBER(w float64) float64 {
 // ProgTimeAt returns the nominal program time for a page index at wear w.
 // MLC pairing is approximated as even=lower (fast), odd=upper (slow); wear
 // speeds programming up as tunnel-oxide trapping assists charge placement.
-func (t Timing) ProgTimeAt(page int, w float64) sim.Time {
+func (t *Timing) ProgTimeAt(page int, w float64) sim.Time {
 	base := t.TProgLower
 	if page%2 == 1 {
 		base = t.TProgUpper
@@ -136,7 +139,7 @@ func (t Timing) ProgTimeAt(page int, w float64) sim.Time {
 
 // EraseTimeAt returns the nominal erase time at wear w; erase slows down as
 // blocks age (more erase pulses needed), bounded by TBersMax.
-func (t Timing) EraseTimeAt(w float64) sim.Time {
+func (t *Timing) EraseTimeAt(w float64) sim.Time {
 	if w < 0 {
 		w = 0
 	}

@@ -79,18 +79,18 @@ func Stages() []Stage {
 }
 
 // Span is one command's stage timeline. Attribution is by watermark: Start
-// pins the span to the command's queue time, and each instrumentation point
-// calls Advance(stage, now), which charges the interval since the previous
-// watermark to that stage and moves the watermark up. Concurrent per-page
-// sub-operations therefore attribute each wall-clock interval of the
-// command's life to the stage whose boundary event ended it (the critical
-// path), and the stage durations always sum exactly to the watermark minus
-// the start — after the final Advance at completion, exactly the
-// end-to-end latency.
+// pins the watermark to the command's queue time, and each instrumentation
+// point calls Advance(stage, now), which charges the interval since the
+// previous watermark to that stage and moves the watermark up. Concurrent
+// per-page sub-operations therefore attribute each wall-clock interval of
+// the command's life to the stage whose boundary event ended it (the
+// critical path), and the stage durations always sum exactly to the
+// watermark minus the queue time — after the final Advance at completion,
+// exactly the end-to-end latency. The span keeps no copy of the queue time:
+// its owner does (hostif.Command.QueuedAt).
 type Span struct {
-	start sim.Time
-	mark  sim.Time
-	acc   [NumStages]sim.Time
+	mark sim.Time
+	acc  [NumStages]sim.Time
 
 	// Flow, when non-zero, is the owning command's trace-flow id: resource
 	// instrumentation stamps flow steps with it so the event tracer can draw
@@ -99,9 +99,10 @@ type Span struct {
 	Flow int64
 }
 
-// Start pins the span's origin (and watermark) to t.
+// Start pins the span's watermark to its origin t and clears the stage
+// times.
 func (s *Span) Start(t sim.Time) {
-	s.start, s.mark = t, t
+	s.mark = t
 	s.acc = [NumStages]sim.Time{}
 	s.Flow = 0
 }
@@ -120,7 +121,8 @@ func (s *Span) Advance(st Stage, now sim.Time) {
 // Stage returns the accumulated time of one stage.
 func (s *Span) Stage(st Stage) sim.Time { return s.acc[st] }
 
-// Total returns the sum of all stage times — the watermark minus the start.
+// Total returns the sum of all stage times — the watermark minus the
+// origin Start was given.
 func (s *Span) Total() sim.Time {
 	var t sim.Time
 	for _, d := range s.acc {
