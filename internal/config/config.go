@@ -12,11 +12,14 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/compress"
+	"repro/internal/ctrl"
 	"repro/internal/ftl"
+	"repro/internal/hostif"
 	"repro/internal/nand"
 )
 
@@ -132,68 +135,33 @@ func Default() Platform {
 	}
 }
 
-// Validate checks the configuration for consistency.
+// Validate checks the configuration for consistency. A value another package
+// interprets (host_if, gang_mode, the compressor's ratio and bandwidth) is
+// checked by that package, so Validate accepts exactly what core.Build builds.
 func (p Platform) Validate() error {
 	// NaN slips through every range check below, so reject non-finite
 	// values first.
-	for _, f := range []struct {
-		key string
-		v   float64
-	}{
-		{"compress_ratio", p.CompressRatio},
-		{"compress_mbps", p.CompressMBps},
-		{"spare_factor", p.SpareFactor},
-		{"waf_override", p.WAFOverride},
-		{"wear", p.Wear},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("config: %s = %v is not a finite number", f.key, f.v)
+	for _, k := range keys {
+		switch v := k.field(&p).(type) {
+		case *float64:
+			if math.IsNaN(*v) || math.IsInf(*v, 0) {
+				return fmt.Errorf("config: %s = %v is not a finite number", k.name, *v)
+			}
+		case *string:
+			if k.values != nil && !slices.Contains(k.values, *v) {
+				return fmt.Errorf("config: unknown %s %q", k.name, *v)
+			}
 		}
 	}
 	if p.Channels < 1 || p.Ways < 1 || p.DiesPerWay < 1 || p.DDRBuffers < 1 {
 		return fmt.Errorf("config: invalid topology %d-ch/%d-way/%d-die/%d-buf",
 			p.Channels, p.Ways, p.DiesPerWay, p.DDRBuffers)
 	}
-	switch p.NANDProfile {
-	case "explore", "vertex":
-	default:
-		return fmt.Errorf("config: unknown NAND profile %q", p.NANDProfile)
-	}
-	switch p.CachePolicy {
-	case "cache", "nocache":
-	default:
-		return fmt.Errorf("config: unknown cache policy %q", p.CachePolicy)
-	}
-	switch p.GangMode { // the names ctrl.ParseGangMode accepts
-	case "shared-bus", "bus", "", "shared-control", "control":
-	default:
-		return fmt.Errorf("config: unknown gang mode %q", p.GangMode)
-	}
-	switch p.ECCScheme {
-	case "none", "fixed", "adaptive":
-	default:
-		return fmt.Errorf("config: unknown ECC scheme %q", p.ECCScheme)
-	}
-	switch p.ECCLatency {
-	case "bit-serial", "byte-parallel":
-	default:
-		return fmt.Errorf("config: unknown ECC latency profile %q", p.ECCLatency)
-	}
 	if p.ECCScheme != "none" && (p.ECCT < 1 || p.ECCT > 128) {
 		return fmt.Errorf("config: ECC strength %d out of range", p.ECCT)
 	}
 	if p.ECCScheme != "none" && p.ECCEngines < 1 {
 		return fmt.Errorf("config: ECC engines %d", p.ECCEngines)
-	}
-	switch p.CompressPlacement {
-	case "none", "host", "channel":
-	default:
-		return fmt.Errorf("config: unknown compressor placement %q", p.CompressPlacement)
-	}
-	switch p.FTLMode {
-	case "waf", "mapper":
-	default:
-		return fmt.Errorf("config: unknown FTL mode %q", p.FTLMode)
 	}
 	if p.SpareFactor <= 0 || p.SpareFactor >= 1 {
 		return fmt.Errorf("config: spare factor %v out of (0,1)", p.SpareFactor)
@@ -203,11 +171,6 @@ func (p Platform) Validate() error {
 	}
 	if p.CPUCores < 1 || p.AHBLayers < 1 {
 		return fmt.Errorf("config: cores/layers must be positive")
-	}
-	switch p.CPUModel {
-	case "parametric", "firmware":
-	default:
-		return fmt.Errorf("config: unknown CPU model %q", p.CPUModel)
 	}
 	if p.Wear < 0 || p.Wear > 1.2 {
 		return fmt.Errorf("config: wear %v out of [0, 1.2]", p.Wear)
@@ -220,6 +183,19 @@ func (p Platform) Validate() error {
 	}
 	if p.MapperBlocksPerUnit < 0 {
 		return fmt.Errorf("config: negative mapper block restriction")
+	}
+	if _, err := hostif.Parse(p.HostIF); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	if _, err := ctrl.ParseGangMode(p.GangMode); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	place, err := compress.ParsePlacement(p.CompressPlacement)
+	if err == nil {
+		err = compress.Config{Placement: place, Ratio: p.CompressRatio, MBps: p.CompressMBps}.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	if p.FTLMode == "mapper" {
 		if err := ftl.CheckSpace(p.MapperGeometry()); err != nil {
@@ -364,122 +340,102 @@ func Parse(r io.Reader) (Platform, error) {
 	return p, p.Validate()
 }
 
+// keyDef is one config-file key: its name, a pointer to the Platform field it
+// sets and, for a string this package interprets itself, the values Validate
+// accepts.
+type keyDef struct {
+	name   string
+	field  func(*Platform) any
+	values []string
+}
+
+// keys is the config file's vocabulary, sorted by name: the order Render
+// writes the keys in.
+var keys = []keyDef{
+	{"ahb_layers", func(p *Platform) any { return &p.AHBLayers }, nil},
+	{"cache_policy", func(p *Platform) any { return &p.CachePolicy }, []string{"cache", "nocache"}},
+	{"channels", func(p *Platform) any { return &p.Channels }, nil},
+	{"compress_mbps", func(p *Platform) any { return &p.CompressMBps }, nil},
+	// compress.ParsePlacement also takes aliases; one spelling per
+	// placement keeps one cache key per design.
+	{"compress_placement", func(p *Platform) any { return &p.CompressPlacement }, []string{"none", "host", "channel"}},
+	{"compress_ratio", func(p *Platform) any { return &p.CompressRatio }, nil},
+	{"cpu_cores", func(p *Platform) any { return &p.CPUCores }, nil},
+	{"cpu_model", func(p *Platform) any { return &p.CPUModel }, []string{"parametric", "firmware"}},
+	{"ddr_buffers", func(p *Platform) any { return &p.DDRBuffers }, nil},
+	{"dies_per_way", func(p *Platform) any { return &p.DiesPerWay }, nil},
+	{"ecc_engines", func(p *Platform) any { return &p.ECCEngines }, nil},
+	{"ecc_latency", func(p *Platform) any { return &p.ECCLatency }, []string{"bit-serial", "byte-parallel"}},
+	{"ecc_scheme", func(p *Platform) any { return &p.ECCScheme }, []string{"none", "fixed", "adaptive"}},
+	{"ecc_t", func(p *Platform) any { return &p.ECCT }, nil},
+	{"ftl_mode", func(p *Platform) any { return &p.FTLMode }, []string{"waf", "mapper"}},
+	{"gang_mode", func(p *Platform) any { return &p.GangMode }, nil},
+	{"host_if", func(p *Platform) any { return &p.HostIF }, nil},
+	{"mapper_blocks_per_unit", func(p *Platform) any { return &p.MapperBlocksPerUnit }, nil},
+	{"multi_plane", func(p *Platform) any { return &p.MultiPlane }, nil},
+	{"name", func(p *Platform) any { return &p.Name }, nil},
+	{"nand_profile", func(p *Platform) any { return &p.NANDProfile }, []string{"explore", "vertex"}},
+	{"parallel", func(p *Platform) any { return &p.Parallel }, nil},
+	{"queue_depth", func(p *Platform) any { return &p.QueueDepth }, nil},
+	{"seed", func(p *Platform) any { return &p.Seed }, nil},
+	{"spare_factor", func(p *Platform) any { return &p.SpareFactor }, nil},
+	{"waf_override", func(p *Platform) any { return &p.WAFOverride }, nil},
+	{"ways", func(p *Platform) any { return &p.Ways }, nil},
+	{"wear", func(p *Platform) any { return &p.Wear }, nil},
+	{"write_cache_pages", func(p *Platform) any { return &p.WriteCachePages }, nil},
+}
+
 // set applies one key/value pair.
-func (p *Platform) set(key, value string) error {
-	atoi := func() (int, error) { return strconv.Atoi(value) }
-	atof := func() (float64, error) { return strconv.ParseFloat(value, 64) }
-	var err error
-	switch key {
+func (p *Platform) set(name, value string) error {
+	switch name {
 	case "preset":
+		var err error
 		*p, err = Preset(value)
-	case "name":
-		p.Name = value
-	case "channels":
-		p.Channels, err = atoi()
-	case "ways":
-		p.Ways, err = atoi()
-	case "dies_per_way", "dies":
-		p.DiesPerWay, err = atoi()
-	case "ddr_buffers":
-		p.DDRBuffers, err = atoi()
-	case "host_if":
-		p.HostIF = value
-	case "queue_depth":
-		p.QueueDepth, err = atoi()
-	case "nand_profile":
-		p.NANDProfile = value
-	case "multi_plane":
-		p.MultiPlane, err = strconv.ParseBool(value)
-	case "cache_policy":
-		p.CachePolicy = value
-	case "gang_mode":
-		p.GangMode = value
-	case "ecc_scheme":
-		p.ECCScheme = value
-	case "ecc_t":
-		p.ECCT, err = atoi()
-	case "ecc_engines":
-		p.ECCEngines, err = atoi()
-	case "ecc_latency":
-		p.ECCLatency = value
-	case "compress_placement":
-		p.CompressPlacement = value
-	case "compress_ratio":
-		p.CompressRatio, err = atof()
-	case "compress_mbps":
-		p.CompressMBps, err = atof()
-	case "ftl_mode":
-		p.FTLMode = value
-	case "mapper_blocks_per_unit":
-		p.MapperBlocksPerUnit, err = atoi()
-	case "spare_factor":
-		p.SpareFactor, err = atof()
-	case "waf_override":
-		p.WAFOverride, err = atof()
-	case "cpu_cores":
-		p.CPUCores, err = atoi()
-	case "cpu_model":
-		p.CPUModel = value
-	case "ahb_layers":
-		p.AHBLayers, err = atoi()
-	case "write_cache_pages":
-		p.WriteCachePages, err = atoi()
-	case "wear":
-		p.Wear, err = atof()
-	case "parallel":
-		p.Parallel, err = strconv.ParseBool(value)
-	case "seed":
-		var v uint64
-		v, err = strconv.ParseUint(value, 10, 64)
-		p.Seed = v
-	default:
-		return fmt.Errorf("unknown key %q", key)
+		return err
+	case "dies":
+		name = "dies_per_way"
 	}
-	return err
+	for _, k := range keys {
+		if k.name != name {
+			continue
+		}
+		var err error
+		switch v := k.field(p).(type) {
+		case *string:
+			*v = value
+		case *int:
+			*v, err = strconv.Atoi(value)
+		case *bool:
+			*v, err = strconv.ParseBool(value)
+		case *float64:
+			*v, err = strconv.ParseFloat(value, 64)
+		case *uint64:
+			*v, err = strconv.ParseUint(value, 10, 64)
+		}
+		return err
+	}
+	return fmt.Errorf("unknown key %q", name)
 }
 
 // Render writes the platform as a config file (the inverse of Parse).
 func (p Platform) Render(w io.Writer) error {
-	kv := map[string]string{
-		"name":                   p.Name,
-		"channels":               strconv.Itoa(p.Channels),
-		"ways":                   strconv.Itoa(p.Ways),
-		"dies_per_way":           strconv.Itoa(p.DiesPerWay),
-		"ddr_buffers":            strconv.Itoa(p.DDRBuffers),
-		"host_if":                p.HostIF,
-		"queue_depth":            strconv.Itoa(p.QueueDepth),
-		"nand_profile":           p.NANDProfile,
-		"multi_plane":            strconv.FormatBool(p.MultiPlane),
-		"cache_policy":           p.CachePolicy,
-		"gang_mode":              p.GangMode,
-		"ecc_scheme":             p.ECCScheme,
-		"ecc_t":                  strconv.Itoa(p.ECCT),
-		"ecc_engines":            strconv.Itoa(p.ECCEngines),
-		"ecc_latency":            p.ECCLatency,
-		"compress_placement":     p.CompressPlacement,
-		"compress_ratio":         strconv.FormatFloat(p.CompressRatio, 'g', -1, 64),
-		"compress_mbps":          strconv.FormatFloat(p.CompressMBps, 'g', -1, 64),
-		"ftl_mode":               p.FTLMode,
-		"mapper_blocks_per_unit": strconv.Itoa(p.MapperBlocksPerUnit),
-		"spare_factor":           strconv.FormatFloat(p.SpareFactor, 'g', -1, 64),
-		"waf_override":           strconv.FormatFloat(p.WAFOverride, 'g', -1, 64),
-		"cpu_cores":              strconv.Itoa(p.CPUCores),
-		"cpu_model":              p.CPUModel,
-		"write_cache_pages":      strconv.Itoa(p.WriteCachePages),
-		"ahb_layers":             strconv.Itoa(p.AHBLayers),
-		"wear":                   strconv.FormatFloat(p.Wear, 'g', -1, 64),
-		"parallel":               strconv.FormatBool(p.Parallel),
-		"seed":                   strconv.FormatUint(p.Seed, 10),
-	}
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# ssdexplorer platform configuration\n")
+	bw.WriteString("# ssdexplorer platform configuration\n")
 	for _, k := range keys {
-		fmt.Fprintf(bw, "%s = %s\n", k, kv[k])
+		var s string
+		switch v := k.field(&p).(type) {
+		case *string:
+			s = *v
+		case *int:
+			s = strconv.Itoa(*v)
+		case *bool:
+			s = strconv.FormatBool(*v)
+		case *float64:
+			s = strconv.FormatFloat(*v, 'g', -1, 64)
+		case *uint64:
+			s = strconv.FormatUint(*v, 10)
+		}
+		fmt.Fprintf(bw, "%s = %s\n", k.name, s)
 	}
 	return bw.Flush()
 }

@@ -2,12 +2,36 @@ package config
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
-// floatKeys lists every float-valued config key.
-var floatKeys = []string{"compress_ratio", "compress_mbps", "spare_factor", "waf_override", "wear"}
+var updateGolden = flag.Bool("update", false, "rewrite the committed golden files")
+
+// presetNames names Default, Vertex and every Table II and Table III preset.
+func presetNames() []string {
+	names := []string{"default", "vertex"}
+	for i := range TableII() {
+		names = append(names, fmt.Sprintf("t2:C%d", i+1))
+	}
+	for i := range TableIII() {
+		names = append(names, fmt.Sprintf("t3:C%d", i+1))
+	}
+	return names
+}
+
+// TestKeysSorted: the key table is sorted and free of duplicates, since
+// Render writes it in table order and set takes the first match.
+func TestKeysSorted(t *testing.T) {
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1].name >= keys[i].name {
+			t.Errorf("key %q listed before %q", keys[i-1].name, keys[i].name)
+		}
+	}
+}
 
 func TestDefaultValidates(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -136,9 +160,13 @@ func TestParseErrors(t *testing.T) {
 		"cache_policy = maybe",
 		"gang_mode = shared-controll",
 	}
-	for _, key := range floatKeys {
+	p := Default()
+	for _, k := range keys {
+		if _, ok := k.field(&p).(*float64); !ok {
+			continue
+		}
 		for _, v := range []string{"NaN", "Inf", "-Inf"} {
-			bad = append(bad, "preset = vertex\n"+key+" = "+v)
+			bad = append(bad, "preset = vertex\n"+k.name+" = "+v)
 		}
 	}
 	for _, src := range bad {
@@ -186,6 +214,11 @@ func TestValidationCatches(t *testing.T) {
 		func(p *Platform) { p.QueueDepth = -1 },
 		func(p *Platform) { p.ECCLatency = "quantum" },
 		func(p *Platform) { p.GangMode = "shared-controll" },
+		func(p *Platform) { p.HostIF = "bogus" },
+		func(p *Platform) { p.HostIF = "pcie-g9x8" },
+		func(p *Platform) { p.HostIF = "pcie-g2x3" },
+		func(p *Platform) { p.CompressPlacement = "channel"; p.CompressRatio = 1.5 },
+		func(p *Platform) { p.CompressPlacement = "host"; p.CompressMBps = 0 },
 	}
 	for i, mutate := range cases {
 		p := Default()
@@ -196,11 +229,45 @@ func TestValidationCatches(t *testing.T) {
 	}
 }
 
+const renderGolden = "testdata/render.golden"
+
+// TestRenderGolden pins Render's bytes for every preset: dse.Point.Key and
+// the journal manifests hash them, so one moved byte moves every cache key.
+func TestRenderGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, name := range presetNames() {
+		p, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "## preset %s\n", name)
+		if err := p.Render(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(renderGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(renderGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("Render output drifted from %s:\n got: %s\nwant: %s", renderGolden, got.Bytes(), want)
+	}
+}
+
 // FuzzConfig: Parse never panics, and every config it accepts renders back
 // to a file that parses to the same Platform.
 func FuzzConfig(f *testing.F) {
-	presets := append([]Platform{Default(), Vertex()}, TableII()...)
-	for _, p := range append(presets, TableIII()...) {
+	for _, name := range presetNames() {
+		p, err := Preset(name)
+		if err != nil {
+			f.Fatal(err)
+		}
 		var buf bytes.Buffer
 		if err := p.Render(&buf); err != nil {
 			f.Fatal(err)

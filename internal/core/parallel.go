@@ -172,18 +172,16 @@ func (p *Platform) toShard(ch int, fn func()) { p.cross(-1, ch, fn) }
 func (p *Platform) hubFn(ch int, fn func()) func() { return p.crossFn(ch, -1, fn) }
 
 // runKernel drives the event core to completion: the monolithic kernel in
-// serial mode, the domain coordinator in parallel mode. After a domain run
-// the per-shard trace sinks fold back into the main tracer so reporting and
-// export see one device-wide event stream.
+// serial mode, the domain coordinator in parallel mode. The coordinator runs
+// each domain's window in turn, so after a domain run the trace's event log
+// is sorted by start time into one device-wide stream.
 func (p *Platform) runKernel() {
 	if p.ds == nil {
 		p.K.RunAll()
 		return
 	}
 	p.ds.Run()
-	if p.tracer != nil {
-		p.tracer.Absorb(p.traceSinks...)
-	}
+	p.tracer.SortEvents()
 }
 
 // kernelEvents counts delivered events across every domain.

@@ -86,7 +86,6 @@ type Platform struct {
 	shardBuses []*amba.Bus
 	shardDRAM  []*dram.Buffer
 	shardECC   []*eccPool
-	traceSinks []*evtrace.Tracer
 
 	wafModel *ftl.Model
 	mapper   *mapperFTL       // non-nil in ftl_mode = mapper

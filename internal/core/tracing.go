@@ -35,22 +35,16 @@ func (p *Platform) EnableTracing(opt evtrace.Options) *evtrace.Tracer {
 	traceServers(tr, evtrace.KindECC, p.ecc.engines)
 
 	// Channels: dies (per-op-kind intervals, GC split, flow steps) and ONFI
-	// buses. In parallel mode every channel domain logs into a private sink
-	// (shared resource table, own event buffer — each resource has exactly
-	// one writing domain), and so do the shard's private interconnect, DRAM
-	// buffer and ECC engines; runKernel folds the sinks back into the main
-	// tracer after each run.
+	// buses, plus, on the sharded core, each shard's private interconnect,
+	// DRAM buffer and ECC engines. runKernel orders the sharded core's event
+	// log by start time after each run.
 	for c, ch := range p.Channels {
-		if p.ds == nil {
-			ch.SetTracer(tr)
-			continue
+		ch.SetTracer(tr)
+		if p.ds != nil {
+			traceBus(tr, p.shardBuses[c], func(int) string { return fmt.Sprintf("ch%d-ahb", c) })
+			traceDRAM(tr, p.shardDRAM[c])
+			traceServers(tr, evtrace.KindECC, p.shardECC[c].engines)
 		}
-		sink := tr.Sink()
-		p.traceSinks = append(p.traceSinks, sink)
-		ch.SetTracer(sink)
-		traceBus(sink, p.shardBuses[c], func(int) string { return fmt.Sprintf("ch%d-ahb", c) })
-		traceDRAM(sink, p.shardDRAM[c])
-		traceServers(sink, evtrace.KindECC, p.shardECC[c].engines)
 	}
 	return tr
 }

@@ -36,6 +36,8 @@ package hostif
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -91,7 +93,7 @@ func PCIe(gen, lanes int) (Config, error) {
 		return Config{}, fmt.Errorf("hostif: unsupported lane count %d", lanes)
 	}
 	return Config{
-		Name:           fmt.Sprintf("pcie-g%dx%d", gen, lanes),
+		Name:           "pcie-g" + strconv.Itoa(gen) + "x" + strconv.Itoa(lanes),
 		LineMBps:       perLane * float64(lanes),
 		DataEfficiency: 0.85, // TLP header+DLLP overhead at 128 B MPS
 		CmdBytes:       64,   // NVMe SQE fetch
@@ -109,10 +111,13 @@ func Parse(name string) (Config, error) {
 	if name == "sata2" || name == "sata" || name == "" {
 		return SATA2(), nil
 	}
-	var gen, lanes int
-	if _, err := fmt.Sscanf(name, "pcie-g%dx%d", &gen, &lanes); err == nil &&
-		name == fmt.Sprintf("pcie-g%dx%d", gen, lanes) {
-		return PCIe(gen, lanes)
+	if rest, ok := strings.CutPrefix(name, "pcie-g"); ok {
+		g, l, _ := strings.Cut(rest, "x")
+		gen, gerr := strconv.Atoi(g)
+		lanes, lerr := strconv.Atoi(l)
+		if gerr == nil && lerr == nil && strconv.Itoa(gen) == g && strconv.Itoa(lanes) == l {
+			return PCIe(gen, lanes)
+		}
 	}
 	return Config{}, fmt.Errorf("hostif: unknown interface %q", name)
 }

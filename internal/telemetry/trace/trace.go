@@ -207,67 +207,16 @@ type Tracer struct {
 	events  []event
 	dropped uint64
 	flows   map[int64]int32 // flow id -> step count (for Perfetto arrows)
-
-	// parent, when non-nil, marks this tracer as a per-clock-domain sink:
-	// resource registration and aggregate counters go to the parent's shared
-	// table (each resource is recorded by exactly one domain, so the shared
-	// structs have a single writer), while raw events buffer locally so
-	// concurrent domains never contend on one log. Absorb folds sinks back
-	// into the parent deterministically after the run.
-	parent *Tracer
 }
 
-// root returns the tracer owning the resource table: the parent for sinks,
-// the tracer itself otherwise.
-func (t *Tracer) root() *Tracer {
-	if t.parent != nil {
-		return t.parent
-	}
-	return t
-}
-
-// Sink returns a tracer recording into its own raw-event buffer while
-// sharing t's resource table and aggregates — one per clock domain in the
-// parallel kernel. Register every resource (through the sink or the parent —
-// both land in the shared table) before the run starts; call Absorb on the
-// parent afterwards.
-func (t *Tracer) Sink() *Tracer {
-	if t == nil {
-		return nil
-	}
-	s := &Tracer{opt: t.opt, parent: t.root()}
-	if s.opt.Events {
-		s.flows = make(map[int64]int32)
-	}
-	return s
-}
-
-// Absorb merges per-domain sink buffers into t: events concatenate in the
-// given sink order and stably sort by start time (per-domain buffers are
-// already monotonic, so the merged buffer is too, and stable ordering makes
-// the result a pure function of the per-domain event sequences — the
-// parallel-mode Perfetto determinism rests on this), drop counts add, and
-// flow step counts sum. The sinks are drained.
-func (t *Tracer) Absorb(sinks ...*Tracer) {
+// SortEvents stably orders the raw event log by start time. The sharded
+// core runs its clock domains' windows one after another, so its log is in
+// domain order within each window until sorted once after the run.
+func (t *Tracer) SortEvents() {
 	if t == nil {
 		return
 	}
-	merged := false
-	for _, s := range sinks {
-		if s == nil || len(s.events) == 0 && s.dropped == 0 && len(s.flows) == 0 {
-			continue
-		}
-		merged = merged || len(s.events) > 0
-		t.events = append(t.events, s.events...)
-		t.dropped += s.dropped
-		for f, c := range s.flows {
-			t.flows[f] += c
-		}
-		s.events, s.flows = nil, nil
-	}
-	if merged {
-		sort.SliceStable(t.events, func(i, j int) bool { return t.events[i].start < t.events[j].start })
-	}
+	sort.SliceStable(t.events, func(i, j int) bool { return t.events[i].start < t.events[j].start })
 }
 
 // New builds a Tracer with opt (zero fields take defaults).
@@ -290,9 +239,6 @@ func (t *Tracer) Register(kind Kind, name string) int32 {
 	if t == nil {
 		return -1
 	}
-	if t.parent != nil {
-		return t.parent.Register(kind, name)
-	}
 	r := &resource{name: name, kind: kind}
 	if kind == KindDie {
 		r.tl = &timeline{bins: make([]sim.Time, t.opt.Bins), binDur: initialBinDur}
@@ -306,7 +252,7 @@ func (t *Tracer) Interval(res int32, op Op, start, end sim.Time) {
 	if t == nil || res < 0 || end <= start {
 		return
 	}
-	r := t.root().res[res]
+	r := t.res[res]
 	r.busy[op] += end - start
 	r.ops[op]++
 	if r.tl != nil {
@@ -323,7 +269,7 @@ func (t *Tracer) Depth(res int32, depth int, now sim.Time) {
 	if t == nil || res < 0 {
 		return
 	}
-	r := t.root().res[res]
+	r := t.res[res]
 	r.depthInt += float64(r.depth) * float64(now-r.depthAt)
 	r.depth, r.depthAt, r.sampled = depth, now, true
 	if depth > r.depthPeak {
@@ -378,7 +324,7 @@ func (t *Tracer) DepthStats(res int32, now sim.Time) (mean float64, peak int) {
 	if t == nil || res < 0 {
 		return 0, 0
 	}
-	r := t.root().res[res]
+	r := t.res[res]
 	if !r.sampled || now <= 0 {
 		return 0, r.depthPeak
 	}
